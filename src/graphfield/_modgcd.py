@@ -12,18 +12,15 @@ from __future__ import annotations
 
 import math
 
+from .coeffs import is_prime
+
 
 def _gen_primes(limit: int = 16) -> tuple[int, ...]:
+    """The `limit` largest primes up to 2^31 - 1, descending."""
     out = []
     n = 2147483647
     while len(out) < limit:
-        d = 3
-        is_p = n % 2 == 1
-        while is_p and d * d <= n:
-            if n % d == 0:
-                is_p = False
-            d += 2
-        if is_p:
+        if is_prime(n):
             out.append(n)
         n -= 2
     return tuple(out)

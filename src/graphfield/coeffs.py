@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import TooLarge
+
 SUPPORTED_CHARS = (0, 2, 3, 5, 7)
 
 
@@ -140,22 +142,51 @@ class CoeffField:
 
 
 def _int_root(n: int, p: int):
-    """Exact integer p-th root of n >= 0, or None."""
-    if n in (0, 1):
+    """Exact integer p-th root of n >= 0, or None.
+
+    Integer Newton iteration from 2^ceil(bits/p), which lies above the
+    root; the iterates decrease to the floor of the root.
+    """
+    if n < 2:
         return n
-    r = round(n ** (1.0 / p))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**p == n:
-            return cand
-    # float estimate can be off for large n; widen by bisection
-    lo, hi = 1, 1 << ((n.bit_length() + p - 1) // p + 1)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        v = mid**p
-        if v == n:
-            return mid
-        if v < n:
-            lo = mid + 1
+    x = 1 << -(-n.bit_length() // p)
+    while True:
+        y = ((p - 1) * x + n // x ** (p - 1)) // p
+        if y >= x:
+            return x if x**p == n else None
+        x = y
+
+
+# Miller-Rabin with the primes up to 37 as bases is exact below
+# 318665857834031151167461, and with 41 added below the bound here
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 2017); the bound itself passes all thirteen bases.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact below 3.3e24;
+    larger n raise TooLarge rather than get a guess."""
+    if n >= _MR_BOUND:
+        raise TooLarge(f"primality is decided only below {_MR_BOUND}")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
         else:
-            hi = mid - 1
-    return None
+            return False
+    return True

@@ -55,7 +55,9 @@ class SingularMultiplication(GraphFieldError):
 
 
 class TooLarge(GraphFieldError):
-    """Tower basis dimension exceeds the configured cap."""
+    """An input exceeds what is handled exactly: a tower basis dimension
+    over the configured cap, or a number too large for the primality
+    test."""
 
 
 class DepthExceeded(GraphFieldError):

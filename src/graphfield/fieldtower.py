@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .coeffs import CoeffField
+from .coeffs import CoeffField, is_prime
 from .errors import (
     DepthExceeded,
     ProfileNotLarger,
@@ -42,21 +42,10 @@ def choose_primes(r: int, n_colors: int) -> tuple[int, ...]:
     out = []
     cand = 3
     while len(out) < n_colors + 1:
-        if _is_prime(cand) and cand != r and (r == 0 or (r - 1) % cand != 0):
+        if is_prime(cand) and cand != r and (r == 0 or (r - 1) % cand != 0):
             out.append(cand)
         cand += 2
     return tuple(out)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -67,14 +56,6 @@ class TowerProfile:
     vertex_depths: dict
     edge_depths: dict
     primes: tuple
-
-    def dominates(self, other: "TowerProfile") -> bool:
-        return (
-            self.char == other.char
-            and self.primes == other.primes
-            and all(self.vertex_depths.get(v, 0) >= d for v, d in other.vertex_depths.items())
-            and all(self.edge_depths.get(e, 0) >= d for e, d in other.edge_depths.items())
-        )
 
 
 @dataclass(frozen=True)
@@ -336,12 +317,12 @@ def radical_extend(
     not divisible by X, separable, and pairwise coprime.
     """
     field = CoeffField(char)
-    if not _is_prime(spec.p) or spec.p == char:
+    if not is_prime(spec.p) or spec.p == char:
         raise SpecInvalid("p must be a prime different from the characteristic")
     if len(set(spec.branch_primes)) != len(spec.branch_primes):
         raise SpecInvalid("branch primes must be pairwise distinct")
     for q in spec.branch_primes:
-        if not _is_prime(q) or q in (spec.p, char):
+        if not is_prime(q) or q in (spec.p, char):
             raise SpecInvalid("branch primes must be primes different from p and the characteristic")
     upolys = {}
     for v, coeffs in spec.polys.items():

@@ -10,10 +10,16 @@ bare output preserves the colors.
 Vertex labels are strings throughout; the transform tags its output
 vertices inside the label ("1:x", "2:a|b:w") so the original graph and
 the gadget copies stay recoverable.
+
+One backtracking search over vertex images (`_vertex_maps`) serves both
+automorphism groups and the isomorphism test of the graph corpus: it
+hands each map it finds to a callback, and stops when the callback
+returns True.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -179,10 +185,10 @@ def aut_graph(
     """All automorphisms of a graph or colored graph, as a PermGroup on
     the sorted vertex list (color-preserving when colored).
 
-    Backtracking over vertex images, pruned by an iterated neighborhood
-    invariant started from each vertex's degree and the number of edges
-    among its neighbours; the found set is closed and re-verified before
-    returning.
+    The vertex-map search _vertex_maps from the graph to itself, with
+    cells from an iterated neighbourhood invariant started from each
+    vertex's degree and the number of edges among its neighbours, collects
+    every map; the found set is closed and re-verified before returning.
     """
     graph, colors = _unwrap(g)
     verts = sorted(graph.vertices)
@@ -200,55 +206,75 @@ def aut_graph(
     # start from degree and the number of edges among the neighbours: degree
     # refinement alone cannot tell a bare transform's original vertices from
     # the gadget copies' z and a when all have degree 4, as on a cycle
-    start = [
-        (len(adj[v]), sum(1 for u in adj[v] for w in adj[v] if u < w and w in adj[u]))
-        for v in range(n)
-    ]
-    inv = _refine(start, adj)
-    order = sorted(range(n), key=lambda v: (sum(1 for u in range(n) if inv[u] == inv[v]), v))
+    cell = _refine(_degree_triangles(adj), adj)
+    order = sorted(range(n), key=lambda v: (sum(1 for u in range(n) if cell[u] == cell[v]), v))
 
     found: list[Perm] = []
-    mapping = [-1] * n
-    used = [False] * n
-    budget = [node_budget]
 
-    def consistent(v: int, u: int) -> bool:
-        for w in order:
-            mw = mapping[w]
-            if mw < 0:
-                continue
-            cv = adj[v].get(w)
-            cu = adj[u].get(mw)
-            if cv != cu:
-                return False
-        return True
+    def collect(mapping: list[int]) -> bool:
+        found.append(Perm(mapping))
+        return False
 
-    def dfs(i: int):
-        if i == n:
-            found.append(Perm(mapping.copy()))
-            return
-        v = order[i]
-        for u in range(n):
-            if used[u] or inv[u] != inv[v]:
-                continue
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise BudgetExceeded("aut_graph search nodes", node_budget)
-            if not consistent(v, u):
-                continue
-            mapping[v] = u
-            used[u] = True
-            dfs(i + 1)
-            mapping[v] = -1
-            used[u] = False
-
-    dfs(0)
+    _vertex_maps(adj, adj, cell, cell, order, node_budget, "aut_graph search nodes", collect)
     elements = set(found)
     gens = greedy_generators(elements, n)
     group = closure(gens, cap=len(elements) + 1, degree=n)
     if group.elements != frozenset(elements):
         raise AssertionError("automorphism set failed closure verification")  # pragma: no cover
     return PermGroup(n, gens, elements, points=verts)
+
+
+def _degree_triangles(adj: list[dict]) -> list[tuple[int, int]]:
+    """Each vertex's degree and the number of edges among its neighbours."""
+    return [
+        (len(nb), sum(1 for u in nb for w in nb if u < w and w in adj[u]))
+        for nb in adj
+    ]
+
+
+def _vertex_maps(adj_a, adj_b, cell_a, cell_b, order, budget, what: str, visit) -> bool:
+    """Call visit(mapping) on each colour-preserving isomorphism from graph
+    a to graph b that keeps every vertex in its cell, until visit returns
+    True; return whether it did.
+
+    Graphs are lists of {neighbour: colour} dicts.  Vertices of a are
+    mapped in `order`.  An image u for v must be unused, lie in v's cell
+    and agree with the vertices mapped so far, which needs only their
+    neighbours: the images of v's mapped neighbours, with their colours,
+    must be exactly u's mapped neighbours with theirs (McKay & Piperno,
+    "Practical graph isomorphism II", 2014).  Each candidate tried costs
+    one of `budget` nodes; running out raises BudgetExceeded.
+    """
+    n = len(adj_a)
+    by_cell: dict = {}
+    for u in range(n):
+        by_cell.setdefault(cell_b[u], []).append(u)
+    mapping = [-1] * n
+    used = [False] * n
+    left = [budget]
+
+    def dfs(i: int) -> bool:
+        if i == n:
+            return visit(mapping)
+        v = order[i]
+        want = {mapping[w]: c for w, c in adj_a[v].items() if mapping[w] >= 0}
+        for u in by_cell.get(cell_a[v], ()):
+            if used[u]:
+                continue
+            left[0] -= 1
+            if left[0] < 0:
+                raise BudgetExceeded(what, budget)
+            if {x: c for x, c in adj_b[u].items() if used[x]} != want:
+                continue
+            mapping[v] = u
+            used[u] = True
+            if dfs(i + 1):
+                return True
+            mapping[v] = -1
+            used[u] = False
+        return False
+
+    return dfs(0)
 
 
 def _refine(start: list, adj: list[dict[int, int]]) -> list[int]:
@@ -277,10 +303,6 @@ def graph_auts(g) -> list[GraphAut]:
     for p in group.sorted_elements():
         out.append(GraphAut({verts[i]: verts[p(i)] for i in range(len(verts))}))
     return out
-
-
-def perm_to_graph_aut(group: PermGroup, p: Perm) -> GraphAut:
-    return GraphAut({group.points[i]: group.points[p(i)] for i in range(group.degree)})
 
 
 # ---------------------------------------------------------------------------
@@ -661,24 +683,33 @@ def cayley_structure(group: PermGroup) -> FiniteStructure:
 
 
 def connected_graphs_up_to_iso(n: int) -> list[Graph]:
-    """All isomorphism types of connected graphs on exactly n vertices."""
+    """All isomorphism types of connected graphs on exactly n vertices.
+
+    Edge masks are scanned in increasing order and a graph is kept when no
+    earlier representative with the same multiset of (degree, triangles)
+    cells maps onto it under _vertex_maps, the search aut_graph runs.
+    """
     labels = [f"v{i}" for i in range(n)]
     pairs = list(combinations(range(n), 2))
-    reps_by_inv: dict = {}
+    reps_by_cells: dict = {}
     out: list[Graph] = []
     for mask in range(1 << len(pairs)):
-        adj = [set() for _ in range(n)]
+        adj: list[dict[int, int]] = [{} for _ in range(n)]
         for bit, (i, j) in enumerate(pairs):
             if mask >> bit & 1:
-                adj[i].add(j)
-                adj[j].add(i)
+                adj[i][j] = 0
+                adj[j][i] = 0
         if not _connected_adj(adj):
             continue
-        inv = _graph_invariant(adj)
-        bucket = reps_by_inv.setdefault(inv, [])
-        if any(_adj_isomorphic(adj, other) for other in bucket):
+        cell = _degree_triangles(adj)
+        order = sorted(range(n), key=lambda v: -len(adj[v]))
+        bucket = reps_by_cells.setdefault(tuple(sorted(cell)), [])
+        if any(
+            _vertex_maps(adj, rep, cell, rep_cell, order, math.inf, "graph isomorphism search", lambda m: True)
+            for rep, rep_cell in bucket
+        ):
             continue
-        bucket.append(adj)
+        bucket.append((adj, cell))
         out.append(
             Graph(labels, [_edge(labels[i], labels[j]) for i in range(n) for j in adj[i] if i < j])
         )
@@ -698,46 +729,6 @@ def _connected_adj(adj) -> bool:
                 seen.add(u)
                 stack.append(u)
     return len(seen) == n
-
-
-def _graph_invariant(adj):
-    n = len(adj)
-    degs = sorted(len(a) for a in adj)
-    neigh = sorted(tuple(sorted(len(adj[u]) for u in adj[v])) for v in range(n))
-    tri = sorted(
-        sum(1 for u in adj[v] for w in adj[v] if u < w and w in adj[u]) for v in range(n)
-    )
-    return (n, tuple(degs), tuple(neigh), tuple(tri))
-
-
-def _adj_isomorphic(a, b) -> bool:
-    n = len(a)
-    mapping = [-1] * n
-    used = [False] * n
-    order = sorted(range(n), key=lambda v: -len(a[v]))
-
-    def dfs(i):
-        if i == n:
-            return True
-        v = order[i]
-        for u in range(n):
-            if used[u] or len(b[u]) != len(a[v]):
-                continue
-            ok = True
-            for w in order[:i]:
-                if (w in a[v]) != (mapping[w] in b[u]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = u
-                used[u] = True
-                if dfs(i + 1):
-                    return True
-                mapping[v] = -1
-                used[u] = False
-        return False
-
-    return dfs(0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,17 @@ semidirect products.
 Groups are always materialized as explicit element sets; subgroup
 equality is element-set equality.  Everything here is exhaustive search
 tuned only as far as desk scale requires.
+
+Automorphisms and isomorphisms of abstract groups come from one search
+over generator images (`_isomorphisms`): `aut_group` runs it from G to
+G and collects every map, `find_isomorphism` runs it from G to H and
+stops at the first.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import (
     BudgetExceeded,
@@ -148,9 +154,6 @@ class PermGroup:
     def is_abelian(self) -> bool:
         gens = self.generators or tuple(self.elements)
         return all(a * b == b * a for a in gens for b in gens)
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
 
     def sorted_elements(self) -> list[Perm]:
         return sorted(self.elements)
@@ -316,9 +319,6 @@ class AutGroup:
     index: dict
     inner: dict
 
-    def as_index_perm(self, mapping: dict) -> Perm:
-        return Perm([self.index[mapping[x]] for x in self.domain])
-
 
 def _element_invariants(G: PermGroup):
     classes = conjugacy_classes(G)
@@ -376,25 +376,25 @@ def _pair_invariants_match(gens, chosen, inv_G, inv_H) -> bool:
     return True
 
 
-def _hom_from_generator_images(G: PermGroup, gens, images, budget_counter) -> dict | None:
-    """Extend gens -> images to a homomorphism on all of G, or None.
+def _hom_from_generator_images(G: PermGroup, H: PermGroup, gens, images, budget, what: str) -> dict | None:
+    """Extend gens -> images to an isomorphism G -> H, or None.
 
     Elements are reached breadth-first by right-multiplying with
     generators; any inconsistency between two derivations kills the
-    candidate immediately.
+    candidate immediately.  `budget` is [nodes left, node budget], shared
+    by every candidate of one search.
     """
-    ident = G.identity()
-    phi = {ident: ident}
-    queue = [ident]
+    phi = {G.identity(): H.identity()}
+    queue = [G.identity()]
     pairs = list(zip(gens, images))
     while queue:
         nxt = []
         for x in queue:
             fx = phi[x]
             for g, h in pairs:
-                budget_counter[0] -= 1
-                if budget_counter[0] < 0:
-                    raise BudgetExceeded("automorphism search", budget_counter[1])
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise BudgetExceeded(what, budget[1])
                 y = x * g
                 fy = fx * h
                 known = phi.get(y)
@@ -404,13 +404,30 @@ def _hom_from_generator_images(G: PermGroup, gens, images, budget_counter) -> di
                 elif known != fy:
                     return None
         queue = nxt
-    if len(phi) != G.order:
-        return None  # gens failed to generate (should not happen)
-    if len(set(phi.values())) != G.order:
-        return None  # not bijective: image is a proper subgroup
-    if any(v not in G.elements for v in phi.values()):
+    if len(phi) != G.order or len(set(phi.values())) != H.order:
+        return None  # gens failed to generate, or the image is a proper subgroup
+    if any(v not in H.elements for v in phi.values()):
         return None
     return phi
+
+
+def _isomorphisms(G: PermGroup, H: PermGroup, inv_G, inv_H, node_budget: int, what: str, visit) -> None:
+    """Call visit(phi) on each isomorphism G -> H until visit returns True.
+
+    Generators of G are chosen by rarity of their (order, class size)
+    invariant; each tuple of invariant-matched images in H that passes the
+    pair-product check is handed to _hom_from_generator_images.
+    """
+    gens = _choose_generators(G, inv_G)
+    domain_H = H.sorted_elements()
+    pools = [[y for y in domain_H if inv_H[y] == inv_G[g]] for g in gens]
+    budget = [node_budget, node_budget]
+    for images in product(*pools):
+        if not _pair_invariants_match(gens, images, inv_G, inv_H):
+            continue
+        phi = _hom_from_generator_images(G, H, gens, images, budget, what)
+        if phi is not None and visit(phi):
+            return
 
 
 def aut_group(
@@ -418,39 +435,21 @@ def aut_group(
     cap: int = DEFAULT_AUT_CAP,
     node_budget: int = DEFAULT_AUT_NODE_BUDGET,
 ) -> AutGroup:
-    """All automorphisms of G, found by backtracking over generator images.
+    """All automorphisms of G: the isomorphism search of _isomorphisms
+    with H = G, collecting every map it finds.
 
     Candidate images are restricted to elements with the same order and
     conjugacy-class size as the generator; each candidate tuple is
-    validated by rebuilding the whole multiplication graph.
+    validated by rebuilding the whole multiplication graph, and the found
+    set is closed and re-verified before returning.
     """
     if G.order > cap:
         raise BudgetExceeded("aut_group element cap", cap)
     domain = tuple(G.sorted_elements())
     index = {x: i for i, x in enumerate(domain)}
     invariants = _element_invariants(G)
-    gens = _choose_generators(G, invariants)
-    candidate_pools = [
-        [y for y in domain if invariants.get(y, (1, 1)) == invariants.get(g, (1, 1))]
-        for g in gens
-    ]
-    budget_counter = [node_budget, node_budget]
     autos: list[dict] = []
-
-    def backtrack(i: int, chosen: list[Perm]):
-        if i == len(gens):
-            if not _pair_invariants_match(gens, chosen, invariants, invariants):
-                return
-            phi = _hom_from_generator_images(G, gens, chosen, budget_counter)
-            if phi is not None:
-                autos.append(phi)
-            return
-        for y in candidate_pools[i]:
-            chosen.append(y)
-            backtrack(i + 1, chosen)
-            chosen.pop()
-
-    backtrack(0, [])
+    _isomorphisms(G, G, invariants, invariants, node_budget, "automorphism search", autos.append)
 
     aut_perms = {Perm([index[phi[x]] for x in domain]) for phi in autos}
     aut_gens = greedy_generators(aut_perms, len(domain))
@@ -465,65 +464,18 @@ def aut_group(
 
 
 def find_isomorphism(G: PermGroup, H: PermGroup, node_budget: int = DEFAULT_AUT_NODE_BUDGET):
-    """An explicit isomorphism G -> H as a dict, or None.
-
-    Same backtracking as aut_group, with images taken in H.
-    """
+    """An explicit isomorphism G -> H as a dict, or None: the first map
+    the search shared with aut_group finds."""
     if G.order != H.order:
         return None
-    inv_G = _element_invariants(G)
-    inv_H = _element_invariants(H)
-    gens = _choose_generators(G, inv_G)
-    pools = [[y for y in H.sorted_elements() if inv_H[y] == inv_G[g]] for g in gens]
-    budget_counter = [node_budget, node_budget]
+    found: list[dict] = []
 
-    result: list[dict | None] = [None]
+    def stop(phi: dict) -> bool:
+        found.append(phi)
+        return True
 
-    def backtrack(i: int, chosen: list[Perm]):
-        if result[0] is not None:
-            return
-        if i == len(gens):
-            if not _pair_invariants_match(gens, chosen, inv_G, inv_H):
-                return
-            phi = _hom_between(G, H, gens, chosen, budget_counter)
-            if phi is not None:
-                result[0] = phi
-            return
-        for y in pools[i]:
-            chosen.append(y)
-            backtrack(i + 1, chosen)
-            chosen.pop()
-
-    backtrack(0, [])
-    return result[0]
-
-
-def _hom_between(G, H, gens, images, budget_counter) -> dict | None:
-    phi = {G.identity(): H.identity()}
-    queue = [G.identity()]
-    pairs = list(zip(gens, images))
-    while queue:
-        nxt = []
-        for x in queue:
-            fx = phi[x]
-            for g, h in pairs:
-                budget_counter[0] -= 1
-                if budget_counter[0] < 0:
-                    raise BudgetExceeded("isomorphism search", budget_counter[1])
-                y = x * g
-                fy = fx * h
-                known = phi.get(y)
-                if known is None:
-                    phi[y] = fy
-                    nxt.append(y)
-                elif known != fy:
-                    return None
-        queue = nxt
-    if len(phi) != G.order or len(set(phi.values())) != H.order:
-        return None
-    if any(v not in H.elements for v in phi.values()):
-        return None
-    return phi
+    _isomorphisms(G, H, _element_invariants(G), _element_invariants(H), node_budget, "isomorphism search", stop)
+    return found[0] if found else None
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,15 @@ variables compared by index; variable index order is fixed per context
 (vertices sorted by label), which keeps every canonical form
 deterministic.
 
-The gcd is a primitive polynomial remainder sequence, recursing on the
-highest variable that actually occurs.  All algorithms here are chosen
-for predictability at desk scale, not asymptotics.
+The gcd in characteristic 0 is the modular integer gcd of `_modgcd`,
+on the polynomials scaled to coprime integer coefficients; in positive
+characteristic it is a primitive polynomial remainder sequence,
+recursing on the highest variable that actually occurs.  All algorithms
+here are chosen for predictability at desk scale, not asymptotics.
 """
 from __future__ import annotations
+
+import math
 
 from .coeffs import CoeffField
 
@@ -80,11 +84,6 @@ class Poly:
         if self.is_zero():
             raise ValueError("zero polynomial")
         return min(e[var] for e in self.terms)
-
-    def total_degree(self) -> int:
-        if self.is_zero():
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def leading(self) -> tuple[tuple, object]:
         """Leading (exponent, coefficient) under deg-lex."""
@@ -205,26 +204,6 @@ class Poly:
         _, lc = self.leading()
         return self.scale(self.field.inv(lc))
 
-    def rational_primitive(self) -> "Poly":
-        """Scale a char-0 polynomial so its coefficients are coprime
-        integers.  Keeps the remainder sequences in gcd computations from
-        blowing up; a no-op in positive characteristic."""
-        if self.field.char != 0 or self.is_zero():
-            return self
-        import math
-
-        den_lcm = 1
-        num_gcd = 0
-        for c in self.terms.values():
-            den_lcm = math.lcm(den_lcm, c.denominator)
-            num_gcd = math.gcd(num_gcd, c.numerator)
-        from fractions import Fraction
-
-        factor = Fraction(den_lcm, num_gcd)
-        if factor == 1:
-            return self
-        return self.scale(factor)
-
     # -- division ------------------------------------------------------------
 
     def divexact(self, other: "Poly") -> "Poly | None":
@@ -274,28 +253,7 @@ class Poly:
             out[k] = out[k] + Poly(self.field, self.nvars, {tuple(e2): c})
         return out
 
-    @staticmethod
-    def from_coeffs_in(var: int, coeffs: list["Poly"], field: CoeffField, nvars: int) -> "Poly":
-        acc = Poly.zero(field, nvars)
-        for k, c in enumerate(coeffs):
-            if c.is_zero():
-                continue
-            acc = acc + c * Poly.var(field, nvars, var, k)
-        return acc
-
     # -- evaluation ------------------------------------------------------------
-
-    def eval_field(self, point: list):
-        """Evaluate at a point with coordinates in the coefficient field."""
-        F = self.field
-        acc = F.zero
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                if k:
-                    v = F.mul(v, _field_pow(F, point[i], k))
-            acc = F.add(acc, v)
-        return acc
 
     def eval_mod(self, point: list[int], q: int) -> int:
         """Evaluate at integer points mod a prime q (char-0 coefficients).
@@ -387,13 +345,6 @@ class Poly:
         return g.monic_deglex() if not g.is_zero() else g
 
 
-def _field_pow(F: CoeffField, base, k: int):
-    acc = F.one
-    for _ in range(k):
-        acc = F.mul(acc, base)
-    return acc
-
-
 def _gcd(f: Poly, g: Poly) -> Poly:
     if f.is_zero():
         return g
@@ -411,15 +362,15 @@ def _gcd(f: Poly, g: Poly) -> Poly:
     cf = _content(f, v)
     cg = _content(g, v)
     c = _gcd(cf, cg)
-    pf = f.divexact(cf).rational_primitive()
-    pg = g.divexact(cg).rational_primitive()
+    pf = f.divexact(cf)
+    pg = g.divexact(cg)
     a, b = (pf, pg) if pf.degree_in(v) >= pg.degree_in(v) else (pg, pf)
     while not b.is_zero() and b.degree_in(v) > 0:
         r = _pseudo_rem(a, b, v)
         if r.is_zero():
             a, b = b, r
             break
-        a, b = b, r.divexact(_content(r, v)).rational_primitive()
+        a, b = b, r.divexact(_content(r, v))
     if b.is_zero():
         prim = a.divexact(_content(a, v))
         return c * prim
@@ -464,8 +415,14 @@ from fractions import Fraction as _Fraction
 
 
 def _to_int_terms(p: Poly) -> dict:
-    q = p.rational_primitive()
-    return {e: c.numerator for e, c in q.terms.items()}
+    """The terms of a char-0 polynomial scaled by a rational to coprime
+    integers: numerators over their gcd, times the lcm of denominators."""
+    den_lcm = 1
+    num_gcd = 0
+    for c in p.terms.values():
+        den_lcm = math.lcm(den_lcm, c.denominator)
+        num_gcd = math.gcd(num_gcd, c.numerator)
+    return {e: c.numerator // num_gcd * (den_lcm // c.denominator) for e, c in p.terms.items()}
 
 
 def _from_int_terms(d: dict, field: CoeffField, nvars: int) -> Poly:

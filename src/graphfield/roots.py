@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
+from .coeffs import is_prime
 from .errors import BadPrime, ZeroInput
 from .fieldtower import TowerContext, TowerElement, embed
 from .polynomials import Poly
@@ -326,24 +327,13 @@ def _specialization_primes(ctx: TowerContext, p: int, count: int) -> list[int]:
     while len(out) < count and scanned < _SPECIALIZE_PRIME_SCAN:
         if q > _DLOG_TABLE_CAP:
             break
-        if _is_prime_int(q):
+        if is_prime(q):
             out.append(q)
         q += L
         scanned += 1
     if not out:
         raise BadPrime(f"no admissible specialization prime below {_DLOG_TABLE_CAP}")
     return out
-
-
-def _is_prime_int(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _dlog_table(q: int) -> tuple[int, dict]:

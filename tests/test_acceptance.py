@@ -131,8 +131,8 @@ def test_criterion_02_star_decomposition(corpus):
             failures.append(sorted(sorted(e) for e in g.edges))
     report(2, not failures, f"star clause failing on {len(failures)}/{len(corpus)} graphs")
     assert failures == [], (
-        f"{len(failures)} corpus graphs have non-star attachment classes; "
-        "this clause of the criterion is unattainable for the pinned construction"
+        f"{len(failures)} corpus graphs have a color class that is not a "
+        "disjoint union of stars"
     )
 
 

@@ -255,6 +255,11 @@ def test_radical_spec_validation():
         )
     with pytest.raises(SpecInvalid):
         radical_extend(RadicalSpec(p=4, branch_primes=(5,), partition={"v": 0}, polys={"v": (1, 1)}))
+    with pytest.raises(SpecInvalid):
+        # a product of two primes near 2^31 and 2^40: rejected without trial division
+        radical_extend(
+            RadicalSpec(p=(2**31 - 1) * (2**40 - 87), branch_primes=(5,), partition={"v": 0}, polys={"v": (1, 1)})
+        )
 
 
 def test_radical_extension_matches_single_vertex_step():

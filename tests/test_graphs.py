@@ -323,7 +323,7 @@ def test_code_structure_matches_structure_aut_on_corpus():
 
 def test_connected_graph_counts():
     # numbers of isomorphism types of connected graphs on n vertices
-    assert [len(connected_graphs_up_to_iso(n)) for n in range(1, 6)] == [1, 1, 2, 6, 21]
+    assert [len(connected_graphs_up_to_iso(n)) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
 
 
 # -- JSON ---------------------------------------------------------------------------

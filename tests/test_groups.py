@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from graphfield.errors import NotCenterless, NotPrimePower, NotSubgroup
+from graphfield.errors import BudgetExceeded, NotCenterless, NotPrimePower, NotSubgroup
+from graphfield.graphs import Graph, aut_graph
 from graphfield.groups import (
     GFq,
     Perm,
@@ -154,9 +155,27 @@ def test_automorphism_tower_needs_centerless():
 def test_find_isomorphism():
     a = closure([Perm.from_cycles(6, [(0, 1, 2, 3, 4, 5)])])
     b = closure([Perm.from_cycles(5, [(0, 1, 2)]), Perm.from_cycles(5, [(3, 4)])])
-    iso = find_isomorphism(a, b)
-    assert iso is not None
+    for G, H in ((a, b), (psl2(5), alt(5))):
+        iso = find_isomorphism(G, H)
+        assert iso is not None
+        assert set(iso) == set(G.elements)
+        assert set(iso.values()) == set(H.elements)
+        assert all(iso[x * y] == iso[x] * iso[y] for x in G.elements for y in G.elements)
     assert find_isomorphism(sym(3), cyc(6)) is None
+
+
+def test_searches_raise_budget_exceeded_with_their_labels():
+    with pytest.raises(BudgetExceeded) as exc:
+        aut_group(sym(4), node_budget=5)
+    assert exc.value.what == "automorphism search"
+    with pytest.raises(BudgetExceeded) as exc:
+        find_isomorphism(sym(4), sym(4), node_budget=5)
+    assert exc.value.what == "isomorphism search"
+    square = Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    with pytest.raises(BudgetExceeded) as exc:
+        aut_graph(square, node_budget=5)
+    assert exc.value.what == "aut_graph search nodes"
+    assert exc.value.budget == 5
 
 
 # -- finite fields and projective groups -----------------------------------------------

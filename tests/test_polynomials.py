@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from graphfield.coeffs import CoeffField
+from graphfield.coeffs import CoeffField, _int_root, is_prime
+from graphfield.errors import TooLarge
 from graphfield.polynomials import Poly
 from graphfield.ratfunc import RatFunc
 
@@ -188,3 +189,25 @@ def test_coeff_field_is_p_high():
     # 3 | 6: only the stable cubic-power subgroup qualifies
     high3 = [a for a in range(1, 7) if F7.is_p_high(a, 3)]
     assert sorted(high3) == [1, 6]
+
+
+def test_int_root_beyond_float_range():
+    assert _int_root(10**400, 3) is None
+    assert _int_root(8 * 10**300, 3) == 2 * 10**100
+    assert [n for n in range(200) if _int_root(n, 3) is not None] == [k**3 for k in range(6)]
+    root = Fraction(10**133 + 7, 3)
+    assert len(str((root**3).numerator)) == 400
+    assert Q.pth_root(root**3, 3) == root
+    assert Q.pth_root(-(root**3), 3) == -root
+    assert Q.pth_root(root**3 + 1, 3) is None
+
+
+def test_is_prime():
+    trial = [n for n in range(3000) if n > 1 and all(n % d for d in range(2, n))]
+    assert [n for n in range(3000) if is_prime(n)] == trial
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
+    # strong pseudoprimes to every prime base up to 31 and 37 respectively
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(TooLarge):
+        is_prime(2**127 - 1)
