@@ -12,6 +12,7 @@ from .errors import (
     DepthExceeded,
     Disconnected,
     GraphFieldError,
+    InvalidInput,
     NotAnAction,
     NotCenterless,
     NotFromTransform,

@@ -3,7 +3,7 @@
 Polynomials are {exponent tuple: int} dicts.  The primitive remainder
 sequence runs over F_p for a large word-size prime (so coefficients never
 grow), the monic image is lifted with a leading-coefficient scale, and
-the candidate is verified by exact trial division over the rationals; a
+the candidate is verified by exact trial division over the integers; a
 failed verification moves to the next prime.  When the deg-lex leading
 coefficients of both inputs survive mod p, a constant modular gcd proves
 actual coprimality, so the "coprime" answer is sound as well.
@@ -98,12 +98,27 @@ def _crt(a: dict, m: int, b: dict, p: int) -> dict:
 
 
 def divides(f: dict, g: dict) -> dict | None:
-    """Exact quotient g / f over the rationals restricted to integer
-    results, or None."""
-    try:
-        return _divexact(g, f)
-    except ArithmeticError:
-        return None
+    """Exact quotient g / f with integer coefficients, or None when f does
+    not divide g or the quotient is not integral."""
+    le = max(f, key=lambda t: (sum(t), t))
+    lc = f[le]
+    quo: dict = {}
+    rem = dict(g)
+    while rem:
+        re = max(rem, key=lambda t: (sum(t), t))
+        qe = tuple(a - b for a, b in zip(re, le))
+        qc, r = divmod(rem[re], lc)
+        if r or any(x < 0 for x in qe):
+            return None
+        quo[qe] = qc
+        for e2, c2 in f.items():
+            e = tuple(a + b for a, b in zip(qe, e2))
+            s = rem.get(e, 0) - qc * c2
+            if s:
+                rem[e] = s
+            else:
+                rem.pop(e, None)
+    return quo
 
 
 # -- integer helpers ---------------------------------------------------------
@@ -138,38 +153,6 @@ def _scale(d: dict, c: int) -> dict:
 
 def _is_constant(d: dict) -> bool:
     return all(all(x == 0 for x in e) for e in d)
-
-
-def _divexact(g: dict, f: dict) -> dict:
-    from fractions import Fraction
-
-    if not g:
-        return {}
-    le = max(f, key=lambda t: (sum(t), t))
-    lc = f[le]
-    quo: dict = {}
-    rem = {e: Fraction(c) for e, c in g.items()}
-    while rem:
-        re = max(rem, key=lambda t: (sum(t), t))
-        rc = rem[re]
-        qe = tuple(a - b for a, b in zip(re, le))
-        if any(x < 0 for x in qe):
-            raise ArithmeticError("inexact division")
-        qc = rc / lc
-        quo[qe] = qc
-        for e2, c2 in f.items():
-            e = tuple(a + b for a, b in zip(qe, e2))
-            s = rem.get(e, 0) - qc * c2
-            if s:
-                rem[e] = s
-            else:
-                rem.pop(e, None)
-    out = {}
-    for e, c in quo.items():
-        if c.denominator != 1:
-            raise ArithmeticError("inexact division")
-        out[e] = c.numerator
-    return out
 
 
 def _symmetric_lift(d: dict, p: int) -> dict:
@@ -338,7 +321,8 @@ def _fp_to_list(d: dict, v: int) -> list:
     return out
 
 
-def _fp_exact_div(f: dict, g: dict, p: int) -> dict:
+def _fp_quotient(f: dict, g: dict, p: int) -> dict | None:
+    """Exact quotient f / g over F_p, or None when g does not divide f."""
     le = max(g, key=lambda t: (sum(t), t))
     lc_inv = pow(g[le], -1, p)
     quo: dict = {}
@@ -347,7 +331,7 @@ def _fp_exact_div(f: dict, g: dict, p: int) -> dict:
         re = max(rem, key=lambda t: (sum(t), t))
         qe = tuple(a - b for a, b in zip(re, le))
         if any(x < 0 for x in qe):
-            raise ArithmeticError("inexact division mod p")  # pragma: no cover
+            return None
         qc = rem[re] * lc_inv % p
         quo[qe] = qc
         for e2, c2 in g.items():
@@ -358,28 +342,6 @@ def _fp_exact_div(f: dict, g: dict, p: int) -> dict:
             else:
                 rem.pop(e, None)
     return quo
-
-
-def _fp_divides(h: dict, f: dict, p: int) -> bool:
-    if not f:
-        return True
-    le = max(h, key=lambda t: (sum(t), t))
-    lc_inv = pow(h[le], -1, p)
-    rem = dict(f)
-    while rem:
-        re = max(rem, key=lambda t: (sum(t), t))
-        qe = tuple(a - b for a, b in zip(re, le))
-        if any(x < 0 for x in qe):
-            return False
-        qc = rem[re] * lc_inv % p
-        for e2, c2 in h.items():
-            e = tuple(a + b for a, b in zip(qe, e2))
-            s = (rem.get(e, 0) - qc * c2) % p
-            if s:
-                rem[e] = s
-            else:
-                rem.pop(e, None)
-    return True
 
 
 def _fp_content_in(d: dict, v: int, p: int) -> dict:
@@ -454,8 +416,8 @@ def _fp_gcd(f: dict, g: dict, p: int) -> dict:
     cont_f = _fp_content_in(f, m, p)
     cont_g = _fp_content_in(g, m, p)
     cont = _fp_gcd(cont_f, cont_g, p)
-    pf = f if _is_constant(cont_f) else _fp_exact_div(f, cont_f, p)
-    pg = g if _is_constant(cont_g) else _fp_exact_div(g, cont_g, p)
+    pf = f if _is_constant(cont_f) else _fp_quotient(f, cont_f, p)
+    pg = g if _is_constant(cont_g) else _fp_quotient(g, cont_g, p)
     prim = _fp_gcd_primitive(pf, pg, m, p, rng, profile or {})
     if _is_constant(prim):
         return cont
@@ -506,8 +468,8 @@ def _fp_gcd_primitive(f: dict, g: dict, m: int, p: int, rng, deg_hints: dict) ->
         h = _tensor_interp(grid, eval_vars, coords, m, nvars, p)
         hc = _fp_content_in(h, m, p)
         if not _is_constant(hc):
-            h = _fp_exact_div(h, hc, p)
-        if _fp_divides(h, f, p) and _fp_divides(h, g, p):
+            h = _fp_quotient(h, hc, p)
+        if _fp_quotient(f, h, p) is not None and _fp_quotient(g, h, p) is not None:
             return _fp_monic(h, p)
     raise _Unlucky()
 

@@ -2,8 +2,8 @@
 verification suites, and compute group towers.
 
 Reports stream to stdout as JSON lines; a human summary goes to stderr.
-Exit status: 0 when no report failed, 1 on any failure, 2 on usage or
-budget errors.
+Exit status: 0 when no report failed, 1 on any failure, 2 on usage,
+input or budget errors.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 
 from . import autfield, fieldtower, graphs, groups, roots
-from .errors import BudgetExceeded, Disconnected, GraphFieldError, TooLarge
+from .errors import BudgetExceeded, GraphFieldError, InvalidInput
 
 
 @dataclass
@@ -368,7 +368,14 @@ def _parse_depth(text: str):
     try:
         return int(text)
     except ValueError:
-        return json.loads(text)
+        pass
+    try:
+        depth = json.loads(text)
+    except ValueError:
+        depth = None
+    if not isinstance(depth, dict):
+        raise InvalidInput(f"--depth {text!r} is neither an integer nor a JSON object")
+    return depth
 
 
 def cmd_build_field(args) -> int:
@@ -424,29 +431,45 @@ def cmd_verify(args) -> int:
     return runner.finish()
 
 
+_MIN_GROUP_PARAM = {"sym": 2, "alt": 3, "psl2": 2, "pgl2": 2}
+
+
 def _parse_group(spec: str) -> groups.PermGroup:
     kind, _, param = spec.partition(":")
-    n = int(param)
+    try:
+        n = int(param)
+    except ValueError:
+        n = -1  # below every minimum
+    if kind not in _MIN_GROUP_PARAM or n < _MIN_GROUP_PARAM[kind]:
+        raise InvalidInput(
+            f"group {spec!r}: expected sym:n (n >= 2), alt:n (n >= 3), psl2:q or pgl2:q (q >= 2)"
+        )
     if kind == "sym":
         gens = [groups.Perm.from_cycles(n, [(0, 1)]), groups.Perm.from_cycles(n, [tuple(range(n))])]
     elif kind == "alt":
         gens = [groups.Perm.from_cycles(n, [(i, i + 1, i + 2)]) for i in range(n - 2)]
     elif kind == "psl2":
         return groups.psl2(n)
-    elif kind == "pgl2":
-        return groups.pgl2(n)
     else:
-        raise ValueError(f"unknown group kind {kind!r}")
+        return groups.pgl2(n)
     return groups.closure(gens)
 
 
 def _parse_cycles(text: str, degree: int) -> groups.Perm:
     cycles = []
+    used: set = set()
     for chunk in text.replace(")", ")|").split("|"):
         chunk = chunk.strip().strip("()")
         if not chunk:
             continue
-        cycles.append(tuple(int(x) for x in chunk.replace(",", " ").split()))
+        try:
+            cycle = tuple(int(x) for x in chunk.replace(",", " ").split())
+        except ValueError:
+            raise InvalidInput(f"cycle ({chunk}) is not a list of integers") from None
+        if len(set(cycle) - used) != len(cycle) or not all(0 <= x < degree for x in cycle):
+            raise InvalidInput(f"cycle ({chunk}) needs points in 0..{degree - 1} not used before")
+        used |= set(cycle)
+        cycles.append(cycle)
     return groups.Perm.from_cycles(degree, cycles)
 
 
@@ -508,13 +531,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (Disconnected, TooLarge, BudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GraphFieldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GraphFieldError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,11 @@ class GraphFieldError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidInput(GraphFieldError):
+    """Malformed or out-of-range input: unparsable or incomplete graph
+    JSON, an unknown group or cycle spec, a negative root depth."""
+
+
 class BudgetExceeded(GraphFieldError):
     """A search or closure exceeded its configured node/element budget."""
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .coeffs import CoeffField, is_prime
 from .errors import (
     DepthExceeded,
+    InvalidInput,
     ProfileNotLarger,
     ProfileNotSmaller,
     SingularMultiplication,
@@ -105,6 +106,10 @@ class TowerContext:
         self.vertex_depths = dict(vertex_depths)
         self.gens = tuple(gens)
         self.gen_index = {g.label: i for i, g in enumerate(self.gens)}
+        depths = list(self.vertex_depths.items()) + [(g.label, g.depth) for g in self.gens]
+        for name, d in depths:
+            if not isinstance(d, int) or d < 0:
+                raise InvalidInput(f"depth of {name} must be an integer >= 0, got {d!r}")
         self.cap = cap
         self.colored_graph = colored_graph
         self.dimension = 1
@@ -467,10 +472,16 @@ class TowerElement:
         return TowerElement(self.ctx, {e: c * r for e, c in self.coeffs.items()})
 
     def inv(self) -> "TowerElement":
-        """Field inverse via extended Euclid against each defining polynomial.
+        """Field inverse by extended Euclid against each defining polynomial.
 
-        A nontrivial gcd with T^N - A on the way means the tower has a
-        zero divisor; that aborts with the factor as a counterexample.
+        Level by level from the top generator down, the remainder sequence
+        of T^N - A and the element (a polynomial in T over the lower
+        levels) runs until a constant remainder r; the tracked cofactor
+        times r^-1 is the inverse.  A zero remainder of positive degree
+        before that means a nontrivial gcd with T^N - A, so the tower has
+        a zero divisor: SingularMultiplication is raised, carrying the
+        to_json() form of the element being inverted at that level as its
+        counterexample.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero tower element")
@@ -618,64 +629,46 @@ def _join_top(ctx: TowerContext, tpoly: dict[int, TowerElement]) -> TowerElement
 
 
 def _inv_in(ctx: TowerContext, a: TowerElement) -> TowerElement:
-    """Inverse by a dense linear solve one generator level at a time.
-
-    At the top level the multiplication-by-a matrix over the sub-tower
-    is built on the basis 1, Y, ..., Y^(n-1) and M x = e_1 is solved by
-    Gaussian elimination; pivot inversions recurse into the sub-tower.
-    A singular matrix for nonzero a exhibits a zero divisor.
-    """
+    """One level of inv(): extended Euclid in K[T]/(T^n - A), K the
+    sub-tower of the lower generators, tracking only a's cofactor s
+    (s*a = r mod T^n - A); leading coefficients are inverted by
+    recursion into K."""
     if not ctx.gens:
         return ctx.from_ratfunc(a.base_value().inv())
     j = len(ctx.gens) - 1
     sub = ctx.sub_context(j)
-    n = ctx.gen_degree(j)
-    a_poly = _split_top(a)
-    if set(a_poly) <= {0}:
-        lower = a_poly.get(0, sub.zero())
-        inv_lower = _inv_in(sub, lower)
-        return _join_top(ctx, {0: inv_lower})
-    A_sub = sub.from_poly(ctx.gen_poly(j))
-    # column k holds the coefficients of a * Y^k
-    matrix = [[sub.zero() for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for ka, va in a_poly.items():
-            i = ka + k
-            if i >= n:
-                matrix[i - n][k] = matrix[i - n][k] + va * A_sub
-            else:
-                matrix[i][k] = matrix[i][k] + va
-    rhs = [sub.one()] + [sub.zero() for _ in range(n - 1)]
-    x = _solve_over_sub(sub, matrix, rhs, a)
-    return _join_top(ctx, {k: v for k, v in enumerate(x) if not v.is_zero()})
-
-
-def _solve_over_sub(sub: TowerContext, matrix, rhs, witness) -> list:
-    n = len(matrix)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = None
-        for row in range(col, n):
-            if not m[row][col].is_zero():
-                pivot = row
-                break
-        if pivot is None:
+    # r0 = T^n - A, built by subtraction because A may be zero
+    r0, s0 = {ctx.gen_degree(j): sub.one()}, {}
+    _sub_shifted(r0, sub.one(), 0, {0: sub.from_poly(ctx.gen_poly(j))})
+    r1, s1 = _split_top(a), {0: sub.one()}
+    while max(r1) > 0:
+        d1 = max(r1)
+        lc_inv = _inv_in(sub, r1[d1])
+        tail = {d: v for d, v in r1.items() if d < d1}
+        while r0 and max(r0) >= d1:
+            d0 = max(r0)
+            c = r0.pop(d0) * lc_inv
+            _sub_shifted(r0, c, d0 - d1, tail)
+            _sub_shifted(s0, c, d0 - d1, s1)
+        if not r0:
             raise SingularMultiplication(
-                "singular multiplication matrix: zero divisor found",
-                counterexample=witness.to_json(),
+                "nontrivial gcd with the defining polynomial: zero divisor found",
+                counterexample=a.to_json(),
             )
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-        inv_p = _inv_in(sub, m[col][col])
-        m[col] = [v * inv_p for v in m[col]]
-        for row in range(n):
-            if row == col:
-                continue
-            f = m[row][col]
-            if f.is_zero():
-                continue
-            m[row] = [m[row][k] - f * m[col][k] for k in range(n + 1)]
-    return [m[i][n] for i in range(n)]
+        r0, s0, r1, s1 = r1, s1, r0, s0
+    r_inv = _inv_in(sub, r1[0])
+    return _join_top(ctx, {k: v * r_inv for k, v in s1.items()})
+
+
+def _sub_shifted(acc: dict, c: TowerElement, k: int, poly: dict) -> None:
+    """acc -= c * T^k * poly, in place, on {degree: sub-tower element}."""
+    for d, v in poly.items():
+        w = acc.get(d + k)
+        w = -(c * v) if w is None else w - c * v
+        if w.is_zero():
+            acc.pop(d + k, None)
+        else:
+            acc[d + k] = w
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import BudgetExceeded, Disconnected, NotFromTransform
+from .errors import BudgetExceeded, Disconnected, InvalidInput, NotFromTransform
 from .groups import Perm, PermGroup, closure, greedy_generators
 
 DEFAULT_VERTEX_BOUND = 64
@@ -753,12 +753,15 @@ def graph_to_json(g, pretty: bool = False) -> str:
 
 
 def graph_from_json(text: str):
-    doc = json.loads(text)
-    graph = Graph(doc["vertices"], [tuple(e) for e in doc["edges"]])
-    if "colors" in doc:
-        colors = {frozenset(k.split(",")): v for k, v in doc["colors"].items()}
-        count = doc.get("color_count", (max(colors.values()) + 1) if colors else 1)
-        return ColoredGraph(graph, colors, count)
+    try:
+        doc = json.loads(text)
+        graph = Graph(doc["vertices"], [tuple(e) for e in doc["edges"]])
+        if "colors" in doc:
+            colors = {frozenset(k.split(",")): v for k, v in doc["colors"].items()}
+            count = doc.get("color_count", (max(colors.values()) + 1) if colors else 1)
+            return ColoredGraph(graph, colors, count)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InvalidInput(f"malformed graph JSON: {exc!r}") from exc
     return graph
 
 

@@ -245,12 +245,13 @@ def center(G: PermGroup) -> PermGroup:
     return centralizer(G, G)
 
 
-def conjugacy_classes(G: PermGroup) -> list[frozenset]:
+def _conjugation_orbits(G: PermGroup, xs):
+    """The orbits under conjugation by G of the elements xs, in order,
+    skipping elements that lie in an orbit already yielded."""
     gens = G.generators or greedy_generators(G.elements, G.degree)
     gen_invs = [(g, g.inv()) for g in gens]
     seen = set()
-    classes = []
-    for x in G.sorted_elements():
+    for x in xs:
         if x in seen:
             continue
         orbit = {x}
@@ -263,26 +264,16 @@ def conjugacy_classes(G: PermGroup) -> list[frozenset]:
                     orbit.add(z)
                     queue.append(z)
         seen |= orbit
-        classes.append(frozenset(orbit))
-    return classes
+        yield orbit
+
+
+def conjugacy_classes(G: PermGroup) -> list[frozenset]:
+    return [frozenset(orbit) for orbit in _conjugation_orbits(G, G.sorted_elements())]
 
 
 def normal_closure(G: PermGroup, seed_elements) -> PermGroup:
     """Smallest normal subgroup of G containing the seed elements."""
-    gens = G.generators or greedy_generators(G.elements, G.degree)
-    gen_invs = [(g, g.inv()) for g in gens]
-    conj_gens = set()
-    for x in seed_elements:
-        orbit = {x}
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for g, gi in gen_invs:
-                z = g * y * gi
-                if z not in orbit:
-                    orbit.add(z)
-                    queue.append(z)
-        conj_gens |= orbit
+    conj_gens = set().union(*_conjugation_orbits(G, seed_elements))
     return closure(sorted(conj_gens), cap=G.order + 1, degree=G.degree)
 
 
@@ -684,6 +675,8 @@ class GFq:
 
 
 def _prime_power(q: int):
+    if q < 2:
+        return (None, None)
     for p in _SMALL_PRIMES:
         if q % p == 0:
             k = 0

@@ -1,6 +1,8 @@
 """CLI surface: exit codes, report streams, JSON outputs."""
 import json
 
+import pytest
+
 from graphfield.cli import main
 from graphfield.graphs import Graph, graph_to_json
 
@@ -96,6 +98,33 @@ def test_verify_groups_suite(capsys):
 
 def test_verify_usage_error():
     assert main(["verify", "--suite", "nonsense"]) == 2
+
+
+K2_JSON = graph_to_json(Graph(["s", "t"], [("s", "t")]))
+
+
+@pytest.mark.parametrize(
+    "infile, args",
+    [
+        pytest.param("{bad", ["transform"], id="malformed-json"),
+        pytest.param("{}", ["transform"], id="no-vertices"),
+        pytest.param('{"vertices": ["a"], "edges": [["a", "a"]]}', ["transform"], id="loop-edge"),
+        pytest.param(None, ["towers", "--group", "foo:3"], id="unknown-group"),
+        pytest.param(None, ["towers", "--group", "alt:x"], id="non-integer-size"),
+        pytest.param(None, ["towers", "--group", "sym:1"], id="sym-1"),
+        pytest.param(None, ["towers", "--group", "sym:3", "--subgroup", "(0 7)"], id="cycle-out-of-range"),
+        pytest.param(K2_JSON, ["build-field", "--depth", "-1"], id="negative-depth"),
+        pytest.param(K2_JSON, ["build-field", "--depth", '{"e:s,t": -1}'], id="negative-edge-depth"),
+        pytest.param(K2_JSON, ["build-field", "--depth", "abc"], id="depth-not-json"),
+    ],
+)
+def test_input_errors_exit2(tmp_path, capsys, infile, args):
+    if infile is not None:
+        path = tmp_path / "in.json"
+        path.write_text(infile)
+        args = args + ["--in", str(path)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_sorted_flag(capsys):

@@ -1,16 +1,20 @@
 """Tower arithmetic: construction, canonical forms, inversion, embedding,
 norms, and the generic radical extension."""
 import random
+from fractions import Fraction
 
 import pytest
 
 from graphfield.errors import (
     DepthExceeded,
+    InvalidInput,
     ProfileNotLarger,
+    SingularMultiplication,
     SpecInvalid,
     TooLarge,
 )
 from graphfield.fieldtower import (
+    RadicalGen,
     RadicalSpec,
     TowerContext,
     TowerElement,
@@ -64,6 +68,21 @@ def test_build_tower_dimensions():
     assert k2_ctx(edepth=2).dimension == 25
     assert k2_ctx(edepth=0).dimension == 1
     assert p3_ctx().dimension == 25
+
+
+def test_negative_depths_rejected():
+    g = greedy_star_coloring(Graph(["s", "t"], [("s", "t")]))
+    with pytest.raises(InvalidInput):
+        build_tower(g, vertex_depths=-1)
+    with pytest.raises(InvalidInput):
+        build_tower(g, vertex_depths={"s": 1, "t": -1})
+    with pytest.raises(InvalidInput):
+        build_tower(g, edge_depths=-1)
+    with pytest.raises(InvalidInput):
+        build_tower(g, edge_depths={"e:s,t": -1})
+    spec = RadicalSpec(p=3, branch_primes=(5,), partition={"v": 0}, polys={"v": (1, 1)})
+    with pytest.raises(InvalidInput):
+        radical_extend(spec, z_depth=-1)
 
 
 def test_build_tower_cap():
@@ -127,6 +146,21 @@ def test_inverse_examples():
     xt0 = generator_vertex(ctx, "t", 0)
     prod = xe1 * xe1 * xe1 * xe1 * xe1
     assert prod == xs0 + xt0 + one
+
+
+def test_inverse_zero_divisor_keeps_witness():
+    # Y^5 = z^5 is not a field: Y - z divides zero, while Y^2 + z is a unit
+    ctx = TowerContext(
+        0, ("z",), 3, {"z": 0},
+        [RadicalGen("t:v", 5, 1, ("tpoly", "z", tuple(Fraction(c) for c in (0, 0, 0, 0, 0, 1))))],
+    )
+    y = generator_edge(ctx, "t:v", 1)
+    z = generator_vertex(ctx, "z", 0)
+    with pytest.raises(SingularMultiplication) as info:
+        (y - z).inv()
+    assert info.value.counterexample is not None
+    b = y * y + z
+    assert (b * b.inv()).is_one()
 
 
 def test_char3_tower():

@@ -193,10 +193,9 @@ def test_gfq_arithmetic():
 
 
 def test_gfq_rejects_non_prime_powers():
-    with pytest.raises(NotPrimePower):
-        GFq(6)
-    with pytest.raises(NotPrimePower):
-        GFq(18)
+    for q in (0, 1, 6, 18):
+        with pytest.raises(NotPrimePower):
+            GFq(q)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from graphfield._modgcd import divides
 from graphfield.coeffs import CoeffField, _int_root, is_prime
 from graphfield.errors import TooLarge
 from graphfield.polynomials import Poly
@@ -83,6 +84,13 @@ def test_divexact_and_multiplicity():
     q = f.divexact((x + one) ** 2)
     assert q == (x + one) * (x - one)
     assert f.divexact(x + Poly.const(Q, 1, Fraction(5))) is None
+
+
+def test_modgcd_divides_integral_quotients_only():
+    # (x + 1)(2x - 3) / (x + 1) = 2x - 3
+    assert divides({(1,): 1, (0,): 1}, {(2,): 2, (1,): -1, (0,): -3}) == {(1,): 2, (0,): -3}
+    assert divides({(1,): 2}, {(1,): 1}) is None  # quotient 1/2
+    assert divides({(1,): 1, (0,): 1}, {(2,): 1, (0,): 1}) is None  # x + 1 does not divide x^2 + 1
 
 
 def test_poly_pth_root():
