@@ -42,13 +42,13 @@ class Runner:
         self.sort_reports = sort_reports
 
     def run(self, check: str, anchor: str, fn):
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             ok, details = fn()
             status = "pass" if ok else "fail"
         except BudgetExceeded as exc:
             status, details = "unknown", {"budget": str(exc)}
-        rep = VerificationReport(check, anchor, status, details, time.time() - t0)
+        rep = VerificationReport(check, anchor, status, details, time.perf_counter() - t0)
         self.reports.append(rep)
         if not self.sort_reports:
             print(json.dumps(rep.to_json()), flush=True)

@@ -13,7 +13,10 @@ equality is syntactic.
 
 Inversion walks the generator levels with extended Euclid against each
 defining polynomial T^N - A; a nontrivial gcd on the way would exhibit a
-zero divisor and aborts with the offending factor preserved.
+zero divisor and aborts with the offending factor preserved.  Norms to a
+shallower truncation go down one pure step T^m = t at a time (a deeper
+generator root, then a deeper vertex root) and take each step's norm as
+the resultant Res_T(T^m - t, a(T)), read off the same remainder sequence.
 """
 from __future__ import annotations
 
@@ -642,14 +645,7 @@ def _inv_in(ctx: TowerContext, a: TowerElement) -> TowerElement:
     _sub_shifted(r0, sub.one(), 0, {0: sub.from_poly(ctx.gen_poly(j))})
     r1, s1 = _split_top(a), {0: sub.one()}
     while max(r1) > 0:
-        d1 = max(r1)
-        lc_inv = _inv_in(sub, r1[d1])
-        tail = {d: v for d, v in r1.items() if d < d1}
-        while r0 and max(r0) >= d1:
-            d0 = max(r0)
-            c = r0.pop(d0) * lc_inv
-            _sub_shifted(r0, c, d0 - d1, tail)
-            _sub_shifted(s0, c, d0 - d1, s1)
+        _divide(r0, r1, _inv_in(sub, r1[max(r1)]), s0, s1)
         if not r0:
             raise SingularMultiplication(
                 "nontrivial gcd with the defining polynomial: zero divisor found",
@@ -658,6 +654,19 @@ def _inv_in(ctx: TowerContext, a: TowerElement) -> TowerElement:
         r0, s0, r1, s1 = r1, s1, r0, s0
     r_inv = _inv_in(sub, r1[0])
     return _join_top(ctx, {k: v * r_inv for k, v in s1.items()})
+
+
+def _divide(r0: dict, r1: dict, lc_inv: TowerElement, s0=None, s1=None) -> None:
+    """r0 := r0 mod r1 in place, lc_inv the inverse of r1's leading
+    coefficient; when s1 is given, s0 -= q*s1 for the same quotient q."""
+    d1 = max(r1)
+    tail = {d: v for d, v in r1.items() if d < d1}
+    while r0 and max(r0) >= d1:
+        d0 = max(r0)
+        c = r0.pop(d0) * lc_inv
+        _sub_shifted(r0, c, d0 - d1, tail)
+        if s1 is not None:
+            _sub_shifted(s0, c, d0 - d1, s1)
 
 
 def _sub_shifted(acc: dict, c: TowerElement, k: int, poly: dict) -> None:
@@ -677,13 +686,11 @@ def _sub_shifted(acc: dict, c: TowerElement, k: int, poly: dict) -> None:
 
 
 def field_norm(a: TowerElement, sub: TowerContext) -> TowerElement:
-    """Norm to a shallower truncation: determinant of the
-    multiplication-by-a matrix over the sub-tower.
-
-    The relative basis consists of the chain-variable residues
-    X_v^i (i < p_0^delta_v) times the generator residues
-    Y_e^k (k < prime^delta_e); denominators are cleared first so every
-    matrix entry decomposes termwise over the sub-tower.
+    """Norm to a shallower truncation by transitivity, one pure step
+    low[T]/(T^m - t) at a time: the deeper root T of each generator whose
+    depth drops, then the deeper X_v of each such vertex.  A step whose T
+    does not occur in the element defers a power m to the end; vertex
+    steps clear denominators first, N(P/d) = N(P)/N(d).
     """
     ctx = a.ctx
     if isinstance(sub, TowerProfile):
@@ -691,132 +698,80 @@ def field_norm(a: TowerElement, sub: TowerContext) -> TowerElement:
         sub = ctx.with_depths(dict(sub.vertex_depths), ed)
     if ctx.family_key() != sub.family_key():
         raise ProfileNotSmaller("sub tower is from a different family")
-    strides_v = []
-    for v in ctx.var_names:
-        d = ctx.vertex_depths[v] - sub.vertex_depths[v]
-        if d < 0:
-            raise ProfileNotSmaller(f"vertex depth of {v} grows")
-        strides_v.append(ctx.chain_prime**d)
-    strides_e = []
-    for gs, gt in zip(ctx.gens, sub.gens):
-        d = gs.depth - gt.depth
-        if d < 0:
-            raise ProfileNotSmaller(f"edge depth of {gs.label} grows")
-        strides_e.append(gs.prime**d)
-
-    # clear denominators: a = P / d with polynomial coefficients
-    denom = Poly.one(ctx.field, ctx.nvars)
-    for c in a.coeffs.values():
-        g = denom.gcd(c.den)
-        denom = denom * c.den.divexact(g)
-    P = TowerElement(ctx, {e: c.scale_poly(denom) for e, c in a.coeffs.items()})
-
-    basis = _relative_basis(ctx, strides_v, strides_e)
-    m_p = _mult_matrix(ctx, sub, P, basis, strides_v, strides_e)
-    det_p = _det_over_field(sub, m_p)
-    if denom.is_one():
-        return det_p
-    d_elem = ctx.from_poly(denom)
-    m_d = _mult_matrix(ctx, sub, d_elem, basis, strides_v, strides_e)
-    det_d = _det_over_field(sub, m_d)
-    return det_p / det_d
-
-
-def _relative_basis(ctx, strides_v, strides_e):
-    basis = [((0,) * ctx.nvars, (0,) * len(ctx.gens))]
-    for i, m in enumerate(strides_v):
-        basis = [
-            (tuple(x + (k if idx == i else 0) for idx, x in enumerate(ve)), ge)
-            for (ve, ge) in basis
-            for k in range(m)
-        ]
-    for i, m in enumerate(strides_e):
-        basis = [
-            (ve, tuple(x + (k if idx == i else 0) for idx, x in enumerate(ge)))
-            for (ve, ge) in basis
-            for k in range(m)
-        ]
-    return basis
+    grown = [v for v in ctx.var_names if sub.vertex_depths[v] > ctx.vertex_depths[v]]
+    grown += [g.label for g, h in zip(ctx.gens, sub.gens) if h.depth > g.depth]
+    if grown:
+        raise ProfileNotSmaller(f"depth of {grown[0]} grows")
+    if a.is_zero():
+        return sub.zero()
+    power = 1
+    for i, (g, h) in enumerate(zip(ctx.gens, sub.gens)):
+        if h.depth == g.depth:
+            continue
+        low = a.ctx.with_depths({}, {g.label: h.depth})
+        m = g.prime ** (g.depth - h.depth)
+        parts = {r: TowerElement(low, v) for r, v in _split_at(a.coeffs.items(), i, m).items()}
+        if set(parts) == {0}:
+            a, power = parts[0], power * m
+        else:
+            a = _resultant(low, m, generator_edge(low, g.label, h.depth), parts)
+    for iv, v in enumerate(ctx.var_names):
+        d = sub.vertex_depths[v]
+        if d == ctx.vertex_depths[v]:
+            continue
+        low = a.ctx.with_depths({v: d}, {})
+        m = ctx.chain_prime ** (ctx.vertex_depths[v] - d)
+        denom = Poly.one(ctx.field, ctx.nvars)
+        for c in a.coeffs.values():
+            denom = denom * c.den.divexact(denom.gcd(c.den))
+        num = _split_var(low, {e: c.scale_poly(denom).num for e, c in a.coeffs.items()}, iv, m)
+        den = _split_var(low, {(0,) * len(ctx.gens): denom}, iv, m)
+        if set(num) == set(den) == {0}:
+            a, power = num[0] / den[0], power * m
+        else:
+            t = generator_vertex(low, v, d)
+            a = _resultant(low, m, t, num) / _resultant(low, m, t, den)
+    return TowerElement(sub, a.coeffs) ** power
 
 
-def _decompose_to_sub(ctx, sub, elem: TowerElement, strides_v, strides_e, basis_index):
-    """Write a polynomial-coefficient element as a vector of sub-tower
-    elements over the relative basis."""
-    column: dict[int, dict] = {}
-    for exps, c in elem.coeffs.items():
-        if not c.den.is_one():
-            raise AssertionError("decomposition needs cleared denominators")  # pragma: no cover
-        ge_res = []
-        ge_sub = []
-        for x, m in zip(exps, strides_e):
-            ge_res.append(x % m)
-            ge_sub.append(x // m)
-        for mono, coeff in c.num.terms.items():
-            ve_res = []
-            ve_sub = []
-            for x, m in zip(mono, strides_v):
-                ve_res.append(x % m)
-                ve_sub.append(x // m)
-            key = basis_index[(tuple(ve_res), tuple(ge_res))]
-            sub_mono = Poly(sub.field, sub.nvars, {tuple(ve_sub): coeff})
-            cell = column.setdefault(key, {})
-            sub_exp = tuple(ge_sub)
-            prev = cell.get(sub_exp)
-            rf = RatFunc.from_poly(sub_mono)
-            cell[sub_exp] = rf if prev is None else prev + rf
-    return {
-        k: _reduce(sub, v)
-        for k, v in column.items()
-    }
+def _split_at(items, pos: int, m: int) -> dict[int, dict]:
+    """Split {tuple key: value} items by key[pos] mod m:
+    {residue: {key with key[pos] // m in place: value}}."""
+    out: dict = {}
+    for key, val in items:
+        q, r = divmod(key[pos], m)
+        out.setdefault(r, {})[key[:pos] + (q,) + key[pos + 1 :]] = val
+    return out
 
 
-def _mult_matrix(ctx, sub, elem, basis, strides_v, strides_e):
-    basis_index = {b: i for i, b in enumerate(basis)}
-    dim = len(basis)
-    cols = []
-    for (ve, ge) in basis:
-        b_elem = TowerElement(
-            ctx, {ge: RatFunc.from_poly(Poly(ctx.field, ctx.nvars, {ve: ctx.field.one}))}
-        )
-        prod = elem * b_elem
-        col = _decompose_to_sub(ctx, sub, prod, strides_v, strides_e, basis_index)
-        cols.append(col)
-    matrix = [[sub.zero() for _ in range(dim)] for _ in range(dim)]
-    for jcol, col in enumerate(cols):
-        for irow, val in col.items():
-            matrix[irow][jcol] = val
-    return matrix
+def _split_var(low: TowerContext, polys: dict, iv: int, m: int) -> dict[int, TowerElement]:
+    """An element with polynomial coefficients {generator exponents: Poly}
+    as a polynomial in T = X_iv over low, where X_iv^(qm + r) = T^r X'^q."""
+    out: dict = {}
+    for e, p in polys.items():
+        for r, terms in _split_at(p.terms.items(), iv, m).items():
+            out.setdefault(r, {})[e] = RatFunc.from_poly(Poly(low.field, low.nvars, terms))
+    return {r: TowerElement(low, v) for r, v in out.items()}
 
 
-def _det_over_field(sub: TowerContext, matrix) -> TowerElement:
-    """Determinant by Gaussian elimination over the sub-tower field."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    det = sub.one()
-    sign = 1
-    for col in range(n):
-        pivot = None
-        for row in range(col, n):
-            if not m[row][col].is_zero():
-                pivot = row
-                break
-        if pivot is None:
-            return sub.zero()
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        pv = m[col][col]
-        det = det * pv
-        pv_inv = pv.inv()
-        for row in range(col + 1, n):
-            factor = m[row][col] * pv_inv
-            if factor.is_zero():
-                continue
-            for k in range(col, n):
-                m[row][k] = m[row][k] - factor * m[col][k]
-    if sign < 0:
-        det = sub.zero() - det
-    return det
+def _resultant(low: TowerContext, m: int, t: TowerElement, a: dict) -> TowerElement:
+    """Res_T(T^m - t, a(T)), the norm of nonzero a = {degree < m: element
+    of low} in low[T]/(T^m - t), from the remainder sequence:
+    Res(r0, r1) = (-1)^(d0 d1) lc(r1)^(d0 - d2) Res(r1, r0 mod r1),
+    Res(r0, c) = c^deg(r0) for a constant c, and 0 at a zero remainder."""
+    r0, r1, res = {m: low.one()}, dict(a), low.one()
+    _sub_shifted(r0, low.one(), 0, {0: t})
+    while max(r1) > 0:
+        d0, d1 = max(r0), max(r1)
+        lc = r1[d1]
+        _divide(r0, r1, _inv_in(low, lc))
+        if not r0:
+            return low.zero()
+        res = res * lc ** (d0 - max(r0))
+        if d0 * d1 % 2:
+            res = -res
+        r0, r1 = r1, r0
+    return res * r1[0] ** max(r0)
 
 
 # ---------------------------------------------------------------------------

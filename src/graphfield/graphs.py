@@ -251,30 +251,44 @@ def _vertex_maps(adj_a, adj_b, cell_a, cell_b, order, budget, what: str, visit) 
         by_cell.setdefault(cell_b[u], []).append(u)
     mapping = [-1] * n
     used = [False] * n
-    left = [budget]
+    left = budget
+    if not n:
+        return visit(mapping)
 
-    def dfs(i: int) -> bool:
-        if i == n:
-            return visit(mapping)
+    def frame(i: int):
+        # the vertex to map at depth i, its mapped neighbours' images with
+        # their colours, and its remaining candidate images
         v = order[i]
         want = {mapping[w]: c for w, c in adj_a[v].items() if mapping[w] >= 0}
-        for u in by_cell.get(cell_a[v], ()):
+        return v, want, iter(by_cell.get(cell_a[v], ()))
+
+    # an explicit stack, one frame per mapped vertex, so deep graphs do
+    # not hit the interpreter's recursion limit
+    stack = [frame(0)]
+    while stack:
+        v, want, candidates = stack[-1]
+        if mapping[v] >= 0:
+            used[mapping[v]] = False
+            mapping[v] = -1
+        for u in candidates:
             if used[u]:
                 continue
-            left[0] -= 1
-            if left[0] < 0:
+            left -= 1
+            if left < 0:
                 raise BudgetExceeded(what, budget)
-            if {x: c for x, c in adj_b[u].items() if used[x]} != want:
-                continue
-            mapping[v] = u
-            used[u] = True
-            if dfs(i + 1):
+            if {x: c for x, c in adj_b[u].items() if used[x]} == want:
+                mapping[v] = u
+                used[u] = True
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) == n:
+            if visit(mapping):
                 return True
-            mapping[v] = -1
-            used[u] = False
-        return False
-
-    return dfs(0)
+        else:
+            stack.append(frame(len(stack)))
+    return False
 
 
 def _refine(start: list, adj: list[dict[int, int]]) -> list[int]:
@@ -363,7 +377,9 @@ def _gadget_edge_colors() -> dict:
 _GADGET_COLORS = _gadget_edge_colors()
 
 
-_SEP_CHARS = (":", "|")
+# ":" and "|" tag the transform's output labels, and "," joins the
+# endpoints of an edge in a JSON colour key (graph_to_json)
+_SEP_CHARS = (":", "|", ",")
 
 
 def transform(g: Graph) -> ColoredGraph:
@@ -387,7 +403,7 @@ def transform(g: Graph) -> ColoredGraph:
         raise Disconnected("transform needs a connected graph")
     for v in g.vertices:
         if any(ch in v for ch in _SEP_CHARS):
-            raise ValueError(f"vertex label {v!r} contains a reserved character")
+            raise InvalidInput(f"vertex label {v!r} contains a reserved character")
 
     vertices = {f"1:{x}" for x in g.vertices}
     edges = set()
@@ -596,25 +612,6 @@ class FiniteStructure:
         ]
         return sorted(items)
 
-    def automorphisms(self) -> list[dict]:
-        """Brute-force structure automorphisms (universe permutations)."""
-        from itertools import permutations
-
-        uni = list(self.universe)
-        rels = self.all_relations()
-        out = []
-        for img in permutations(uni):
-            m = dict(zip(uni, img))
-            ok = True
-            for _, tuples in rels:
-                tset = set(tuples)
-                if any(tuple(m[x] for x in t) not in tset for t in tuples):
-                    ok = False
-                    break
-            if ok:
-                out.append(m)
-        return out
-
 
 def _pendant_path(vertices: set, edges: set, base: str, prefix: str, length: int):
     prev = base
@@ -747,6 +744,9 @@ def graph_to_json(g, pretty: bool = False) -> str:
         "edges": sorted(sorted(e) for e in graph.edges),
     }
     if colors is not None:
+        bad = sorted(v for v in graph.vertices if "," in v)
+        if bad:
+            raise InvalidInput(f"vertex label {bad[0]!r} contains ',', which joins colour-key endpoints")
         doc["colors"] = {_edge_key(e): c for e, c in sorted(colors.items(), key=lambda kv: _edge_key(kv[0]))}
         doc["color_count"] = g.color_count
     return json.dumps(doc, indent=2 if pretty else None, sort_keys=True)

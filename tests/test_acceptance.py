@@ -80,7 +80,7 @@ def towers_k2_p3_k3():
 
 
 def test_criterion_01_gadget_exactness():
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = gadget()
     aut = aut_graph(g)
     ok = (
@@ -89,14 +89,14 @@ def test_criterion_01_gadget_exactness():
         and aut.order == 2
         and len(gadget_prime_edges()) == 7
     )
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report(1, ok, f"({elapsed:.2f}s)")
     assert ok
     assert elapsed < 1.0
 
 
 def test_criterion_02_corpus_aut_size_roundtrip(corpus):
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for g in corpus:
         cg = transform(g)
@@ -112,7 +112,7 @@ def test_criterion_02_corpus_aut_size_roundtrip(corpus):
             if restrict_aut(cg, lift_aut(cg, psi)) != psi:
                 failures.append(("roundtrip", len(g.vertices)))
                 break
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report(2, not failures, f"aut/size/roundtrip on {len(corpus)} graphs ({elapsed:.1f}s)")
     assert failures == []
     assert elapsed < 120
@@ -137,7 +137,7 @@ def test_criterion_02_star_decomposition(corpus):
 
 
 def test_criterion_03_field_construction(towers_k2_p3_k3):
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for name, ctx in towers_k2_p3_k3.items():
         expected = 1
@@ -170,7 +170,7 @@ def test_criterion_03_field_construction(towers_k2_p3_k3):
         if not (a * a.inv()).is_one():
             failures.append(("K3", "inverse", a.to_json()))
             break
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report(3, not failures, f"dims {[c.dimension for c in towers_k2_p3_k3.values()]}, "
                             f"200 smoke trials + 200 inversions ({elapsed:.1f}s)")
     assert failures == []
@@ -178,7 +178,7 @@ def test_criterion_03_field_construction(towers_k2_p3_k3):
 
 
 def test_criterion_04_irreducibility(towers_k2_p3_k3):
-    t0 = time.time()
+    t0 = time.perf_counter()
     ctx = towers_k2_p3_k3["K2"]
     xs_deep = generator_vertex(ctx, "s", 1)
     ye_deep = generator_edge(ctx, "e:s,t", 1)
@@ -190,14 +190,14 @@ def test_criterion_04_irreducibility(towers_k2_p3_k3):
         and r1.certificate is not None
         and r2.certificate is not None
     )
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report(4, ok, f"certificates: {r1.certificate['kind']}, {r2.certificate['kind']} ({elapsed:.2f}s)")
     assert ok
     assert elapsed < 60
 
 
 def test_criterion_05_p_high_classification(towers_k2_p3_k3):
-    t0 = time.time()
+    t0 = time.perf_counter()
     ctx = towers_k2_p3_k3["K2"]
     p0 = ctx.chain_prime
     p1 = ctx.gens[0].prime
@@ -231,7 +231,7 @@ def test_criterion_05_p_high_classification(towers_k2_p3_k3):
     for p in (2, p1):
         res = roots.pth_root(xs0, p)
         certs[p] = res.outcome == "no" and res.certificate is not None
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = highs == 100 and wrong == 0 and refuted >= 95 and all(certs.values())
     report(5, ok, f"monomials high {highs}/100, refuted {refuted}/100, "
                   f"unknown {unknown}, certs {certs} ({elapsed:.1f}s)")
@@ -256,7 +256,7 @@ def _sigma_context(base: Graph):
 
 
 def test_criterion_06_sigma_verification():
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for base_name, base in (
         ("K2", Graph(["s", "t"], [("s", "t")])),
@@ -298,14 +298,14 @@ def test_criterion_06_sigma_verification():
                 ).relabel(phi.mapping):
                     failures.append((base_name, "psi-equivariance"))
                     break
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report(6, not failures, f"({elapsed:.1f}s)")
     assert failures == []
     assert elapsed < 120
 
 
 def test_criterion_07_group_towers():
-    t0 = time.time()
+    t0 = time.perf_counter()
     a5 = closure([Perm.from_cycles(5, [(0, 1, 2)]), Perm.from_cycles(5, [(0, 1, 2, 3, 4)])])
     rep = automorphism_tower(a5)
     ok = rep.tau == 1 and rep.chain_orders[:2] == [60, 120]
@@ -314,14 +314,14 @@ def test_criterion_07_group_towers():
     s4 = closure([Perm.from_cycles(4, [(0, 1)]), Perm.from_cycles(4, [(0, 1, 2, 3)])])
     nrep = normalizer_tower(s4, closure([Perm.from_cycles(4, [(0, 1)])]))
     ok = ok and nrep.tau == 2 and nrep.chain_orders == [2, 4, 8, 8]
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report(7, ok, f"A5 tower {rep.chain_orders}, S4 chain {nrep.chain_orders} ({elapsed:.1f}s)")
     assert ok
     assert elapsed < 60
 
 
 def test_criterion_08_psl_facts():
-    t0 = time.time()
+    t0 = time.perf_counter()
     flags = {q: is_simple(psl2(q)) for q in (3, 4, 5, 7, 8, 9)}
     ok = flags == {3: False, 4: True, 5: True, 7: True, 8: True, 9: True}
     vdw4 = verify_van_der_waerden(4)
@@ -332,28 +332,28 @@ def test_criterion_08_psl_facts():
         ok = ok and vdw9["pass"]
     except BudgetExceeded:
         stretch = "unknown (budget)"
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report(8, ok, f"simple flags {flags}, q=9 {stretch} ({elapsed:.1f}s)")
     assert ok
     assert elapsed < 300
 
 
 def test_criterion_09_semidirect_induction():
-    t0 = time.time()
+    t0 = time.perf_counter()
     reps = {
         (4, None): verify_semidirect_tower(4, None),
         (8, None): verify_semidirect_tower(8, None),
         (9, 1): verify_semidirect_tower(9, 1),
     }
     ok = all(r["pass"] for r in reps.values())
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report(9, ok, f"taus {[r['tau_left'] for r in reps.values()]} ({elapsed:.1f}s)")
     assert ok
     assert elapsed < 300
 
 
 def test_criterion_10_oracle_roundtrip(towers_k2_p3_k3):
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = 0
     for name in ("K2", "P3"):
         ctx = towers_k2_p3_k3[name]
@@ -366,7 +366,7 @@ def test_criterion_10_oracle_roundtrip(towers_k2_p3_k3):
                 r = roots.pth_root(a, p)
                 if r.outcome != "root" or r.witness**p != a:
                     failures += 1
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report(10, failures == 0, f"800 extractions ({elapsed:.1f}s)")
     assert failures == 0
     assert elapsed < 180

@@ -109,6 +109,8 @@ K2_JSON = graph_to_json(Graph(["s", "t"], [("s", "t")]))
         pytest.param("{bad", ["transform"], id="malformed-json"),
         pytest.param("{}", ["transform"], id="no-vertices"),
         pytest.param('{"vertices": ["a"], "edges": [["a", "a"]]}', ["transform"], id="loop-edge"),
+        pytest.param('{"vertices": ["a:b", "c"], "edges": [["a:b", "c"]]}', ["transform"], id="colon-label"),
+        pytest.param('{"vertices": ["a,b", "c"], "edges": [["a,b", "c"]]}', ["transform"], id="comma-label"),
         pytest.param(None, ["towers", "--group", "foo:3"], id="unknown-group"),
         pytest.param(None, ["towers", "--group", "alt:x"], id="non-integer-size"),
         pytest.param(None, ["towers", "--group", "sym:1"], id="sym-1"),

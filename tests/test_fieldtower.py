@@ -28,6 +28,7 @@ from graphfield.fieldtower import (
     primality_smoke,
     radical_extend,
     random_nonzero_element,
+    random_single_level_element,
     random_structured_monomial,
 )
 from graphfield.graphs import Graph, greedy_star_coloring
@@ -148,12 +149,17 @@ def test_inverse_examples():
     assert prod == xs0 + xt0 + one
 
 
-def test_inverse_zero_divisor_keeps_witness():
-    # Y^5 = z^5 is not a field: Y - z divides zero, while Y^2 + z is a unit
-    ctx = TowerContext(
+def y5_z5_ctx():
+    # Y^5 = z^5 is not a field: Y - z divides zero
+    return TowerContext(
         0, ("z",), 3, {"z": 0},
         [RadicalGen("t:v", 5, 1, ("tpoly", "z", tuple(Fraction(c) for c in (0, 0, 0, 0, 0, 1))))],
     )
+
+
+def test_inverse_zero_divisor_keeps_witness():
+    # Y - z divides zero, while Y^2 + z is a unit
+    ctx = y5_z5_ctx()
     y = generator_edge(ctx, "t:v", 1)
     z = generator_vertex(ctx, "z", 0)
     with pytest.raises(SingularMultiplication) as info:
@@ -255,6 +261,34 @@ def test_norm_multiplicative():
         a = random_nonzero_element(ctx, rng, max_terms=2, allow_denominator=False)
         b = random_nonzero_element(ctx, rng, max_terms=2, allow_denominator=False)
         assert field_norm(a * b, sub) == field_norm(a, sub) * field_norm(b, sub)
+
+
+def test_norm_of_zero_and_of_zero_divisor():
+    ctx = k2_ctx()
+    assert field_norm(ctx.zero(), ctx.with_depths({"s": 0, "t": 0}, {"e:s,t": 0})).is_zero()
+    # Res_T(T^5 - z^5, T - z) = 0: the remainder sequence ends at a zero
+    # remainder of positive degree, and the norm is zero, not an error
+    ctx = y5_z5_ctx()
+    y = generator_edge(ctx, "t:v", 1)
+    z = generator_vertex(ctx, "z", 0)
+    assert field_norm(y - z, ctx.with_depths({}, {"t:v": 0})).is_zero()
+
+
+def test_norm_p3_properties():
+    ctx = p3_ctx()
+    sub = ctx.with_depths({}, {g.label: 0 for g in ctx.gens})
+    # a root witness: N(w)^5 = N(w^5)
+    w = ctx.one() + generator_edge(ctx, "e:a,b", 1)
+    assert field_norm(w, sub) ** 5 == field_norm(w**5, sub)
+    rng = random.Random(7)
+    for _ in range(3):
+        a = random_single_level_element(ctx, rng)
+        assert field_norm(a.inv(), sub) == field_norm(a, sub).inv()
+    # down to the base, N(1 + X_a) = (1 + X_a^3)^(3 * 3 * 5 * 5): the
+    # step for a gives 1 + X_a^3, every other step a power
+    base = ctx.with_depths({v: 0 for v in ctx.var_names}, {g.label: 0 for g in ctx.gens})
+    x = ctx.one() + generator_vertex(ctx, "a", 1)
+    assert field_norm(x, base) == (base.one() + generator_vertex(base, "a", 0)) ** 225
 
 
 def test_radical_extension():
