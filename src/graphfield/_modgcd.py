@@ -1,56 +1,167 @@
-"""Modular multivariate gcd over the integers.
+"""The integer polynomial kernel and the modular gcd.
 
-Polynomials are {exponent tuple: int} dicts.  The primitive remainder
-sequence runs over F_p for a large word-size prime (so coefficients never
-grow), the monic image is lifted with a leading-coefficient scale, and
-the candidate is verified by exact trial division over the integers; a
-failed verification moves to the next prime.  When the deg-lex leading
-coefficients of both inputs survive mod p, a constant modular gcd proves
-actual coprimality, so the "coprime" answer is sound as well.
+Polynomials here are term dicts {exponent tuple: int}, over Z when the
+modulus r is 0 and over F_r when r > 0 (reduced once per output term).
+`polynomials.Poly` keeps its coefficients in such a dict next to a
+rational content, so products, exact division and p-th roots in every
+characteristic run the loops below.
+
+The gcd over Z runs the primitive remainder sequence over F_p for a
+large word-size prime (so coefficients never grow), lifts the monic
+image with a leading-coefficient scale, and verifies the candidate by
+exact trial division over the integers; a failed verification moves to
+the next prime.  When the deg-lex leading coefficients of both inputs
+survive mod p, a constant modular gcd proves actual coprimality, so the
+"coprime" answer is sound as well.
 """
 from __future__ import annotations
 
+import heapq
 import math
+import random
+from operator import add, neg, sub
 
-from .coeffs import is_prime
-
-
-def _gen_primes(limit: int = 16) -> tuple[int, ...]:
-    """The `limit` largest primes up to 2^31 - 1, descending."""
-    out = []
-    n = 2147483647
-    while len(out) < limit:
-        if is_prime(n):
-            out.append(n)
-        n -= 2
-    return tuple(out)
+# the 16 largest primes below 2^31, descending
+_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249,
+)
 
 
-_PRIMES = _gen_primes()
+def _deglex(e: tuple) -> tuple:
+    return (sum(e), e)
+
+
+def _mul_terms(a: dict, b: dict, r: int) -> dict:
+    """Product of term dicts, reduced mod r when r > 0."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        (e2, c2), = b.items()
+        out = {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in a.items()}
+    else:
+        out = {}
+        get = out.get
+        for e2, c2 in b.items():
+            for e1, c1 in a.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+    if r:
+        return {e: c % r for e, c in out.items() if c % r}
+    return {e: c for e, c in out.items() if c}
+
+
+def _from_top(d: dict, heap: list):
+    """Yield the exponents of d from the deg-lex top down.  `heap` holds
+    the `_desc` keys of d's exponents; the caller may edit d below the
+    exponent last yielded, and pushes the key of each exponent it adds."""
+    heapq.heapify(heap)
+    while heap:
+        e = heapq.heappop(heap)[2]
+        if e in d:
+            yield e
+
+
+def _desc(e: tuple) -> tuple:
+    return (-sum(e), tuple(map(neg, e)), e)
+
+
+def _divide_terms(f: dict, g: dict, r: int) -> dict | None:
+    """Exact quotient f / g of term dicts (g nonzero), or None.  Over Z
+    (r = 0) a quotient that is not integral counts as none."""
+    le = max(g, key=_deglex)
+    lc = g[le]
+    lc_inv = pow(lc, -1, r) if r else None
+    rest = [(e, c) for e, c in g.items() if e != le]
+    rem = dict(f)
+    heap = [_desc(e) for e in rem]
+    quo = {}
+    for e in _from_top(rem, heap):
+        qe = tuple(map(sub, e, le))
+        if min(qe, default=0) < 0:
+            return None
+        qc, m = (rem.pop(e) * lc_inv % r, 0) if r else divmod(rem.pop(e), lc)
+        if m:
+            return None
+        quo[qe] = qc
+        for e2, c2 in rest:
+            t = tuple(map(add, qe, e2))
+            s = rem.get(t, 0) - qc * c2
+            if r:
+                s %= r
+            if not s:
+                rem.pop(t, None)
+            elif t in rem:
+                rem[t] = s
+            else:
+                rem[t] = s
+                heapq.heappush(heap, _desc(t))
+    return quo
+
+
+def _root_terms(f: dict, top: tuple, rc: int, p: int, r: int) -> dict | None:
+    """The p-th root of term dict f (mod r when r > 0) with leading term
+    rc·X^(top/p), or None when f is no p-th power.
+
+    With h the root so far, the next term t of the root satisfies
+    lt(f - h^p) = p·lt(h)^(p-1)·t.  The powers h^j (j < p) and h^p - f
+    are updated by expanding (h + t)^j, so h^p is never recomputed, and
+    h^p - f = 0 is the exact check.  The terms found strictly decrease;
+    since the lowest homogeneous part of h^p is that of h to the p-th
+    power, no root term has total degree below mindeg(f)/p, and a
+    candidate below that bound (or with a negative exponent, or not
+    integral over Z) proves f is no p-th power.
+    """
+    low = -(-min(map(sum, f)) // p)
+    h0 = tuple(x // p for x in top)
+    powers = [{tuple(x * j for x in h0): rc**j % r if r else rc**j} for j in range(p)]
+    powers.append({e: (-c) % r if r else -c for e, c in f.items() if e != top})
+    shift = tuple(x * (p - 1) for x in h0)
+    lead = p * rc ** (p - 1)
+    lead_inv = pow(lead, -1, r) if r else None
+    h = {h0: rc}
+    heap = [_desc(e) for e in powers[p]]
+    for e in _from_top(powers[p], heap):
+        te = tuple(map(sub, e, shift))
+        if min(te, default=0) < 0 or sum(te) < low:
+            return None
+        c = -powers[p][e]
+        tc, m = (c * lead_inv % r, 0) if r else divmod(c, lead)
+        if m:
+            return None
+        h[te] = tc
+        tpow = [(tuple(x * i for x in te), tc**i) for i in range(p + 1)]
+        for j in range(p, 0, -1):  # h^j += sum_i C(j, i) h^(j-i) t^i, old h^(j-i)
+            acc = powers[j]
+            for i in range(1, j + 1):
+                ti, k = tpow[i][0], math.comb(j, i) * tpow[i][1]
+                for e2, c2 in powers[j - i].items():
+                    t = tuple(map(add, e2, ti))
+                    s = acc.get(t, 0) + k * c2
+                    if r:
+                        s %= r
+                    if not s:
+                        acc.pop(t, None)
+                    elif t in acc or j < p:
+                        acc[t] = s
+                    else:
+                        acc[t] = s
+                        heapq.heappush(heap, _desc(t))
+    return h
 
 
 def int_gcd(f: dict, g: dict) -> dict:
-    """Primitive gcd of nonzero integer polynomial dicts.
+    """gcd of nonconstant primitive integer polynomial dicts, primitive
+    with a positive leading coefficient.
 
     Images are combined by CRT until the symmetric lift divides both
     inputs; an unlucky prime (larger modular gcd) is discarded by
     comparing leading exponents.
     """
-    if not f:
-        return _strip_num(dict(g))
-    if not g:
-        return _strip_num(dict(f))
-    cf = _num_content(f)
-    cg = _num_content(g)
-    c = math.gcd(cf, cg)
-    fp = {e: v // cf for e, v in f.items()} if cf != 1 else f
-    gp = {e: v // cg for e, v in g.items()} if cg != 1 else g
-    nvars = len(next(iter(f)))
-    unit = {(0,) * nvars: 1}
-    if _is_constant(fp) or _is_constant(gp):
-        return _scale(unit, c)
-    lf = fp[max(fp, key=lambda t: (sum(t), t))]
-    lg = gp[max(gp, key=lambda t: (sum(t), t))]
+    unit = {(0,) * len(next(iter(f))): 1}
+    lf = f[max(f, key=_deglex)]
+    lg = g[max(g, key=_deglex)]
     lam = math.gcd(lf, lg)
     combined: dict | None = None
     modulus = 1
@@ -59,17 +170,17 @@ def int_gcd(f: dict, g: dict) -> dict:
         if lf % p == 0 or lg % p == 0:
             continue
         try:
-            h = _fp_gcd(_fp_norm(fp, p), _fp_norm(gp, p), p)
+            h = _fp_gcd(_fp_norm(f, p), _fp_norm(g, p), p)
         except _Unlucky:
             continue
         if _is_constant(h):
             # sound: both leading terms survived mod p, so the true gcd
             # reduces faithfully and must itself be constant
-            return _scale(unit, c)
-        lead = max(h, key=lambda t: (sum(t), t))
-        if best_lead is not None and (sum(lead), lead) > (sum(best_lead), best_lead):
+            return unit
+        lead = max(h, key=_deglex)
+        if best_lead is not None and _deglex(lead) > _deglex(best_lead):
             continue  # unlucky prime: modular gcd too large
-        if best_lead is None or (sum(lead), lead) < (sum(best_lead), best_lead):
+        if best_lead is None or _deglex(lead) < _deglex(best_lead):
             best_lead = lead
             combined = None
             modulus = 1
@@ -79,9 +190,9 @@ def int_gcd(f: dict, g: dict) -> dict:
         else:
             combined = _crt(combined, modulus, image, p)
             modulus *= p
-        cand = _strip_num(_symmetric_lift(combined, modulus))
-        if divides(cand, fp) is not None and divides(cand, gp) is not None:
-            return _scale(cand, c)
+        cand = _primitive(_symmetric_lift(combined, modulus))
+        if _divide_terms(f, cand, 0) is not None and _divide_terms(g, cand, 0) is not None:
+            return cand
     raise ArithmeticError("modular gcd failed for all configured primes")  # pragma: no cover
 
 
@@ -97,58 +208,15 @@ def _crt(a: dict, m: int, b: dict, p: int) -> dict:
     return out
 
 
-def divides(f: dict, g: dict) -> dict | None:
-    """Exact quotient g / f with integer coefficients, or None when f does
-    not divide g or the quotient is not integral."""
-    le = max(f, key=lambda t: (sum(t), t))
-    lc = f[le]
-    quo: dict = {}
-    rem = dict(g)
-    while rem:
-        re = max(rem, key=lambda t: (sum(t), t))
-        qe = tuple(a - b for a, b in zip(re, le))
-        qc, r = divmod(rem[re], lc)
-        if r or any(x < 0 for x in qe):
-            return None
-        quo[qe] = qc
-        for e2, c2 in f.items():
-            e = tuple(a + b for a, b in zip(qe, e2))
-            s = rem.get(e, 0) - qc * c2
-            if s:
-                rem[e] = s
-            else:
-                rem.pop(e, None)
-    return quo
-
-
 # -- integer helpers ---------------------------------------------------------
 
 
-def _num_content(d: dict) -> int:
-    g = 0
-    for c in d.values():
-        g = math.gcd(g, c)
-        if g == 1:
-            return 1
-    return g or 1
-
-
-def _strip_num(d: dict) -> dict:
-    if not d:
-        return d
-    g = _num_content(d)
-    le = max(d, key=lambda t: (sum(t), t))
-    if d[le] < 0:
+def _primitive(d: dict) -> dict:
+    """d over its content, with a positive leading coefficient."""
+    g = math.gcd(*d.values())
+    if d[max(d, key=_deglex)] < 0:
         g = -g
-    if g == 1:
-        return d
-    return {e: c // g for e, c in d.items()}
-
-
-def _scale(d: dict, c: int) -> dict:
-    if c == 1:
-        return d
-    return {e: v * c for e, v in d.items()}
+    return d if g == 1 else {e: c // g for e, c in d.items()}
 
 
 def _is_constant(d: dict) -> bool:
@@ -161,12 +229,7 @@ def _symmetric_lift(d: dict, p: int) -> dict:
 
 
 def _fp_norm(d: dict, p: int) -> dict:
-    out = {}
-    for e, c in d.items():
-        c %= p
-        if c:
-            out[e] = c
-    return out
+    return {e: c % p for e, c in d.items() if c % p}
 
 
 # -- gcd over F_p by evaluation and interpolation ------------------------------
@@ -177,8 +240,6 @@ def _fp_norm(d: dict, p: int) -> dict:
 # coefficients (a scalar), and the grid is interpolated back.  A cheap
 # probe decides coprimality first, which is the dominant case in
 # rational-function normalization.
-
-import random
 
 
 class _Unlucky(Exception):
@@ -201,24 +262,11 @@ def _fp_deg(d: dict, v: int) -> int:
 def _fp_monic(d: dict, p: int) -> dict:
     if not d:
         return d
-    le = max(d, key=lambda t: (sum(t), t))
+    le = max(d, key=_deglex)
     inv = pow(d[le], -1, p)
     if inv == 1:
         return d
     return {e: c * inv % p for e, c in d.items()}
-
-
-def _fp_mul(a: dict, b: dict, p: int) -> dict:
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            s = (out.get(e, 0) + c1 * c2) % p
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
 
 
 def _fp_coeffs_in(d: dict, v: int) -> list[dict]:
@@ -314,34 +362,16 @@ def _fp_univar_lists_gcd(a: list, b: list, p: int) -> list:
     return [c * inv % p for c in a]
 
 
+def _from_list(lst: list, v: int, nvars: int) -> dict:
+    """The univariate coefficient list lst (index = exponent) in X_v."""
+    return {tuple(i if j == v else 0 for j in range(nvars)): c for i, c in enumerate(lst) if c}
+
+
 def _fp_to_list(d: dict, v: int) -> list:
     out = [0] * (_fp_deg(d, v) + 1)
     for e, c in d.items():
         out[e[v]] = c
     return out
-
-
-def _fp_quotient(f: dict, g: dict, p: int) -> dict | None:
-    """Exact quotient f / g over F_p, or None when g does not divide f."""
-    le = max(g, key=lambda t: (sum(t), t))
-    lc_inv = pow(g[le], -1, p)
-    quo: dict = {}
-    rem = dict(f)
-    while rem:
-        re = max(rem, key=lambda t: (sum(t), t))
-        qe = tuple(a - b for a, b in zip(re, le))
-        if any(x < 0 for x in qe):
-            return None
-        qc = rem[re] * lc_inv % p
-        quo[qe] = qc
-        for e2, c2 in g.items():
-            e = tuple(a + b for a, b in zip(qe, e2))
-            s = (rem.get(e, 0) - qc * c2) % p
-            if s:
-                rem[e] = s
-            else:
-                rem.pop(e, None)
-    return quo
 
 
 def _fp_content_in(d: dict, v: int, p: int) -> dict:
@@ -396,14 +426,7 @@ def _fp_gcd(f: dict, g: dict, p: int) -> dict:
     used = used_f | used_g
     if len(used) == 1:
         v = next(iter(used))
-        lst = _fp_univar_lists_gcd(_fp_to_list(f, v), _fp_to_list(g, v), p)
-        out = {}
-        for i, c in enumerate(lst):
-            if c:
-                e = [0] * nvars
-                e[v] = i
-                out[tuple(e)] = c
-        return out
+        return _from_list(_fp_univar_lists_gcd(_fp_to_list(f, v), _fp_to_list(g, v), p), v, nvars)
     rng = random.Random(0x5EED ^ p)
     common = used_f & used_g
     if not common:
@@ -416,14 +439,14 @@ def _fp_gcd(f: dict, g: dict, p: int) -> dict:
     cont_f = _fp_content_in(f, m, p)
     cont_g = _fp_content_in(g, m, p)
     cont = _fp_gcd(cont_f, cont_g, p)
-    pf = f if _is_constant(cont_f) else _fp_quotient(f, cont_f, p)
-    pg = g if _is_constant(cont_g) else _fp_quotient(g, cont_g, p)
+    pf = f if _is_constant(cont_f) else _divide_terms(f, cont_f, p)
+    pg = g if _is_constant(cont_g) else _divide_terms(g, cont_g, p)
     prim = _fp_gcd_primitive(pf, pg, m, p, rng, profile or {})
     if _is_constant(prim):
         return cont
     if _is_constant(cont):
         return _fp_monic(prim, p)
-    return _fp_monic(_fp_mul(cont, prim, p), p)
+    return _fp_monic(_mul_terms(cont, prim, p), p)
 
 
 def _fp_gcd_primitive(f: dict, g: dict, m: int, p: int, rng, deg_hints: dict) -> dict:
@@ -439,15 +462,7 @@ def _fp_gcd_primitive(f: dict, g: dict, m: int, p: int, rng, deg_hints: dict) ->
     used = (_fp_vars(f) | _fp_vars(g)) - {m}
     if not used:
         lst = _fp_univar_lists_gcd(_fp_to_list(f, m), _fp_to_list(g, m), p)
-        if len(lst) <= 1:
-            return unit
-        out = {}
-        for i, c in enumerate(lst):
-            if c:
-                e = [0] * nvars
-                e[m] = i
-                out[tuple(e)] = c
-        return out
+        return unit if len(lst) <= 1 else _from_list(lst, m, nvars)
     lc_f = _fp_coeffs_in(f, m)[-1]
     lc_g = _fp_coeffs_in(g, m)[-1]
     gamma = _fp_gcd(lc_f, lc_g, p)
@@ -468,8 +483,8 @@ def _fp_gcd_primitive(f: dict, g: dict, m: int, p: int, rng, deg_hints: dict) ->
         h = _tensor_interp(grid, eval_vars, coords, m, nvars, p)
         hc = _fp_content_in(h, m, p)
         if not _is_constant(hc):
-            h = _fp_quotient(h, hc, p)
-        if _fp_quotient(f, h, p) is not None and _fp_quotient(g, h, p) is not None:
+            h = _divide_terms(h, hc, p)
+        if _divide_terms(f, h, p) is not None and _divide_terms(g, h, p) is not None:
             return _fp_monic(h, p)
     raise _Unlucky()
 
@@ -519,15 +534,6 @@ def _tensor_interp(grid, eval_vars, coords, m, nvars, p):
     coefficient); outer levels interpolate with polynomial values.
     """
 
-    def poly_from_list(lst):
-        out = {}
-        for i, c in enumerate(lst):
-            if c:
-                e = [0] * nvars
-                e[m] = i
-                out[tuple(e)] = c
-        return out
-
     def scalar_newton(ts, columns):
         # vector-valued Newton: divided differences per coefficient slot,
         # then Horner assembly into v-degree rows
@@ -571,19 +577,19 @@ def _tensor_interp(grid, eval_vars, coords, m, nvars, p):
 
     def rec(vs, prefix):
         if not vs:
-            return poly_from_list(grid[prefix])
+            return _from_list(grid[prefix], m, nvars)
         v = vs[0]
         if len(vs) == 1:
             ts = coords[v]
             columns = [list(grid[prefix + (t,)]) for t in ts]
             return rows_to_poly(scalar_newton(ts, columns), v)
         pts = [(t, rec(vs[1:], prefix + (t,))) for t in coords[v]]
-        return _newton_interp(pts, v, p)
+        return _newton_interp(pts, v, nvars, p)
 
     return rec(eval_vars, ())
 
 
-def _newton_interp(points, v, p):
+def _newton_interp(points, v, nvars, p):
     """Newton interpolation in variable v with dict-poly values."""
     n = len(points)
     ts = [t for t, _ in points]
@@ -591,47 +597,17 @@ def _newton_interp(points, v, p):
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
             inv = pow((ts[i] - ts[i - level]) % p, -1, p)
-            num = _fp_sub(divided[i], divided[i - 1], p)
-            divided[i] = {e: c * inv % p for e, c in num.items()}
+            divided[i] = _fp_add(divided[i], divided[i - 1], p, -1, inv)
     acc = divided[n - 1]
     for i in range(n - 2, -1, -1):
-        acc = _fp_add(_linear_shift(acc, v, ts[i], p), divided[i], p)
+        shift = _from_list([-ts[i] % p, 1], v, nvars)  # X_v - t_i
+        acc = _fp_add(_mul_terms(acc, shift, p), divided[i], p)
     return acc
 
 
-def _linear_shift(acc: dict, v: int, t: int, p: int) -> dict:
-    """(X_v - t) * acc."""
-    out: dict = {}
-    for e, c in acc.items():
-        e2 = list(e)
-        e2[v] += 1
-        key = tuple(e2)
-        out[key] = (out.get(key, 0) + c) % p
-        s = (out.get(e, 0) - c * t) % p
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return {e: c for e, c in out.items() if c}
-
-
-def _fp_add(a: dict, b: dict, p: int) -> dict:
+def _fp_add(a: dict, b: dict, p: int, k: int = 1, scale: int = 1) -> dict:
+    """scale * (a + k * b) over F_p."""
     out = dict(a)
     for e, c in b.items():
-        s = (out.get(e, 0) + c) % p
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _fp_sub(a: dict, b: dict, p: int) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        s = (out.get(e, 0) - c) % p
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
+        out[e] = out.get(e, 0) + k * c
+    return {e: c * scale % p for e, c in out.items() if c * scale % p}

@@ -244,7 +244,7 @@ def encode_element(a: TowerElement) -> Code:
     sequences = set()
     for exps, c in a.coeffs.items():
         for role, poly in ((0, c.num), (1, c.den)):
-            for mono, q in poly.terms.items():
+            for mono, q in poly.terms().items():
                 verts = {ctx.var_names[i] for i, k in enumerate(mono) if k}
                 for i, k in enumerate(exps):
                     if k:

@@ -1,8 +1,10 @@
-"""Prime-field coefficient arithmetic: Q (char 0) or F_r (char r).
+"""Prime-field coefficients: Q (char 0) or F_r (char r).
 
-Coefficients are plain `Fraction`s in characteristic 0 and ints in
-[0, r) in characteristic r.  A `CoeffField` instance is attached to every
-polynomial and never mixes characteristics.
+Field elements are `Fraction`s in characteristic 0 and ints in [0, r) in
+characteristic r.  Polynomials store their coefficients on an integer
+kernel (see `polynomials`) and hand out field elements only at their
+public face.  A `CoeffField` instance is attached to every polynomial
+and never mixes characteristics.
 """
 from __future__ import annotations
 
@@ -20,6 +22,8 @@ class CoeffField:
         if char not in SUPPORTED_CHARS:
             raise ValueError(f"unsupported characteristic {char}")
         self.char = char
+        self.zero = self.of_int(0)
+        self.one = self.of_int(1)
 
     def __eq__(self, other):
         return isinstance(other, CoeffField) and self.char == other.char
@@ -30,7 +34,7 @@ class CoeffField:
     def __repr__(self):
         return f"CoeffField({self.char})"
 
-    # -- element constructors ------------------------------------------
+    # -- elements --------------------------------------------------------
 
     def of_int(self, n: int):
         if self.char == 0:
@@ -46,28 +50,6 @@ class CoeffField:
             raise ZeroDivisionError(f"denominator divisible by {self.char}")
         return num * pow(den, -1, self.char) % self.char
 
-    @property
-    def zero(self):
-        return self.of_int(0)
-
-    @property
-    def one(self):
-        return self.of_int(1)
-
-    # -- arithmetic ----------------------------------------------------
-
-    def add(self, a, b):
-        return (a + b) % self.char if self.char else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.char if self.char else a - b
-
-    def mul(self, a, b):
-        return (a * b) % self.char if self.char else a * b
-
-    def neg(self, a):
-        return (-a) % self.char if self.char else -a
-
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
@@ -76,13 +58,11 @@ class CoeffField:
         return pow(a, -1, self.char)
 
     def div(self, a, b):
-        return self.mul(a, self.inv(b))
+        q = a * self.inv(b)
+        return q % self.char if self.char else q
 
     def is_zero(self, a) -> bool:
         return a == 0
-
-    def is_one(self, a) -> bool:
-        return a == self.of_int(1)
 
     # -- p-th roots ----------------------------------------------------
 

@@ -352,9 +352,8 @@ def radical_extend(
     for v in labels:
         k = spec.partition[v]
         d = depths if isinstance(depths, int) else depths.get(v, 0)
-        coeffs = tuple(
-            upolys[v].terms.get((i,), field.zero) for i in range(upolys[v].degree_in(0) + 1)
-        )
+        terms = upolys[v].terms()
+        coeffs = tuple(terms.get((i,), field.zero) for i in range(upolys[v].degree_in(0) + 1))
         gens.append(
             RadicalGen(
                 label=f"t:{v}",
@@ -496,7 +495,7 @@ class TowerElement:
         def poly_doc(p: Poly):
             return [
                 {"exps": list(e), "coeff": str(c)}
-                for e, c in sorted(p.terms.items())
+                for e, c in sorted(p.terms().items())
             ]
 
         return {
@@ -749,7 +748,7 @@ def _split_var(low: TowerContext, polys: dict, iv: int, m: int) -> dict[int, Tow
     as a polynomial in T = X_iv over low, where X_iv^(qm + r) = T^r X'^q."""
     out: dict = {}
     for e, p in polys.items():
-        for r, terms in _split_at(p.terms.items(), iv, m).items():
+        for r, terms in _split_at(p.terms().items(), iv, m).items():
             out.setdefault(r, {})[e] = RatFunc.from_poly(Poly(low.field, low.nvars, terms))
     return {r: TowerElement(low, v) for r, v in out.items()}
 

@@ -1,39 +1,49 @@
-"""Sparse multivariate polynomials over a prime field.
+"""Sparse multivariate polynomials over a prime field, on one integer kernel.
 
-Terms are stored as {exponent tuple: coefficient}.  The monomial order
-used for leading terms and normalization is degree-lexicographic with
-variables compared by index; variable index order is fixed per context
-(vertices sorted by label), which keeps every canonical form
-deterministic.
+A polynomial is a content times an integer part `ints` {exponent tuple:
+int}.  In characteristic 0 the content is a nonzero `Fraction` and the
+integer part is primitive with a positive leading coefficient, so
+(content, ints) is unique and equality is syntactic.  In characteristic
+r the ints lie in [1, r) and the content is 1.  Both run the same dict
+loops, reducing mod r once per output term.  Coefficients appear as
+field elements only at the public face: `Poly(field, nvars, terms)` and
+`terms()`.  By Gauss's lemma a product of primitive polynomials is
+primitive, so products take no gcd.
 
-The gcd in characteristic 0 is the modular integer gcd of `_modgcd`,
-on the polynomials scaled to coprime integer coefficients; in positive
-characteristic it is a primitive polynomial remainder sequence,
-recursing on the highest variable that actually occurs.  All algorithms
-here are chosen for predictability at desk scale, not asymptotics.
+Leading terms are deg-lex (total degree, then exponents compared by
+variable index; the index order is fixed per context) and cached.  The
+gcd in characteristic 0 hands the integer parts to the modular gcd of
+`_modgcd`; in positive characteristic it is a primitive polynomial
+remainder sequence, recursing on the highest variable that occurs.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from operator import add, mul, sub
 
-from .coeffs import CoeffField
-
-_ROOT_LOOP_CAP = 100000
+from ._modgcd import _deglex, _divide_terms, _mul_terms, _root_terms, int_gcd
+from .coeffs import CoeffField, _int_root
 
 
 class Poly:
-    __slots__ = ("field", "nvars", "terms")
+    __slots__ = ("field", "nvars", "content", "ints", "_lead")
 
     def __init__(self, field: CoeffField, nvars: int, terms: dict):
-        self.field = field
-        self.nvars = nvars
-        self.terms = {e: c for e, c in terms.items() if not field.is_zero(c)}
+        """`terms` maps exponent tuples to elements of `field`."""
+        r = field.char
+        if r:
+            _set(self, field, nvars, 1, {e: c % r for e, c in terms.items() if c % r})
+        else:
+            den = math.lcm(*(c.denominator for c in terms.values()))
+            ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items() if c}
+            _set(self, field, nvars, Fraction(1, den), ints)
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def zero(field: CoeffField, nvars: int) -> "Poly":
-        return Poly(field, nvars, {})
+        return _poly(field, nvars, field.zero, {})
 
     @staticmethod
     def const(field: CoeffField, nvars: int, c) -> "Poly":
@@ -41,116 +51,141 @@ class Poly:
 
     @staticmethod
     def one(field: CoeffField, nvars: int) -> "Poly":
-        return Poly.const(field, nvars, field.one)
+        e = (0,) * nvars
+        return _poly(field, nvars, field.one, {e: 1}, e, False)
 
     @staticmethod
     def var(field: CoeffField, nvars: int, i: int, power: int = 1) -> "Poly":
-        e = [0] * nvars
-        e[i] = power
-        return Poly(field, nvars, {tuple(e): field.one})
+        e = (0,) * i + (power,) + (0,) * (nvars - i - 1)
+        return _poly(field, nvars, field.one, {e: 1}, e, False)
 
     # -- predicates and views ----------------------------------------------
 
+    def _top(self) -> tuple:
+        """The deg-lex leading exponent of nonzero self, computed once."""
+        if self._lead is None:
+            self._lead = max(self.ints, key=_deglex)
+        return self._lead
+
+    def terms(self) -> dict:
+        """{exponent tuple: coefficient}, coefficients as elements of `field`."""
+        return {e: self.content * c for e, c in self.ints.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def is_constant(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self.terms)
+        return not self.ints or not any(self._top())
 
     def constant_value(self):
-        if self.is_zero():
-            return self.field.zero
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        return self.content * self.ints[self._lead] if self.ints else self.field.zero
 
     def is_one(self) -> bool:
-        return self.is_constant() and not self.is_zero() and self.field.is_one(self.constant_value())
+        return self.is_constant() and self.constant_value() == 1
+
+    def is_monic(self) -> bool:
+        """Whether the deg-lex leading coefficient of nonzero self is 1."""
+        c = self.content  # the int 1 in characteristic r
+        return c.numerator == 1 and c.denominator == self.ints[self._top()]
 
     def variables_used(self) -> set[int]:
-        used = set()
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used.add(i)
-        return used
+        return {i for e in self.ints for i, x in enumerate(e) if x}
 
     def degree_in(self, var: int) -> int:
-        if self.is_zero():
-            return -1
-        return max(e[var] for e in self.terms)
+        return max((e[var] for e in self.ints), default=-1)
 
     def min_degree_in(self, var: int) -> int:
-        if self.is_zero():
+        if not self.ints:
             raise ValueError("zero polynomial")
-        return min(e[var] for e in self.terms)
+        return min(e[var] for e in self.ints)
 
     def leading(self) -> tuple[tuple, object]:
         """Leading (exponent, coefficient) under deg-lex."""
-        if self.is_zero():
+        if not self.ints:
             raise ValueError("zero polynomial")
-        e = max(self.terms, key=lambda t: (sum(t), t))
-        return e, self.terms[e]
+        e = self._top()
+        return e, self.content * self.ints[e]
 
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
             and self.field == other.field
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self.content == other.content
+            and self.ints == other.ints
         )
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.content, frozenset(self.ints.items())))
 
     def __repr__(self):
-        if self.is_zero():
-            return "Poly(0)"
-        bits = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
-            mono = "*".join(f"X{i}^{x}" for i, x in enumerate(e) if x)
-            c = self.terms[e]
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return "Poly(" + " + ".join(bits) + ")"
+        terms = self.terms()
+        bits = [
+            f"{terms[e]}" + "".join(f"*X{i}^{x}" for i, x in enumerate(e) if x)
+            for e in sorted(terms, key=_deglex, reverse=True)
+        ]
+        return "Poly(" + (" + ".join(bits) or "0") + ")"
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        F = self.field
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = F.add(out.get(e, F.zero), c)
-            if F.is_zero(s):
-                out.pop(e, None)
-            else:
+        if not self.ints:
+            return other
+        if not other.ints:
+            return self
+        r = self.field.char
+        ka = kb = base = 1
+        if not r:
+            # ka/kb is content_a/content_b in lowest terms, base = content_a/ka
+            ca, cb = self.content, other.content
+            den = math.lcm(ca.denominator, cb.denominator)
+            ka = ca.numerator * (den // ca.denominator)
+            kb = cb.numerator * (den // cb.denominator)
+            g = math.gcd(ka, kb)
+            ka, kb, base = ka // g, kb // g, Fraction(g, den)
+        out = dict(self.ints) if ka == 1 else {e: ka * c for e, c in self.ints.items()}
+        for e, c in other.ints.items():
+            s = out.get(e, 0) + kb * c
+            if r:
+                s %= r
+            if s:
                 out[e] = s
-        return Poly(F, self.nvars, out)
+            else:
+                del out[e]
+        la, lb = self._top(), other._top()
+        if la != lb:
+            lead = la if _deglex(la) > _deglex(lb) else lb
+        else:
+            lead = la if la in out else None
+        return _poly(self.field, self.nvars, base, out, lead)
 
     def __neg__(self) -> "Poly":
-        F = self.field
-        return Poly(F, self.nvars, {e: F.neg(c) for e, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        F = self.field
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = F.add(out.get(e, F.zero), F.mul(c1, c2))
-                if F.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Poly(F, self.nvars, out)
+        if not self.ints or not other.ints:
+            return Poly.zero(self.field, self.nvars)
+        ints = _mul_terms(self.ints, other.ints, self.field.char)
+        lead = tuple(map(add, self._top(), other._top()))
+        ca, cb = self.content, other.content
+        content = ca if cb == 1 else cb if ca == 1 else ca * cb
+        return _poly(self.field, self.nvars, content, ints, lead, False)
 
     def scale(self, c) -> "Poly":
-        F = self.field
-        if F.is_zero(c):
-            return Poly.zero(F, self.nvars)
-        return Poly(F, self.nvars, {e: F.mul(x, c) for e, x in self.terms.items()})
+        r = self.field.char
+        if r:
+            c %= r
+        if not c or not self.ints:
+            return Poly.zero(self.field, self.nvars)
+        if r:
+            return _poly(self.field, self.nvars, 1, {e: x * c % r for e, x in self.ints.items()},
+                         self._lead, False)
+        return _poly(self.field, self.nvars, self.content * c, self.ints, self._lead, False)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -166,183 +201,168 @@ class Poly:
 
     def stretch(self, factors: tuple[int, ...]) -> "Poly":
         """Substitute X_i -> X_i^factors[i] (all factors >= 1)."""
-        out = {}
-        for e, c in self.terms.items():
-            out[tuple(x * f for x, f in zip(e, factors))] = c
-        return Poly(self.field, self.nvars, out)
+        ints = {tuple(map(mul, e, factors)): c for e, c in self.ints.items()}
+        return _poly(self.field, self.nvars, self.content, ints)
 
     def permute_vars(self, perm: list[int]) -> "Poly":
         """Substitute X_i -> X_perm[i] for a bijection of variable indices."""
-        out = {}
-        for e, c in self.terms.items():
-            e2 = [0] * self.nvars
-            for i, x in enumerate(e):
-                e2[perm[i]] = x
-            out[tuple(e2)] = c
-        return Poly(self.field, self.nvars, out)
+        back = sorted(range(self.nvars), key=perm.__getitem__)
+        ints = {tuple(e[i] for i in back): c for e, c in self.ints.items()}
+        return _poly(self.field, self.nvars, self.content, ints)
 
     def derivative(self, var: int) -> "Poly":
-        F = self.field
+        r = self.field.char
         out: dict = {}
-        for e, c in self.terms.items():
-            k = e[var]
-            if k == 0:
-                continue
-            e2 = list(e)
-            e2[var] = k - 1
-            coeff = F.mul(c, F.of_int(k))
-            if not F.is_zero(coeff):
-                out[tuple(e2)] = coeff
-        return Poly(F, self.nvars, out)
-
-    # -- normalization -----------------------------------------------------
+        for e, c in self.ints.items():
+            c = c * e[var] % r if r else c * e[var]
+            if c:
+                out[e[:var] + (e[var] - 1,) + e[var + 1:]] = c
+        return _poly(self.field, self.nvars, self.content, out)
 
     def monic_deglex(self) -> "Poly":
         """Scale so the deg-lex leading coefficient is 1."""
-        if self.is_zero():
+        if not self.ints or self.is_monic():
             return self
-        _, lc = self.leading()
-        return self.scale(self.field.inv(lc))
+        return self.scale(self.field.inv(self.leading()[1]))
 
     # -- division ------------------------------------------------------------
 
     def divexact(self, other: "Poly") -> "Poly | None":
-        """Exact quotient self/other, or None when not divisible."""
-        if other.is_zero():
+        """Exact quotient self/other, or None when not divisible.  In
+        characteristic 0 the integer parts divide in Z: a quotient of
+        primitive polynomials over Q is primitive, hence integral."""
+        if not other.ints:
             raise ZeroDivisionError("division by zero polynomial")
-        F = self.field
-        if self.is_zero():
+        if not self.ints:
             return self
-        quo: dict = {}
-        rem = self
-        le, lc = other.leading()
-        lc_inv = F.inv(lc)
-        while not rem.is_zero():
-            re, rc = rem.leading()
-            qe = tuple(a - b for a, b in zip(re, le))
-            if any(x < 0 for x in qe):
-                return None
-            qc = F.mul(rc, lc_inv)
-            quo[qe] = qc
-            rem = rem - other * Poly(F, self.nvars, {qe: qc})
-        return Poly(F, self.nvars, quo)
+        q = _divide_terms(self.ints, other.ints, self.field.char)
+        if q is None:
+            return None
+        content = self.content / other.content if not self.field.char else 1
+        lead = tuple(map(sub, self._top(), other._top()))
+        return _poly(self.field, self.nvars, content, q, lead, False)
 
     def multiplicity_of(self, factor: "Poly") -> int:
         """Largest k with factor^k dividing self (self nonzero)."""
         if self.is_zero():
             raise ValueError("zero polynomial")
         k = 0
-        cur = self
-        while True:
-            nxt = cur.divexact(factor)
-            if nxt is None:
-                return k
-            cur = nxt
+        cur = self.divexact(factor)
+        while cur is not None:
             k += 1
+            cur = cur.divexact(factor)
+        return k
 
     # -- univariate views ----------------------------------------------------
 
     def coeffs_in(self, var: int) -> list["Poly"]:
         """Coefficient list [c_0, ..., c_d] of self viewed in K[...][X_var]."""
-        d = max(0, self.degree_in(var))
-        out = [Poly.zero(self.field, self.nvars) for _ in range(d + 1)]
-        for e, c in self.terms.items():
-            k = e[var]
-            e2 = list(e)
-            e2[var] = 0
-            out[k] = out[k] + Poly(self.field, self.nvars, {tuple(e2): c})
-        return out
-
-    # -- evaluation ------------------------------------------------------------
+        parts: list[dict] = [{} for _ in range(max(0, self.degree_in(var)) + 1)]
+        for e, c in self.ints.items():
+            parts[e[var]][e[:var] + (0,) + e[var + 1:]] = c
+        return [_poly(self.field, self.nvars, self.content, d) for d in parts]
 
     def eval_mod(self, point: list[int], q: int) -> int:
         """Evaluate at integer points mod a prime q (char-0 coefficients).
 
         Raises ZeroDivisionError when a coefficient denominator vanishes
-        mod q; callers treat that as a bad specialization prime.
+        mod q (exactly when the content's does); callers treat that as a
+        bad specialization prime.
         """
         if self.field.char != 0:
             raise ValueError("eval_mod is for characteristic-0 polynomials")
+        if not self.ints:
+            return 0
+        d = self.content.denominator % q
+        if d == 0:
+            raise ZeroDivisionError("coefficient denominator vanishes mod q")
         acc = 0
-        for e, c in self.terms.items():
-            d = c.denominator % q
-            if d == 0:
-                raise ZeroDivisionError("coefficient denominator vanishes mod q")
-            v = c.numerator % q * pow(d, -1, q) % q
+        for e, c in self.ints.items():
             for i, k in enumerate(e):
                 if k:
-                    v = v * pow(point[i] % q, k, q) % q
-            acc = (acc + v) % q
-        return acc
-
-    # -- p-th roots ------------------------------------------------------------
+                    c = c * pow(point[i], k, q) % q
+            acc += c
+        return acc * self.content.numerator * pow(d, -1, q) % q
 
     def pth_root(self, p: int) -> "Poly | None":
-        """Exact p-th root, or None when self is not a perfect p-th power."""
-        F = self.field
-        if self.is_zero():
-            return self
-        if F.char == p:
-            # Frobenius: termwise roots
-            out = {}
-            for e, c in self.terms.items():
-                if any(x % p for x in e):
-                    return None
-                rc = F.pth_root(c, p)
-                if rc is None:
-                    return None
-                out[tuple(x // p for x in e)] = rc
-            return Poly(F, self.nvars, out)
-        le, lc = self.leading()
-        if any(x % p for x in le):
-            return None
-        rc = F.pth_root(lc, p)
-        if rc is None:
-            return None
-        h = Poly(F, self.nvars, {tuple(x // p for x in le): rc})
-        # peel further terms: next term t of the root satisfies
-        # lt(self - h^p) = p * lt(h)^(p-1) * t
-        lead_h = Poly(F, self.nvars, {tuple(x // p for x in le): rc})
-        denom = lead_h ** (p - 1)
-        denom = denom.scale(F.of_int(p))
-        for _ in range(_ROOT_LOOP_CAP):
-            r = self - h**p
-            if r.is_zero():
-                return h
-            re, rcf = r.leading()
-            de, dc = denom.leading()
-            te = tuple(a - b for a, b in zip(re, de))
-            if any(x < 0 for x in te):
-                return None
-            t = Poly(F, self.nvars, {te: F.div(rcf, dc)})
-            if (sum(te), te) >= (sum(h.leading()[0]), h.leading()[0]):
-                return None  # not making progress; not a power
-            h = h + t
-        return None
+        """Exact p-th root, or None when self is not a perfect p-th power.
 
-    # -- gcd --------------------------------------------------------------------
+        Under Frobenius (p the characteristic) roots are taken termwise.
+        Otherwise the content's root is taken in the prime field and the
+        integer part's root is peeled from the top (`_root_terms`), with
+        the prime field's root of the leading coefficient as its own.
+        """
+        if not self.ints:
+            return self
+        F, r = self.field, self.field.char
+        top = self._top()
+        if r == p:
+            if any(x % p for e in self.ints for x in e):
+                return None
+            out = {tuple(x // p for x in e): F.pth_root(c, p) for e, c in self.ints.items()}
+            return _poly(F, self.nvars, 1, out, tuple(x // p for x in top), False)
+        if any(x % p for x in top):
+            return None
+        if r:
+            content, rc = 1, F.pth_root(self.ints[top], p)
+        else:
+            content, rc = F.pth_root(self.content, p), _int_root(self.ints[top], p)
+        h = None if content is None or rc is None else _root_terms(self.ints, top, rc, p, r)
+        if h is None:
+            return None
+        return _poly(F, self.nvars, content, h, tuple(x // p for x in top), False)
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic (deg-lex) gcd.
 
-        Characteristic 0 goes through the modular integer gcd (Fraction
-        arithmetic would pay a number gcd on every multiply and the
-        classical remainder sequence swells); small positive
-        characteristic uses the direct primitive remainder sequence.
+        Characteristic 0 hands the primitive integer parts to the modular
+        integer gcd (the classical remainder sequence over Q swells);
+        small positive characteristic uses the direct primitive remainder
+        sequence.
         """
-        if self.field.char == 0:
-            if self.is_zero():
-                return other.monic_deglex()
-            if other.is_zero():
-                return self.monic_deglex()
-            if self.is_constant() or other.is_constant():
-                return Poly.one(self.field, self.nvars)
-            from ._modgcd import int_gcd
+        if self.field.char:
+            g = _gcd(self, other)
+        elif not self.ints or not other.ints:
+            g = self + other
+        elif self.is_constant() or other.is_constant():
+            g = Poly.one(self.field, self.nvars)
+        else:
+            g = _poly(self.field, self.nvars, self.field.one, int_gcd(self.ints, other.ints))
+        return g.monic_deglex()
 
-            g = int_gcd(_to_int_terms(self), _to_int_terms(other))
-            return _from_int_terms(g, self.field, self.nvars).monic_deglex()
-        g = _gcd(self, other)
-        return g.monic_deglex() if not g.is_zero() else g
+
+# ---------------------------------------------------------------------------
+# Unique form
+# ---------------------------------------------------------------------------
+
+
+def _set(p: Poly, field: CoeffField, nvars: int, content, ints: dict, lead=None,
+         normal: bool = True) -> Poly:
+    """Fill p with content·ints.  Zero gets content 0; with `normal`, a
+    char-0 integer part is made primitive with a positive leading
+    coefficient (pass normal=False for parts known to be so)."""
+    if not ints:
+        content, lead = field.zero, None
+    elif normal and not field.char:
+        if lead is None:
+            lead = max(ints, key=_deglex)
+        g = math.gcd(*ints.values())
+        if ints[lead] < 0:
+            g = -g
+        if g != 1:
+            ints = {e: c // g for e, c in ints.items()}
+            content = content * g
+    p.field, p.nvars, p.content, p.ints, p._lead = field, nvars, content, ints, lead
+    return p
+
+
+def _poly(field: CoeffField, nvars: int, content, ints: dict, lead=None, normal: bool = True) -> Poly:
+    return _set(object.__new__(Poly), field, nvars, content, ints, lead, normal)
+
+
+# ---------------------------------------------------------------------------
+# The char-p gcd: a primitive remainder sequence
+# ---------------------------------------------------------------------------
 
 
 def _gcd(f: Poly, g: Poly) -> Poly:
@@ -372,8 +392,7 @@ def _gcd(f: Poly, g: Poly) -> Poly:
             break
         a, b = b, r.divexact(_content(r, v))
     if b.is_zero():
-        prim = a.divexact(_content(a, v))
-        return c * prim
+        return c * a.divexact(_content(a, v))
     # remainder of degree 0 in v: the primitive parts are coprime
     return c
 
@@ -385,7 +404,7 @@ def _content(f: Poly, var: int) -> Poly:
         acc = _gcd(acc, c)
         if acc.is_one():
             break
-    return acc.monic_deglex() if not acc.is_zero() else acc
+    return acc.monic_deglex()
 
 
 def _pseudo_rem(a: Poly, b: Poly, var: int) -> Poly:
@@ -393,37 +412,12 @@ def _pseudo_rem(a: Poly, b: Poly, var: int) -> Poly:
     da, db = a.degree_in(var), b.degree_in(var)
     if da < db:
         return a
-    F = a.field
-    bc = b.coeffs_in(var)
-    lb = bc[db]
+    lb = b.coeffs_in(var)[db]
     r = a
     for _ in range(da - db + 1):
         dr = r.degree_in(var)
         if r.is_zero() or dr < db:
             break
-        rc = r.coeffs_in(var)
-        lr = rc[dr]
-        r = r * lb - b * (lr * Poly.var(F, a.nvars, var, dr - db))
+        lr = r.coeffs_in(var)[dr]
+        r = r * lb - b * (lr * Poly.var(a.field, a.nvars, var, dr - db))
     return r
-
-
-# ---------------------------------------------------------------------------
-# Integer conversion for the modular gcd
-# ---------------------------------------------------------------------------
-
-from fractions import Fraction as _Fraction
-
-
-def _to_int_terms(p: Poly) -> dict:
-    """The terms of a char-0 polynomial scaled by a rational to coprime
-    integers: numerators over their gcd, times the lcm of denominators."""
-    den_lcm = 1
-    num_gcd = 0
-    for c in p.terms.values():
-        den_lcm = math.lcm(den_lcm, c.denominator)
-        num_gcd = math.gcd(num_gcd, c.numerator)
-    return {e: c.numerator // num_gcd * (den_lcm // c.denominator) for e, c in p.terms.items()}
-
-
-def _from_int_terms(d: dict, field: CoeffField, nvars: int) -> Poly:
-    return Poly(field, nvars, {e: _Fraction(c) for e, c in d.items()})

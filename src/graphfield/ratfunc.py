@@ -5,7 +5,9 @@ rational functions are equal iff their canonical (num, den) pairs are.
 
 Arithmetic uses the classical reduced-fraction formulas, so gcds are
 only ever taken of already-reduced components; results are reduced by
-construction and skip renormalization.
+construction and skip renormalization.  Making den monic only rescales
+the rational contents of num and den in characteristic 0 (see
+`polynomials`), so it costs no pass over the terms there.
 """
 from __future__ import annotations
 
@@ -19,30 +21,18 @@ class RatFunc:
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num = Poly.zero(num.field, num.nvars)
-            den = Poly.one(num.field, num.nvars)
-        elif not den.is_one():
-            if not den.is_constant() and not num.is_constant():
-                g = num.gcd(den)
-                if not g.is_one():
-                    num = num.divexact(g)
-                    den = den.divexact(g)
-            num, den = _monicize(num, den)
-        self.num = num
-        self.den = den
+        if not (den.is_constant() or num.is_constant()):
+            g = num.gcd(den)
+            if not g.is_one():
+                num = num.divexact(g)
+                den = den.divexact(g)
+        self.num, self.den = _canonical(num, den)
 
     @staticmethod
     def _raw(num: Poly, den: Poly) -> "RatFunc":
         """Construct from a pair already known to be reduced."""
         self = object.__new__(RatFunc)
-        if num.is_zero():
-            num = Poly.zero(num.field, num.nvars)
-            den = Poly.one(num.field, num.nvars)
-        else:
-            num, den = _monicize(num, den)
-        self.num = num
-        self.den = den
+        self.num, self.den = _canonical(num, den)
         return self
 
     # -- constructors ------------------------------------------------------
@@ -193,10 +183,11 @@ class RatFunc:
         return n * pow(d, -1, q) % q
 
 
-def _monicize(num: Poly, den: Poly):
-    _, lc = den.leading()
-    if not den.field.is_one(lc):
-        inv = den.field.inv(lc)
-        num = num.scale(inv)
-        den = den.scale(inv)
-    return num, den
+def _canonical(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """(num, den) with den monic, or (0, 1), for a coprime pair."""
+    if num.is_zero():
+        return num, Poly.one(num.field, num.nvars)
+    if den.is_monic():
+        return num, den
+    inv = den.field.inv(den.leading()[1])
+    return num.scale(inv), den.scale(inv)

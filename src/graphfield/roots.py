@@ -168,7 +168,7 @@ def _capelli_irreducible(A: Poly) -> bool:
         if m % 2 == 0:
             continue  # stay clear of the 4 | m exception
         c = top.constant_value()
-        b = B.scale(F.neg(F.inv(c)))
+        b = B.scale(-F.inv(c))
         if all(b.pth_root(q) is None for q in _prime_factors(m)):
             return True
     return False
@@ -517,10 +517,11 @@ def classify_p_high(a: TowerElement, p: int) -> tuple[PHighForm | None, str]:
         if kd:
             den = den.divexact(A**kd)
         a_pows.append(kn - kd)
-    if len(num.terms) != 1 or len(den.terms) != 1:
+    num_terms, den_terms = num.terms(), den.terms()
+    if len(num_terms) != 1 or len(den_terms) != 1:
         return None, "coefficient is not a monomial"
-    (en, cn), = num.terms.items()
-    (ed, cd), = den.terms.items()
+    (en, cn), = num_terms.items()
+    (ed, cd), = den_terms.items()
     unit = ctx.field.div(cn, cd)
     vertex_exps = [x - y for x, y in zip(en, ed)]
     gen_exps = [alpha[i] + ctx.gen_degree(i) * a_pows[i] for i in range(len(ctx.gens))]

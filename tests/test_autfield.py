@@ -214,7 +214,7 @@ def _reference_code(a) -> frozenset:
     out = set()
     for exps, c in a.coeffs.items():
         for role, poly in ((0, c.num), (1, c.den)):
-            for mono, q in poly.terms.items():
+            for mono, q in poly.terms().items():
                 verts = {ctx.var_names[i] for i, k in enumerate(mono) if k}
                 for i, k in enumerate(exps):
                     if k:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphfield._modgcd import divides
+from graphfield._modgcd import _PRIMES, _divide_terms
 from graphfield.coeffs import CoeffField, _int_root, is_prime
 from graphfield.errors import TooLarge
 from graphfield.polynomials import Poly
@@ -88,9 +88,14 @@ def test_divexact_and_multiplicity():
 
 def test_modgcd_divides_integral_quotients_only():
     # (x + 1)(2x - 3) / (x + 1) = 2x - 3
-    assert divides({(1,): 1, (0,): 1}, {(2,): 2, (1,): -1, (0,): -3}) == {(1,): 2, (0,): -3}
-    assert divides({(1,): 2}, {(1,): 1}) is None  # quotient 1/2
-    assert divides({(1,): 1, (0,): 1}, {(2,): 1, (0,): 1}) is None  # x + 1 does not divide x^2 + 1
+    assert _divide_terms({(2,): 2, (1,): -1, (0,): -3}, {(1,): 1, (0,): 1}, 0) == {(1,): 2, (0,): -3}
+    assert _divide_terms({(1,): 1}, {(1,): 2}, 0) is None  # quotient 1/2
+    assert _divide_terms({(2,): 1, (0,): 1}, {(1,): 1, (0,): 1}, 0) is None  # x + 1 does not divide x^2 + 1
+
+
+def test_modgcd_primes_table():
+    below = [n for n in range(2**31 - 1, 2**31 - 400, -1) if is_prime(n)]
+    assert _PRIMES == tuple(below[:16])
 
 
 def test_poly_pth_root():
@@ -107,6 +112,30 @@ def test_poly_pth_root():
     assert (x + Poly.one(Q, 2)).pth_root(3) is None
     assert Poly.const(Q, 2, Fraction(8)).pth_root(3) == Poly.const(Q, 2, Fraction(2))
 
+
+
+def test_poly_pth_root_many_terms():
+    # roots of b^p for b with many terms come back as b up to a p-th root
+    # of unity (only -1 besides 1 in Q, and only for even p)
+    rng = random.Random(5)
+    for field, p in ((Q, 3), (Q, 2), (F3, 2), (CoeffField(7), 3)):
+        b = rand_poly(rng, field=field, nvars=3, terms=40, deg=4)
+        r = (b**p).pth_root(p)
+        if field.char:
+            units = [u for u in range(1, field.char) if pow(u, p, field.char) == 1]
+        else:
+            units = [u for u in (1, -1) if u**p == 1]
+        assert r is not None and any(r == b.scale(u) for u in units)
+
+
+def test_poly_pth_root_refuses_below_the_degree_bound():
+    x = Poly.var(Q, 2, 0)
+    y = Poly.var(Q, 2, 1)
+    one = Poly.one(Q, 2)
+    h = x * x + x * y + y + one
+    assert (h**3 + x).pth_root(3) is None  # a low-degree term breaks the power
+    assert (h**3 - one).pth_root(3) is None  # no root term may fall below degree 0
+    assert (h**3).scale(Fraction(8, 27)).pth_root(3) == h.scale(Fraction(2, 3))
 
 def test_poly_pth_root_char_p():
     x = Poly.var(F3, 1, 0)

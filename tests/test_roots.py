@@ -167,6 +167,22 @@ def test_pth_root_negative_exponent_monomials():
     assert r.witness**5 == a
 
 
+
+def test_pth_root_p3_squared_defining_polynomials():
+    # b = A_{a,b}^2 A_{b,c}^2 (both level-0 edge roots squared) and its
+    # inverse, round-tripped through b^5 in the char-0 P3 tower
+    g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    ctx = build_tower(greedy_star_coloring(g), char=0)
+    b = ctx.one()
+    for gen in ctx.gens:
+        if gen.prime == 5:
+            b = b * generator_edge(ctx, gen.label, 0) ** 2
+    for x in (b, b.inv()):
+        a = x**5
+        r = pth_root(a, 5)
+        assert r.outcome == "root"
+        assert r.witness**5 == a
+
 # -- p-high -------------------------------------------------------------------------
 
 
