@@ -92,11 +92,10 @@ def _divide_terms(f: dict, g: dict, r: int) -> dict | None:
                 s %= r
             if not s:
                 rem.pop(t, None)
-            elif t in rem:
-                rem[t] = s
-            else:
-                rem[t] = s
+                continue
+            if t not in rem:
                 heapq.heappush(heap, _desc(t))
+            rem[t] = s
     return quo
 
 
@@ -132,7 +131,8 @@ def _root_terms(f: dict, top: tuple, rc: int, p: int, r: int) -> dict | None:
             return None
         h[te] = tc
         tpow = [(tuple(x * i for x in te), tc**i) for i in range(p + 1)]
-        for j in range(p, 0, -1):  # h^j += sum_i C(j, i) h^(j-i) t^i, old h^(j-i)
+        # h^j += sum_i C(j, i) h^(j-i) t^i; j descends, so h^(j-i) is still old
+        for j in range(p, 0, -1):
             acc = powers[j]
             for i in range(1, j + 1):
                 ti, k = tpow[i][0], math.comb(j, i) * tpow[i][1]
@@ -143,11 +143,10 @@ def _root_terms(f: dict, top: tuple, rc: int, p: int, r: int) -> dict | None:
                         s %= r
                     if not s:
                         acc.pop(t, None)
-                    elif t in acc or j < p:
-                        acc[t] = s
-                    else:
-                        acc[t] = s
+                        continue
+                    if j == p and t not in acc:
                         heapq.heappush(heap, _desc(t))
+                    acc[t] = s
     return h
 
 

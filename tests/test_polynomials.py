@@ -113,7 +113,6 @@ def test_poly_pth_root():
     assert Poly.const(Q, 2, Fraction(8)).pth_root(3) == Poly.const(Q, 2, Fraction(2))
 
 
-
 def test_poly_pth_root_many_terms():
     # roots of b^p for b with many terms come back as b up to a p-th root
     # of unity (only -1 besides 1 in Q, and only for even p)
@@ -128,14 +127,17 @@ def test_poly_pth_root_many_terms():
         assert r is not None and any(r == b.scale(u) for u in units)
 
 
-def test_poly_pth_root_refuses_below_the_degree_bound():
+def test_poly_pth_root_refusals_and_contents():
     x = Poly.var(Q, 2, 0)
     y = Poly.var(Q, 2, 1)
-    one = Poly.one(Q, 2)
-    h = x * x + x * y + y + one
-    assert (h**3 + x).pth_root(3) is None  # a low-degree term breaks the power
-    assert (h**3 - one).pth_root(3) is None  # no root term may fall below degree 0
+    h = x * x + x * y + y + Poly.one(Q, 2)
+    assert (h**3 + x).pth_root(3) is None
+    # the second root term would be y, below the degree bound mindeg/2 = 3/2
+    assert (x**4 + (x * x * y).scale(2)).pth_root(2) is None
     assert (h**3).scale(Fraction(8, 27)).pth_root(3) == h.scale(Fraction(2, 3))
+    assert (h**3).scale(Fraction(-8, 27)).pth_root(3) == h.scale(Fraction(-2, 3))
+    assert (h**2).scale(-1).pth_root(2) is None
+
 
 def test_poly_pth_root_char_p():
     x = Poly.var(F3, 1, 0)

@@ -167,7 +167,6 @@ def test_pth_root_negative_exponent_monomials():
     assert r.witness**5 == a
 
 
-
 def test_pth_root_p3_squared_defining_polynomials():
     # b = A_{a,b}^2 A_{b,c}^2 (both level-0 edge roots squared) and its
     # inverse, round-tripped through b^5 in the char-0 P3 tower
@@ -182,6 +181,7 @@ def test_pth_root_p3_squared_defining_polynomials():
         r = pth_root(a, 5)
         assert r.outcome == "root"
         assert r.witness**5 == a
+
 
 # -- p-high -------------------------------------------------------------------------
 
