@@ -6,13 +6,13 @@ modulus r is 0 and over F_r when r > 0 (reduced once per output term).
 rational content, so products, exact division and p-th roots in every
 characteristic run the loops below.
 
-The gcd over Z runs the primitive remainder sequence over F_p for a
-large word-size prime (so coefficients never grow), lifts the monic
-image with a leading-coefficient scale, and verifies the candidate by
-exact trial division over the integers; a failed verification moves to
-the next prime.  When the deg-lex leading coefficients of both inputs
-survive mod p, a constant modular gcd proves actual coprimality, so the
-"coprime" answer is sound as well.
+The gcd over Z takes images over F_p for large word-size primes (so
+coefficients never grow; each image by evaluation and interpolation,
+below), lifts the monic image with a leading-coefficient scale, and
+verifies the candidate by exact trial division over the integers; a
+failed verification moves to the next prime.  When the deg-lex leading
+coefficients of both inputs survive mod p, a constant modular gcd proves
+actual coprimality, so the "coprime" answer is sound as well.
 """
 from __future__ import annotations
 

@@ -722,7 +722,7 @@ def field_norm(a: TowerElement, sub: TowerContext) -> TowerElement:
         m = ctx.chain_prime ** (ctx.vertex_depths[v] - d)
         denom = Poly.one(ctx.field, ctx.nvars)
         for c in a.coeffs.values():
-            denom = denom * c.den.divexact(denom.gcd(c.den))
+            denom = denom * denom.cofactors(c.den)[2]
         num = _split_var(low, {e: c.scale_poly(denom).num for e, c in a.coeffs.items()}, iv, m)
         den = _split_var(low, {(0,) * len(ctx.gens): denom}, iv, m)
         if set(num) == set(den) == {0}:

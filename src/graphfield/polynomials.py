@@ -11,16 +11,22 @@ field elements only at the public face: `Poly(field, nvars, terms)` and
 primitive, so products take no gcd.
 
 Leading terms are deg-lex (total degree, then exponents compared by
-variable index; the index order is fixed per context) and cached.  The
-gcd in characteristic 0 hands the integer parts to the modular gcd of
-`_modgcd`; in positive characteristic it is a primitive polynomial
-remainder sequence, recursing on the highest variable that occurs.
+variable index; the index order is fixed per context) and cached.
+
+`Poly.cofactors` is the one gcd routine and returns (g, f/g, h/g).  It
+first tries the input with fewer terms as a divisor of the other (one
+trial division), since in rational-function arithmetic one input often
+divides the other.  Otherwise characteristic 0 hands the integer parts
+to the modular gcd of `_modgcd`, and positive characteristic runs a
+primitive polynomial remainder sequence, recursing on the highest
+variable that occurs; one exact division by the gcd then gives each
+cofactor.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, le, mul, sub
 
 from ._modgcd import _deglex, _divide_terms, _mul_terms, _root_terms, int_gcd
 from .coeffs import CoeffField, _int_root
@@ -313,22 +319,46 @@ class Poly:
         return _poly(F, self.nvars, content, h, tuple(x // p for x in top), False)
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic (deg-lex) gcd.
+        """Monic (deg-lex) gcd, the first entry of `cofactors`."""
+        return self.cofactors(other)[0]
 
-        Characteristic 0 hands the primitive integer parts to the modular
-        integer gcd (the classical remainder sequence over Q swells);
-        small positive characteristic uses the direct primitive remainder
-        sequence.
+    def cofactors(self, other: "Poly") -> tuple["Poly", "Poly", "Poly"]:
+        """(g, self/g, other/g) with g the monic (deg-lex) gcd; both inputs
+        zero give three zeros.
+
+        The input with fewer terms, d, is first tried as a divisor of the
+        other, f: when the deg-lex highest and lowest monomials of d divide
+        those of f, one trial division runs, and if d divides f the gcd is
+        d up to a unit.  Otherwise the gcd comes from the backend of the
+        characteristic (0: the modular gcd `int_gcd` of the primitive
+        integer parts; p: the primitive remainder sequence `_gcd`), and
+        one exact division by it gives each cofactor.
         """
-        if self.field.char:
-            g = _gcd(self, other)
-        elif not self.ints or not other.ints:
+        F, n = self.field, self.nvars
+        if not self.ints or not other.ints:
             g = self + other
-        elif self.is_constant() or other.is_constant():
-            g = Poly.one(self.field, self.nvars)
-        else:
-            g = _poly(self.field, self.nvars, self.field.one, int_gcd(self.ints, other.ints))
-        return g.monic_deglex()
+            if not g.ints:
+                return g, g, g
+            lc = Poly.const(F, n, g.leading()[1])
+            g = g.monic_deglex()
+            return (g, lc, other) if self.ints else (g, self, lc)
+        if self.is_constant() or other.is_constant():
+            return Poly.one(F, n), self, other
+        d, f = (other, self) if len(other.ints) <= len(self.ints) else (self, other)
+        dt, ft = d._top(), f._top()
+        if all(map(le, dt, ft)) and all(map(le, min(d.ints, key=_deglex),
+                                            min(f.ints, key=_deglex))):
+            q = _divide_terms(f.ints, d.ints, F.char)
+            if q is not None:
+                g = d.monic_deglex()
+                fq = _poly(F, n, f.content, q, tuple(map(sub, ft, dt)), False).scale(d.ints[dt])
+                dq = Poly.const(F, n, d.leading()[1])
+                return (g, fq, dq) if d is other else (g, dq, fq)
+        g = (_gcd(self, other) if F.char
+             else _poly(F, n, F.one, int_gcd(self.ints, other.ints))).monic_deglex()
+        if g.is_one():
+            return g, self, other
+        return g, self.divexact(g), other.divexact(g)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ rational functions are equal iff their canonical (num, den) pairs are.
 
 Arithmetic uses the classical reduced-fraction formulas, so gcds are
 only ever taken of already-reduced components; results are reduced by
-construction and skip renormalization.  Making den monic only rescales
-the rational contents of num and den in characteristic 0 (see
-`polynomials`), so it costs no pass over the terms there.
+construction and skip renormalization.  Every cancellation calls
+`Poly.cofactors`, whose quotients are the reduced parts, so no division
+follows a gcd.  Making den monic only rescales the rational contents of
+num and den in characteristic 0 (see `polynomials`), so it costs no
+pass over the terms there.
 """
 from __future__ import annotations
 
@@ -21,11 +23,7 @@ class RatFunc:
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if not (den.is_constant() or num.is_constant()):
-            g = num.gcd(den)
-            if not g.is_one():
-                num = num.divexact(g)
-                den = den.divexact(g)
+        _, num, den = num.cofactors(den)
         self.num, self.den = _canonical(num, den)
 
     @staticmethod
@@ -101,21 +99,14 @@ class RatFunc:
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
         if d1 == d2:
-            t = n1 + n2
-            g = t.gcd(d1)
-            if g.is_one():
-                return RatFunc._raw(t, d1)
-            return RatFunc._raw(t.divexact(g), d1.divexact(g))
-        g = d1.gcd(d2)
+            _, t, d = (n1 + n2).cofactors(d1)
+            return RatFunc._raw(t, d)
+        g, d1r, d2r = d1.cofactors(d2)
         if g.is_one():
             return RatFunc._raw(n1 * d2 + n2 * d1, d1 * d2)
-        d1r = d1.divexact(g)
-        d2r = d2.divexact(g)
-        t = n1 * d2r + n2 * d1r
-        h = t.gcd(g)
-        if h.is_one():
-            return RatFunc._raw(t, d1r * d2)
-        return RatFunc._raw(t.divexact(h), d1r * d2.divexact(h))
+        h, t, gr = (n1 * d2r + n2 * d1r).cofactors(g)
+        # d2/h = d2r·(g/h)
+        return RatFunc._raw(t, d1r * (d2 if h.is_one() else d2r * gr))
 
     def __neg__(self) -> "RatFunc":
         return RatFunc._raw(-self.num, self.den)
@@ -126,14 +117,10 @@ class RatFunc:
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
-        g1 = n1.gcd(d2) if not (n1.is_constant() or d2.is_constant()) else None
-        if g1 is not None and not g1.is_one():
-            n1 = n1.divexact(g1)
-            d2 = d2.divexact(g1)
-        g2 = n2.gcd(d1) if not (n2.is_constant() or d1.is_constant()) else None
-        if g2 is not None and not g2.is_one():
-            n2 = n2.divexact(g2)
-            d1 = d1.divexact(g2)
+        if not (n1.is_constant() or d2.is_constant()):
+            _, n1, d2 = n1.cofactors(d2)
+        if not (n2.is_constant() or d1.is_constant()):
+            _, n2, d1 = n2.cofactors(d1)
         return RatFunc._raw(n1 * n2, d1 * d2)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
@@ -153,10 +140,8 @@ class RatFunc:
     def scale_poly(self, p: Poly) -> "RatFunc":
         if self.den.is_one() or p.is_constant():
             return RatFunc._raw(self.num * p, self.den)
-        g = p.gcd(self.den)
-        if g.is_one():
-            return RatFunc._raw(self.num * p, self.den)
-        return RatFunc._raw(self.num * p.divexact(g), self.den.divexact(g))
+        _, p, den = p.cofactors(self.den)
+        return RatFunc._raw(self.num * p, den)
 
     def stretch(self, factors: tuple[int, ...]) -> "RatFunc":
         # substitution X_i -> X_i^k preserves coprimality

@@ -74,6 +74,47 @@ def test_poly_gcd_char3():
     assert a.gcd(b) == g.monic_deglex()
 
 
+def _assert_cofactors(a, b, g):
+    """a.cofactors(b) is (g, a/g, b/g), with correctly cached leading terms."""
+    h, qa, qb = a.cofactors(b)
+    assert h == g and h.is_monic()
+    assert h * qa == a and h * qb == b
+    for p in (qa, qb):
+        if not p.is_zero():
+            assert p.leading() == Poly(p.field, p.nvars, p.terms()).leading()
+    return qa, qb
+
+
+@pytest.mark.parametrize("char", [0, 2, 5])
+def test_poly_cofactors(char):
+    F = CoeffField(char)
+    x, y, one = Poly.var(F, 2, 0), Poly.var(F, 2, 1), Poly.one(F, 2)
+    three = Poly.const(F, 2, F.of_int(3))
+    # d divides f, in both argument orders: the trial division answers
+    d = (x + y).scale(F.of_int(3))
+    f = d * (x * x + three * y + one)
+    qf, qd = _assert_cofactors(f, d, d.monic_deglex())
+    assert qd == three and qf == f.divexact(d.monic_deglex())
+    assert _assert_cofactors(d, f, d.monic_deglex()) == (qd, qf)
+    # associates
+    assert _assert_cofactors(f, f * three, f.monic_deglex())[1].is_constant()
+    # d's highest and lowest monomials divide f's, but d does not divide f
+    g = x + one
+    d, f = g * (y + one), g * (x * y * y + three)
+    assert len(d.ints) <= len(f.ints) and _divide_terms(f.ints, d.ints, char) is None
+    assert _assert_cofactors(f, d, g) == (x * y * y + three, y + one)
+    assert _assert_cofactors(d, f, g) == (y + one, x * y * y + three)
+    # a zero input
+    zero = Poly.zero(F, 2)
+    assert _assert_cofactors(zero, d, d.monic_deglex()) == (zero, one)
+    assert _assert_cofactors(d, zero, d.monic_deglex()) == (one, zero)
+    assert d.gcd(zero) == d.monic_deglex()
+    assert zero.cofactors(zero) == (zero, zero, zero)
+    # a constant input
+    assert _assert_cofactors(three, f, one) == (three, f)
+    assert _assert_cofactors(f, three, one) == (f, three)
+
+
 def test_divexact_and_multiplicity():
     x = Poly.var(Q, 1, 0)
     one = Poly.one(Q, 1)

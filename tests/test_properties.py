@@ -112,6 +112,20 @@ def test_gcd_divides_and_leaves_coprime_cofactors(char):
 
 
 @CHARS
+def test_cofactors_multiply_back_and_are_coprime(char):
+    @SETTINGS
+    @given(polys(char, 3, 2, nonzero=True), polys(char, 3, 2, nonzero=True),
+           polys(char, 3, 2))
+    def check(f, h, k):
+        g, a, b = (f * h).cofactors(f * k)
+        assert g.leading()[1] == 1
+        assert g * a == f * h and g * b == f * k
+        assert a.cofactors(b)[0].is_one()
+
+    check()
+
+
+@CHARS
 def test_ratfunc_canonical_form(char):
     @SETTINGS
     @given(polys(char, 3, 2), polys(char, 3, 2, nonzero=True), polys(char, 2, 2, nonzero=True))
