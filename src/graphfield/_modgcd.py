@@ -1,4 +1,4 @@
-"""The integer polynomial kernel and the modular gcd.
+"""The integer polynomial kernel and the one modular gcd.
 
 Polynomials here are term dicts {exponent tuple: int}, over Z when the
 modulus r is 0 and over F_r when r > 0 (reduced once per output term).
@@ -6,20 +6,26 @@ modulus r is 0 and over F_r when r > 0 (reduced once per output term).
 rational content, so products, exact division and p-th roots in every
 characteristic run the loops below.
 
-The gcd over Z takes images over F_p for large word-size primes (so
-coefficients never grow; each image by evaluation and interpolation,
-below), lifts the monic image with a leading-coefficient scale, and
-verifies the candidate by exact trial division over the integers; a
-failed verification moves to the next prime.  When the deg-lex leading
-coefficients of both inputs survive mod p, a constant modular gcd proves
-actual coprimality, so the "coprime" answer is sound as well.
+`int_gcd` serves both characteristics with one gcd over F_p (`_fp_gcd`):
+Brown's evaluation and interpolation, with a probe that settles
+coprimality first.  Its univariate images are taken at points of an
+image field: F_p itself for the word-size primes, GF(p^k) for a small
+characteristic p, with k chosen from the degrees and raised when
+candidates keep failing.  A candidate is accepted only when its
+coefficients lie in F_p and it divides both inputs exactly over F_p.
+Over Z the images for several primes are combined by CRT, the lift is
+made primitive and verified by exact trial division over the integers;
+a failed verification moves to the next prime.  When the deg-lex
+leading coefficients of both inputs survive mod p, a constant modular
+gcd proves actual coprimality, so the "coprime" answer is sound as well.
 """
 from __future__ import annotations
 
 import heapq
 import math
 import random
-from operator import add, neg, sub
+from collections import Counter
+from operator import add, neg, sub, xor
 
 # the 16 largest primes below 2^31, descending
 _PRIMES = (
@@ -150,14 +156,23 @@ def _root_terms(f: dict, top: tuple, rc: int, p: int, r: int) -> dict | None:
     return h
 
 
-def int_gcd(f: dict, g: dict) -> dict:
-    """gcd of nonconstant primitive integer polynomial dicts, primitive
-    with a positive leading coefficient.
 
-    Images are combined by CRT until the symmetric lift divides both
-    inputs; an unlucky prime (larger modular gcd) is discarded by
-    comparing leading exponents.
+
+def int_gcd(f: dict, g: dict, r: int = 0) -> dict:
+    """gcd of nonconstant term dicts over Z (r = 0) or over F_r.
+
+    Over F_r the inputs are residues and the gcd is monic (`_fp_gcd`).
+    Over Z the inputs are primitive, and so is the gcd, with a positive
+    leading coefficient: images over F_p for the word-size primes are
+    combined by CRT until the symmetric lift divides both inputs; an
+    unlucky prime (larger modular gcd) is discarded by comparing leading
+    exponents.
     """
+    if r:
+        try:
+            return _fp_gcd(f, g, r)
+        except _Unlucky:
+            raise ArithmeticError(f"modular gcd failed in every image field of F_{r}") from None
     unit = {(0,) * len(next(iter(f))): 1}
     lf = f[max(f, key=_deglex)]
     lg = g[max(g, key=_deglex)]
@@ -231,14 +246,217 @@ def _fp_norm(d: dict, p: int) -> dict:
     return {e: c % p for e, c in d.items() if c % p}
 
 
-# -- gcd over F_p by evaluation and interpolation ------------------------------
+# -- image fields ----------------------------------------------------------------
 #
-# Multivariate gcds reduce to univariate images: all variables but a
-# fixed main variable are evaluated on a tensor grid, each univariate
-# image gcd is normalized to the gcd of the evaluated leading
-# coefficients (a scalar), and the grid is interpolated back.  A cheap
-# probe decides coprimality first, which is the dominant case in
-# rational-function normalization.
+# The gcd over F_p takes its univariate images at points of an image
+# field: F_p itself when p is large next to the degrees (always so for
+# the word-size primes above), else GF(p^k), whose p^k - 1 nonzero
+# points make unlucky and degenerate points rare (Kaltofen & Monagan,
+# "On the genericity of the modular polynomial GCD algorithm", ISSAC
+# 1999).  Both kinds of field offer the same operations: scalars (`mul`,
+# `inv`, `sub`), coefficient lists (`submul`, `scale`) and substitution
+# into a term dict (`eval_one`), so the gcd below is written once.
+
+_MIN_Q = 256  # smallest image field of a multivariate gcd
+_POINTS_PER_DEGREE = 32  # image field size per unit of the largest degree
+
+# The image fields GF(p^k), k > 1, for the small characteristics, up to
+# p^k = 2^16: the low k base-p digits of the first primitive monic
+# x^k + ... over F_p, candidates taken in increasing order.
+_MODULI = {
+    (2, 2): 3, (2, 3): 3, (2, 4): 3, (2, 5): 5, (2, 6): 3, (2, 7): 3, (2, 8): 29,
+    (2, 9): 17, (2, 10): 9, (2, 11): 5, (2, 12): 83, (2, 13): 27, (2, 14): 43,
+    (2, 15): 3, (2, 16): 45,
+    (3, 2): 5, (3, 3): 7, (3, 4): 5, (3, 5): 7, (3, 6): 5, (3, 7): 16, (3, 8): 29,
+    (3, 9): 64, (3, 10): 32,
+    (5, 2): 7, (5, 3): 17, (5, 4): 37, (5, 5): 22, (5, 6): 7,
+    (7, 2): 10, (7, 3): 23, (7, 4): 75, (7, 5): 11,
+}
+_FIELDS: dict = {}
+
+
+class _PrimeField:
+    """F_p as its own image field: elements are ints in [0, p)."""
+
+    k = 1
+
+    def __init__(self, p: int):
+        self.p = self.q = p
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def inv(self, a: int) -> int:
+        return pow(a, -1, self.p)
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
+
+    def submul(self, xs: list, c: int, ys: list) -> list:
+        """[x - c·y] elementwise, for c nonzero."""
+        p = self.p
+        return [(x - c * y) % p for x, y in zip(xs, ys)]
+
+    def scale(self, xs: list, c: int) -> list:
+        p = self.p
+        return [x * c % p for x in xs]
+
+    def eval_one(self, d: dict, v: int, t: int) -> dict:
+        """d with X_v = t."""
+        p = self.p
+        pows = [1]
+        for _ in range(max(e[v] for e in d)):
+            pows.append(pows[-1] * t % p)
+        out: dict = {}
+        for e, c in d.items():
+            k = e[v]
+            if k:
+                c = c * pows[k] % p
+                e = e[:v] + (0,) + e[v + 1:]
+            if e in out:
+                c = (out[e] + c) % p
+                if not c:
+                    del out[e]
+                    continue
+            out[e] = c
+        return out
+
+
+class _ExtField:
+    """GF(p^k), k > 1, as F_p[x]/(x^k + m(x)) with m from `_MODULI`.
+
+    An element is the int below p^k whose base-p digits are its
+    coefficients in x, so F_p is 0..p-1.  The modulus is primitive: x
+    generates the multiplicative group, exp[i] = x^i and log[x^i] = i.
+    exp holds x^i for i < 2n (n = p^k - 1) and zeros from 2n to 4n, and
+    log[0] = 2n, so exp[log[a] + log[b]] is a·b for all a and b.  A sum
+    is an XOR for p = 2 and otherwise a + b = a·(1 + b/a), with the Zech
+    table zech[i] = log(1 + x^i).
+    """
+
+    def __init__(self, p: int, k: int):
+        self.p, self.k, self.q = p, k, p**k
+        n = self.n = self.q - 1
+        exp, log = self.exp, self.log = _power_tables(p, k, _MODULI[(p, k)])
+        self.half = n // 2 if p > 2 else 0  # x^half = -1
+        if p == 2:
+            self.add = xor
+            return
+        zech = [log[a - a % p + (a + 1) % p] for a in exp[:n]]
+
+        def add(a: int, b: int) -> int:
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            return exp[la + zech[log[b] - la]]
+
+        self.add = add
+
+    def mul(self, a: int, b: int) -> int:
+        return self.exp[self.log[a] + self.log[b]]
+
+    def inv(self, a: int) -> int:
+        return self.exp[-self.log[a] % self.n]
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.exp[self.log[b] + self.half])
+
+    def submul(self, xs: list, c: int, ys: list) -> list:
+        exp, log = self.exp, self.log
+        lc = (log[c] + self.half) % self.n  # log(-c)
+        if self.p == 2:
+            return [x ^ exp[lc + log[y]] for x, y in zip(xs, ys)]
+        add = self.add
+        return [add(x, exp[lc + log[y]]) for x, y in zip(xs, ys)]
+
+    def scale(self, xs: list, c: int) -> list:
+        exp, log = self.exp, self.log
+        lc = log[c]
+        return [exp[lc + log[x]] for x in xs]
+
+    def eval_one(self, d: dict, v: int, t: int) -> dict:
+        exp, log, add, n = self.exp, self.log, self.add, self.n
+        lt = log[t]
+        out: dict = {}
+        for e, c in d.items():
+            k = e[v]
+            if k:
+                c = exp[log[c] + lt * k % n]
+                e = e[:v] + (0,) + e[v + 1:]
+            if e in out:
+                c = add(out[e], c)
+                if not c:
+                    del out[e]
+                    continue
+            out[e] = c
+        return out
+
+
+def _power_tables(p: int, k: int, modulus: int) -> tuple[list, list]:
+    """(exp, log) for F_p[x]/(x^k + m(x)), m's coefficients the base-p
+    digits of `modulus`, which must make x a generator."""
+    q = p**k
+    n = q - 1
+    low = [-(modulus // p**i) % p for i in range(k)]  # x^k = -m(x)
+    exp = [0] * (4 * n + 1)
+    log = [2 * n] * q
+    a = 1
+    for i in range(n):
+        exp[i] = exp[i + n] = a
+        log[a] = i
+        if p == 2:
+            a <<= 1
+            if a >= q:
+                a ^= q | modulus
+            continue
+        top, b = divmod(a * p, q)
+        a = b
+        if top:
+            a, w = 0, 1
+            for c in low:
+                b, d = divmod(b, p)
+                a += (d + top * c) % p * w
+                w *= p
+    return exp, log
+
+
+def _image_field(p: int, k: int):
+    """GF(p^k), built at its first use."""
+    F = _FIELDS.get((p, k))
+    if F is None:
+        F = _FIELDS[(p, k)] = _PrimeField(p) if k == 1 else _ExtField(p, k)
+    return F
+
+
+def _start_field(p: int, degree: int):
+    """The smallest image field GF(p^k) with at least max(_MIN_Q,
+    _POINTS_PER_DEGREE * (degree + 1)) elements, or the largest one."""
+    want = max(_MIN_Q, _POINTS_PER_DEGREE * (degree + 1))
+    k = 1
+    while p**k < want and (p, k + 1) in _MODULI:
+        k += 1
+    return _image_field(p, k)
+
+
+def _larger(F):
+    """The next image field after F, or F when there is none."""
+    return _image_field(F.p, F.k + 1) if (F.p, F.k + 1) in _MODULI else F
+
+
+# -- gcd over F_p by evaluation and interpolation ----------------------------------
+#
+# Brown, "On Euclid's algorithm and the computation of polynomial
+# greatest common divisors", J. ACM 1971.  All variables but a main
+# variable m are evaluated, one at a time, at points of the image field;
+# each univariate image gcd is scaled to gamma, the gcd of the leading
+# coefficients in m, and Newton interpolation brings the variables back.
+# A point where a leading coefficient vanishes is skipped, and so is one
+# whose image has too large a degree.  A cheap probe decides coprimality
+# first, which is the dominant case in rational-function normalization.
+# Over GF(p^k) a candidate must have all its coefficients in F_p; every
+# candidate must divide both inputs over F_p.
 
 
 class _Unlucky(Exception):
@@ -271,94 +489,27 @@ def _fp_monic(d: dict, p: int) -> dict:
 def _fp_coeffs_in(d: dict, v: int) -> list[dict]:
     out: list[dict] = [{} for _ in range(_fp_deg(d, v) + 1)]
     for e, c in d.items():
-        e2 = list(e)
-        k = e2[v]
-        e2[v] = 0
-        out[k][tuple(e2)] = c
+        out[e[v]][e[:v] + (0,) + e[v + 1:]] = c
     return out
 
 
-def _pow_table(t: int, maxk: int, p: int) -> list[int]:
-    out = [1] * (maxk + 1)
-    for i in range(1, maxk + 1):
-        out[i] = out[i - 1] * t % p
-    return out
-
-
-def _fp_eval_one(d: dict, v: int, t: int, p: int) -> dict:
-    """Substitute X_v = t (power table instead of repeated pow)."""
-    if not d:
-        return {}
-    maxk = _fp_deg(d, v)
-    if maxk <= 0:
-        return dict(d)
-    pows = _pow_table(t, maxk, p)
-    out: dict = {}
-    for e, c in d.items():
-        k = e[v]
-        if k:
-            c = c * pows[k] % p
-            if not c:
-                continue
-            e2 = list(e)
-            e2[v] = 0
-            e = tuple(e2)
-        s = (out.get(e, 0) + c) % p
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _fp_eval_many(d: dict, assign: dict, p: int) -> dict:
-    """Substitute assign[v] = t for several variables."""
-    out = d
-    for v, t in assign.items():
-        out = _fp_eval_one(out, v, t, p)
-    return out
-
-
-def _eval_grid(d: dict, eval_vars: list, coords: dict, p: int) -> dict:
-    """Evaluate on the whole tensor grid by nested partial evaluation.
-
-    Returns {point tuple: fully evaluated dict} where the point follows
-    eval_vars order; partial results are shared across the grid."""
-    grid = {(): d}
-    for v in eval_vars:
-        nxt = {}
-        for prefix, partial in grid.items():
-            for t in coords[v]:
-                nxt[prefix + (t,)] = _fp_eval_one(partial, v, t, p)
-        grid = nxt
-    return grid
-
-
-def _fp_univar_lists_gcd(a: list, b: list, p: int) -> list:
-    """Monic gcd of coefficient lists (index = exponent)."""
-    a, b = a[:], b[:]
-    while True:
-        while b and b[-1] == 0:
-            b.pop()
-        if not b:
-            break
-        inv = pow(b[-1], -1, p)
-        while True:
-            while a and a[-1] == 0:
-                a.pop()
-            if len(a) < len(b):
-                break
-            coef = a[-1] * inv % p
-            shift = len(a) - len(b)
-            for i, bc in enumerate(b):
-                a[shift + i] = (a[shift + i] - coef * bc) % p
+def _univar_gcd(a: list, b: list, F) -> list:
+    """Monic gcd over F of coefficient lists (index = exponent)."""
+    a, b = _strip(list(a)), _strip(list(b))
+    while b:
+        inv, nb = F.inv(b[-1]), len(b)
+        while len(a) >= nb:
+            s = len(a) - nb
+            a[s:] = F.submul(a[s:], F.mul(a[-1], inv), b)
+            _strip(a)
         a, b = b, a
-    while a and a[-1] == 0:
+    return F.scale(a, F.inv(a[-1])) if a else []
+
+
+def _strip(a: list) -> list:
+    while a and not a[-1]:
         a.pop()
-    if not a:
-        return []
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
+    return a
 
 
 def _from_list(lst: list, v: int, nvars: int) -> dict:
@@ -384,7 +535,7 @@ def _fp_content_in(d: dict, v: int, p: int) -> dict:
     return acc
 
 
-def _probe_degrees(f: dict, g: dict, common: set, p: int, rng) -> dict | None:
+def _probe_degrees(f: dict, g: dict, common: set, F, rng) -> dict | None:
     """For each shared variable v, evaluate all the others and take a
     univariate gcd.  With the leading degrees preserved, the image degree
     is an upper bound for deg_v(gcd) that is exact off a thin bad set, so
@@ -396,13 +547,13 @@ def _probe_degrees(f: dict, g: dict, common: set, p: int, rng) -> dict | None:
         others = [u for u in all_vars if u != v]
         got = None
         for _ in range(6):
-            assign = {u: rng.randrange(1, p) for u in others}
-            fv = _fp_eval_many(f, assign, p)
-            gv = _fp_eval_many(g, assign, p)
+            fv, gv = f, g
+            for u in others:
+                t = rng.randrange(1, F.q)
+                fv, gv = F.eval_one(fv, u, t), F.eval_one(gv, u, t)
             if _fp_deg(fv, v) != _fp_deg(f, v) or _fp_deg(gv, v) != _fp_deg(g, v):
                 continue  # leading coefficient vanished; try another point
-            h = _fp_univar_lists_gcd(_fp_to_list(fv, v), _fp_to_list(gv, v), p)
-            got = len(h) - 1
+            got = len(_univar_gcd(_fp_to_list(fv, v), _fp_to_list(gv, v), F)) - 1
             break
         if got is None:
             return None
@@ -425,12 +576,14 @@ def _fp_gcd(f: dict, g: dict, p: int) -> dict:
     used = used_f | used_g
     if len(used) == 1:
         v = next(iter(used))
-        return _from_list(_fp_univar_lists_gcd(_fp_to_list(f, v), _fp_to_list(g, v), p), v, nvars)
-    rng = random.Random(0x5EED ^ p)
+        h = _univar_gcd(_fp_to_list(f, v), _fp_to_list(g, v), _image_field(p, 1))
+        return _from_list(h, v, nvars)
     common = used_f & used_g
-    if not common:
-        return unit  # a common divisor could not involve any variable
-    profile = _probe_degrees(f, g, common, p, rng)
+    if not common or _constant_coefficient(f, common) or _constant_coefficient(g, common):
+        return unit
+    F = _start_field(p, max(max(map(max, f)), max(map(max, g))))
+    rng = random.Random(0x5EED ^ p)
+    profile = _probe_degrees(f, g, common, F, rng)
     if profile is not None and all(d == 0 for d in profile.values()):
         return unit
     m = min(common)
@@ -440,7 +593,7 @@ def _fp_gcd(f: dict, g: dict, p: int) -> dict:
     cont = _fp_gcd(cont_f, cont_g, p)
     pf = f if _is_constant(cont_f) else _divide_terms(f, cont_f, p)
     pg = g if _is_constant(cont_g) else _divide_terms(g, cont_g, p)
-    prim = _fp_gcd_primitive(pf, pg, m, p, rng, profile or {})
+    prim = _fp_gcd_primitive(pf, pg, m, p, F, rng, profile or {})
     if _is_constant(prim):
         return cont
     if _is_constant(cont):
@@ -448,20 +601,30 @@ def _fp_gcd(f: dict, g: dict, p: int) -> dict:
     return _fp_monic(_mul_terms(cont, prim, p), p)
 
 
-def _fp_gcd_primitive(f: dict, g: dict, m: int, p: int, rng, deg_hints: dict) -> dict:
-    """gcd of m-primitive polynomials by univariate images on a tensor
-    grid over the other variables.
+def _constant_coefficient(d: dict, common: set) -> bool:
+    """Whether d, written over the ring of the variables in `common`,
+    has a constant coefficient.  A common divisor of two polynomials
+    involves only their shared variables, so it divides each such
+    coefficient: with `common` the shared variables, True proves the
+    gcd constant."""
+    parts = Counter(tuple(0 if i in common else x for i, x in enumerate(e)) for e in d)
+    return any(parts[e] == 1 for e in d if not any(e[i] for i in common))
 
-    Grid sizes start from the probe-estimated gcd degrees (exact off a
-    thin bad set) and escalate to the conservative bounds when the
-    division verification rejects the interpolant.
+
+def _fp_gcd_primitive(f: dict, g: dict, m: int, p: int, F, rng, deg_hints: dict) -> dict:
+    """gcd of m-primitive polynomials over F_p from images over F.
+
+    The number of points per variable starts from the probe-estimated
+    gcd degrees (exact off a thin bad set) and escalates to the
+    conservative bounds when a candidate is rejected; from the fourth
+    attempt on, each attempt also moves to a larger image field.
     """
     nvars = len(next(iter(f)))
     unit = {(0,) * nvars: 1}
     used = (_fp_vars(f) | _fp_vars(g)) - {m}
     if not used:
-        lst = _fp_univar_lists_gcd(_fp_to_list(f, m), _fp_to_list(g, m), p)
-        return unit if len(lst) <= 1 else _from_list(lst, m, nvars)
+        h = _univar_gcd(_fp_to_list(f, m), _fp_to_list(g, m), _image_field(p, 1))
+        return unit if len(h) <= 1 else _from_list(h, m, nvars)
     lc_f = _fp_coeffs_in(f, m)[-1]
     lc_g = _fp_coeffs_in(g, m)[-1]
     gamma = _fp_gcd(lc_f, lc_g, p)
@@ -473,13 +636,23 @@ def _fp_gcd_primitive(f: dict, g: dict, m: int, p: int, rng, deg_hints: dict) ->
         v: min(deg_hints.get(v, conservative[v]) + _fp_deg(gamma, v) + 1, conservative[v])
         for v in eval_vars
     }
+    # an upper bound on deg_m of the gcd, lowered by every smaller image
+    degree = [deg_hints.get(m, min(_fp_deg(f, m), _fp_deg(g, m)))]
     for attempt in range(25):
+        if degree[0] == 0:
+            return unit  # the m-primitive parts are coprime
+        if attempt >= 3:
+            F = _larger(F)
         bounds = hinted if attempt < 2 else conservative
-        coords = {v: _distinct_coords(rng, bounds[v], p) for v in eval_vars}
-        grid = _collect_images(f, g, lc_f, lc_g, gamma, m, eval_vars, coords, p)
-        if grid is None:
+        try:
+            h = _images(f, g, lc_f, lc_g, gamma, eval_vars, bounds, m, F, rng, degree)
+        except _Unlucky:
+            continue  # an image of smaller degree: the earlier ones were unlucky
+        if h is None:
             continue
-        h = _tensor_interp(grid, eval_vars, coords, m, nvars, p)
+        h = {e: c for e, c in zip(h, F.scale(list(h.values()), F.inv(h[max(h, key=_deglex)])))}
+        if any(c >= p for c in h.values()):
+            continue  # not over F_p: too few points or an unlucky one
         hc = _fp_content_in(h, m, p)
         if not _is_constant(hc):
             h = _divide_terms(h, hc, p)
@@ -488,125 +661,54 @@ def _fp_gcd_primitive(f: dict, g: dict, m: int, p: int, rng, deg_hints: dict) ->
     raise _Unlucky()
 
 
-def _distinct_coords(rng, count: int, p: int) -> list:
-    out = set()
-    while len(out) < count:
-        out.add(rng.randrange(1, p))
-    return sorted(out)
-
-
-def _collect_images(f, g, lc_f, lc_g, gamma, m, eval_vars, coords, p):
-    """Univariate gcd images gamma(T) * monic(gcd(f_T, g_T)) on the grid,
-    or None when a cell is degenerate or degrees disagree."""
-    f_grid = _eval_grid(f, eval_vars, coords, p)
-    g_grid = _eval_grid(g, eval_vars, coords, p)
-    gam_grid = _eval_grid(gamma, eval_vars, coords, p)
-    lcf_grid = _eval_grid(lc_f, eval_vars, coords, p)
-    lcg_grid = _eval_grid(lc_g, eval_vars, coords, p)
-    grid = {}
-    deg_star = None
-    for pt, fv in f_grid.items():
-        if not lcf_grid[pt] or not lcg_grid[pt]:
-            return None  # a leading coefficient vanished on the grid
-        gam_val = gam_grid[pt]
-        if not gam_val:
-            return None
-        gam = next(iter(gam_val.values()))
-        gv = g_grid[pt]
-        h = _fp_univar_lists_gcd(_fp_to_list(fv, m), _fp_to_list(gv, m), p)
+def _images(f, g, lc_f, lc_g, gamma, vs, bounds, m, F, rng, degree):
+    """gamma·gcd(f, g) interpolated from univariate images in X_m over
+    the variables vs, one variable at a time; None when too many points
+    of the first variable are bad.  Raises _Unlucky on an image of
+    smaller degree than degree[0], after lowering it."""
+    if not vs:
+        h = _univar_gcd(_fp_to_list(f, m), _fp_to_list(g, m), F)
         d = len(h) - 1
-        if deg_star is None:
-            deg_star = d
-        if d != deg_star:
-            return None  # mixed luck; retry with fresh coordinates
-        grid[pt] = [c * gam % p for c in h]
-    if deg_star == 0:
-        for pt in grid:
-            grid[pt] = [1]  # primitive parts are coprime
-    return grid
+        if d > degree[0]:
+            return None  # an unlucky point
+        if d < degree[0]:
+            degree[0] = d
+            raise _Unlucky()
+        return _from_list(F.scale(h, next(iter(gamma.values()))), m, len(next(iter(f))))
+    v, rest = vs[0], vs[1:]
+    need = bounds[v]
+    ts, values = [], []
+    for t in rng.sample(range(1, F.q), min(F.q - 1, 2 * need + 8)):
+        lf, lg, gam = F.eval_one(lc_f, v, t), F.eval_one(lc_g, v, t), F.eval_one(gamma, v, t)
+        if not (lf and lg and gam):
+            continue  # a leading coefficient vanishes at t
+        h = _images(F.eval_one(f, v, t), F.eval_one(g, v, t), lf, lg, gam, rest, bounds,
+                    m, F, rng, degree)
+        if h is not None:
+            ts.append(t)
+            values.append(h)
+            if len(ts) == need:
+                return _interpolate(ts, values, v, F)
+    return None
 
 
-def _tensor_interp(grid, eval_vars, coords, m, nvars, p):
-    """Interpolate the grid of univariate images back into a polynomial.
-
-    The innermost level works on raw coefficient lists (scalar Newton per
-    coefficient); outer levels interpolate with polynomial values.
-    """
-
-    def scalar_newton(ts, columns):
-        # vector-valued Newton: divided differences per coefficient slot,
-        # then Horner assembly into v-degree rows
-        n = len(ts)
-        width = max(len(c) for c in columns)
-        divided = [col + [0] * (width - len(col)) for col in columns]
-        for level in range(1, n):
-            for i in range(n - 1, level - 1, -1):
-                inv = pow((ts[i] - ts[i - level]) % p, -1, p)
-                divided[i] = [
-                    (a - b) * inv % p for a, b in zip(divided[i], divided[i - 1])
-                ]
-        acc = [divided[n - 1]]  # acc[d] = vector coefficient of v^d
-        for i in range(n - 2, -1, -1):
-            t = ts[i]
-            new = [[0] * width for _ in range(len(acc) + 1)]
-            for d, row in enumerate(acc):
-                up = new[d + 1]
-                low = new[d]
-                for k, c in enumerate(row):
-                    if c:
-                        up[k] = (up[k] + c) % p
-                        low[k] = (low[k] - t * c) % p
-            base = new[0]
-            for k, c in enumerate(divided[i]):
-                if c:
-                    base[k] = (base[k] + c) % p
-            acc = new
-        return acc  # acc[d] = coefficient list at var-degree d
-
-    def rows_to_poly(rows, v):
-        out = {}
-        for d, row in enumerate(rows):
-            for i, c in enumerate(row):
-                if c:
-                    e = [0] * nvars
-                    e[m] = i
-                    e[v] = d
-                    out[tuple(e)] = c
-        return out
-
-    def rec(vs, prefix):
-        if not vs:
-            return _from_list(grid[prefix], m, nvars)
-        v = vs[0]
-        if len(vs) == 1:
-            ts = coords[v]
-            columns = [list(grid[prefix + (t,)]) for t in ts]
-            return rows_to_poly(scalar_newton(ts, columns), v)
-        pts = [(t, rec(vs[1:], prefix + (t,))) for t in coords[v]]
-        return _newton_interp(pts, v, nvars, p)
-
-    return rec(eval_vars, ())
-
-
-def _newton_interp(points, v, nvars, p):
-    """Newton interpolation in variable v with dict-poly values."""
-    n = len(points)
-    ts = [t for t, _ in points]
-    divided = [dict(val) for _, val in points]
+def _interpolate(ts: list, values: list, v: int, F) -> dict:
+    """The polynomial of degree below len(ts) in X_v with the given term
+    dicts (free of X_v) at X_v = ts, by vector Newton interpolation over
+    the union of their supports."""
+    support = list(set().union(*values))
+    div = [[val.get(e, 0) for e in support] for val in values]
+    n = len(ts)
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
-            inv = pow((ts[i] - ts[i - level]) % p, -1, p)
-            divided[i] = _fp_add(divided[i], divided[i - 1], p, -1, inv)
-    acc = divided[n - 1]
+            div[i] = F.scale(F.submul(div[i], 1, div[i - 1]), F.inv(F.sub(ts[i], ts[i - level])))
+    rows = [div[-1]]  # rows[d] is the coefficient vector of X_v^d
     for i in range(n - 2, -1, -1):
-        shift = _from_list([-ts[i] % p, 1], v, nvars)  # X_v - t_i
-        acc = _fp_add(_mul_terms(acc, shift, p), divided[i], p)
-    return acc
-
-
-def _fp_add(a: dict, b: dict, p: int, k: int = 1, scale: int = 1) -> dict:
-    """scale * (a + k * b) over F_p."""
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + k * c
-    return {e: c * scale % p for e, c in out.items() if c * scale % p}
+        prev = [div[i]] + rows
+        rows = [F.submul(prev[d], ts[i], rows[d]) for d in range(len(rows))] + [rows[-1]]
+    out = {}
+    for d, row in enumerate(rows):
+        for e, c in zip(support, row):
+            if c:
+                out[e[:v] + (d,) + e[v + 1:]] = c
+    return out

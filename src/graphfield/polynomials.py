@@ -14,12 +14,12 @@ Leading terms are deg-lex (total degree, then exponents compared by
 variable index; the index order is fixed per context) and cached.
 
 `Poly.cofactors` is the one gcd routine and returns (g, f/g, h/g).  It
-first tries the input with fewer terms as a divisor of the other (one
-trial division), since in rational-function arithmetic one input often
-divides the other.  Otherwise characteristic 0 hands the integer parts
-to the modular gcd of `_modgcd`, and positive characteristic runs a
-primitive polynomial remainder sequence, recursing on the highest
-variable that occurs; one exact division by the gcd then gives each
+first tries one input as a divisor of the other (one trial division),
+since in rational-function arithmetic one input often divides the
+other: the input with fewer terms, or the other one when only that
+direction passes the extreme-monomial test.  Otherwise both
+characteristics hand the integer parts to the one modular gcd
+`_modgcd.int_gcd`, and one exact division by the gcd gives each
 cofactor.
 """
 from __future__ import annotations
@@ -326,13 +326,14 @@ class Poly:
         """(g, self/g, other/g) with g the monic (deg-lex) gcd; both inputs
         zero give three zeros.
 
-        The input with fewer terms, d, is first tried as a divisor of the
-        other, f: when the deg-lex highest and lowest monomials of d divide
-        those of f, one trial division runs, and if d divides f the gcd is
-        d up to a unit.  Otherwise the gcd comes from the backend of the
-        characteristic (0: the modular gcd `int_gcd` of the primitive
-        integer parts; p: the primitive remainder sequence `_gcd`), and
-        one exact division by it gives each cofactor.
+        First one input, d, is tried as a divisor of the other, f: d is
+        the input with fewer terms, unless the extreme-monomial test rules
+        that out and allows the other way round.  The test asks that the
+        deg-lex highest and lowest monomials of d divide those of f; when
+        it passes, one trial division runs, and if d divides f the gcd is
+        d up to a unit.  Otherwise the modular gcd `int_gcd` of the integer
+        parts (primitive in characteristic 0, residues in characteristic
+        p) gives g, and one exact division by it gives each cofactor.
         """
         F, n = self.field, self.nvars
         if not self.ints or not other.ints:
@@ -346,19 +347,24 @@ class Poly:
             return Poly.one(F, n), self, other
         d, f = (other, self) if len(other.ints) <= len(self.ints) else (self, other)
         dt, ft = d._top(), f._top()
-        if all(map(le, dt, ft)) and all(map(le, min(d.ints, key=_deglex),
-                                            min(f.ints, key=_deglex))):
+        dl, fl = min(d.ints, key=_deglex), min(f.ints, key=_deglex)
+        fits = all(map(le, dt, ft)) and all(map(le, dl, fl))
+        if not fits and all(map(le, ft, dt)) and all(map(le, fl, dl)):
+            d, f, dt, ft, fits = f, d, ft, dt, True
+        if fits:
             q = _divide_terms(f.ints, d.ints, F.char)
             if q is not None:
                 g = d.monic_deglex()
                 fq = _poly(F, n, f.content, q, tuple(map(sub, ft, dt)), False).scale(d.ints[dt])
                 dq = Poly.const(F, n, d.leading()[1])
                 return (g, fq, dq) if d is other else (g, dq, fq)
-        g = (_gcd(self, other) if F.char
-             else _poly(F, n, F.one, int_gcd(self.ints, other.ints))).monic_deglex()
+        g = _poly(F, n, F.one, int_gcd(self.ints, other.ints, F.char)).monic_deglex()
         if g.is_one():
             return g, self, other
-        return g, self.divexact(g), other.divexact(g)
+        a, b = self.divexact(g), other.divexact(g)
+        if a is None or b is None:
+            raise ArithmeticError("gcd failed its division check")  # pragma: no cover
+        return g, a, b
 
 
 # ---------------------------------------------------------------------------
@@ -388,66 +394,3 @@ def _set(p: Poly, field: CoeffField, nvars: int, content, ints: dict, lead=None,
 
 def _poly(field: CoeffField, nvars: int, content, ints: dict, lead=None, normal: bool = True) -> Poly:
     return _set(object.__new__(Poly), field, nvars, content, ints, lead, normal)
-
-
-# ---------------------------------------------------------------------------
-# The char-p gcd: a primitive remainder sequence
-# ---------------------------------------------------------------------------
-
-
-def _gcd(f: Poly, g: Poly) -> Poly:
-    if f.is_zero():
-        return g
-    if g.is_zero():
-        return f
-    if f.is_constant() or g.is_constant():
-        return Poly.one(f.field, f.nvars)
-    vars_f = f.variables_used()
-    vars_g = g.variables_used()
-    v = max(vars_f | vars_g)
-    if v not in vars_f:
-        return _gcd(f, _content(g, v))
-    if v not in vars_g:
-        return _gcd(_content(f, v), g)
-    cf = _content(f, v)
-    cg = _content(g, v)
-    c = _gcd(cf, cg)
-    pf = f.divexact(cf)
-    pg = g.divexact(cg)
-    a, b = (pf, pg) if pf.degree_in(v) >= pg.degree_in(v) else (pg, pf)
-    while not b.is_zero() and b.degree_in(v) > 0:
-        r = _pseudo_rem(a, b, v)
-        if r.is_zero():
-            a, b = b, r
-            break
-        a, b = b, r.divexact(_content(r, v))
-    if b.is_zero():
-        return c * a.divexact(_content(a, v))
-    # remainder of degree 0 in v: the primitive parts are coprime
-    return c
-
-
-def _content(f: Poly, var: int) -> Poly:
-    """gcd of the coefficients of f viewed as univariate in `var`."""
-    acc = Poly.zero(f.field, f.nvars)
-    for c in f.coeffs_in(var):
-        acc = _gcd(acc, c)
-        if acc.is_one():
-            break
-    return acc.monic_deglex()
-
-
-def _pseudo_rem(a: Poly, b: Poly, var: int) -> Poly:
-    """Pseudo-remainder of a by b in variable `var`."""
-    da, db = a.degree_in(var), b.degree_in(var)
-    if da < db:
-        return a
-    lb = b.coeffs_in(var)[db]
-    r = a
-    for _ in range(da - db + 1):
-        dr = r.degree_in(var)
-        if r.is_zero() or dr < db:
-            break
-        lr = r.coeffs_in(var)[dr]
-        r = r * lb - b * (lr * Poly.var(a.field, a.nvars, var, dr - db))
-    return r

@@ -192,6 +192,26 @@ def test_char2_tower():
         assert (a * a.inv()).is_one()
 
 
+def test_inverse_char5_k2_depth2_sample():
+    # t + ((t + 4)/(s^2 + t^2))·Y^2; its inverse runs dozens of gcds over
+    # F_5 in one and two variables, most of them coprime
+    ctx = k2_ctx(char=5, vdepth=2)
+    rng = random.Random(51)
+    for _ in range(5):
+        a = random_nonzero_element(ctx, rng, max_terms=3)
+    assert (a * a.inv()).is_one()
+
+
+def test_inverse_char2_k3_two_terms():
+    # 1 + X0^2·Y^3 + X2·Y^5, Y the degree-7 root of edge e:b,c: its
+    # inverse runs dozens of trivariate gcds over F_2 of degree up to 44
+    g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    ctx = build_tower(greedy_star_coloring(g), char=2)
+    a = random_single_level_element(ctx, random.Random(5))
+    assert len(a.coeffs) == 3
+    assert (a * a.inv()).is_one()
+
+
 def test_embed_homomorphism():
     ctx = k2_ctx()
     deeper = ctx.deepen(vertex_delta=1, edge_delta=1)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from graphfield._modgcd import _PRIMES, _divide_terms
+from graphfield import _modgcd, polynomials
+from graphfield._modgcd import _MODULI, _PRIMES, _divide_terms, _image_field
 from graphfield.coeffs import CoeffField, _int_root, is_prime
 from graphfield.errors import TooLarge
 from graphfield.polynomials import Poly
@@ -113,6 +114,67 @@ def test_poly_cofactors(char):
     # a constant input
     assert _assert_cofactors(three, f, one) == (three, f)
     assert _assert_cofactors(f, three, one) == (f, three)
+
+
+def test_cofactors_trial_division_runs_the_other_way(monkeypatch):
+    # In char 2, A^2 has as many terms as A (squaring is the Frobenius map),
+    # so the input with fewer terms may be A^2; the extreme-monomial test
+    # then sends the one trial division the other way, and no gcd runs.
+    F = CoeffField(2)
+    x, y, one = Poly.var(F, 2, 0), Poly.var(F, 2, 1), Poly.one(F, 2)
+    a = x**3 + y**3 + one
+    calls = []
+    real = polynomials.int_gcd
+    monkeypatch.setattr(polynomials, "int_gcd", lambda *args: calls.append(args) or real(*args))
+    assert len((a**2).ints) == len(a.ints)
+    assert a.cofactors(a**2) == (a, one, a)
+    assert (a**2).cofactors(a) == (a, a, one)
+    assert not calls
+
+
+@pytest.mark.parametrize("p, k", sorted(_MODULI))
+def test_image_field_arithmetic(p, k):
+    F = _image_field(p, k)
+    q = p**k
+    assert (F.p, F.k, F.q) == (p, k, q)
+    # x generates the multiplicative group, which has order p^k - 1
+    assert sorted(F.exp[:q - 1]) == list(range(1, q)) and F.exp[q - 1] == 1
+    rng = random.Random(100 * p + k)
+    for _ in range(200):
+        a, b, c = (rng.randrange(q) for _ in range(3))
+        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+        assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+        assert F.add(F.sub(a, b), b) == a
+        if a:
+            assert F.mul(a, F.inv(a)) == 1
+    c = c or 1
+    assert F.submul([a, b], c, [b, a]) == [F.sub(a, F.mul(c, b)), F.sub(b, F.mul(c, a))]
+    assert F.scale([a, b, 0], c) == [F.mul(a, c), F.mul(b, c), 0]
+    # F_p is 0..p-1
+    for a in range(p):
+        for b in range(p):
+            assert F.add(a, b) == (a + b) % p and F.mul(a, b) == a * b % p
+
+
+def test_char_p_gcd_escalates_from_a_tiny_image_field(monkeypatch):
+    # Start every multivariate gcd over F_2 itself, whose one nonzero point
+    # cannot give the two or more points per variable this gcd needs: the
+    # gcd must retry and move on to larger fields GF(2^k).
+    monkeypatch.setattr(_modgcd, "_MIN_Q", 1)
+    monkeypatch.setattr(_modgcd, "_POINTS_PER_DEGREE", 0)
+    visited = []
+    real = _modgcd._larger
+    monkeypatch.setattr(_modgcd, "_larger", lambda F: visited.append(F.q) or real(F))
+    F = CoeffField(2)
+    x, y, z = (Poly.var(F, 3, i) for i in range(3))
+    one = Poly.one(F, 3)
+    g = x * y + z**2 + one
+    a, b = g * (x**2 + y * z + one), g * (y**2 + x * z + z)
+    d, qa, qb = a.cofactors(b)
+    assert d == g and d * qa == a and d * qb == b
+    assert a.divexact(d) == qa and b.divexact(d) == qb
+    assert qa.gcd(qb).is_one()
+    assert visited and visited[0] == 2
 
 
 def test_divexact_and_multiplicity():

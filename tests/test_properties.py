@@ -1,5 +1,7 @@
 """Property tests for the polynomial and rational-function layer, in
-characteristics 0 and 3: an independent check of the integer kernel.
+characteristics 0, 2 and 3: an independent check of the integer kernel
+and of the modular gcd, whose images in characteristic 2 and 3 lie in
+extension fields GF(p^k).
 
 Needs `hypothesis` (skipped without it); gcds are also compared with
 `sympy.gcd` when sympy imports.
@@ -22,7 +24,7 @@ except ImportError:  # pragma: no cover
     sympy = None
 
 NVARS = 2
-FIELDS = {0: CoeffField(0), 3: CoeffField(3)}
+FIELDS = {0: CoeffField(0), 2: CoeffField(2), 3: CoeffField(3)}
 SETTINGS = settings(max_examples=40, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
