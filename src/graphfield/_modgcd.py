@@ -253,9 +253,10 @@ def _fp_norm(d: dict, p: int) -> dict:
 # the word-size primes above), else GF(p^k), whose p^k - 1 nonzero
 # points make unlucky and degenerate points rare (Kaltofen & Monagan,
 # "On the genericity of the modular polynomial GCD algorithm", ISSAC
-# 1999).  Both kinds of field offer the same operations: scalars (`mul`,
-# `inv`, `sub`), coefficient lists (`submul`, `scale`) and substitution
-# into a term dict (`eval_one`), so the gcd below is written once.
+# 1999).  Both kinds of field offer the same operations: scalars (`inv`,
+# `sub`), coefficient lists (`scale`, `submul`, `diffscale` and the
+# remainder `rem`) and substitution into a term dict (`eval_one`), so the
+# gcd below is written once.
 
 _MIN_Q = 256  # smallest image field of a multivariate gcd
 _POINTS_PER_DEGREE = 32  # image field size per unit of the largest degree
@@ -283,23 +284,38 @@ class _PrimeField:
     def __init__(self, p: int):
         self.p = self.q = p
 
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
     def inv(self, a: int) -> int:
         return pow(a, -1, self.p)
 
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.p
 
+    def scale(self, xs: list, c: int) -> list:
+        p = self.p
+        return [x * c % p for x in xs]
+
     def submul(self, xs: list, c: int, ys: list) -> list:
         """[x - c·y] elementwise, for c nonzero."""
         p = self.p
         return [(x - c * y) % p for x, y in zip(xs, ys)]
 
-    def scale(self, xs: list, c: int) -> list:
+    def diffscale(self, xs: list, ys: list, c: int) -> list:
+        """[(x - y)·c] elementwise."""
         p = self.p
-        return [x * c % p for x in xs]
+        return [(x - y) * c % p for x, y in zip(xs, ys)]
+
+    def rem(self, a: list, b: list) -> list:
+        """The remainder of a by b, coefficient lists (index = exponent)
+        whose last entries are nonzero; a is reused."""
+        p, nb = self.p, len(b) - 1
+        inv, low = pow(b[-1], -1, p), b[:-1]
+        while len(a) > nb:
+            c = a.pop() * inv % p
+            s = len(a) - nb
+            a[s:] = [(x - c * y) % p for x, y in zip(a[s:], low)]
+            while a and not a[-1]:
+                a.pop()
+        return a
 
     def eval_one(self, d: dict, v: int, t: int) -> dict:
         """d with X_v = t."""
@@ -354,14 +370,16 @@ class _ExtField:
 
         self.add = add
 
-    def mul(self, a: int, b: int) -> int:
-        return self.exp[self.log[a] + self.log[b]]
-
     def inv(self, a: int) -> int:
         return self.exp[-self.log[a] % self.n]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.exp[self.log[b] + self.half])
+
+    def scale(self, xs: list, c: int) -> list:
+        exp, log = self.exp, self.log
+        lc = log[c]
+        return [exp[lc + log[x]] for x in xs]
 
     def submul(self, xs: list, c: int, ys: list) -> list:
         exp, log = self.exp, self.log
@@ -371,10 +389,29 @@ class _ExtField:
         add = self.add
         return [add(x, exp[lc + log[y]]) for x, y in zip(xs, ys)]
 
-    def scale(self, xs: list, c: int) -> list:
+    def diffscale(self, xs: list, ys: list, c: int) -> list:
         exp, log = self.exp, self.log
         lc = log[c]
-        return [exp[lc + log[x]] for x in xs]
+        if self.p == 2:
+            return [exp[lc + log[x ^ y]] for x, y in zip(xs, ys)]
+        add, half = self.add, self.half
+        return [exp[lc + log[add(x, exp[log[y] + half])]] for x, y in zip(xs, ys)]
+
+    def rem(self, a: list, b: list) -> list:
+        exp, log, n = self.exp, self.log, self.n
+        nb, low = len(b) - 1, [log[y] for y in b[:-1]]
+        neg_inv = (self.half - log[b[-1]]) % n  # log(-1/b_top)
+        add = self.add
+        while len(a) > nb:
+            lc = (log[a.pop()] + neg_inv) % n
+            s = len(a) - nb
+            if self.p == 2:
+                a[s:] = [x ^ exp[lc + l] for x, l in zip(a[s:], low)]
+            else:
+                a[s:] = [add(x, exp[lc + l]) for x, l in zip(a[s:], low)]
+            while a and not a[-1]:
+                a.pop()
+        return a
 
     def eval_one(self, d: dict, v: int, t: int) -> dict:
         exp, log, add, n = self.exp, self.log, self.add, self.n
@@ -497,12 +534,7 @@ def _univar_gcd(a: list, b: list, F) -> list:
     """Monic gcd over F of coefficient lists (index = exponent)."""
     a, b = _strip(list(a)), _strip(list(b))
     while b:
-        inv, nb = F.inv(b[-1]), len(b)
-        while len(a) >= nb:
-            s = len(a) - nb
-            a[s:] = F.submul(a[s:], F.mul(a[-1], inv), b)
-            _strip(a)
-        a, b = b, a
+        a, b = b, F.rem(a, b)
     return F.scale(a, F.inv(a[-1])) if a else []
 
 
@@ -701,7 +733,7 @@ def _interpolate(ts: list, values: list, v: int, F) -> dict:
     n = len(ts)
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
-            div[i] = F.scale(F.submul(div[i], 1, div[i - 1]), F.inv(F.sub(ts[i], ts[i - level])))
+            div[i] = F.diffscale(div[i], div[i - 1], F.inv(F.sub(ts[i], ts[i - level])))
     rows = [div[-1]]  # rows[d] is the coefficient vector of X_v^d
     for i in range(n - 2, -1, -1):
         prev = [div[i]] + rows

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from graphfield import _modgcd, polynomials
-from graphfield._modgcd import _MODULI, _PRIMES, _divide_terms, _image_field
+from graphfield._modgcd import _MODULI, _PRIMES, _divide_terms, _image_field, _strip
 from graphfield.coeffs import CoeffField, _int_root, is_prime
 from graphfield.errors import TooLarge
 from graphfield.polynomials import Poly
@@ -139,21 +139,26 @@ def test_image_field_arithmetic(p, k):
     assert (F.p, F.k, F.q) == (p, k, q)
     # x generates the multiplicative group, which has order p^k - 1
     assert sorted(F.exp[:q - 1]) == list(range(1, q)) and F.exp[q - 1] == 1
+    def mul(a, b):
+        return F.scale([a], b)[0]
+
     rng = random.Random(100 * p + k)
     for _ in range(200):
         a, b, c = (rng.randrange(q) for _ in range(3))
-        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+        assert mul(a, F.add(b, c)) == F.add(mul(a, b), mul(a, c))
         assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
         assert F.add(F.sub(a, b), b) == a
         if a:
-            assert F.mul(a, F.inv(a)) == 1
+            assert mul(a, F.inv(a)) == 1
     c = c or 1
-    assert F.submul([a, b], c, [b, a]) == [F.sub(a, F.mul(c, b)), F.sub(b, F.mul(c, a))]
-    assert F.scale([a, b, 0], c) == [F.mul(a, c), F.mul(b, c), 0]
+    assert F.submul([a, b], c, [b, a]) == [F.sub(a, mul(c, b)), F.sub(b, mul(c, a))]
+    assert F.diffscale([a, b], [b, c], c) == [mul(F.sub(a, b), c), mul(F.sub(b, c), c)]
+    # (x^2 + a x + b) mod (x + c) is the value at -c
+    assert F.rem([b, a, 1], [c, 1]) == _strip([F.add(F.sub(b, mul(a, c)), mul(c, c))])
     # F_p is 0..p-1
     for a in range(p):
         for b in range(p):
-            assert F.add(a, b) == (a + b) % p and F.mul(a, b) == a * b % p
+            assert F.add(a, b) == (a + b) % p and mul(a, b) == a * b % p
 
 
 def test_char_p_gcd_escalates_from_a_tiny_image_field(monkeypatch):
