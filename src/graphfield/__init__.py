@@ -62,7 +62,6 @@ from .graphs import (
     transform,
 )
 from .groups import (
-    GFq,
     Perm,
     PermGroup,
     TowerReport,

@@ -18,6 +18,10 @@ made primitive and verified by exact trial division over the integers;
 a failed verification moves to the next prime.  When the deg-lex
 leading coefficients of both inputs survive mod p, a constant modular
 gcd proves actual coprimality, so the "coprime" answer is sound as well.
+
+The image fields are the package's one finite-field implementation:
+`groups` builds PSL, PGL and PGammaL(2, q) for q <= 16 on the fields
+that `_image_field` returns.
 """
 from __future__ import annotations
 
@@ -253,10 +257,10 @@ def _fp_norm(d: dict, p: int) -> dict:
 # the word-size primes above), else GF(p^k), whose p^k - 1 nonzero
 # points make unlucky and degenerate points rare (Kaltofen & Monagan,
 # "On the genericity of the modular polynomial GCD algorithm", ISSAC
-# 1999).  Both kinds of field offer the same operations: scalars (`inv`,
-# `sub`), coefficient lists (`scale`, `submul`, `diffscale` and the
-# remainder `rem`) and substitution into a term dict (`eval_one`), so the
-# gcd below is written once.
+# 1999).  Both kinds of field offer the same operations: scalars (`add`,
+# `sub`, `mul`, `pow`, `inv`), coefficient lists (`scale`, `submul`,
+# `diffscale` and the remainder `rem`) and substitution into a term dict
+# (`eval_one`), so the gcd below is written once.
 
 _MIN_Q = 256  # smallest image field of a multivariate gcd
 _POINTS_PER_DEGREE = 32  # image field size per unit of the largest degree
@@ -284,11 +288,20 @@ class _PrimeField:
     def __init__(self, p: int):
         self.p = self.q = p
 
-    def inv(self, a: int) -> int:
-        return pow(a, -1, self.p)
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
 
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.p
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def pow(self, a: int, e: int) -> int:
+        return pow(a, e, self.p)
+
+    def inv(self, a: int) -> int:
+        return pow(a, -1, self.p)
 
     def scale(self, xs: list, c: int) -> list:
         p = self.p
@@ -370,11 +383,17 @@ class _ExtField:
 
         self.add = add
 
-    def inv(self, a: int) -> int:
-        return self.exp[-self.log[a] % self.n]
-
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.exp[self.log[b] + self.half])
+
+    def mul(self, a: int, b: int) -> int:
+        return self.exp[self.log[a] + self.log[b]]
+
+    def pow(self, a: int, e: int) -> int:
+        return self.exp[self.log[a] * e % self.n] if a else 0**e
+
+    def inv(self, a: int) -> int:
+        return self.exp[-self.log[a] % self.n]
 
     def scale(self, xs: list, c: int) -> list:
         exp, log = self.exp, self.log

@@ -123,9 +123,6 @@ class TowerContext:
         self._gen_polys = [self._build_gen_poly(g) for g in self.gens]
         self._gen_pow_cache: dict = {}
         self._sub_cache: dict = {}
-        # the reduced-basis dimension is the product of the defining
-        # polynomial degrees by construction; assert the bookkeeping
-        assert self.dimension == _prod(g.prime**g.depth for g in self.gens)
 
     # -- structure -----------------------------------------------------------
 
@@ -249,13 +246,6 @@ class TowerContext:
         return TowerElement(self, {zero_exp: r})
 
 
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
@@ -287,11 +277,11 @@ def build_tower(
         star = check_star_coloring(cg)
         bad = [c for c, rep in star.items() if not rep["ok"]]
         if bad:
-            raise ValueError(f"coloring is not a star coloring; failing colors {bad}")
+            raise InvalidInput(f"coloring is not a star coloring; failing colors {bad}")
     if primes is None:
         primes = choose_primes(char, cg.color_count)
     if len(primes) < cg.color_count + 1:
-        raise ValueError("need one prime per color plus the chain prime")
+        raise InvalidInput("need one prime per color plus the chain prime")
     verts = sorted(cg.vertices)
     vd = {v: (vertex_depths if isinstance(vertex_depths, int) else vertex_depths.get(v, 0)) for v in verts}
     gens = []

@@ -775,9 +775,12 @@ def structure_to_json(s: FiniteStructure, pretty: bool = False) -> str:
 
 
 def structure_from_json(text: str) -> FiniteStructure:
-    doc = json.loads(text)
-    return FiniteStructure(
-        universe=tuple(doc["universe"]),
-        relations={n: {tuple(t) for t in ts} for n, ts in doc.get("relations", {}).items()},
-        unary_functions={n: dict(fn) for n, fn in doc.get("functions", {}).items()},
-    )
+    try:
+        doc = json.loads(text)
+        return FiniteStructure(
+            universe=tuple(doc["universe"]),
+            relations={n: {tuple(t) for t in ts} for n, ts in doc.get("relations", {}).items()},
+            unary_functions={n: dict(fn) for n, fn in doc.get("functions", {}).items()},
+        )
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InvalidInput(f"malformed structure JSON: {exc!r}") from exc

@@ -10,6 +10,11 @@ Automorphisms and isomorphisms of abstract groups come from one search
 over generator images (`_isomorphisms`): `aut_group` runs it from G to
 G and collects every map, `find_isomorphism` runs it from G to H and
 stops at the first.
+
+PSL, PGL and PGammaL(2, q), q a prime power up to 16, permute the q + 1
+points of the projective line over GF(q).  The field is the `_modgcd`
+image field GF(p^k), whose elements are the ints below q; this module
+has no field arithmetic of its own.
 """
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 
+from ._modgcd import _image_field
 from .errors import (
     BudgetExceeded,
     NotAnAction,
@@ -104,7 +110,7 @@ class Perm:
         return all(i == x for i, x in enumerate(self.images))
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.to_cycles())) if self.to_cycles() else 1
+        return math.lcm(*(len(c) for c in self.to_cycles()))
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
@@ -544,186 +550,50 @@ def automorphism_tower(G: PermGroup, max_steps: int = 10, cap: int = DEFAULT_AUT
 
 
 # ---------------------------------------------------------------------------
-# Small finite fields and projective groups
+# Projective groups over GF(q), q <= 16
 # ---------------------------------------------------------------------------
 
-# fixed irreducible moduli (coefficients low-to-high, monic) for q = p^k, k > 1
-_MODULI = {
-    4: (2, (1, 1, 1)),
-    8: (2, (1, 1, 0, 1)),
-    9: (3, (2, 2, 1)),
-    16: (2, (1, 1, 0, 0, 1)),
-}
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+_MAX_Q = 16
 
 
-class GFq:
-    """Arithmetic in GF(q) for q <= 16, with a fixed hard-coded modulus.
-
-    Elements are coefficient tuples of length k (low degree first).
-    """
-
-    def __init__(self, q: int):
-        p, k = _prime_power(q)
-        if p is None or q > 16:
-            raise NotPrimePower(f"q = {q} is not a supported prime power")
-        self.q = q
-        self.p = p
-        self.k = k
-        if k == 1:
-            self.modulus = (0, 1)
-        else:
-            self.modulus = _MODULI[q][1]
-            assert self._modulus_irreducible(), f"modulus for GF({q}) must be irreducible"
-
-    def elements(self) -> list[tuple]:
-        coords = [tuple()]
-        for _ in range(self.k):
-            coords = [c + (a,) for c in coords for a in range(self.p)]
-        # low coefficient varies fastest; sort for a stable canonical order
-        return sorted(coords)
-
-    @property
-    def zero(self):
-        return (0,) * self.k
-
-    @property
-    def one(self):
-        return (1,) + (0,) * (self.k - 1)
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        p, k = self.p, self.k
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce modulo the monic modulus
-        m = self.modulus
-        for d in range(len(prod) - 1, k - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for i in range(len(m) - 1):
-                    prod[d - self.k + i] = (prod[d - self.k + i] - c * m[i]) % p
-        return tuple(prod[:k])
-
-    def pow(self, a, n: int):
-        acc = self.one
-        base = a
-        while n:
-            if n & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return acc
-
-    def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of zero in GF(q)")
-        return self.pow(a, self.q - 2)
-
-    def frob(self, a):
-        return self.pow(a, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
-    def _modulus_irreducible(self) -> bool:
-        # brute force: no monic divisor of degree 1..k-1
-        p, k, m = self.p, self.k, self.modulus
-
-        def polmulmod(a, b):
-            prod = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-            return prod
-
-        def divides(d):
-            # trial division of m by d over F_p
-            rem = list(m)
-            while len(rem) >= len(d) and any(rem):
-                while rem and rem[-1] == 0:
-                    rem.pop()
-                if len(rem) < len(d):
-                    break
-                c = rem[-1] * pow(d[-1], -1, p) % p
-                shift = len(rem) - len(d)
-                for i, x in enumerate(d):
-                    rem[shift + i] = (rem[shift + i] - c * x) % p
-            return not any(rem)
-
-        for deg in range(1, k):
-            coords = [[a] for a in range(p)]
-            for _ in range(deg - 1):
-                coords = [c + [a] for c in coords for a in range(p)]
-            for low in coords:
-                if divides(low + [1]):
-                    return False
-        return True
+def _gf(q: int):
+    """GF(q) as the `_modgcd` image field GF(p^k), p the least divisor
+    of q; its elements are the ints below q."""
+    if 2 <= q <= _MAX_Q:
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        k = round(math.log(q, p))
+        if p**k == q:
+            return _image_field(p, k)
+    raise NotPrimePower(f"q = {q} is not a supported prime power")
 
 
-def _prime_power(q: int):
-    if q < 2:
-        return (None, None)
-    for p in _SMALL_PRIMES:
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else (None, None)
-    return (None, None)
+def _projective_line(q: int):
+    """GF(q), the points of its projective line and their index: (1, 0),
+    then (x, 1) with x ordered by its base-p digits, low digit first."""
+    F = _gf(q)
+    xs = sorted(range(q), key=lambda x: [x // F.p**i % F.p for i in range(F.k)])
+    points = [(1, 0)] + [(x, 1) for x in xs]
+    return F, points, {pt: i for i, pt in enumerate(points)}
 
 
-def _projective_points(F: GFq) -> list[tuple]:
-    return [(F.one, F.zero)] + [(x, F.one) for x in F.elements()]
-
-
-def _normalize_point(F: GFq, u, v):
-    if not F.is_zero(v):
-        return (F.mul(u, F.inv(v)), F.one)
-    return (F.one, F.zero)
-
-
-def _matrix_to_perm(F: GFq, points, point_index, mat) -> Perm:
-    a, b, c, d = mat
+def _point_perm(F, points, index, f) -> Perm:
+    """The permutation of `points` induced by the map f on GF(q)^2."""
     out = []
-    for (u, v) in points:
-        nu = F.add(F.mul(a, u), F.mul(b, v))
-        nv = F.add(F.mul(c, u), F.mul(d, v))
-        out.append(point_index[_normalize_point(F, nu, nv)])
+    for u, v in points:
+        u, v = f(u, v)
+        out.append(index[(F.mul(u, F.inv(v)), 1) if v else (1, 0)])
     return Perm(out)
 
 
 def _projective_group(q: int, det_one: bool) -> PermGroup:
-    F = GFq(q)
-    points = _projective_points(F)
-    point_index = {pt: i for i, pt in enumerate(points)}
+    F, points, index = _projective_line(q)
+    add, mul = F.add, F.mul
     perms = set()
-    elems = F.elements()
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                for d in elems:
-                    det = F.sub(F.mul(a, d), F.mul(b, c))
-                    if F.is_zero(det):
-                        continue
-                    if det_one and det != F.one:
-                        continue
-                    perms.add(_matrix_to_perm(F, points, point_index, (a, b, c, d)))
+    for a, b, c, d in product(range(q), repeat=4):
+        det = F.sub(mul(a, d), mul(b, c))
+        if det and (det == 1 or not det_one):
+            perms.add(_point_perm(F, points, index, lambda u, v: (
+                add(mul(a, u), mul(b, v)), add(mul(c, u), mul(d, v)))))
     gens = greedy_generators(perms, len(points))
     return PermGroup(len(points), gens, perms, points=[str(pt) for pt in points])
 
@@ -745,26 +615,21 @@ def pgl2(q: int) -> PermGroup:
 
 def frobenius_point_perm(q: int) -> Perm:
     """The p-power Frobenius acting on the projective line of GF(q)."""
-    F = GFq(q)
-    points = _projective_points(F)
-    point_index = {pt: i for i, pt in enumerate(points)}
-    out = []
-    for (u, v) in points:
-        out.append(point_index[_normalize_point(F, F.frob(u), F.frob(v))])
-    return Perm(out)
+    F, points, index = _projective_line(q)
+    return _point_perm(F, points, index, lambda u, v: (F.pow(u, F.p), F.pow(v, F.p)))
 
 
 def pgammal2(q: int) -> PermGroup:
     """PGL(2, q) extended by the Frobenius field automorphisms."""
     pgl = pgl2(q)
     fr = frobenius_point_perm(q)
-    F = GFq(q)
+    k = _gf(q).k
     elements = set()
     f_power = Perm.identity(pgl.degree)
-    for _ in range(F.k):
+    for _ in range(k):
         elements |= {g * f_power for g in pgl.elements}
         f_power = f_power * fr
-    expected = pgl.order * F.k
+    expected = pgl.order * k
     assert len(elements) == expected, f"|PGammaL(2,{q})| = {len(elements)}, expected {expected}"
     gens = list(pgl.generators) + [fr]
     return PermGroup(pgl.degree, gens, elements, points=pgl.points)
@@ -956,12 +821,11 @@ def verify_van_der_waerden(q: int, node_budget: int = DEFAULT_AUT_NODE_BUDGET) -
 def verify_semidirect_tower(q: int, frob_power: int | None = None, max_steps: int = 8) -> dict:
     """Normalizer tower of G = PGL(2,q) x| H inside PGammaL(2,q), compared
     stagewise against PGL(2,q) x| nor^alpha(H) computed in Aut(F_q)."""
-    F = GFq(q)
     pgl = pgl2(q)
     pgamma = pgammal2(q)
     fr = frobenius_point_perm(q)
     frob_group = closure([fr], degree=pgl.degree)
-    assert frob_group.order == F.k
+    assert frob_group.order == _gf(q).k
 
     if frob_power is None:
         H = closure([Perm.identity(pgl.degree)], degree=pgl.degree)

@@ -101,6 +101,9 @@ def test_verify_usage_error():
 
 
 K2_JSON = graph_to_json(Graph(["s", "t"], [("s", "t")]))
+TRIANGLE_ONE_COLOUR = json.dumps({"vertices": ["a", "b", "c"],
+                                  "edges": [["a", "b"], ["b", "c"], ["a", "c"]],
+                                  "colors": {"a,b": 0, "b,c": 0, "a,c": 0}, "color_count": 1})
 
 
 @pytest.mark.parametrize(
@@ -118,6 +121,8 @@ K2_JSON = graph_to_json(Graph(["s", "t"], [("s", "t")]))
         pytest.param(K2_JSON, ["build-field", "--depth", "-1"], id="negative-depth"),
         pytest.param(K2_JSON, ["build-field", "--depth", '{"e:s,t": -1}'], id="negative-edge-depth"),
         pytest.param(K2_JSON, ["build-field", "--depth", "abc"], id="depth-not-json"),
+        pytest.param(TRIANGLE_ONE_COLOUR, ["build-field"], id="not-a-star-colouring"),
+        pytest.param(None, ["towers", "--group", "psl2:32"], id="psl2-32"),
     ],
 )
 def test_input_errors_exit2(tmp_path, capsys, infile, args):

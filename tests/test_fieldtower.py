@@ -31,7 +31,7 @@ from graphfield.fieldtower import (
     random_single_level_element,
     random_structured_monomial,
 )
-from graphfield.graphs import Graph, greedy_star_coloring
+from graphfield.graphs import ColoredGraph, Graph, greedy_star_coloring
 from graphfield.polynomials import Poly
 from graphfield.ratfunc import RatFunc
 
@@ -84,6 +84,14 @@ def test_negative_depths_rejected():
     spec = RadicalSpec(p=3, branch_primes=(5,), partition={"v": 0}, polys={"v": (1, 1)})
     with pytest.raises(InvalidInput):
         radical_extend(spec, z_depth=-1)
+
+
+def test_build_tower_input_errors():
+    tri = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    with pytest.raises(InvalidInput, match="star coloring"):
+        build_tower(ColoredGraph(tri, {e: 0 for e in tri.edges}, 1))
+    with pytest.raises(InvalidInput, match="one prime per color"):
+        build_tower(greedy_star_coloring(Graph(["s", "t"], [("s", "t")])), primes=(2,))
 
 
 def test_build_tower_cap():

@@ -376,3 +376,19 @@ def test_structure_json_roundtrip():
     assert back.universe == s.universe
     assert back.relations == {"r": {("a", "b")}}
     assert back.unary_functions == s.unary_functions
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("{bad", id="malformed-json"),
+        pytest.param("{}", id="no-universe"),
+        pytest.param('{"universe": ["a", "b"], "functions": {"f": {"a": "b"}}}', id="partial-function"),
+        pytest.param('{"universe": ["a"], "relations": {"r": 5}}', id="relation-not-a-list"),
+    ],
+)
+def test_structure_from_json_input_errors(text):
+    from graphfield.graphs import structure_from_json
+
+    with pytest.raises(InvalidInput):
+        structure_from_json(text)

@@ -1,13 +1,15 @@
 """Permutation-group engine: closures, normalizers, Aut, towers, PSL."""
+import hashlib
 import math
 
 import pytest
 
 from graphfield.errors import BudgetExceeded, NotCenterless, NotPrimePower, NotSubgroup
 from graphfield.graphs import Graph, aut_graph
+from graphfield._modgcd import _image_field
 from graphfield.groups import (
-    GFq,
     Perm,
+    _gf,
     aut_group,
     automorphism_tower,
     center,
@@ -182,20 +184,61 @@ def test_searches_raise_budget_exceeded_with_their_labels():
 
 
 def test_gfq_arithmetic():
-    F = GFq(9)
-    xs = F.elements()
+    F = _gf(9)
+    assert F is _image_field(3, 2)
+    xs = range(F.q)
     assert len(xs) == 9
     for a in xs:
-        if a != F.zero:
-            assert F.mul(a, F.inv(a)) == F.one
+        if a:
+            assert F.mul(a, F.inv(a)) == 1
     a = xs[5]
     assert F.pow(a, 9) == a  # Frobenius squared is the identity on GF(9)
+    for q in (2, 3, 5, 7, 11, 13):
+        F = _gf(q)
+        assert (F.p, F.k) == (q, 1)
+        for a in range(q):
+            assert F.pow(a, q) == a and F.add(a, F.sub(0, a)) == 0
+            if a:
+                assert F.mul(a, F.inv(a)) == 1
 
 
 def test_gfq_rejects_non_prime_powers():
-    for q in (0, 1, 6, 18):
-        with pytest.raises(NotPrimePower):
-            GFq(q)
+    # GF(q) is offered for the prime powers up to 16 only; 32 has an
+    # image field in _modgcd but stays refused here
+    for build in (psl2, pgl2, pgammal2):
+        for q in (0, 1, 6, 17, 18, 25, 32):
+            with pytest.raises(NotPrimePower):
+                build(q)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def _group_digest(G) -> str:
+    return _digest((sorted(p.images for p in G.elements), [g.images for g in G.generators]))
+
+
+# Digests of (psl2, pgl2, pgammal2, frobenius_point_perm), pinned from
+# the earlier coefficient-tuple GF(q) of this module.  Its moduli agree
+# with _modgcd's for these q, so the element sets and generator tuples
+# must not move: the symmetry benchmark's aut_group search on PSL(2, q)
+# depends on the labelling.
+_PROJECTIVE_DIGESTS = {
+    2: ("4a77e6e845170ec6", "4a77e6e845170ec6", "7c08a41c6d47a438", "eae0f06c46ca0f14"),
+    3: ("4709706b065b6f17", "93bc06f3b019f05f", "dde73cb8fc243e8f", "c5c25158dde5b90a"),
+    4: ("29557dcb7f02d2f7", "29557dcb7f02d2f7", "42839d13440b6ec9", "1ba911a61b755310"),
+    5: ("429dd10192d508b7", "a0d10af9877af1ee", "3c398fdbba6aacf2", "3a06086c62e636d4"),
+    7: ("c4eac0f68fcab80f", "3492abd959406760", "6ed189c46638602a", "71347777824d0062"),
+    8: ("d644bd0ef64783f2", "d644bd0ef64783f2", "5024bb3330d97abc", "013d95551d78c99a"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(_PROJECTIVE_DIGESTS))
+def test_projective_groups_golden(q):
+    got = (_group_digest(psl2(q)), _group_digest(pgl2(q)), _group_digest(pgammal2(q)),
+           _digest(frobenius_point_perm(q).images))
+    assert got == _PROJECTIVE_DIGESTS[q]
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])

@@ -137,17 +137,17 @@ def test_image_field_arithmetic(p, k):
     F = _image_field(p, k)
     q = p**k
     assert (F.p, F.k, F.q) == (p, k, q)
-    # x generates the multiplicative group, which has order p^k - 1
+    # x generates the multiplicative group, which has order p^k - 1: the
+    # modulus is primitive, and so irreducible
     assert sorted(F.exp[:q - 1]) == list(range(1, q)) and F.exp[q - 1] == 1
-    def mul(a, b):
-        return F.scale([a], b)[0]
-
+    mul = F.mul
     rng = random.Random(100 * p + k)
     for _ in range(200):
         a, b, c = (rng.randrange(q) for _ in range(3))
         assert mul(a, F.add(b, c)) == F.add(mul(a, b), mul(a, c))
         assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
         assert F.add(F.sub(a, b), b) == a
+        assert F.pow(a, q) == a  # the Frobenius p^k-th power is the identity
         if a:
             assert mul(a, F.inv(a)) == 1
     c = c or 1

@@ -12,10 +12,11 @@ i is even and the change first when i is odd; the workloads take turns
 within each pair.  For every end-to-end metric it writes the medians and
 quartiles of both sides, the pairs the change won and a verdict (see
 VERDICT_RULE).  One traced run per side and workload at TRACE_SEED adds
-the per-layer calls and self times of LAYERS.  Each checkout's test suite
-then runs once (the parent first) under `pytest --durations=0`, and the
-total and the tests named in --durations are recorded.  Uses the
-standard library only.
+the calls and self times of every layer that the parent's BENCHMARK.json
+lists with a `<layer>.calls` or `<layer>.self_s` metric.  Each
+checkout's test suite then runs once (the parent first) under `pytest
+--durations=0`, and the total and the tests named in --durations are
+recorded.  Uses the standard library only.
 """
 from __future__ import annotations
 
@@ -31,11 +32,6 @@ import sys
 import time
 from pathlib import Path
 
-LAYERS = (
-    "polynomials.mul", "polynomials.divexact", "polynomials.pth_root", "modgcd.int_gcd",
-    "polynomials.gcd", "polynomials.pow", "ratfunc.new", "ratfunc.mul", "fieldtower.mul",
-    "fieldtower.inv", "roots.pth_root", "coeffs.pth_root", "autfield.encode_element",
-)
 TRACE_SEED = 700
 QUARTILES = "statistics.quantiles(n=4, method='inclusive') over the runs of one side"
 VERDICT_RULE = (
@@ -55,6 +51,17 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int
            "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def traced_layers(spec: dict) -> dict[str, list[str]]:
+    """{layer: ["calls", "self_s"] or the one of them listed} for the
+    per_layer metrics of a BENCHMARK.json, in its order."""
+    out: dict[str, list[str]] = {}
+    for m in spec["per_layer"]:
+        layer, _, kind = m["name"].rpartition(".")
+        if kind in ("calls", "self_s"):
+            out.setdefault(layer, []).append(kind)
+    return out
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -128,6 +135,7 @@ def main() -> int:
     if spec["parent"] != spec["change"]:
         sys.exit("BENCHMARK.json differs between the checkouts; pairs would not compare")
     metrics, seconds = spec["parent"]["end_to_end"], spec["parent"]["run_seconds"]
+    layers = traced_layers(spec["parent"])
     seeds = parse_seeds(args.seeds)
     runs = {w: {s: [] for s in sides} for w in args.workloads}
     for i, seed in enumerate(seeds):
@@ -173,8 +181,8 @@ def main() -> int:
         traced = {s: run_bench(sides[s], w, TRACE_SEED, seconds, 1)["metrics"] for s in sides}
         rec[f"traced_per_layer_seed_{TRACE_SEED}"] = {
             layer: {k: {s: round(traced[s][f"{layer}.{k}"]["value"], 4) for s in sides}
-                    for k in ("calls", "self_s")}
-            for layer in LAYERS}
+                    for k in kinds}
+            for layer, kinds in layers.items()}
         out["workloads"][w] = rec
     walls = {s: run_tier1(sides[s], args.durations) for s in sides}
     out["wall_times_s"] = {
