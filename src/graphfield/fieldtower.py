@@ -262,22 +262,18 @@ def build_tower(
     edge_depths=1,
     cap: int = DEFAULT_DIMENSION_CAP,
     primes: tuple | None = None,
-    require_stars: bool = True,
 ) -> TowerContext:
     """Tower context over a star-colored graph.
 
     For each edge e = {s, t} of color l the defining relation is
     Y_e^(p_{l+1}^d_e) = X_s^(p_0^d_s) + X_t^(p_0^d_t) + 1.
 
-    The star requirement backs the classification arguments, not the
-    arithmetic; require_stars=False builds the tower anyway for graphs
-    whose coloring fails it.
+    The coloring must be a star coloring: that backs the classification
+    arguments, not the arithmetic.
     """
-    if require_stars:
-        star = check_star_coloring(cg)
-        bad = [c for c, rep in star.items() if not rep["ok"]]
-        if bad:
-            raise InvalidInput(f"coloring is not a star coloring; failing colors {bad}")
+    bad = [c for c, rep in check_star_coloring(cg).items() if not rep["ok"]]
+    if bad:
+        raise InvalidInput(f"coloring is not a star coloring; failing colors {bad}")
     if primes is None:
         primes = choose_primes(char, cg.color_count)
     if len(primes) < cg.color_count + 1:
@@ -773,24 +769,22 @@ def random_element(
     rng: random.Random,
     max_terms: int = 3,
     allow_denominator: bool = True,
-    exp_cap: int = 4,
 ) -> TowerElement:
-    """A sparse random element: a few generator monomials with small
-    rational-function coefficients."""
+    """A sparse random element: a few generator monomials, each exponent
+    below 4, with small rational-function coefficients."""
     n_terms = rng.randint(1, max_terms)
     out = ctx.zero()
     for _ in range(n_terms):
         exps = tuple(
-            rng.randrange(min(ctx.gen_degree(i), exp_cap)) for i in range(len(ctx.gens))
+            rng.randrange(min(ctx.gen_degree(i), 4)) for i in range(len(ctx.gens))
         )
         out = out + TowerElement(ctx, {exps: _random_ratfunc(ctx, rng, allow_denominator)})
     return out
 
 
-def random_nonzero_element(ctx, rng, max_terms: int = 3, allow_denominator: bool = True,
-                           exp_cap: int = 4):
+def random_nonzero_element(ctx, rng, max_terms: int = 3, allow_denominator: bool = True):
     for _ in range(50):
-        x = random_element(ctx, rng, max_terms, allow_denominator, exp_cap)
+        x = random_element(ctx, rng, max_terms, allow_denominator)
         if not x.is_zero():
             return x
     raise AssertionError("sampler kept producing zero")  # pragma: no cover

@@ -11,20 +11,19 @@ Vertex labels are strings throughout; the transform tags its output
 vertices inside the label ("1:x", "2:a|b:w") so the original graph and
 the gadget copies stay recoverable.
 
-One backtracking search over vertex images (`_vertex_maps`) serves both
-automorphism groups and the isomorphism test of the graph corpus: it
-hands each map it finds to a callback, and stops when the callback
-returns True.
+Automorphism groups come from one backtracking search over vertex
+images (`_vertex_maps`).  The corpus of connected graphs on up to 6
+vertices needs no isomorphism test: it keeps the least edge mask of each
+orbit of S_n on the masks.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .errors import BudgetExceeded, Disconnected, InvalidInput, NotFromTransform
-from .groups import Perm, PermGroup, closure, greedy_generators
+from .groups import Perm, PermGroup, greedy_generators
 
 DEFAULT_VERTEX_BOUND = 64
 DEFAULT_AUT_NODE_BUDGET = 5_000_000
@@ -185,10 +184,10 @@ def aut_graph(
     """All automorphisms of a graph or colored graph, as a PermGroup on
     the sorted vertex list (color-preserving when colored).
 
-    The vertex-map search _vertex_maps from the graph to itself, with
-    cells from an iterated neighbourhood invariant started from each
-    vertex's degree and the number of edges among its neighbours, collects
-    every map; the found set is closed and re-verified before returning.
+    _vertex_maps collects every automorphism, with cells from an iterated
+    neighbourhood invariant started from each vertex's degree and the
+    number of edges among its neighbours; greedy_generators checks that
+    the found set is closed.
     """
     graph, colors = _unwrap(g)
     verts = sorted(graph.vertices)
@@ -208,20 +207,8 @@ def aut_graph(
     # the gadget copies' z and a when all have degree 4, as on a cycle
     cell = _refine(_degree_triangles(adj), adj)
     order = sorted(range(n), key=lambda v: (sum(1 for u in range(n) if cell[u] == cell[v]), v))
-
-    found: list[Perm] = []
-
-    def collect(mapping: list[int]) -> bool:
-        found.append(Perm(mapping))
-        return False
-
-    _vertex_maps(adj, adj, cell, cell, order, node_budget, "aut_graph search nodes", collect)
-    elements = set(found)
-    gens = greedy_generators(elements, n)
-    group = closure(gens, cap=len(elements) + 1, degree=n)
-    if group.elements != frozenset(elements):
-        raise AssertionError("automorphism set failed closure verification")  # pragma: no cover
-    return PermGroup(n, gens, elements, points=verts)
+    found = _vertex_maps(adj, cell, order, node_budget)
+    return PermGroup(n, greedy_generators(found, n), found, points=verts)
 
 
 def _degree_triangles(adj: list[dict]) -> list[tuple[int, int]]:
@@ -232,12 +219,11 @@ def _degree_triangles(adj: list[dict]) -> list[tuple[int, int]]:
     ]
 
 
-def _vertex_maps(adj_a, adj_b, cell_a, cell_b, order, budget, what: str, visit) -> bool:
-    """Call visit(mapping) on each colour-preserving isomorphism from graph
-    a to graph b that keeps every vertex in its cell, until visit returns
-    True; return whether it did.
+def _vertex_maps(adj, cell, order, budget) -> list[Perm]:
+    """Every colour-preserving automorphism of the graph that keeps each
+    vertex in its cell.
 
-    Graphs are lists of {neighbour: colour} dicts.  Vertices of a are
+    The graph is a list of {neighbour: colour} dicts, and vertices are
     mapped in `order`.  An image u for v must be unused, lie in v's cell
     and agree with the vertices mapped so far, which needs only their
     neighbours: the images of v's mapped neighbours, with their colours,
@@ -245,22 +231,23 @@ def _vertex_maps(adj_a, adj_b, cell_a, cell_b, order, budget, what: str, visit) 
     "Practical graph isomorphism II", 2014).  Each candidate tried costs
     one of `budget` nodes; running out raises BudgetExceeded.
     """
-    n = len(adj_a)
+    n = len(adj)
     by_cell: dict = {}
     for u in range(n):
-        by_cell.setdefault(cell_b[u], []).append(u)
+        by_cell.setdefault(cell[u], []).append(u)
     mapping = [-1] * n
     used = [False] * n
     left = budget
     if not n:
-        return visit(mapping)
+        return [Perm(())]
+    found: list[Perm] = []
 
     def frame(i: int):
         # the vertex to map at depth i, its mapped neighbours' images with
         # their colours, and its remaining candidate images
         v = order[i]
-        want = {mapping[w]: c for w, c in adj_a[v].items() if mapping[w] >= 0}
-        return v, want, iter(by_cell.get(cell_a[v], ()))
+        want = {mapping[w]: c for w, c in adj[v].items() if mapping[w] >= 0}
+        return v, want, iter(by_cell[cell[v]])
 
     # an explicit stack, one frame per mapped vertex, so deep graphs do
     # not hit the interpreter's recursion limit
@@ -275,8 +262,8 @@ def _vertex_maps(adj_a, adj_b, cell_a, cell_b, order, budget, what: str, visit) 
                 continue
             left -= 1
             if left < 0:
-                raise BudgetExceeded(what, budget)
-            if {x: c for x, c in adj_b[u].items() if used[x]} == want:
+                raise BudgetExceeded("aut_graph search nodes", budget)
+            if {x: c for x, c in adj[u].items() if used[x]} == want:
                 mapping[v] = u
                 used[u] = True
                 break
@@ -284,11 +271,10 @@ def _vertex_maps(adj_a, adj_b, cell_a, cell_b, order, budget, what: str, visit) 
             stack.pop()
             continue
         if len(stack) == n:
-            if visit(mapping):
-                return True
+            found.append(Perm(mapping))
         else:
             stack.append(frame(len(stack)))
-    return False
+    return found
 
 
 def _refine(start: list, adj: list[dict[int, int]]) -> list[int]:
@@ -637,7 +623,8 @@ def code_structure(s: FiniteStructure) -> Graph:
     edges: set = set()
 
     def uvert(x) -> str:
-        return f"e:{x}"
+        # no ":", "|" or ",", which the transform reserves
+        return f"e_{x}"
 
     apex = "apex"
     vertices.add(apex)
@@ -680,52 +667,33 @@ def cayley_structure(group: PermGroup) -> FiniteStructure:
 
 
 def connected_graphs_up_to_iso(n: int) -> list[Graph]:
-    """All isomorphism types of connected graphs on exactly n vertices.
+    """All isomorphism types of connected graphs on exactly n vertices,
+    labelled v0..v{n-1}; meant for n <= 6.
 
-    Edge masks are scanned in increasing order and a graph is kept when no
-    earlier representative with the same multiset of (degree, triangles)
-    cells maps onto it under _vertex_maps, the search aut_graph runs.
+    The edge masks are scanned in increasing order.  A mask not seen yet
+    is the least of its orbit under S_n, and its whole orbit is marked
+    seen through one edge-bit table per vertex permutation (n! tables);
+    the mask's graph is kept when it is connected (orderly generation:
+    Read, "Every one a winner", 1978; McKay, "Isomorph-free exhaustive
+    generation", 1998).
     """
     labels = [f"v{i}" for i in range(n)]
     pairs = list(combinations(range(n), 2))
-    reps_by_cells: dict = {}
+    bit = {pair: 1 << k for k, pair in enumerate(pairs)}
+    # tables[s][k]: the bit of the image of edge k under permutation s
+    tables = [[bit[min(p[i], p[j]), max(p[i], p[j])] for i, j in pairs] for p in permutations(range(n))]
+    seen = bytearray(1 << len(pairs))
     out: list[Graph] = []
     for mask in range(1 << len(pairs)):
-        adj: list[dict[int, int]] = [{} for _ in range(n)]
-        for bit, (i, j) in enumerate(pairs):
-            if mask >> bit & 1:
-                adj[i][j] = 0
-                adj[j][i] = 0
-        if not _connected_adj(adj):
+        if seen[mask]:
             continue
-        cell = _degree_triangles(adj)
-        order = sorted(range(n), key=lambda v: -len(adj[v]))
-        bucket = reps_by_cells.setdefault(tuple(sorted(cell)), [])
-        if any(
-            _vertex_maps(adj, rep, cell, rep_cell, order, math.inf, "graph isomorphism search", lambda m: True)
-            for rep, rep_cell in bucket
-        ):
-            continue
-        bucket.append((adj, cell))
-        out.append(
-            Graph(labels, [_edge(labels[i], labels[j]) for i in range(n) for j in adj[i] if i < j])
-        )
+        ks = [k for k in range(len(pairs)) if mask >> k & 1]
+        for table in tables:
+            seen[sum(table[k] for k in ks)] = 1
+        g = Graph(labels, [_edge(labels[pairs[k][0]], labels[pairs[k][1]]) for k in ks])
+        if g.is_connected():
+            out.append(g)
     return out
-
-
-def _connected_adj(adj) -> bool:
-    n = len(adj)
-    if n == 0:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == n
 
 
 # ---------------------------------------------------------------------------

@@ -205,17 +205,26 @@ def closure(gens, cap: int = DEFAULT_CLOSURE_CAP, degree: int | None = None) -> 
 
 
 def greedy_generators(elements, degree: int) -> list[Perm]:
-    """A small (not minimal) generating set for a materialized group."""
+    """A small (not minimal) generating set for a materialized group.
+
+    Raises ValueError unless the closure of the generators is exactly
+    `elements`, so a set that is not a group is refused.
+    """
     target = set(elements)
     gens: list[Perm] = []
     have = {Perm.identity(degree)}
-    for x in sorted(target, key=lambda p: (-p.order(), p.images)):
-        if x in have:
-            continue
-        gens.append(x)
-        have = set(closure(gens, cap=len(target) + 1, degree=degree).elements)
-        if len(have) == len(target):
-            break
+    try:
+        for x in sorted(target, key=lambda p: (-p.order(), p.images)):
+            if x in have:
+                continue
+            gens.append(x)
+            have = set(closure(gens, cap=len(target) + 1, degree=degree).elements)
+            if len(have) == len(target):
+                break
+    except BudgetExceeded:
+        have = None  # the generators make more elements than the set has
+    if have != target:
+        raise ValueError(f"{len(target)} permutations of degree {degree} are not closed under products")
     return gens or [Perm.identity(degree)]
 
 
@@ -437,8 +446,8 @@ def aut_group(
 
     Candidate images are restricted to elements with the same order and
     conjugacy-class size as the generator; each candidate tuple is
-    validated by rebuilding the whole multiplication graph, and the found
-    set is closed and re-verified before returning.
+    validated by rebuilding the whole multiplication graph, and
+    greedy_generators checks that the found set is closed.
     """
     if G.order > cap:
         raise BudgetExceeded("aut_group element cap", cap)
@@ -449,10 +458,7 @@ def aut_group(
     _isomorphisms(G, G, invariants, invariants, node_budget, "automorphism search", autos.append)
 
     aut_perms = {Perm([index[phi[x]] for x in domain]) for phi in autos}
-    aut_gens = greedy_generators(aut_perms, len(domain))
-    group = closure(aut_gens, cap=len(aut_perms) + 1, degree=len(domain))
-    if group.elements != frozenset(aut_perms):
-        raise AssertionError("automorphism set is not closed")  # pragma: no cover
+    group = PermGroup(len(domain), greedy_generators(aut_perms, len(domain)), aut_perms)
     inner = {}
     for g in domain:
         gi = g.inv()
@@ -586,12 +592,19 @@ def _point_perm(F, points, index, f) -> Perm:
 
 
 def _projective_group(q: int, det_one: bool) -> PermGroup:
+    """PGL(2, q), or PSL(2, q) when det_one, with one matrix per element:
+    the one whose first nonzero entry is 1, so its first row is (1, b)
+    or (0, 1).  Such a matrix is a multiple of one of determinant 1
+    exactly when its determinant is a square."""
     F, points, index = _projective_line(q)
     add, mul = F.add, F.mul
+    squares = {mul(x, x) for x in range(1, q)}
+    normalised = [(1, b, c, d) for b, c, d in product(range(q), repeat=3)]
+    normalised += [(0, 1, c, d) for c, d in product(range(q), repeat=2)]
     perms = set()
-    for a, b, c, d in product(range(q), repeat=4):
+    for a, b, c, d in normalised:
         det = F.sub(mul(a, d), mul(b, c))
-        if det and (det == 1 or not det_one):
+        if det and (det in squares or not det_one):
             perms.add(_point_perm(F, points, index, lambda u, v: (
                 add(mul(a, u), mul(b, v)), add(mul(c, u), mul(d, v)))))
     gens = greedy_generators(perms, len(points))

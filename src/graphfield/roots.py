@@ -269,8 +269,7 @@ def _structured_root(a: TowerElement, p: int) -> TowerElement | None:
     return None
 
 
-def pth_root(a: TowerElement, p: int, ctx: TowerContext | None = None,
-             spec_trials: int = 24, seed: int = 0) -> RootResult:
+def pth_root(a: TowerElement, p: int, ctx: TowerContext | None = None, seed: int = 0) -> RootResult:
     """Three-stage p-th root decision; see the module docstring."""
     ctx = ctx or a.ctx
     if a.is_zero():
@@ -297,7 +296,7 @@ def pth_root(a: TowerElement, p: int, ctx: TowerContext | None = None,
                 note=f"value {pv.value} at {pv.label} is not divisible by {p}",
             )
     if ctx.char == 0:
-        rep = specialization_refute(a, p, trials=spec_trials, seed=seed)
+        rep = specialization_refute(a, p, seed=seed)
         if rep["refuted"]:
             return RootResult(
                 outcome="no",

@@ -3,6 +3,7 @@
 The oracle for automorphism counts on small graphs is brute force over
 all vertex permutations, independent of the backtracking search.
 """
+import hashlib
 import json
 from itertools import permutations
 
@@ -316,11 +317,20 @@ def test_code_structure_restriction_realizes_iso():
     for p in group.elements:
         m = {}
         for i, v in enumerate(verts):
-            if v.startswith("e:") and "." not in v:
+            if v.startswith("e_") and "." not in v:
                 m[v[2:]] = verts[p(i)][2:]
         restricted.add(tuple(sorted(m.items())))
     expected = {tuple(sorted(a.items())) for a in structure_auts(s)}
     assert restricted == expected
+
+
+def test_code_graph_of_z2_goes_through_the_transform():
+    # the code graph's labels avoid the characters the transform reserves
+    z2 = closure([Perm.from_cycles(2, [(0, 1)])])
+    g = code_structure(cayley_structure(z2))
+    cg = transform(g)
+    assert len(cg.vertices) == 487
+    assert original_graph(cg) == g
 
 
 def test_code_structure_matches_structure_aut_on_corpus():
@@ -343,6 +353,27 @@ def test_code_structure_matches_structure_aut_on_corpus():
 def test_connected_graph_counts():
     # numbers of isomorphism types of connected graphs on n vertices
     assert [len(connected_graphs_up_to_iso(n)) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+
+
+# sha256 of the representatives' sorted edge lists, in output order, as
+# the pairwise isomorphism scan produced them: the least edge mask of each
+# class, masks read with bit k for the k-th pair of combinations(range(n), 2)
+_CORPUS_DIGESTS = {
+    1: "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
+    2: "b23aa4f5049afa1f62cc7f442b26bbc1f3a6423608b9812d792ca3e90fc62e2b",
+    3: "96003ad4c5bf7e7599e3d075146744efbf8d67e329771e2278b8a591d72a193c",
+    4: "1e7723b35b24a8db266b11597f3e82d234805587d4311395f331a84404f833f0",
+    5: "643a950a14ce5411284be6d5261390f27f4956db14a3ad627e4bb6414d413f94",
+    6: "4d067d766351e2217f3c190ac45f2f0430cc611fed1141df56181e935257f189",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_CORPUS_DIGESTS))
+def test_corpus_representatives_golden(n):
+    reps = connected_graphs_up_to_iso(n)
+    assert all(g.vertices == {f"v{i}" for i in range(n)} for g in reps)
+    doc = json.dumps([sorted(sorted(e) for e in g.edges) for g in reps])
+    assert hashlib.sha256(doc.encode()).hexdigest() == _CORPUS_DIGESTS[n]
 
 
 # -- JSON ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from graphfield import groups
 from graphfield.errors import BudgetExceeded, NotCenterless, NotPrimePower, NotSubgroup
 from graphfield.graphs import Graph, aut_graph
 from graphfield._modgcd import _image_field
@@ -19,6 +20,7 @@ from graphfield.groups import (
     conjugation_action,
     find_isomorphism,
     frobenius_point_perm,
+    greedy_generators,
     is_simple,
     normalizer,
     normalizer_tower,
@@ -239,6 +241,28 @@ def test_projective_groups_golden(q):
     got = (_group_digest(psl2(q)), _group_digest(pgl2(q)), _group_digest(pgammal2(q)),
            _digest(frobenius_point_perm(q).images))
     assert got == _PROJECTIVE_DIGESTS[q]
+
+
+@pytest.mark.parametrize("build", [pgl2, psl2])
+def test_projective_group_builds_each_element_once(build, monkeypatch):
+    # one normalised matrix per element: the scalar multiples of a matrix
+    # give the same point permutation and are not built again
+    calls = []
+    point_perm = groups._point_perm
+
+    def counting(*args):
+        calls.append(1)
+        return point_perm(*args)
+
+    monkeypatch.setattr(groups, "_point_perm", counting)
+    G = build(9)
+    assert len(calls) == G.order
+
+
+def test_greedy_generators_rejects_non_group():
+    # (0 1 2) generates a group of order 3, not the 2-element set
+    with pytest.raises(ValueError):
+        greedy_generators({Perm.identity(3), Perm.from_cycles(3, [(0, 1, 2)])}, 3)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
