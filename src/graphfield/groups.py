@@ -213,16 +213,17 @@ def greedy_generators(elements, degree: int) -> list[Perm]:
     target = set(elements)
     gens: list[Perm] = []
     have = {Perm.identity(degree)}
-    try:
-        for x in sorted(target, key=lambda p: (-p.order(), p.images)):
-            if x in have:
-                continue
-            gens.append(x)
+    for x in sorted(target, key=lambda p: (-p.order(), p.images)):
+        if x in have:
+            continue
+        gens.append(x)
+        try:
             have = set(closure(gens, cap=len(target) + 1, degree=degree).elements)
-            if len(have) == len(target):
-                break
-    except BudgetExceeded:
-        have = None  # the generators make more elements than the set has
+        except BudgetExceeded:
+            have = None  # the generators make more elements than the set has
+            break
+        if len(have) == len(target):
+            break
     if have != target:
         raise ValueError(f"{len(target)} permutations of degree {degree} are not closed under products")
     return gens or [Perm.identity(degree)]

@@ -259,10 +259,16 @@ def test_projective_group_builds_each_element_once(build, monkeypatch):
     assert len(calls) == G.order
 
 
-def test_greedy_generators_rejects_non_group():
-    # (0 1 2) generates a group of order 3, not the 2-element set
+@pytest.mark.parametrize("cycles", [
+    pytest.param([[(0, 1, 2)]], id="closure-one-larger"),
+    pytest.param([[(0, 1)], [(1, 2)]], id="closure-past-the-cap"),
+])
+def test_greedy_generators_rejects_non_group(cycles):
+    # (0 1 2) generates 3 elements and (0 1), (1 2) generate 6, so neither
+    # set with the identity added is a group
+    elements = {Perm.identity(3)} | {Perm.from_cycles(3, c) for c in cycles}
     with pytest.raises(ValueError):
-        greedy_generators({Perm.identity(3), Perm.from_cycles(3, [(0, 1, 2)])}, 3)
+        greedy_generators(elements, 3)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
