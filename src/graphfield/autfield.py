@@ -236,7 +236,6 @@ def encode_element(a: TowerElement) -> Code:
         raise ValueError("the codec is defined for graph-built towers")
     if not cg.edges:
         raise ValueError("the codec needs a graph with at least one edge")
-    neighbors = {v: sorted(cg.graph.neighbors(v)) for v in cg.vertices}
     gen_endpoints = []
     for g in ctx.gens:
         _, s, t = g.recipe
@@ -258,7 +257,7 @@ def encode_element(a: TowerElement) -> Code:
                             sequences.add((v,) * n)
                     else:
                         for v in cg.vertices:
-                            for u in neighbors[v]:
+                            for u in cg.graph.neighbors(v):
                                 sequences.add((v,) * 4 + _bit_runs(u, v, bits))
                 elif len(verts) == 1:
                     (v,) = verts
@@ -267,7 +266,7 @@ def encode_element(a: TowerElement) -> Code:
                         n = 5 + 2 * int("1" + bits, 2)
                         sequences.add((v,) * n)
                     else:
-                        for u in neighbors[v]:
+                        for u in cg.graph.neighbors(v):
                             sequences.add((v,) * 3 + _bit_runs(u, v, bits))
                 else:
                     head = _stream_bits((role, qn, qd))

@@ -11,10 +11,14 @@ Vertex labels are strings throughout; the transform tags its output
 vertices inside the label ("1:x", "2:a|b:w") so the original graph and
 the gadget copies stay recoverable.
 
-Automorphism groups come from one backtracking search over vertex
-images (`_vertex_maps`).  The corpus of connected graphs on up to 6
-vertices needs no isomorphism test: it keeps the least edge mask of each
-orbit of S_n on the masks.
+Automorphism groups come from one individualisation–refinement search
+(`_aut_generators`): it refines ordered partitions to equitable ones with
+one routine (`_equitable`), finds a strong generating set along its first
+path, pruning with the orbits of the generators found so far, and counts
+the group's order; `aut_graph` materialises the elements by one closure.
+A `Graph` builds its adjacency once, on first use.  The corpus of
+connected graphs on up to 6 vertices needs no isomorphism test: it keeps
+the least edge mask of each orbit of S_n on the masks.
 """
 from __future__ import annotations
 
@@ -23,10 +27,13 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .errors import BudgetExceeded, Disconnected, InvalidInput, NotFromTransform
-from .groups import Perm, PermGroup, greedy_generators
+from .groups import Perm, PermGroup, closure
 
 DEFAULT_VERTEX_BOUND = 64
-DEFAULT_AUT_NODE_BUDGET = 5_000_000
+# individualise-and-refine nodes: a node that refines the 4,775-vertex
+# chain transform of S3 to a discrete partition takes about 35 ms, so the
+# whole budget runs out there in about 11 s
+DEFAULT_AUT_NODE_BUDGET = 300
 
 
 def _edge(a: str, b: str) -> frozenset:
@@ -54,12 +61,24 @@ class Graph:
         for v in self.vertices:
             if not isinstance(v, str):
                 raise ValueError(f"vertex label {v!r} must be a string")
+        self._adj = None
 
-    def neighbors(self, v: str) -> set:
-        return {next(iter(e - {v})) for e in self.edges if v in e}
+    def _neighbour_sets(self) -> dict:
+        """Each vertex's neighbours, built once, on first use."""
+        if self._adj is None:
+            adj: dict = {v: set() for v in self.vertices}
+            for e in self.edges:
+                a, b = tuple(e)
+                adj[a].add(b)
+                adj[b].add(a)
+            self._adj = {v: frozenset(nb) for v, nb in adj.items()}
+        return self._adj
+
+    def neighbors(self, v: str) -> frozenset:
+        return self._neighbour_sets().get(v, frozenset())
 
     def degree(self, v: str) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return len(self.neighbors(v))
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -184,10 +203,11 @@ def aut_graph(
     """All automorphisms of a graph or colored graph, as a PermGroup on
     the sorted vertex list (color-preserving when colored).
 
-    _vertex_maps collects every automorphism, with cells from an iterated
-    neighbourhood invariant started from each vertex's degree and the
-    number of edges among its neighbours; greedy_generators checks that
-    the found set is closed.
+    `_aut_generators` finds a strong generating set and the group's
+    order by individualisation and refinement; one closure of those
+    generators gives the elements, and it must reach exactly that order.
+    Each individualise-and-refine node, the root included, costs one of
+    `node_budget` units; running out raises BudgetExceeded.
     """
     graph, colors = _unwrap(g)
     verts = sorted(graph.vertices)
@@ -202,13 +222,14 @@ def aut_graph(
         adj[index[a]][index[b]] = c
         adj[index[b]][index[a]] = c
 
-    # start from degree and the number of edges among the neighbours: degree
-    # refinement alone cannot tell a bare transform's original vertices from
-    # the gadget copies' z and a when all have degree 4, as on a cycle
-    cell = _refine(_degree_triangles(adj), adj)
-    order = sorted(range(n), key=lambda v: (sum(1 for u in range(n) if cell[u] == cell[v]), v))
-    found = _vertex_maps(adj, cell, order, node_budget)
-    return PermGroup(n, greedy_generators(found, n), found, points=verts)
+    gens, order = _aut_generators(adj, node_budget)
+    try:
+        elements = closure(gens, cap=order, degree=n).elements
+    except BudgetExceeded:
+        elements = None
+    if elements is None or len(elements) != order:
+        raise AssertionError(f"the generators do not close to the {order} automorphisms the search counted")
+    return PermGroup(n, gens, elements, points=verts)
 
 
 def _degree_triangles(adj: list[dict]) -> list[tuple[int, int]]:
@@ -219,80 +240,221 @@ def _degree_triangles(adj: list[dict]) -> list[tuple[int, int]]:
     ]
 
 
-def _vertex_maps(adj, cell, order, budget) -> list[Perm]:
-    """Every colour-preserving automorphism of the graph that keeps each
-    vertex in its cell.
+# An ordered partition of range(n) is a triple (elems, cell_of, end): the
+# vertices in one list whose cells are contiguous segments, each cell named
+# by its start index, cell_of[v] the start of v's cell and end[s] the end
+# of the cell that starts at s.  Every choice below reads positions, sizes
+# and neighbour counts, never vertex numbers, so the partitions reached
+# from an automorphic image of a node are the images of the partitions
+# reached from the node: the pruning in _aut_generators rests on that.
 
-    The graph is a list of {neighbour: colour} dicts, and vertices are
-    mapped in `order`.  An image u for v must be unused, lie in v's cell
-    and agree with the vertices mapped so far, which needs only their
-    neighbours: the images of v's mapped neighbours, with their colours,
-    must be exactly u's mapped neighbours with theirs (McKay & Piperno,
-    "Practical graph isomorphism II", 2014).  Each candidate tried costs
-    one of `budget` nodes; running out raises BudgetExceeded.
+
+def _equitable(part, stack: list[int], wadj, expect=None):
+    """Refine `part` in place to the coarsest equitable partition finer
+    than it, splitting the cells against the splitter cells on `stack`.
+
+    For each vertex the neighbours in the splitter are counted per edge
+    colour, packed into one int by the weights of `wadj`; each touched
+    cell splits, in order of position, into fragments sorted by that
+    count.  A split cell that was not waiting as a splitter queues all its
+    fragments but its first largest one (Junttila & Kaski, ALENEX 2007).
+    Returns the trace, one (cell start, fragment sizes, fragment counts)
+    per split, or None as soon as it departs from `expect`.
+    """
+    elems, cell_of, end = part
+    queued = set(stack)
+    trace = []
+    cells = len(set(cell_of))
+    # a discrete partition splits no further
+    while stack and cells < len(elems):
+        s = stack.pop()
+        queued.discard(s)
+        count: dict[int, int] = {}
+        for w in elems[s:end[s]]:
+            for u, weight in wadj[w]:
+                count[u] = count.get(u, 0) + weight
+        touched = [t for t in {cell_of[u] for u in count} if end[t] - t > 1]
+        touched.sort()
+        for t in touched:
+            frags: dict[int, list[int]] = {}
+            for u in elems[t:end[t]]:
+                frags.setdefault(count.get(u, 0), []).append(u)
+            if len(frags) == 1:
+                continue
+            keys = sorted(frags)
+            parts = [frags[k] for k in keys]
+            sizes = tuple(map(len, parts))
+            entry = (t, sizes, tuple(keys))
+            if expect is not None and (len(trace) == len(expect) or expect[len(trace)] != entry):
+                return None
+            trace.append(entry)
+            cells += len(parts) - 1
+            starts = []
+            a = t
+            for f in parts:
+                starts.append(a)
+                b = a + len(f)
+                elems[a:b] = f
+                for u in f:
+                    cell_of[u] = a
+                end[a] = b
+                a = b
+            if t in queued:
+                new = starts[1:]
+            else:
+                largest = sizes.index(max(sizes))
+                new = starts[:largest] + starts[largest + 1:]
+            stack.extend(new)
+            queued.update(new)
+    if expect is not None and len(trace) != len(expect):
+        return None
+    return trace
+
+
+def _target_cell(part) -> int | None:
+    """The start of the first smallest non-singleton cell, or None when
+    the partition is discrete."""
+    _, _, end = part
+    best = None
+    s = 0
+    while s < len(end):
+        size = end[s] - s
+        if size > 1 and (best is None or size < end[best] - best):
+            best = s
+        s = end[s]
+    return best
+
+
+def _individualise(part, t: int, v: int):
+    """A copy of `part` with v split off, as a singleton first, from the
+    cell that starts at t."""
+    elems, cell_of, end = (list(x) for x in part)
+    e = end[t]
+    rest = [u for u in elems[t:e] if u != v]
+    elems[t] = v
+    elems[t + 1:e] = rest
+    cell_of[v] = t
+    end[t] = t + 1
+    for u in rest:
+        cell_of[u] = t + 1
+    end[t + 1] = e
+    return elems, cell_of, end
+
+
+def _orbit(v: int, gens) -> set[int]:
+    orbit = {v}
+    todo = [v]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = g.images[x]
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
+
+
+def _aut_generators(adj: list[dict[int, int]], budget: int) -> tuple[list[Perm], int]:
+    """A strong generating set of the colour-preserving automorphisms of
+    the graph given as {neighbour: colour} dicts, and the group's order.
+
+    Individualisation and refinement (McKay & Piperno, "Practical graph
+    isomorphism II", J. Symb. Comput. 2014): the root partition comes from
+    `_degree_triangles`, each node individualises one vertex of its target
+    cell and refines.  The first path takes the first vertex of each
+    target cell down to a discrete leaf.  Going back up, from the deepest
+    level to the root, every target-cell vertex w outside the orbit of the
+    first-path vertex v under the generators found so far (all fix the
+    first path above this level) has its subtree searched for a leaf whose
+    traces match the first path at every depth and whose map from the
+    first leaf is an automorphism.  Such a map, which sends v to w, is a
+    new generator; a w without one is rejected with its whole orbit.  The
+    order is the product of the orbit lengths.
     """
     n = len(adj)
-    by_cell: dict = {}
-    for u in range(n):
-        by_cell.setdefault(cell[u], []).append(u)
-    mapping = [-1] * n
-    used = [False] * n
+    shift = max(1, n.bit_length())
+    # a neighbour of colour c adds 1 << (shift * c) to a vertex's count,
+    # so the per-colour counts, each below n, never carry into each other
+    wadj = [[(u, 1 << (shift * c)) for u, c in nb.items()] for nb in adj]
     left = budget
-    if not n:
-        return [Perm(())]
-    found: list[Perm] = []
 
-    def frame(i: int):
-        # the vertex to map at depth i, its mapped neighbours' images with
-        # their colours, and its remaining candidate images
-        v = order[i]
-        want = {mapping[w]: c for w, c in adj[v].items() if mapping[w] >= 0}
-        return v, want, iter(by_cell[cell[v]])
+    def spend():
+        nonlocal left
+        left -= 1
+        if left < 0:
+            raise BudgetExceeded("aut_graph search nodes", budget)
 
-    # an explicit stack, one frame per mapped vertex, so deep graphs do
-    # not hit the interpreter's recursion limit
-    stack = [frame(0)]
-    while stack:
-        v, want, candidates = stack[-1]
-        if mapping[v] >= 0:
-            used[mapping[v]] = False
-            mapping[v] = -1
-        for u in candidates:
-            if used[u]:
+    inv = _degree_triangles(adj)
+    elems = sorted(range(n), key=lambda v: inv[v])
+    cell_of = [0] * n
+    end = [0] * n
+    starts = []
+    for i, v in enumerate(elems):
+        if i == 0 or inv[v] != inv[elems[i - 1]]:
+            starts.append(i)
+        cell_of[v] = starts[-1]
+        end[starts[-1]] = i + 1
+    part = (elems, cell_of, end)
+    spend()
+    _equitable(part, starts, wadj)
+
+    # the first path: (partition, target cell start) per level, and the
+    # trace that individualising the target's first vertex produced
+    path = []
+    traces = []
+    t = _target_cell(part)
+    while t is not None:
+        path.append((part, t))
+        part = _individualise(part, t, part[0][t])
+        spend()
+        traces.append(_equitable(part, [t], wadj))
+        t = _target_cell(part)
+    first_leaf = part[0]
+
+    def leaf_automorphism(node, t: int, w: int, level: int) -> Perm | None:
+        # depth-first through the subtree below w, one frame per node: its
+        # partition, its target cell, its untried children and its level
+        stack = [(node, t, iter((w,)), level)]
+        while stack:
+            node, t, children, d = stack[-1]
+            u = next(children, None)
+            if u is None:
+                stack.pop()
                 continue
-            left -= 1
-            if left < 0:
-                raise BudgetExceeded("aut_graph search nodes", budget)
-            if {x: c for x, c in adj[u].items() if used[x]} == want:
-                mapping[v] = u
-                used[u] = True
-                break
-        else:
-            stack.pop()
-            continue
-        if len(stack) == n:
-            found.append(Perm(mapping))
-        else:
-            stack.append(frame(len(stack)))
-    return found
+            child = _individualise(node, t, u)
+            spend()
+            if _equitable(child, [t], wadj, traces[d]) is None:
+                continue
+            if d + 1 == len(path):
+                images = [0] * n
+                for x, y in zip(first_leaf, child[0]):
+                    images[x] = y
+                if all(adj[images[x]].get(images[y]) == c for x in range(n) for y, c in adj[x].items()):
+                    return Perm(images)
+                continue
+            # equal traces leave the same cells as on the first path
+            t2 = path[d + 1][1]
+            stack.append((child, t2, iter(child[0][t2:child[2][t2]]), d + 1))
+        return None
 
-
-def _refine(start: list, adj: list[dict[int, int]]) -> list[int]:
-    """Iterated invariant refinement until the partition stabilizes."""
-    n = len(start)
-    table: dict = {}
-    inv = []
-    for x in start:
-        inv.append(table.setdefault(x, len(table)))
-    while True:
-        sigs = []
-        for v in range(n):
-            sigs.append((inv[v], tuple(sorted((inv[u], c) for u, c in adj[v].items()))))
-        table = {}
-        new_inv = [table.setdefault(s, len(table)) for s in sigs]
-        if new_inv == inv:
-            return inv
-        inv = new_inv
+    gens: list[Perm] = []
+    order = 1
+    for level in reversed(range(len(path))):
+        node, t = path[level]
+        cell = node[0][t:node[2][t]]
+        orbit = _orbit(cell[0], gens)
+        rejected: set[int] = set()
+        for w in cell[1:]:
+            if w in orbit or w in rejected:
+                continue
+            g = leaf_automorphism(node, t, w, level)
+            if g is None:
+                rejected |= _orbit(w, gens)
+            else:
+                gens.append(g)
+                orbit = _orbit(cell[0], gens)
+        order *= len(orbit)
+    return gens, order
 
 
 def graph_auts(g) -> list[GraphAut]:
@@ -618,6 +780,10 @@ def code_structure(s: FiniteStructure) -> Graph:
     relation names (6, 8, 10, ...), so no tag class can map to another.
     (The apex tag must stay shorter than a universe vertex plus its tag,
     or the whole branch could trade places with it.)
+
+    Vertex x of the universe is "e_x" and its tag path "t_x.1".."t_x.3";
+    no other label starts with "e_" or "t_", and the tag index after the
+    last "." holds no ".", so distinct elements never share a vertex.
     """
     vertices: set = set()
     edges: set = set()
@@ -632,7 +798,7 @@ def code_structure(s: FiniteStructure) -> Graph:
     for x in s.universe:
         vertices.add(uvert(x))
         edges.add(_edge(apex, uvert(x)))
-        _pendant_path(vertices, edges, uvert(x), f"{uvert(x)}.t", 3)
+        _pendant_path(vertices, edges, uvert(x), f"t_{x}", 3)
 
     for j, (name, tuples) in enumerate(s.all_relations()):
         rel_tag = 6 + 2 * j

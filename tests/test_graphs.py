@@ -1,11 +1,13 @@
 """Graphs: the edge gadget, the transform, star colorings, structure codes.
 
 The oracle for automorphism counts on small graphs is brute force over
-all vertex permutations, independent of the backtracking search.
+all vertex permutations, independent of the search tree; on larger ones
+it is networkx, where installed.
 """
 import hashlib
 import json
-from itertools import permutations
+import random
+from itertools import permutations, product
 
 import pytest
 
@@ -126,6 +128,107 @@ def test_aut_graph_long_path():
     # deeper than the interpreter's recursion limit: the search keeps its
     # own stack
     assert aut_graph(path(1200), max_vertices=1200).order == 2
+
+
+def _cycle(n, prefix="v"):
+    vs = [f"{prefix}{i}" for i in range(n)]
+    return [(vs[i], vs[(i + 1) % n]) for i in range(n)], vs
+
+
+def _cayley_z4z4(steps):
+    vs = {(a, b): f"p{a}{b}" for a, b in product(range(4), repeat=2)}
+    edges = {
+        frozenset((vs[a, b], vs[(a + da) % 4, (b + db) % 4]))
+        for (a, b) in vs
+        for da, db in steps
+    }
+    return Graph(vs.values(), edges)
+
+
+def _known_graphs():
+    outer = [(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
+    inner = [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)]
+    spokes = [(f"o{i}", f"i{i}") for i in range(5)]
+    petersen = Graph([f"o{i}" for i in range(5)] + [f"i{i}" for i in range(5)], outer + inner + spokes)
+    shrikhande = _cayley_z4z4([(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)])
+    rook = _cayley_z4z4([(d, 0) for d in (1, 2, 3)] + [(0, d) for d in (1, 2, 3)])
+    cube = Graph(
+        [f"q{i}" for i in range(8)],
+        [(f"q{i}", f"q{i ^ (1 << k)}") for i in range(8) for k in range(3) if i < i ^ (1 << k)],
+    )
+    c4, v4 = _cycle(4, "a")
+    c8, v8 = _cycle(8, "b")
+    return {
+        "petersen": (petersen, 120),
+        "shrikhande": (shrikhande, 192),
+        "k4xk4": (rook, 1152),
+        "q3": (cube, 48),
+        # two components: the search must reject the subtrees that would
+        # trade a 4-cycle vertex for an 8-cycle one
+        "c4+c8": (Graph(v4 + v8, c4 + c8), 128),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_known_graphs()))
+def test_aut_graph_known_orders(name):
+    g, order = _known_graphs()[name]
+    group = aut_graph(g)
+    assert group.order == order
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph([tuple(e) for e in g.edges])
+    matcher = nx.algorithms.isomorphism.GraphMatcher(h, h)
+    assert sum(1 for _ in matcher.isomorphisms_iter()) == order
+
+
+def test_aut_graph_chain_transforms_within_the_default_budget():
+    # group -> Cayley structure -> code graph -> coloured transform; the
+    # former search ran out of its node budget on all three
+    s2 = closure([Perm.from_cycles(2, [(0, 1)])])
+    a3 = closure([Perm.from_cycles(3, [(0, 1, 2)])])
+    s3 = closure([Perm.from_cycles(3, [(0, 1)]), Perm.from_cycles(3, [(0, 1, 2)])])
+    for group, size in ((s2, 487), (a3, 1097), (s3, 4775)):
+        cg = transform(code_structure(cayley_structure(group)))
+        assert len(cg.vertices) == size
+        assert aut_graph(cg, max_vertices=size).order == group.order
+
+
+def _corpus_transforms():
+    return [transform(g) for n in range(1, 7) for g in connected_graphs_up_to_iso(n)]
+
+
+def test_aut_graph_is_label_invariant_on_the_corpus():
+    # renaming the vertices reorders every cell, so a refinement that read
+    # vertex numbers would prune differently; the group, conjugated back,
+    # must not change
+    for k, cg in enumerate(_corpus_transforms()):
+        group = aut_graph(cg, max_vertices=128)
+        verts = group.points
+        expected = {tuple(verts[p(i)] for i in range(len(verts))) for p in group.elements}
+        for seed in range(2):
+            names = [f"w{i}" for i in range(len(verts))]
+            random.Random(f"{k}:{seed}").shuffle(names)
+            rename = dict(zip(verts, names))
+            back = dict(zip(names, verts))
+            edges = [frozenset(rename[v] for v in e) for e in cg.edges]
+            colors = {frozenset(rename[v] for v in e): c for e, c in cg.colors.items()}
+            relabelled = aut_graph(ColoredGraph(Graph(names, edges), colors, cg.color_count), max_vertices=128)
+            assert relabelled.order == group.order
+            pts = relabelled.points
+            index = {v: i for i, v in enumerate(pts)}
+            got = {
+                tuple(back[pts[p(index[rename[v]])]] for v in verts)
+                for p in relabelled.elements
+            }
+            assert got == expected
+
+
+def test_aut_graph_generators_are_automorphisms():
+    graphs_ = _corpus_transforms() + [g for g, _ in _known_graphs().values()]
+    for g in graphs_:
+        group = aut_graph(g, max_vertices=128)
+        verts = group.points
+        for p in group.generators:
+            assert GraphAut({verts[i]: verts[p(i)] for i in range(len(verts))}).is_automorphism_of(g)
 
 
 # -- transform ----------------------------------------------------------------
@@ -278,6 +381,15 @@ def test_code_structure_linear_order_rigid():
     g = code_structure(s)
     assert g.is_connected()
     assert aut_graph(g, max_vertices=200).order == 1 == len(structure_auts(s))
+
+
+def test_code_structure_tags_do_not_collide_with_universe_names():
+    # "a.t.1" once named both the universe vertex of "a.t.1" and the first
+    # tag vertex of "a", which made the pure set on it rigid
+    for universe in (("a", "b"), ("a", "a.t.1"), ("a", "t_a.1")):
+        g = code_structure(FiniteStructure(universe, {}, {}))
+        assert len(g.vertices) == 11
+        assert aut_graph(g).order == 2
 
 
 def test_cayley_structure_z3():
