@@ -6,10 +6,13 @@ Groups are always materialized as explicit element sets; subgroup
 equality is element-set equality.  Everything here is exhaustive search
 tuned only as far as desk scale requires.
 
-Automorphisms and isomorphisms of abstract groups come from one search
-over generator images (`_isomorphisms`): `aut_group` runs it from G to
-G and collects every map, `find_isomorphism` runs it from G to H and
-stops at the first.
+Automorphisms and isomorphisms of abstract groups come from one
+depth-first search over generator images (`_isomorphisms`), which
+charges each prefix to a node budget.  `find_isomorphism` runs it from
+G to H and stops at the first tuple that extends to an isomorphism.
+`aut_group` runs it from G to G and gives the full check to one tuple
+per orbit of the automorphisms found so far; the element set of Aut(G)
+comes from one closure of the automorphisms that passed.
 
 PSL, PGL and PGammaL(2, q), q a prime power up to 16, permute the q + 1
 points of the projective line over GF(q).  The field is the `_modgcd`
@@ -370,19 +373,6 @@ def _choose_generators(G: PermGroup, invariants) -> list[Perm]:
     return gens
 
 
-def _pair_invariants_match(gens, chosen, inv_G, inv_H) -> bool:
-    """Cheap necessary condition before the full homomorphism rebuild:
-    products of generator pairs must land in matching classes."""
-    k = len(gens)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            if inv_G[gens[i] * gens[j]] != inv_H[chosen[i] * chosen[j]]:
-                return False
-    return True
-
-
 def _hom_from_generator_images(G: PermGroup, H: PermGroup, gens, images, budget, what: str) -> dict | None:
     """Extend gens -> images to an isomorphism G -> H, or None.
 
@@ -418,23 +408,43 @@ def _hom_from_generator_images(G: PermGroup, H: PermGroup, gens, images, budget,
     return phi
 
 
-def _isomorphisms(G: PermGroup, H: PermGroup, inv_G, inv_H, node_budget: int, what: str, visit) -> None:
-    """Call visit(phi) on each isomorphism G -> H until visit returns True.
+def _isomorphisms(G: PermGroup, H: PermGroup, gens, inv_G, inv_H, node_budget: int, what: str, visit) -> None:
+    """Call visit(images, extend) on each tuple of images in H for `gens`
+    that passes the pair-product check, until visit returns True.
 
-    Generators of G are chosen by rarity of their (order, class size)
-    invariant; each tuple of invariant-matched images in H that passes the
-    pair-product check is handed to _hom_from_generator_images.
+    Images are chosen depth first, one generator position at a time, from
+    the elements of H with that generator's (order, class size)
+    invariant.  A prefix is cut as soon as the product of two chosen
+    images, in either order, has another invariant than the product of
+    their generators.  Each prefix costs one node of `node_budget`;
+    extend(images) runs _hom_from_generator_images on a tuple and draws
+    on the same budget, so visit decides which tuples get that check.
     """
-    gens = _choose_generators(G, inv_G)
     domain_H = H.sorted_elements()
     pools = [[y for y in domain_H if inv_H[y] == inv_G[g]] for g in gens]
+    pair_inv = [[inv_G[a * b] for b in gens] for a in gens]
     budget = [node_budget, node_budget]
-    for images in product(*pools):
-        if not _pair_invariants_match(gens, images, inv_G, inv_H):
-            continue
-        phi = _hom_from_generator_images(G, H, gens, images, budget, what)
-        if phi is not None and visit(phi):
-            return
+    chosen: list[Perm] = []
+
+    def extend(images) -> dict | None:
+        return _hom_from_generator_images(G, H, gens, images, budget, what)
+
+    def descend(i: int) -> bool:
+        if i == len(gens):
+            return visit(tuple(chosen), extend)
+        for y in pools[i]:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise BudgetExceeded(what, node_budget)
+            if all(inv_H[x * y] == pair_inv[j][i] and inv_H[y * x] == pair_inv[i][j]
+                   for j, x in enumerate(chosen)):
+                chosen.append(y)
+                if descend(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    descend(0)
 
 
 def aut_group(
@@ -442,43 +452,96 @@ def aut_group(
     cap: int = DEFAULT_AUT_CAP,
     node_budget: int = DEFAULT_AUT_NODE_BUDGET,
 ) -> AutGroup:
-    """All automorphisms of G: the isomorphism search of _isomorphisms
-    with H = G, collecting every map it finds.
+    """All automorphisms of G: the search of _isomorphisms with H = G,
+    checking one image tuple per orbit of the automorphisms found.
 
-    Candidate images are restricted to elements with the same order and
-    conjugacy-class size as the generator; each candidate tuple is
-    validated by rebuilding the whole multiplication graph, and
-    greedy_generators checks that the found set is closed.
+    Aut(G) acts on the image tuples of the chosen generators by
+    t -> a∘t, and t extends to an automorphism exactly when a∘t does, so
+    the tuples that extend form the one orbit Aut·gens.  The visitor keeps
+    A, the closure of the automorphisms verified so far, as permutations
+    of the indices of G's sorted elements.  A tuple in A·gens is a known
+    automorphism and is skipped; a tuple in A·r, for a tuple r that was
+    checked and rejected, is rejected too; any other tuple gets the full
+    _hom_from_generator_images check, and if it passes, its map joins A's
+    generators and A is closed again.  When the search ends every tuple
+    that extends lies in A·gens, so A is Aut(G).  A may hold at most
+    node_budget // |G| elements; beyond that BudgetExceeded is raised.
+
+    `inner` is built by a walk over the generators of G, since
+    conjugation by x·g is conjugation by x after conjugation by g.
     """
     if G.order > cap:
         raise BudgetExceeded("aut_group element cap", cap)
     domain = tuple(G.sorted_elements())
     index = {x: i for i, x in enumerate(domain)}
+    ident = Perm.identity(len(domain))
     invariants = _element_invariants(G)
-    autos: list[dict] = []
-    _isomorphisms(G, G, invariants, invariants, node_budget, "automorphism search", autos.append)
+    gens = _choose_generators(G, invariants)
+    base = tuple(index[g] for g in gens)
+    found: list[Perm] = []
+    autos = frozenset([ident])
+    known = {base}
+    rejected_reps: list[tuple] = []
+    rejected: set[tuple] = set()
 
-    aut_perms = {Perm([index[phi[x]] for x in domain]) for phi in autos}
-    group = PermGroup(len(domain), greedy_generators(aut_perms, len(domain)), aut_perms)
-    inner = {}
-    for g in domain:
+    def orbit(t: tuple) -> set[tuple]:
+        return {tuple(a.images[i] for i in t) for a in autos}
+
+    def visit(images, extend) -> bool:
+        nonlocal autos, known, rejected
+        t = tuple(index[y] for y in images)
+        if t in known or t in rejected:
+            return False
+        phi = extend(images)
+        if phi is None:
+            rejected_reps.append(t)
+            rejected |= orbit(t)
+            return False
+        found.append(Perm([index[phi[x]] for x in domain]))
+        try:
+            autos = closure(found, cap=node_budget // G.order, degree=len(domain)).elements
+        except BudgetExceeded as exc:
+            raise BudgetExceeded("automorphism search", node_budget) from exc
+        known = orbit(base)
+        rejected = set().union(*map(orbit, rejected_reps))
+        return False
+
+    _isomorphisms(G, G, gens, invariants, invariants, node_budget, "automorphism search", visit)
+    group = PermGroup(len(domain), greedy_generators(autos, len(domain)), autos)
+
+    conj = {G.identity(): ident}
+    steps = []
+    for g in gens:
         gi = g.inv()
-        inner[g] = Perm([index[g * x * gi] for x in domain])
+        steps.append((g, Perm([index[g * x * gi] for x in domain])))
+    queue = [G.identity()]
+    for x in queue:
+        for g, cg in steps:
+            y = x * g
+            if y not in conj:
+                conj[y] = conj[x] * cg
+                queue.append(y)
+    inner = {g: conj[g] for g in domain}
     return AutGroup(group=group, domain=domain, index=index, inner=inner)
 
 
 def find_isomorphism(G: PermGroup, H: PermGroup, node_budget: int = DEFAULT_AUT_NODE_BUDGET):
-    """An explicit isomorphism G -> H as a dict, or None: the first map
-    the search shared with aut_group finds."""
+    """An explicit isomorphism G -> H as a dict, or None: the first tuple
+    of the search shared with aut_group that extends to an isomorphism."""
     if G.order != H.order:
         return None
     found: list[dict] = []
 
-    def stop(phi: dict) -> bool:
+    def stop(images, extend) -> bool:
+        phi = extend(images)
+        if phi is None:
+            return False
         found.append(phi)
         return True
 
-    _isomorphisms(G, H, _element_invariants(G), _element_invariants(H), node_budget, "isomorphism search", stop)
+    inv_G = _element_invariants(G)
+    gens = _choose_generators(G, inv_G)
+    _isomorphisms(G, H, gens, inv_G, _element_invariants(H), node_budget, "isomorphism search", stop)
     return found[0] if found else None
 
 
@@ -793,42 +856,37 @@ def verify_simple_tower(S: PermGroup, middle: str = "inn", max_steps: int = 6) -
 
 def verify_van_der_waerden(q: int, node_budget: int = DEFAULT_AUT_NODE_BUDGET) -> dict:
     """Check Aut(PSL(2,q)) = PGammaL(2,q) acting by conjugation, with a
-    trivial centralizer witnessing uniqueness."""
+    trivial centralizer witnessing uniqueness.
+
+    Conjugation is a homomorphism, so it is computed on the generators of
+    PGammaL alone: each must map PSL onto itself, the image in Aut is the
+    closure of their conjugation permutations, and the map is injective
+    (the centralizer of PSL in PGammaL is trivial) exactly when that
+    image has |PGammaL| elements.
+    """
     psl = psl2(q)
     pgamma = pgammal2(q)
     A = aut_group(psl, cap=max(DEFAULT_AUT_CAP, psl.order), node_budget=node_budget)
 
-    domain = A.domain
-    index = A.index
-    conj_perms = set()
-    kernel = []
-    for gamma in pgamma.elements:
+    conj_gens = []
+    for gamma in pgamma.generators:
         gi = gamma.inv()
-        images = []
-        ok = True
-        for x in domain:
-            y = gamma * x * gi
-            if y not in index:
-                ok = False
-                break
-            images.append(index[y])
-        if not ok:
+        images = [A.index.get(gamma * x * gi) for x in A.domain]
+        if None in images:
             raise AssertionError("PSL is not normal in PGammaL")  # pragma: no cover
-        perm = Perm(images)
-        if perm.is_identity() and not gamma.is_identity():
-            kernel.append(gamma)
-        conj_perms.add(perm)
+        conj_gens.append(Perm(images))
+    image = closure(conj_gens, cap=pgamma.order, degree=len(A.domain)).elements
+    injective = len(image) == pgamma.order
+    image_is_aut = image == A.group.elements
 
     return {
         "q": q,
         "aut_order": A.group.order,
         "pgammal_order": pgamma.order,
         "orders_match": A.group.order == pgamma.order,
-        "conjugation_injective": not kernel,
-        "conjugation_image_is_aut": conj_perms == set(A.group.elements),
-        "pass": A.group.order == pgamma.order
-        and not kernel
-        and conj_perms == set(A.group.elements),
+        "conjugation_injective": injective,
+        "conjugation_image_is_aut": image_is_aut,
+        "pass": A.group.order == pgamma.order and injective and image_is_aut,
     }
 
 

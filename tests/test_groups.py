@@ -1,6 +1,8 @@
 """Permutation-group engine: closures, normalizers, Aut, towers, PSL."""
 import hashlib
 import math
+import time
+from itertools import product
 
 import pytest
 
@@ -45,6 +47,15 @@ def alt(n):
 
 def cyc(n):
     return closure([Perm.from_cycles(n, [tuple(range(n))])])
+
+
+def z2_power(k):
+    """Z2^k as k disjoint transpositions."""
+    return closure([Perm.from_cycles(2 * k, [(2 * i, 2 * i + 1)]) for i in range(k)])
+
+
+def z2_x_z4():
+    return closure([Perm.from_cycles(6, [(0, 1)]), Perm.from_cycles(6, [(2, 3, 4, 5)])])
 
 
 # -- basics ---------------------------------------------------------------------
@@ -180,6 +191,109 @@ def test_searches_raise_budget_exceeded_with_their_labels():
         aut_graph(square, node_budget=5)
     assert exc.value.what == "aut_graph search nodes"
     assert exc.value.budget == 5
+
+
+def _exhaustive_aut(G):
+    """Reference Aut(G) and inner map: every tuple of same-order images of
+    the chosen generators gets the full homomorphism check."""
+    gens = groups._choose_generators(G, groups._element_invariants(G))
+    domain = G.sorted_elements()
+    index = {x: i for i, x in enumerate(domain)}
+    pools = [[y for y in domain if y.order() == g.order()] for g in gens]
+    budget = [10**9, 10**9]
+    autos = set()
+    for images in product(*pools):
+        phi = groups._hom_from_generator_images(G, G, gens, images, budget, "reference")
+        if phi is not None:
+            autos.add(Perm([index[phi[x]] for x in domain]))
+    inner = {g: Perm([index[g * x * g.inv()] for x in domain]) for g in domain}
+    return autos, inner
+
+
+_ORACLE_GROUPS = {
+    "cyc5": lambda: cyc(5),
+    "sym3": lambda: sym(3),
+    "sym4": lambda: sym(4),
+    "alt5": lambda: alt(5),
+    **{f"psl2_{q}": (lambda q=q: psl2(q)) for q in (2, 3, 4, 5, 7)},
+    "z2^3": lambda: z2_power(3),
+    "z2xz4": z2_x_z4,
+}
+
+
+def test_aut_group_matches_exhaustive_reference(monkeypatch):
+    # aut_group checks one tuple per orbit of the automorphisms found; the
+    # reference checks every tuple.  A tuple that is never checked but lies
+    # in the orbit of a rejected one was skipped by the rejected-orbit branch.
+    skipped_as_rejected = {}
+    for name, build in _ORACLE_GROUPS.items():
+        G = build()
+        autos, inner = _exhaustive_aut(G)
+        checked = {}
+        hom = groups._hom_from_generator_images
+
+        def recording(G_, H, gens, images, budget, what):
+            phi = hom(G_, H, gens, images, budget, what)
+            checked[tuple(images)] = phi is not None
+            return phi
+
+        monkeypatch.setattr(groups, "_hom_from_generator_images", recording)
+        A = aut_group(G)
+        monkeypatch.undo()
+        assert A.group.elements == autos, name
+        assert A.inner == inner, name
+        if name.startswith("psl2"):
+            assert list(A.group.generators) == greedy_generators(autos, len(A.domain)), name
+        dom, idx = A.domain, A.index
+        skipped_as_rejected[name] = sum(
+            len({tuple(dom[a(idx[y])] for y in r) for a in autos} - set(checked))
+            for r, ok in checked.items() if not ok
+        )
+    assert skipped_as_rejected["z2^3"] > 0
+    assert skipped_as_rejected["z2xz4"] > 0
+
+
+def test_aut_group_psl27_checks_few_tuples(monkeypatch):
+    calls = []
+    hom = groups._hom_from_generator_images
+
+    def counting(*args):
+        calls.append(1)
+        return hom(*args)
+
+    monkeypatch.setattr(groups, "_hom_from_generator_images", counting)
+    assert aut_group(psl2(7)).group.order == 336
+    assert len(calls) <= 8
+
+
+def test_aut_group_z2_cubed_is_gl32():
+    assert aut_group(z2_power(3)).group.order == 168
+
+
+def test_searches_stop_at_a_small_budget_on_z2_sixth():
+    # every one of the 63 nonidentity elements is an image candidate for
+    # each of the 6 generators, so the full tuples are far too many
+    G = z2_power(6)
+    for search, what in ((lambda: aut_group(G, node_budget=5), "automorphism search"),
+                         (lambda: find_isomorphism(G, G, node_budget=5), "isomorphism search")):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as exc:
+            search()
+        assert time.perf_counter() - t0 < 1
+        assert exc.value.what == what
+        assert exc.value.budget == 5
+
+
+def test_aut_group_closure_is_bounded_by_the_node_budget():
+    # |Aut(Z2^3)| = 168 and |G| = 8: a budget of 8 * 168 nodes holds the
+    # whole closure, one of 8 * 167 does not
+    G = z2_power(3)
+    assert aut_group(G, node_budget=8 * 168).group.order == 168
+    with pytest.raises(BudgetExceeded) as exc:
+        aut_group(G, node_budget=8 * 167)
+    assert exc.value.what == "automorphism search"
+    assert exc.value.budget == 8 * 167
+    assert exc.value.__cause__.what == "group closure"
 
 
 # -- finite fields and projective groups -----------------------------------------------
