@@ -3,16 +3,20 @@ automorphism/normalizer towers, PSL/PGL/PGammaL over small fields, and
 semidirect products.
 
 Groups are always materialized as explicit element sets; subgroup
-equality is element-set equality.  Everything here is exhaustive search
-tuned only as far as desk scale requires.
+equality is element-set equality.  A `PermGroup`'s generators generate
+its elements: every builder here keeps that, code that builds one
+directly must too, and the code here reads the generators instead of
+deriving a generating set again (only `_verify_action` does, for the N
+of an action it is handed).  Everything here is exhaustive search tuned
+only as far as desk scale requires.
 
 Automorphisms and isomorphisms of abstract groups come from one
 depth-first search over generator images (`_isomorphisms`), which
 charges each prefix to a node budget.  `find_isomorphism` runs it from
 G to H and stops at the first tuple that extends to an isomorphism.
 `aut_group` runs it from G to G and gives the full check to one tuple
-per orbit of the automorphisms found so far; the element set of Aut(G)
-comes from one closure of the automorphisms that passed.
+per orbit of the automorphisms found so far; the automorphisms that
+passed generate Aut(G), and its element set comes from their closure.
 
 PSL, PGL and PGammaL(2, q), q a prime power up to 16, permute the q + 1
 points of the projective line over GF(q).  The field is the `_modgcd`
@@ -135,10 +139,11 @@ class Perm:
 
 
 class PermGroup:
-    """A materialized permutation group.
-
-    `points` optionally carries labels for the permuted domain (e.g.
-    graph vertices or group-element indices); it is cosmetic.
+    """A materialized permutation group.  Invariant: `generators`
+    generate `elements` (the trivial group may have none); every builder
+    keeps it, and code that builds a `PermGroup` directly must too.
+    `points` optionally labels the permuted domain (e.g. graph vertices
+    or group-element indices); it is cosmetic.
     """
 
     def __init__(self, degree: int, generators, elements, points=None):
@@ -161,8 +166,7 @@ class PermGroup:
         return Perm.identity(self.degree)
 
     def is_abelian(self) -> bool:
-        gens = self.generators or tuple(self.elements)
-        return all(a * b == b * a for a in gens for b in gens)
+        return all(a * b == b * a for a in self.generators for b in self.generators)
 
     def sorted_elements(self) -> list[Perm]:
         return sorted(self.elements)
@@ -242,20 +246,17 @@ def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
     """{g in G : g H g^-1 = H}."""
     if not G.contains_group(H):
         raise NotSubgroup("H is not a subgroup of G")
-    hgens = greedy_generators(H.elements, H.degree)
     out = set()
     for g in G.elements:
         ginv = g.inv()
-        if all((g * h * ginv) in H.elements for h in hgens):
+        if all((g * h * ginv) in H.elements for h in H.generators):
             out.add(g)
     return subgroup(G, out)
 
 
 def centralizer(G: PermGroup, S) -> PermGroup:
     """Elements of G commuting with every element of S."""
-    if isinstance(S, PermGroup):
-        S = greedy_generators(S.elements, S.degree)
-    S = list(S)
+    S = list(S.generators if isinstance(S, PermGroup) else S)
     out = {g for g in G.elements if all(g * s == s * g for s in S)}
     return subgroup(G, out)
 
@@ -267,8 +268,7 @@ def center(G: PermGroup) -> PermGroup:
 def _conjugation_orbits(G: PermGroup, xs):
     """The orbits under conjugation by G of the elements xs, in order,
     skipping elements that lie in an orbit already yielded."""
-    gens = G.generators or greedy_generators(G.elements, G.degree)
-    gen_invs = [(g, g.inv()) for g in gens]
+    gen_invs = [(g, g.inv()) for g in G.generators]
     seen = set()
     for x in xs:
         if x in seen:
@@ -331,18 +331,16 @@ class AutGroup:
 
 
 def _element_invariants(G: PermGroup):
-    classes = conjugacy_classes(G)
     inv = {}
-    for cls in classes:
-        size = len(cls)
-        for x in cls:
-            inv[x] = (x.order(), size)
+    for cls in conjugacy_classes(G):  # conjugates share an order
+        inv.update(dict.fromkeys(cls, (next(iter(cls)).order(), len(cls))))
     return inv
 
 
 def _choose_generators(G: PermGroup, invariants) -> list[Perm]:
     """A small generating set biased toward elements with rare invariants,
-    preferring a 2-element set when one exists."""
+    preferring a 2-element set when one exists.  A partner x of g1 that
+    lies in a proper <g1, x'> found before is skipped: <g1, x> is proper."""
     if G.order == 1:
         return [G.identity()]
     domain = G.sorted_elements()
@@ -355,13 +353,14 @@ def _choose_generators(G: PermGroup, invariants) -> list[Perm]:
     )
     g1 = by_rarity[0]
     have = closure([g1], cap=G.order + 1, degree=G.degree)
-    if have.order == G.order:
-        return [g1]
+    proper = set(have.elements)  # the union of the proper <g1, x> found so far
     for x in by_rarity:
-        if x in have.elements:
+        if x in proper:
             continue
-        if closure([g1, x], cap=G.order + 1, degree=G.degree).order == G.order:
+        pair = closure([g1, x], cap=G.order + 1, degree=G.degree)
+        if pair.order == G.order:
             return [g1, x]
+        proper |= pair.elements
     gens = [g1]
     for x in by_rarity:
         if x in have.elements:
@@ -464,8 +463,9 @@ def aut_group(
     checked and rejected, is rejected too; any other tuple gets the full
     _hom_from_generator_images check, and if it passes, its map joins A's
     generators and A is closed again.  When the search ends every tuple
-    that extends lies in A·gens, so A is Aut(G).  A may hold at most
-    node_budget // |G| elements; beyond that BudgetExceeded is raised.
+    that extends lies in A·gens, so A is Aut(G), generated by the verified
+    automorphisms in the order found (none when Aut(G) is trivial).  A
+    holds at most node_budget // |G| elements, else BudgetExceeded.
 
     `inner` is built by a walk over the generators of G, since
     conjugation by x·g is conjugation by x after conjugation by g.
@@ -507,7 +507,7 @@ def aut_group(
         return False
 
     _isomorphisms(G, G, gens, invariants, invariants, node_budget, "automorphism search", visit)
-    group = PermGroup(len(domain), greedy_generators(autos, len(domain)), autos)
+    group = PermGroup(len(domain), found, autos)
 
     conj = {G.identity(): ident}
     steps = []
@@ -821,10 +821,9 @@ def verify_simple_tower(S: PermGroup, middle: str = "inn", max_steps: int = 6) -
         raise ValueError("S must be simple and non-abelian")
     A = aut_group(S)
     aut_s = A.group
-    inn_elems = frozenset(A.inner[g] for g in S.elements)
-    inn = subgroup(aut_s, inn_elems)
     if middle == "inn":
-        G = inn
+        # g -> inner[g] is a homomorphism, so S's generators map onto Inn(S)'s
+        G = closure([A.inner[s] for s in S.generators], cap=aut_s.order, degree=aut_s.degree)
     elif middle == "aut":
         G = aut_s
     else:
@@ -906,8 +905,8 @@ def verify_semidirect_tower(q: int, frob_power: int | None = None, max_steps: in
     if not frob_group.contains_group(H):
         raise NotSubgroup("H must come from the Frobenius group")
 
-    g_elems = frozenset(g * h for g in pgl.elements for h in H.elements)
-    G = subgroup(pgamma, g_elems)
+    # H normalises PGL, so PGL·H is the group their generators generate
+    G = closure(pgl.generators + H.generators, cap=pgamma.order, degree=pgl.degree)
     centerless = center(G).order == 1
 
     left = normalizer_tower(pgamma, G, max_steps=max_steps)

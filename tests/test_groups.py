@@ -230,11 +230,14 @@ def test_aut_group_matches_exhaustive_reference(monkeypatch):
         G = build()
         autos, inner = _exhaustive_aut(G)
         checked = {}
+        accepted = []
         hom = groups._hom_from_generator_images
 
         def recording(G_, H, gens, images, budget, what):
             phi = hom(G_, H, gens, images, budget, what)
             checked[tuple(images)] = phi is not None
+            if phi is not None:
+                accepted.append(phi)
             return phi
 
         monkeypatch.setattr(groups, "_hom_from_generator_images", recording)
@@ -242,9 +245,10 @@ def test_aut_group_matches_exhaustive_reference(monkeypatch):
         monkeypatch.undo()
         assert A.group.elements == autos, name
         assert A.inner == inner, name
-        if name.startswith("psl2"):
-            assert list(A.group.generators) == greedy_generators(autos, len(A.domain)), name
         dom, idx = A.domain, A.index
+        # the generators of Aut(G) are the verified automorphisms, in the order accepted
+        assert list(A.group.generators) == [Perm([idx[phi[x]] for x in dom]) for phi in accepted], name
+        assert closure(A.group.generators, degree=len(dom)).elements == autos, name
         skipped_as_rejected[name] = sum(
             len({tuple(dom[a(idx[y])] for y in r) for a in autos} - set(checked))
             for r, ok in checked.items() if not ok
@@ -490,3 +494,104 @@ def test_conjugacy_class_sizes_partition_the_group():
     classes = conjugacy_classes(g)
     assert sum(len(c) for c in classes) == 24
     assert sorted(len(c) for c in classes) == [1, 3, 6, 6, 8]
+
+
+# -- generators kept by every builder --------------------------------------------------
+
+
+def _generates(G) -> bool:
+    return closure(G.generators, degree=G.degree).elements == G.elements
+
+
+_BUILT_GROUPS = {
+    "closure-redundant": lambda: closure([Perm.from_cycles(4, [(0, 1)]), Perm.from_cycles(4, [(0, 1, 2, 3)]),
+                                          Perm.from_cycles(4, [(1, 2, 3)])]),
+    "closure-trivial": lambda: closure([], degree=3),
+    "subgroup": lambda: groups.subgroup(sym(4), alt(4).elements),
+    "normalizer": lambda: normalizer(sym(4), closure([Perm.from_cycles(4, [(0, 1)])])),
+    "centralizer": lambda: centralizer(sym(4), closure([Perm.from_cycles(4, [(0, 1)])])),
+    "center-trivial": lambda: center(sym(4)),
+    "center-z2xz4": lambda: center(z2_x_z4()),
+    "aut-cyc2": lambda: aut_group(cyc(2)).group,
+    "aut-cyc5": lambda: aut_group(cyc(5)).group,
+    "aut-z2^3": lambda: aut_group(z2_power(3)).group,
+    "aut-psl2_7": lambda: aut_group(psl2(7)).group,
+    **{f"{build.__name__}_{q}": (lambda build=build, q=q: build(q))
+       for build in (psl2, pgl2, pgammal2) for q in (2, 3, 4, 5, 7, 8, 9)},
+    "semidirect-pgl4-frobenius": lambda: semidirect(
+        pgl2(4), closure([frobenius_point_perm(4)]),
+        conjugation_action(pgl2(4), closure([frobenius_point_perm(4)]))).group,
+    "semidirect-trivial": lambda: semidirect(cyc(3), cyc(2), trivial_action(cyc(3), cyc(2))).group,
+    "aut_graph-square": lambda: aut_graph(Graph(["a", "b", "c", "d"],
+                                                [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILT_GROUPS))
+def test_every_builder_keeps_generators_that_generate(name):
+    assert _generates(_BUILT_GROUPS[name]())
+
+
+def test_trivial_aut_group_has_no_generators():
+    A = aut_group(cyc(2))
+    assert A.group.order == 1
+    assert A.group.generators == ()
+    assert A.group.is_abelian()
+    assert conjugacy_classes(A.group) == [frozenset(A.group.elements)]
+    assert center(A.group).order == 1
+
+
+# Digests of _choose_generators' output, pinned before it skipped the
+# partners that lie in a proper <g1, x> already found: the skip must not
+# change the generators, so the tuples the searches visit stay the same.
+_CHOSEN_DIGESTS = {
+    **{f"psl2_{q}": (lambda q=q: psl2(q), digest) for q, digest in (
+        (2, "7d879c5cd049a7dd"), (3, "44dc1893b46fb119"), (4, "2584c093ef226e46"), (5, "f69f53277fd23f00"),
+        (7, "749ee3a85f709a49"), (8, "418df10aa2ee7849"), (9, "cdbbebdef1f69b7c"))},
+    "pgl2_5": (lambda: pgl2(5), "d766584a46000459"),
+    "pgammal2_4": (lambda: pgammal2(4), "c3e2ce94b7fe647a"),
+    "z2^3": (lambda: z2_power(3), "c0639164d5fff0b4"),
+    "z2xz4": (z2_x_z4, "ede230f21f830422"),
+    "aut_psl2_7": (lambda: aut_group(psl2(7)).group, "453527dee2d4f1b8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHOSEN_DIGESTS))
+def test_choose_generators_golden(name):
+    build, digest = _CHOSEN_DIGESTS[name]
+    G = build()
+    gens = groups._choose_generators(G, groups._element_invariants(G))
+    assert _digest([g.images for g in gens]) == digest
+
+
+def test_psl27_towers_derive_no_generating_sets(monkeypatch):
+    # aut_group keeps the automorphisms it verified as Aut(G)'s generators,
+    # and _choose_generators skips partners inside a proper <g1, x'>; trying
+    # every partner costs 506 closures in verify_simple_tower(psl2(7))
+    G = psl2(7)
+    greedy_calls, choose_closures, inside = [], [], []
+    greedy, choose, close = groups.greedy_generators, groups._choose_generators, groups.closure
+
+    def counting_greedy(*args, **kwargs):
+        greedy_calls.append(1)
+        return greedy(*args, **kwargs)
+
+    def choosing(*args):
+        inside.append(1)
+        try:
+            return choose(*args)
+        finally:
+            inside.pop()
+
+    def counting_closure(*args, **kwargs):
+        if inside:
+            choose_closures.append(1)
+        return close(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "greedy_generators", counting_greedy)
+    monkeypatch.setattr(groups, "_choose_generators", choosing)
+    monkeypatch.setattr(groups, "closure", counting_closure)
+    assert aut_group(G).group.order == 336
+    assert greedy_calls == []
+    assert verify_simple_tower(G, "inn")["pass"]
+    assert len(choose_closures) <= 150
