@@ -3,17 +3,19 @@ homomorphism out of Aut(Gamma), its verification, minimal supports, and
 an order-free injective element encoding.
 
 The encoding maps a tower element to a finite set of finite vertex
-sequences.  No global vertex order is ever consulted: every atom of the
-canonical form is emitted once per ordering of its own participating
-vertices, with all numeric data packed positionally into the repetition
-length of the trailing run.  Including all local orderings keeps the set
-canonical, and relabeling vertices permutes the set elementwise.
+sequences.  No global vertex order is ever consulted: the participating
+vertices of every atom of the canonical form are ordered by colour
+refinement on the atom's own exponents, and the atom is emitted once per
+ordering of the ties that remain, with all numeric data packed
+positionally into the repetitions of the trailing runs.  The orderings
+depend only on data that relabelling leaves unchanged, so the set is
+canonical and relabelling vertices permutes it elementwise.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from operator import itemgetter
 
 from .errors import ColorViolation
@@ -94,14 +96,16 @@ def apply(alpha: FieldAut, a: TowerElement) -> TowerElement:
 
 def verify_edge_image(ctx: TowerContext, alpha: FieldAut) -> dict:
     """Every edge's bottom generators must map to the bottom generators of
-    an edge of the same color."""
+    an edge of the same color.  alpha is applied once per vertex
+    generator, and each image is found by one dict lookup."""
     cg = ctx.colored_graph
     vertex_gens = {v: generator_vertex(ctx, v, 0) for v in ctx.var_names}
+    by_gen = {g: v for v, g in vertex_gens.items()}
+    image = {v: by_gen.get(apply(alpha, g)) for v, g in vertex_gens.items()}
     failures = []
     for e in sorted(cg.edges, key=lambda e: sorted(e)):
         s, t = sorted(e)
-        img_s = _match_vertex_generator(ctx, apply(alpha, vertex_gens[s]), vertex_gens)
-        img_t = _match_vertex_generator(ctx, apply(alpha, vertex_gens[t]), vertex_gens)
+        img_s, img_t = image[s], image[t]
         if img_s is None or img_t is None:
             failures.append({"edge": [s, t], "reason": "image is not a vertex generator"})
             continue
@@ -111,13 +115,6 @@ def verify_edge_image(ctx: TowerContext, alpha: FieldAut) -> dict:
         elif cg.colors[img_edge] != cg.colors[e]:
             failures.append({"edge": [s, t], "reason": "image edge has a different color"})
     return {"checked": len(cg.edges), "failures": failures, "pass": not failures}
-
-
-def _match_vertex_generator(ctx, elem: TowerElement, vertex_gens: dict) -> str | None:
-    for v, g in vertex_gens.items():
-        if elem == g:
-            return v
-    return None
 
 
 def verify_injectivity_sigma(ctx: TowerContext) -> dict:
@@ -173,17 +170,10 @@ def _zigzag(n: int) -> int:
     return 2 * n if n >= 0 else -2 * n - 1
 
 
-_GAMMA_CACHE: dict = {}
-
-
 def _gamma_bits(z: int) -> str:
     """Elias-gamma bits of z >= 0 (self-delimiting), as a 0/1 string."""
-    cached = _GAMMA_CACHE.get(z)
-    if cached is None:
-        body = bin(z + 1)[2:]
-        cached = "0" * (len(body) - 1) + body
-        _GAMMA_CACHE[z] = cached
-    return cached
+    body = bin(z + 1)[2:]
+    return "0" * (len(body) - 1) + body
 
 
 def _stream_bits(values) -> str:
@@ -213,13 +203,16 @@ def encode_element(a: TowerElement) -> Code:
 
     Atoms are the (generator exponents, numerator/denominator side,
     monomial, coefficient) quadruples of the canonical form.  Each atom
-    is emitted once per local choice -- an ordering of its own vertices,
-    or a graph neighbor when only one vertex (or none) participates --
-    so the resulting set never consults a global vertex order:
+    is emitted once per local choice -- an invariant ordering of its own
+    vertices, or a graph neighbor when only one vertex (or none)
+    participates -- so the resulting set never consults a global vertex
+    order:
 
       two or more vertices: <pi_0, ..., pi_j> then the data bits carried
         by runs alternating pi_0 / pi_1 (the repeated pi_0 marks where
-        the distinct-label prefix ends);
+        the distinct-label prefix ends), for every ordering that lists
+        the cells of `_refined_cells` in colour order and permutes the
+        vertices within each cell;
       one vertex v: pure repetition of v when the data is small, else
         <v, v, v> followed by data runs alternating u / v for every
         neighbor u of v;
@@ -273,21 +266,56 @@ def encode_element(a: TowerElement) -> Code:
                     vlist = sorted(verts)
                     k = len(vlist)
                     pos = {v: i for i, v in enumerate(vlist)}
-                    vbits = [_gamma_bits(mono[ctx.var_index[v]]) for v in vlist]
-                    # pbits[i][j]: gamma bits of the generator exponent on
-                    # the pair {vlist[i], vlist[j]}, 0 when none
-                    pbits = [[_gamma_bits(0)] * k for _ in range(k)]
+                    vexp = [mono[ctx.var_index[v]] for v in vlist]
+                    # pexp[i][j]: the generator exponent on the pair
+                    # {vlist[i], vlist[j]}, 0 when none
+                    pexp = [[0] * k for _ in range(k)]
                     for gi, ends in enumerate(gen_endpoints):
                         if exps[gi] and ends <= verts:
                             i, j = (pos[v] for v in ends)
-                            pbits[i][j] = pbits[j][i] = _gamma_bits(exps[gi])
+                            pexp[i][j] = pexp[j][i] = exps[gi]
+                    vbits = [_gamma_bits(x) for x in vexp]
+                    pbits = [[_gamma_bits(x) for x in row] for row in pexp]
                     pairs = list(combinations(range(k), 2))
-                    for order, idx in zip(permutations(vlist), permutations(range(k))):
+                    cells = _refined_cells(vexp, pexp)
+                    for choice in product(*(permutations(cell) for cell in cells)):
+                        idx = [i for part in choice for i in part]
+                        order = tuple(vlist[i] for i in idx)
                         tail = [vbits[i] for i in idx]
                         tail += [pbits[idx[i1]][idx[i2]] for i1, i2 in pairs]
                         bits = head + "".join(tail)
                         sequences.add(order + _bit_runs(order[0], order[1], bits))
     return Code(frozenset(sequences))
+
+
+def _refined_cells(vexp: list, pexp: list) -> list:
+    """The cells of one atom's vertices (as indices), in colour order.
+
+    A vertex's colour starts as its own variable exponent; each round
+    gives it the rank of (its colour, the sorted multiset of (colour,
+    pair generator exponent) over the atom's other vertices), until the
+    number of colours stops growing.  Only exponents are read, never a
+    vertex name, so relabelling the atom relabels its cells.  The old
+    colour leads each signature, so the ranks keep the earlier order of
+    the cells and only split them.
+    """
+    k = len(vexp)
+    colour = vexp
+    count = len(set(colour))
+    while count < k:
+        sigs = [
+            (colour[i], tuple(sorted((colour[j], pexp[i][j]) for j in range(k) if j != i)))
+            for i in range(k)
+        ]
+        rank = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
+        colour = [rank[sig] for sig in sigs]
+        if len(rank) == count:
+            break
+        count = len(rank)
+    cells: dict = {}
+    for i in sorted(range(k), key=colour.__getitem__):
+        cells.setdefault(colour[i], []).append(i)
+    return list(cells.values())
 
 
 def _coeff_to_pair(ctx, q) -> tuple[int, int]:

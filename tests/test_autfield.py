@@ -1,6 +1,7 @@
 """Graph symmetries acting on the tower: sigma, supports, the codec."""
 import random
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import combinations, groupby, permutations
 
 import pytest
 
@@ -15,6 +16,7 @@ from graphfield.autfield import (
 )
 from graphfield.errors import ColorViolation
 from graphfield.fieldtower import (
+    TowerElement,
     build_tower,
     edge_label,
     generator_edge,
@@ -128,6 +130,25 @@ def test_edge_image_property():
             assert rep["pass"], rep
 
 
+def test_edge_image_is_linear(monkeypatch):
+    """Each vertex generator's image is found by one lookup, not a scan."""
+    cg, ctx = k3_plus_ctx()
+    alphas = [sigma(phi, ctx) for phi in graph_auts(cg)]
+    calls = 0
+    eq = TowerElement.__eq__
+
+    def counting_eq(self, other):
+        nonlocal calls
+        calls += 1
+        return eq(self, other)
+
+    monkeypatch.setattr(TowerElement, "__eq__", counting_eq)
+    for alpha in alphas:
+        calls = 0
+        assert verify_edge_image(ctx, alpha)["pass"]
+        assert calls <= 2 * len(cg.edges)
+
+
 def test_minimal_support():
     cg, ctx = k2_plus_ctx()
     xs0 = generator_vertex(ctx, "1:s", 0)
@@ -188,8 +209,9 @@ def test_codec_shape():
     assert code.to_json() == sorted(list(s) for s in code.sequences)
 
 
-def _reference_code(a) -> frozenset:
-    """encode_element written out bit by bit (char 0), as its reference."""
+def _all_orderings_code(a) -> frozenset:
+    """The codec that emits every atom of two or more vertices once per
+    ordering of them, written out bit by bit (char 0)."""
     ctx = a.ctx
     cg = ctx.colored_graph
     neighbors = {v: sorted(cg.graph.neighbors(v)) for v in cg.vertices}
@@ -246,6 +268,63 @@ def _reference_code(a) -> frozenset:
     return frozenset(out)
 
 
+def _decode_ordered(seq) -> tuple:
+    """(order, {vertex: exponent}, {pair: generator exponent}) carried by a
+    sequence of an atom of two or more vertices."""
+    k = seq.index(seq[0], 1)
+    order = seq[:k]
+    bits = "".join("01"[len(list(run)) - 1] for _, run in groupby(seq[k:]))
+    values, i = [], 0
+    while i < len(bits):
+        zeros = bits.index("1", i) - i
+        values.append(int(bits[i + zeros : i + 2 * zeros + 1], 2) - 1)
+        i += 2 * zeros + 1
+    vexp = dict(zip(order, values[3 : 3 + k]))
+    pair_exp = dict(zip(map(frozenset, combinations(order, 2)), values[3 + k :]))
+    return order, vexp, pair_exp
+
+
+@lru_cache(maxsize=None)
+def _refined_colours(vexp: frozenset, pair_exp: frozenset) -> dict:
+    """The refined colour of each vertex of an atom.
+
+    A colour starts as the vertex's own exponent.  Each round makes it the
+    pair (its colour, the sorted (colour, pair exponent) of every other
+    vertex of the atom), until the number of colours stops growing.
+    Nested tuples compare the way the codec's ranks do."""
+    colour = dict(vexp)
+    pair = dict(pair_exp)
+    while True:
+        new = {
+            v: (
+                colour[v],
+                tuple(sorted((colour[u], pair[frozenset((u, v))]) for u in colour if u != v)),
+            )
+            for v in colour
+        }
+        if len(set(new.values())) == len(set(colour.values())):
+            return colour
+        colour = new
+
+
+def _invariant_order(order, vexp, pair_exp) -> bool:
+    """True when `order` lists the atom's vertices by refined colour."""
+    colour = _refined_colours(frozenset(vexp.items()), frozenset(pair_exp.items()))
+    seen = [colour[v] for v in order]
+    return seen == sorted(seen)
+
+
+def _reference_code(all_orderings: frozenset) -> frozenset:
+    """encode_element as its reference: the all-orderings code, keeping an
+    atom's sequence only when its order is invariant.  Sequences of atoms
+    with at most one vertex start with a repeated label and are kept."""
+    return frozenset(
+        seq
+        for seq in all_orderings
+        if seq[0] == seq[1] or _invariant_order(*_decode_ordered(seq))
+    )
+
+
 def test_codec_matches_bitwise_reference():
     for maker in (k2_plus_ctx, k3_plus_ctx):
         cg, ctx = maker()
@@ -258,4 +337,27 @@ def test_codec_matches_bitwise_reference():
                 random_nonzero_element(ctx, rng, max_terms=2, allow_denominator=(i % 2 == 0))
             )
         for a in samples:
-            assert encode_element(a).sequences == _reference_code(a)
+            code = encode_element(a).sequences
+            full = _all_orderings_code(a)
+            assert code == _reference_code(full)
+            assert code <= full
+
+
+def test_codec_tie_handling():
+    """Tied vertices are emitted in every order; vertices that refinement
+    tells apart are emitted in one."""
+    cg, ctx = k2_plus_ctx()
+    x = {v: generator_vertex(ctx, v, 1) for v in ctx.var_names}
+    tied = ["1:s", "1:t", "2:s|t:a", "2:s|t:b"]
+    same = x[tied[0]] * x[tied[1]] * x[tied[2]] * x[tied[3]]
+    # 1:s and 1:t share their exponent, and only 1:s meets the generator
+    edge = "e:1:s,2:s|t:z"
+    split = x["1:t"] * x["1:s"] * generator_edge(ctx, edge, 1)
+    for a, verts, count in (
+        (same, set(tied), 24),
+        (split, {"1:s", "1:t", "2:s|t:z"}, 1),
+    ):
+        code = encode_element(a)
+        assert len([seq for seq in code.sequences if set(seq) == verts]) == count
+        for phi in graph_auts(cg):
+            assert encode_element(apply(sigma(phi, ctx), a)) == code.relabel(phi.mapping)
