@@ -19,9 +19,11 @@ a failed verification moves to the next prime.  When the deg-lex
 leading coefficients of both inputs survive mod p, a constant modular
 gcd proves actual coprimality, so the "coprime" answer is sound as well.
 
-The image fields are the package's one finite-field implementation:
 `groups` builds PSL, PGL and PGammaL(2, q) for q <= 16 on the fields
-that `_image_field` returns.
+that `_image_field` returns.  They are not the package's only
+finite-field arithmetic: `roots.specialization_refute` computes mod a
+prime q on its own, with its own discrete-log table (`_dlog_table`);
+moving it onto one shared map into a finite field is ROADMAP item 8.
 """
 from __future__ import annotations
 

@@ -47,7 +47,7 @@ class Runner:
             ok, details = fn()
             status = "pass" if ok else "fail"
         except BudgetExceeded as exc:
-            status, details = "unknown", {"budget": str(exc)}
+            status, details = "unknown", {"budget": {"what": exc.what, "limit": exc.budget}}
         rep = VerificationReport(check, anchor, status, details, time.perf_counter() - t0)
         self.reports.append(rep)
         if not self.sort_reports:

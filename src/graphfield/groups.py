@@ -12,7 +12,10 @@ only as far as desk scale requires.
 
 Automorphisms and isomorphisms of abstract groups come from one
 depth-first search over generator images (`_isomorphisms`), which
-charges each prefix to a node budget.  `find_isomorphism` runs it from
+charges each prefix to a node budget.  The preamble before it, the
+conjugacy classes and the choice of generators, charges each of its
+permutation products to the same budget, so the node budget is the
+only limit on either search.  `find_isomorphism` runs it from
 G to H and stops at the first tuple that extends to an isomorphism.
 `aut_group` runs it from G to G and gives the full check to one tuple
 per orbit of the automorphisms found so far; the automorphisms that
@@ -39,7 +42,6 @@ from .errors import (
 )
 
 DEFAULT_CLOSURE_CAP = 20000
-DEFAULT_AUT_CAP = 1000
 DEFAULT_AUT_NODE_BUDGET = 2_000_000
 
 
@@ -337,12 +339,33 @@ def _element_invariants(G: PermGroup):
     return inv
 
 
-def _choose_generators(G: PermGroup, invariants) -> list[Perm]:
+def _charge(budget, units: int, what: str) -> None:
+    """Draw `units` from budget = [units left, budget], or raise."""
+    budget[0] -= units
+    if budget[0] < 0:
+        raise BudgetExceeded(what, budget[1])
+
+
+def _charged_invariants(G: PermGroup, budget, what: str):
+    """_element_invariants(G), after charging its conjugacy classes'
+    2·|G|·|generators| permutation products to `budget`."""
+    _charge(budget, 2 * G.order * len(G.generators), what)
+    return _element_invariants(G)
+
+
+def _choose_generators(G: PermGroup, invariants, budget, what: str) -> list[Perm]:
     """A small generating set biased toward elements with rare invariants,
     preferring a 2-element set when one exists.  A partner x of g1 that
-    lies in a proper <g1, x'> found before is skipped: <g1, x> is proper."""
+    lies in a proper <g1, x'> found before is skipped: <g1, x> is proper.
+    Each closure of gens charges its |gens|·|closure| products to `budget`."""
     if G.order == 1:
         return [G.identity()]
+
+    def close(gens) -> PermGroup:
+        group = closure(gens, cap=G.order + 1, degree=G.degree)
+        _charge(budget, len(gens) * group.order, what)
+        return group
+
     domain = G.sorted_elements()
     pool_size = {}
     for x in domain:
@@ -352,12 +375,12 @@ def _choose_generators(G: PermGroup, invariants) -> list[Perm]:
         key=lambda x: (pool_size[invariants[x]], x.images),
     )
     g1 = by_rarity[0]
-    have = closure([g1], cap=G.order + 1, degree=G.degree)
+    have = close([g1])
     proper = set(have.elements)  # the union of the proper <g1, x> found so far
     for x in by_rarity:
         if x in proper:
             continue
-        pair = closure([g1, x], cap=G.order + 1, degree=G.degree)
+        pair = close([g1, x])
         if pair.order == G.order:
             return [g1, x]
         proper |= pair.elements
@@ -366,7 +389,7 @@ def _choose_generators(G: PermGroup, invariants) -> list[Perm]:
         if x in have.elements:
             continue
         gens.append(x)
-        have = closure(gens, cap=G.order + 1, degree=G.degree)
+        have = close(gens)
         if have.order == G.order:
             return gens
     return gens
@@ -407,7 +430,7 @@ def _hom_from_generator_images(G: PermGroup, H: PermGroup, gens, images, budget,
     return phi
 
 
-def _isomorphisms(G: PermGroup, H: PermGroup, gens, inv_G, inv_H, node_budget: int, what: str, visit) -> None:
+def _isomorphisms(G: PermGroup, H: PermGroup, gens, inv_G, inv_H, budget, what: str, visit) -> None:
     """Call visit(images, extend) on each tuple of images in H for `gens`
     that passes the pair-product check, until visit returns True.
 
@@ -415,14 +438,14 @@ def _isomorphisms(G: PermGroup, H: PermGroup, gens, inv_G, inv_H, node_budget: i
     the elements of H with that generator's (order, class size)
     invariant.  A prefix is cut as soon as the product of two chosen
     images, in either order, has another invariant than the product of
-    their generators.  Each prefix costs one node of `node_budget`;
-    extend(images) runs _hom_from_generator_images on a tuple and draws
-    on the same budget, so visit decides which tuples get that check.
+    their generators.  Each prefix costs one node of the caller's
+    `budget`, [nodes left, node budget]; extend(images) runs
+    _hom_from_generator_images on a tuple and draws on the same budget,
+    so visit decides which tuples get that check.
     """
     domain_H = H.sorted_elements()
     pools = [[y for y in domain_H if inv_H[y] == inv_G[g]] for g in gens]
     pair_inv = [[inv_G[a * b] for b in gens] for a in gens]
-    budget = [node_budget, node_budget]
     chosen: list[Perm] = []
 
     def extend(images) -> dict | None:
@@ -434,7 +457,7 @@ def _isomorphisms(G: PermGroup, H: PermGroup, gens, inv_G, inv_H, node_budget: i
         for y in pools[i]:
             budget[0] -= 1
             if budget[0] < 0:
-                raise BudgetExceeded(what, node_budget)
+                raise BudgetExceeded(what, budget[1])
             if all(inv_H[x * y] == pair_inv[j][i] and inv_H[y * x] == pair_inv[i][j]
                    for j, x in enumerate(chosen)):
                 chosen.append(y)
@@ -446,11 +469,7 @@ def _isomorphisms(G: PermGroup, H: PermGroup, gens, inv_G, inv_H, node_budget: i
     descend(0)
 
 
-def aut_group(
-    G: PermGroup,
-    cap: int = DEFAULT_AUT_CAP,
-    node_budget: int = DEFAULT_AUT_NODE_BUDGET,
-) -> AutGroup:
+def aut_group(G: PermGroup, node_budget: int = DEFAULT_AUT_NODE_BUDGET) -> AutGroup:
     """All automorphisms of G: the search of _isomorphisms with H = G,
     checking one image tuple per orbit of the automorphisms found.
 
@@ -464,19 +483,22 @@ def aut_group(
     _hom_from_generator_images check, and if it passes, its map joins A's
     generators and A is closed again.  When the search ends every tuple
     that extends lies in A·gens, so A is Aut(G), generated by the verified
-    automorphisms in the order found (none when Aut(G) is trivial).  A
-    holds at most node_budget // |G| elements, else BudgetExceeded.
+    automorphisms in the order found (none when Aut(G) is trivial).
+    `node_budget` is the one limit: the conjugacy classes and the
+    generator choice before the search charge each permutation product
+    to it, the search charges each node, and A holds at most
+    node_budget // |G| elements; running out raises BudgetExceeded.
 
     `inner` is built by a walk over the generators of G, since
     conjugation by x·g is conjugation by x after conjugation by g.
     """
-    if G.order > cap:
-        raise BudgetExceeded("aut_group element cap", cap)
+    what = "automorphism search"
+    budget = [node_budget, node_budget]
     domain = tuple(G.sorted_elements())
     index = {x: i for i, x in enumerate(domain)}
     ident = Perm.identity(len(domain))
-    invariants = _element_invariants(G)
-    gens = _choose_generators(G, invariants)
+    invariants = _charged_invariants(G, budget, what)
+    gens = _choose_generators(G, invariants, budget, what)
     base = tuple(index[g] for g in gens)
     found: list[Perm] = []
     autos = frozenset([ident])
@@ -501,12 +523,12 @@ def aut_group(
         try:
             autos = closure(found, cap=node_budget // G.order, degree=len(domain)).elements
         except BudgetExceeded as exc:
-            raise BudgetExceeded("automorphism search", node_budget) from exc
+            raise BudgetExceeded(what, node_budget) from exc
         known = orbit(base)
         rejected = set().union(*map(orbit, rejected_reps))
         return False
 
-    _isomorphisms(G, G, gens, invariants, invariants, node_budget, "automorphism search", visit)
+    _isomorphisms(G, G, gens, invariants, invariants, budget, what, visit)
     group = PermGroup(len(domain), found, autos)
 
     conj = {G.identity(): ident}
@@ -527,9 +549,13 @@ def aut_group(
 
 def find_isomorphism(G: PermGroup, H: PermGroup, node_budget: int = DEFAULT_AUT_NODE_BUDGET):
     """An explicit isomorphism G -> H as a dict, or None: the first tuple
-    of the search shared with aut_group that extends to an isomorphism."""
+    of the search shared with aut_group that extends to an isomorphism.
+    Both groups' conjugacy classes and the generator choice are charged
+    to `node_budget` as in aut_group."""
     if G.order != H.order:
         return None
+    what = "isomorphism search"
+    budget = [node_budget, node_budget]
     found: list[dict] = []
 
     def stop(images, extend) -> bool:
@@ -539,9 +565,10 @@ def find_isomorphism(G: PermGroup, H: PermGroup, node_budget: int = DEFAULT_AUT_
         found.append(phi)
         return True
 
-    inv_G = _element_invariants(G)
-    gens = _choose_generators(G, inv_G)
-    _isomorphisms(G, H, gens, inv_G, _element_invariants(H), node_budget, "isomorphism search", stop)
+    inv_G = _charged_invariants(G, budget, what)
+    inv_H = _charged_invariants(H, budget, what)
+    gens = _choose_generators(G, inv_G, budget, what)
+    _isomorphisms(G, H, gens, inv_G, inv_H, budget, what, stop)
     return found[0] if found else None
 
 
@@ -596,14 +623,14 @@ def normalizer_tower(G: PermGroup, H: PermGroup, max_steps: int = 10) -> TowerRe
     raise BudgetExceeded("normalizer tower steps", max_steps)
 
 
-def automorphism_tower(G: PermGroup, max_steps: int = 10, cap: int = DEFAULT_AUT_CAP) -> TowerReport:
+def automorphism_tower(G: PermGroup, max_steps: int = 10) -> TowerReport:
     """Iterate G -> Aut(G) with the inner embedding until Aut = Inn."""
     if center(G).order != 1:
         raise NotCenterless("automorphism towers need a centerless base group")
     stages = [G]
     orders = [G.order]
     for step in range(max_steps):
-        A = aut_group(stages[-1], cap=cap)
+        A = aut_group(stages[-1])
         orders.append(A.group.order)
         if A.group.order == stages[-1].order:
             # Inn has index 1, so Aut = Inn and the tower is done
@@ -865,7 +892,7 @@ def verify_van_der_waerden(q: int, node_budget: int = DEFAULT_AUT_NODE_BUDGET) -
     """
     psl = psl2(q)
     pgamma = pgammal2(q)
-    A = aut_group(psl, cap=max(DEFAULT_AUT_CAP, psl.order), node_budget=node_budget)
+    A = aut_group(psl, node_budget=node_budget)
 
     conj_gens = []
     for gamma in pgamma.generators:

@@ -317,12 +317,24 @@ def _invariant_order(order, vexp, pair_exp) -> bool:
 def _reference_code(all_orderings: frozenset) -> frozenset:
     """encode_element as its reference: the all-orderings code, keeping an
     atom's sequence only when its order is invariant.  Sequences of atoms
-    with at most one vertex start with a repeated label and are kept."""
-    return frozenset(
-        seq
-        for seq in all_orderings
-        if seq[0] == seq[1] or _invariant_order(*_decode_ordered(seq))
-    )
+    with at most one vertex start with a repeated label and are kept.
+
+    Each atom's data is decoded once, from its sequence in sorted vertex
+    order; a sequence is decoded only when its order is invariant for the
+    data of some atom on the same vertices."""
+    kept = {seq for seq in all_orderings if seq[0] == seq[1]}
+    by_order = {}
+    for seq in all_orderings - kept:
+        by_order.setdefault(seq[: seq.index(seq[0], 1)], []).append(seq)
+    atoms = {
+        frozenset(order): [_decode_ordered(seq)[1:] for seq in seqs]
+        for order, seqs in by_order.items()
+        if list(order) == sorted(order)
+    }
+    for order, seqs in by_order.items():
+        if any(_invariant_order(order, *data) for data in atoms[frozenset(order)]):
+            kept.update(seq for seq in seqs if _invariant_order(*_decode_ordered(seq)))
+    return frozenset(kept)
 
 
 def test_codec_matches_bitwise_reference():

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from graphfield.cli import main
+from graphfield.cli import Runner, main
+from graphfield.errors import BudgetExceeded
 from graphfield.graphs import Graph, graph_to_json
 
 
@@ -67,6 +68,37 @@ def test_towers_alt5(capsys):
     doc = json.loads(captured.out.strip().splitlines()[0])
     assert doc["tau"] == 1
     assert [s["order"] for s in doc["stages"]][:2] == [60, 120]
+
+
+@pytest.mark.parametrize("group, orders, tau", [("psl2:11", [660, 1320, 1320], 1),
+                                               ("pgl2:11", [1320, 1320], 0)])
+def test_towers_past_a_thousand_elements(capsys, group, orders, tau):
+    rc = main(["towers", "--group", group])
+    captured = capsys.readouterr()
+    assert rc == 0
+    doc = json.loads(captured.out.strip().splitlines()[0])
+    assert doc["tau"] == tau
+    assert [s["order"] for s in doc["stages"]] == orders
+
+
+def test_towers_psl2_8_is_refused_by_the_search_budget(capsys):
+    assert main(["towers", "--group", "psl2:8"]) == 2
+    err = capsys.readouterr().err
+    assert "automorphism search exceeded budget" in err
+    assert "element cap" not in err
+
+
+def test_runner_records_budget_reason(capsys):
+    runner = Runner()
+
+    def refused():
+        raise BudgetExceeded("automorphism search", 5)
+
+    rep = runner.run("refused", "groups.aut_group", refused)
+    assert rep.status == "unknown"
+    assert rep.details == {"budget": {"what": "automorphism search", "limit": 5}}
+    line = json.loads(capsys.readouterr().out.strip())
+    assert line["details"]["budget"] == {"what": "automorphism search", "limit": 5}
 
 
 def test_towers_s4_subgroup(capsys):

@@ -193,10 +193,28 @@ def test_searches_raise_budget_exceeded_with_their_labels():
     assert exc.value.budget == 5
 
 
+def test_searches_charge_the_preamble_to_their_budget(monkeypatch):
+    # the classes of PSL(2, 7) cost 2 * 168 * 2 products and the generator
+    # choice more: budgets below either run out before the search starts
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(groups, "_isomorphisms", no_search)
+    G = psl2(7)
+    classes = 2 * G.order * len(G.generators)
+    for n in (classes - 1, classes + 1):
+        for search, what in ((lambda: aut_group(G, node_budget=n), "automorphism search"),
+                             (lambda: find_isomorphism(G, G, node_budget=n), "isomorphism search")):
+            with pytest.raises(BudgetExceeded) as exc:
+                search()
+            assert exc.value.what == what
+            assert exc.value.budget == n
+
+
 def _exhaustive_aut(G):
     """Reference Aut(G) and inner map: every tuple of same-order images of
     the chosen generators gets the full homomorphism check."""
-    gens = groups._choose_generators(G, groups._element_invariants(G))
+    gens = groups._choose_generators(G, groups._element_invariants(G), [10**9, 10**9], "reference")
     domain = G.sorted_elements()
     index = {x: i for i, x in enumerate(domain)}
     pools = [[y for y in domain if y.order() == g.order()] for g in gens]
@@ -560,7 +578,7 @@ _CHOSEN_DIGESTS = {
 def test_choose_generators_golden(name):
     build, digest = _CHOSEN_DIGESTS[name]
     G = build()
-    gens = groups._choose_generators(G, groups._element_invariants(G))
+    gens = groups._choose_generators(G, groups._element_invariants(G), [10**9, 10**9], "golden")
     assert _digest([g.images for g in gens]) == digest
 
 
