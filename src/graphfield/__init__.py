@@ -30,7 +30,6 @@ from .fieldtower import (
     RadicalSpec,
     TowerContext,
     TowerElement,
-    TowerProfile,
     build_tower,
     check_irreducible_radical,
     choose_primes,

@@ -19,7 +19,7 @@ from itertools import combinations, permutations, product
 from operator import itemgetter
 
 from .errors import ColorViolation
-from .fieldtower import TowerContext, TowerElement, generator_vertex
+from .fieldtower import TowerContext, TowerElement, edge_label, generator_vertex
 from .graphs import GraphAut
 
 
@@ -49,8 +49,7 @@ class FieldAut:
         gen_perm = []
         for g in ctx.gens:
             _, s, t = g.recipe
-            img_label = "e:" + ",".join(sorted((vertex_map[s], vertex_map[t])))
-            j = ctx.gen_index[img_label]
+            j = ctx.gen_index[edge_label((vertex_map[s], vertex_map[t]))]
             if ctx.gens[j].depth != g.depth or ctx.gens[j].prime != g.prime:
                 raise ValueError("edge depths are not invariant under the map")
             gen_perm.append(j)

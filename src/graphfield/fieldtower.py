@@ -11,6 +11,11 @@ exponent vectors (each component below prime^depth) to rational
 functions in the chain variables; that map is the canonical form, and
 equality is syntactic.
 
+A truncation is named by its TowerContext.  Arithmetic and equality
+combine only elements of one context object and raise ValueError
+otherwise; embed() moves an element into a deeper truncation of the same
+family, and field_norm() takes it down to a shallower one.
+
 Inversion walks the generator levels with extended Euclid against each
 defining polynomial T^N - A; a nontrivial gcd on the way would exhibit a
 zero divisor and aborts with the offending factor preserved.  Norms to a
@@ -50,16 +55,6 @@ def choose_primes(r: int, n_colors: int) -> tuple[int, ...]:
             out.append(cand)
         cand += 2
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class TowerProfile:
-    """Per-generator root depths describing a tower truncation."""
-
-    char: int
-    vertex_depths: dict
-    edge_depths: dict
-    primes: tuple
 
 
 @dataclass(frozen=True)
@@ -173,15 +168,6 @@ class TowerContext:
             self.var_names,
             self.chain_prime,
             tuple((g.label, g.prime, g.recipe, g.color) for g in self.gens),
-        )
-
-    def profile(self) -> TowerProfile:
-        primes = (self.chain_prime,) + tuple(sorted({g.prime for g in self.gens}))
-        return TowerProfile(
-            char=self.char,
-            vertex_depths=dict(self.vertex_depths),
-            edge_depths={g.label: g.depth for g in self.gens},
-            primes=primes,
         )
 
     def with_depths(self, vertex_depths: dict, edge_depths: dict) -> "TowerContext":
@@ -399,8 +385,8 @@ class TowerElement:
     def __eq__(self, other):
         if not isinstance(other, TowerElement):
             return NotImplemented
-        a, b = _align(self, other)
-        return a.coeffs == b.coeffs
+        _same_ctx(self, other)
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(frozenset((e, c.num, c.den) for e, c in self.coeffs.items()))
@@ -416,12 +402,12 @@ class TowerElement:
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other: "TowerElement") -> "TowerElement":
-        a, b = _align(self, other)
-        out = dict(a.coeffs)
-        for e, c in b.coeffs.items():
+        _same_ctx(self, other)
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
             s = out.get(e)
             out[e] = c if s is None else s + c
-        return TowerElement(a.ctx, out)
+        return TowerElement(self.ctx, out)
 
     def __neg__(self) -> "TowerElement":
         return TowerElement(self.ctx, {e: -c for e, c in self.coeffs.items()})
@@ -430,16 +416,15 @@ class TowerElement:
         return self + (-other)
 
     def __mul__(self, other: "TowerElement") -> "TowerElement":
-        a, b = _align(self, other)
-        ctx = a.ctx
+        _same_ctx(self, other)
         raw: dict = {}
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
                 c = c1 * c2
                 prev = raw.get(e)
                 raw[e] = c if prev is None else prev + c
-        return _reduce(ctx, raw)
+        return _reduce(self.ctx, raw)
 
     def __pow__(self, n: int) -> "TowerElement":
         if n < 0:
@@ -455,9 +440,6 @@ class TowerElement:
 
     def __truediv__(self, other: "TowerElement") -> "TowerElement":
         return self * other.inv()
-
-    def scale(self, r: RatFunc) -> "TowerElement":
-        return TowerElement(self.ctx, {e: c * r for e, c in self.coeffs.items()})
 
     def inv(self) -> "TowerElement":
         """Field inverse by extended Euclid against each defining polynomial.
@@ -494,23 +476,9 @@ class TowerElement:
         }
 
 
-def _align(a: TowerElement, b: TowerElement) -> tuple[TowerElement, TowerElement]:
-    if a.ctx is b.ctx:
-        return a, b
-    if a.ctx.family_key() != b.ctx.family_key():
-        raise ValueError("elements from incompatible towers")
-    if a.ctx.vertex_depths == b.ctx.vertex_depths and all(
-        ga.depth == gb.depth for ga, gb in zip(a.ctx.gens, b.ctx.gens)
-    ):
-        return a, TowerElement(a.ctx, b.coeffs)
-    vd = {
-        v: max(a.ctx.vertex_depths[v], b.ctx.vertex_depths[v]) for v in a.ctx.vertex_depths
-    }
-    ed = {
-        ga.label: max(ga.depth, gb.depth) for ga, gb in zip(a.ctx.gens, b.ctx.gens)
-    }
-    join = a.ctx.with_depths(vd, ed)
-    return embed(a, join), embed(b, join)
+def _same_ctx(a: TowerElement, b: TowerElement) -> None:
+    if a.ctx is not b.ctx:
+        raise ValueError("elements of two different tower contexts: embed one into the other's first")
 
 
 def _reduce(ctx: TowerContext, raw: dict) -> TowerElement:
@@ -562,13 +530,10 @@ def generator_edge(ctx: TowerContext, e, i: int) -> TowerElement:
     return _reduce(ctx, {tuple(exps): RatFunc.one(ctx.field, ctx.nvars)})
 
 
-def embed(a: TowerElement, target) -> TowerElement:
+def embed(a: TowerElement, target: TowerContext) -> TowerElement:
     """The injective homomorphism into a deeper truncation:
     X_v -> X_v^(p_0^delta_v), Y_e -> Y_e^(prime^delta_e)."""
     src = a.ctx
-    if isinstance(target, TowerProfile):
-        ed = {g.label: target.edge_depths.get(g.label, g.depth) for g in src.gens}
-        target = src.with_depths(dict(target.vertex_depths), ed)
     if src.family_key() != target.family_key():
         raise ProfileNotLarger("target tower is from a different family")
     deltas_v = []
@@ -678,9 +643,6 @@ def field_norm(a: TowerElement, sub: TowerContext) -> TowerElement:
     steps clear denominators first, N(P/d) = N(P)/N(d).
     """
     ctx = a.ctx
-    if isinstance(sub, TowerProfile):
-        ed = {g.label: sub.edge_depths.get(g.label, g.depth) for g in ctx.gens}
-        sub = ctx.with_depths(dict(sub.vertex_depths), ed)
     if ctx.family_key() != sub.family_key():
         raise ProfileNotSmaller("sub tower is from a different family")
     grown = [v for v in ctx.var_names if sub.vertex_depths[v] > ctx.vertex_depths[v]]

@@ -94,10 +94,6 @@ class Graph:
                     stack.append(u)
         return len(seen) == len(self.vertices)
 
-    def induced(self, vs) -> "Graph":
-        vs = frozenset(vs)
-        return Graph(vs, {e for e in self.edges if e <= vs})
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.vertices == other.vertices and self.edges == other.edges
 
@@ -154,9 +150,6 @@ class GraphAut:
     def compose(self, other: "GraphAut") -> "GraphAut":
         # (self . other)(v) = self(other(v))
         return GraphAut({v: self.mapping[w] for v, w in other.mapping.items()})
-
-    def inverse(self) -> "GraphAut":
-        return GraphAut({w: v for v, w in self.mapping.items()})
 
     def is_identity(self) -> bool:
         return all(v == w for v, w in self.mapping.items())

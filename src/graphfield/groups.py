@@ -6,8 +6,8 @@ Groups are always materialized as explicit element sets; subgroup
 equality is element-set equality.  A `PermGroup`'s generators generate
 its elements: every builder here keeps that, code that builds one
 directly must too, and the code here reads the generators instead of
-deriving a generating set again (only `_verify_action` does, for the N
-of an action it is handed).  Everything here is exhaustive search tuned
+deriving a generating set again; `semidirect` takes the embedded
+generators of N and H.  Everything here is exhaustive search tuned
 only as far as desk scale requires.
 
 Automorphisms and isomorphisms of abstract groups come from one
@@ -135,9 +135,6 @@ class Perm:
         if not cycles:
             return "Perm(id)"
         return "Perm(" + "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) + ")"
-
-    def to_json(self) -> list[int]:
-        return list(self.images)
 
 
 class PermGroup:
@@ -487,7 +484,9 @@ def aut_group(G: PermGroup, node_budget: int = DEFAULT_AUT_NODE_BUDGET) -> AutGr
     `node_budget` is the one limit: the conjugacy classes and the
     generator choice before the search charge each permutation product
     to it, the search charges each node, and A holds at most
-    node_budget // |G| elements; running out raises BudgetExceeded.
+    node_budget // |G| elements; running out raises BudgetExceeded, and
+    when A outgrows its bound the error names "automorphisms held" and
+    that bound.
 
     `inner` is built by a walk over the generators of G, since
     conjugation by x·g is conjugation by x after conjugation by g.
@@ -523,7 +522,7 @@ def aut_group(G: PermGroup, node_budget: int = DEFAULT_AUT_NODE_BUDGET) -> AutGr
         try:
             autos = closure(found, cap=node_budget // G.order, degree=len(domain)).elements
         except BudgetExceeded as exc:
-            raise BudgetExceeded(what, node_budget) from exc
+            raise BudgetExceeded(f"{what}: automorphisms held", node_budget // G.order) from exc
         known = orbit(base)
         rejected = set().union(*map(orbit, rejected_reps))
         return False
@@ -777,11 +776,10 @@ def semidirect(N: PermGroup, H: PermGroup, action: dict) -> Semidirect:
     elements = {pair_perm(n, h) for n in N.elements for h in H.elements}
     if len(elements) != N.order * H.order:
         raise NotAnAction("semidirect product collapsed; action is not faithful enough")
-    gens = greedy_generators(elements, degree)
-    group = PermGroup(degree, gens, elements)
     n_embed = {n: pair_perm(n, H.identity()) for n in N.elements}
     h_embed = {h: pair_perm(N.identity(), h) for h in H.elements}
-    return Semidirect(group=group, n_embed=n_embed, h_embed=h_embed)
+    gens = [n_embed[n] for n in N.generators] + [h_embed[h] for h in H.generators]
+    return Semidirect(group=PermGroup(degree, gens, elements), n_embed=n_embed, h_embed=h_embed)
 
 
 def trivial_action(N: PermGroup, H: PermGroup) -> dict:
@@ -815,9 +813,8 @@ def _verify_action(N: PermGroup, H: PermGroup, action: dict):
         if set(alpha.values()) != set(N.elements):
             raise NotAnAction("action images must be bijections of N")
     # homomorphism property of each alpha_h, checked on generator pairs
-    n_gens = greedy_generators(N.elements, N.degree)
     for h, alpha in action.items():
-        for a in n_gens:
+        for a in N.generators:
             for b in N.elements:
                 if alpha[a * b] != alpha[a] * alpha[b]:
                     raise NotAnAction("alpha_h is not a homomorphism of N")
@@ -827,7 +824,7 @@ def _verify_action(N: PermGroup, H: PermGroup, action: dict):
             a12 = action[h1 * h2]
             a1 = action[h1]
             a2 = action[h2]
-            for n in n_gens:
+            for n in N.generators:
                 if a12[n] != a1[a2[n]]:
                     raise NotAnAction("action is not a homomorphism H -> Aut(N)")
 

@@ -51,12 +51,6 @@ class RatFunc:
     def const(field: CoeffField, nvars: int, c) -> "RatFunc":
         return RatFunc.from_poly(Poly.const(field, nvars, c))
 
-    @staticmethod
-    def var(field: CoeffField, nvars: int, i: int, power: int = 1) -> "RatFunc":
-        if power >= 0:
-            return RatFunc.from_poly(Poly.var(field, nvars, i, power))
-        return RatFunc._raw(Poly.one(field, nvars), Poly.var(field, nvars, i, -power))
-
     # -- views ----------------------------------------------------------------
 
     @property

@@ -84,7 +84,7 @@ def test_towers_past_a_thousand_elements(capsys, group, orders, tau):
 def test_towers_psl2_8_is_refused_by_the_search_budget(capsys):
     assert main(["towers", "--group", "psl2:8"]) == 2
     err = capsys.readouterr().err
-    assert "automorphism search exceeded budget" in err
+    assert "automorphism search: automorphisms held exceeded budget 1322" in err
     assert "element cap" not in err
 
 

@@ -237,6 +237,21 @@ def test_embed_homomorphism():
     )
 
 
+def test_arithmetic_combines_one_context_only():
+    ctx = k2_ctx()
+    left, right = ctx.deepen(vertex_delta=1), ctx.deepen(vertex_delta=1)
+    x = generator_vertex(left, "s", 1)
+    y = generator_vertex(right, "s", 1)
+    z = generator_vertex(ctx, "t", 0)
+    for a, b in ((x, y), (x, z), (z, x)):
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b, lambda: a == b):
+            with pytest.raises(ValueError, match="embed"):
+                op()
+    assert x == embed(y, left)
+    assert x + embed(y, left) == x * left.constant(2)
+    assert embed(z, right) * y == generator_vertex(right, "t", 0) * y
+
+
 def test_embed_rejects_shrinking():
     ctx = k2_ctx()
     shallower = ctx.with_depths({"s": 0, "t": 0}, {})

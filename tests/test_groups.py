@@ -313,8 +313,8 @@ def test_aut_group_closure_is_bounded_by_the_node_budget():
     assert aut_group(G, node_budget=8 * 168).group.order == 168
     with pytest.raises(BudgetExceeded) as exc:
         aut_group(G, node_budget=8 * 167)
-    assert exc.value.what == "automorphism search"
-    assert exc.value.budget == 8 * 167
+    assert exc.value.what == "automorphism search: automorphisms held"
+    assert exc.value.budget == 167
     assert exc.value.__cause__.what == "group closure"
 
 
@@ -461,6 +461,20 @@ def test_semidirect_pgl4_frobenius():
     # same simple socle order on both sides
     assert is_simple(psl2(4))
     assert find_isomorphism(sd.group, pg) is not None
+
+
+def test_semidirect_reads_generators(monkeypatch):
+    # the embedded generators of N and H generate N x| H, and N's
+    # generators suffice to check the action: nothing is derived again
+    pgl = pgl2(4)
+    H = closure([frobenius_point_perm(4)], degree=pgl.degree)
+    action = conjugation_action(pgl, H)
+    calls = []
+    real = groups.greedy_generators
+    monkeypatch.setattr(groups, "greedy_generators", lambda *a: calls.append(a) or real(*a))
+    sd = semidirect(pgl, H, action)
+    assert calls == []
+    assert closure(sd.group.generators, degree=sd.group.degree).elements == sd.group.elements
 
 
 # -- verification reports --------------------------------------------------------------

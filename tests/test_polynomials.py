@@ -206,6 +206,73 @@ def test_modgcd_primes_table():
     assert _PRIMES == tuple(below[:16])
 
 
+def _umul(*fs: dict) -> dict:
+    """Product of univariate {(exponent,): int} term dicts."""
+    out = {(0,): 1}
+    for f in fs:
+        acc: dict = {}
+        for (i,), a in out.items():
+            for (j,), b in f.items():
+                acc[(i + j,)] = acc.get((i + j,), 0) + a * b
+        out = {e: c for e, c in acc.items() if c}
+    return out
+
+
+def _lin(c: int, a: int = 1) -> dict:
+    """a*x + c as a term dict."""
+    return {e: v for e, v in (((1,), a), ((0,), c)) if v}
+
+
+# {path int_gcd takes past the first prime: (f, g, gcd)}; p0 = _PRIMES[0]
+# and p1 = _PRIMES[1]
+_MULTI_PRIME_GCDS = {
+    "crt": (_umul(_lin(2**40), _lin(1)), _umul(_lin(2**40), _lin(2)), _lin(2**40)),
+    "skip-lc": (_umul(_lin(1, _PRIMES[0]), _lin(3)), _umul(_lin(3), _lin(5)), _lin(3)),
+    "unlucky": (_umul(_lin(2**40), _lin(_PRIMES[1])), _umul(_lin(2**40), _lin(0)), _lin(2**40)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MULTI_PRIME_GCDS))
+def test_int_gcd_multi_prime_paths(name, monkeypatch):
+    f, g, want = _MULTI_PRIME_GCDS[name]
+    images, crts = [], []
+    fp_gcd, crt = _modgcd._fp_gcd, _modgcd._crt
+
+    def recording_fp_gcd(a, b, p):
+        images.append((p, fp_gcd(a, b, p)))
+        return images[-1][1]
+
+    monkeypatch.setattr(_modgcd, "_fp_gcd", recording_fp_gcd)
+    monkeypatch.setattr(_modgcd, "_crt", lambda *args: crts.append(args[-1]) or crt(*args))
+    assert _modgcd.int_gcd(f, g) == want
+    primes = [p for p, _ in images]
+    if name == "skip-lc":
+        # p0 divides f's leading coefficient, so the first image is mod p1
+        assert primes[0] == _PRIMES[1] and _PRIMES[0] not in primes
+        return
+    # one image mod p0 cannot lift the coefficient 2^40, so CRT must run
+    assert crts
+    if name == "unlucky":
+        # mod p1 the cofactors x + p1 and x collide: a degree-2 image, discarded
+        assert primes[:3] == list(_PRIMES[:3])
+        assert max(images[1][1]) == (2,)
+        assert crts == [_PRIMES[2]]
+
+
+@pytest.mark.parametrize("name", sorted(_MULTI_PRIME_GCDS))
+def test_int_gcd_multi_prime_paths_match_sympy(name):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    f, g, _ = _MULTI_PRIME_GCDS[name]
+
+    def expr(d):
+        return sum(c * x**e for (e,), c in d.items())
+
+    ref = sympy.Poly(sympy.gcd(expr(f), expr(g)), x)
+    ref = ref if ref.LC() > 0 else -ref
+    assert _modgcd.int_gcd(f, g) == {(e,): int(c) for (e,), c in ref.terms()}
+
+
 def test_poly_pth_root():
     rng = random.Random(2)
     for p in (2, 3, 5):
