@@ -6,10 +6,13 @@ The encoding maps a tower element to a finite set of finite vertex
 sequences.  No global vertex order is ever consulted: the participating
 vertices of every atom of the canonical form are ordered by colour
 refinement on the atom's own exponents, and the atom is emitted once per
-ordering of the ties that remain, with all numeric data packed
-positionally into the repetitions of the trailing runs.  The orderings
+ordering of the ties that remain; an atom of at most one vertex is
+emitted once per directed edge leaving its carrier vertices.  All numeric
+data is packed positionally into the repetitions of the trailing runs,
+so a sequence grows linearly with its atom's data bits.  The orderings
 depend only on data that relabelling leaves unchanged, so the set is
-canonical and relabelling vertices permutes it elementwise.
+canonical and relabelling vertices permutes it elementwise.  The graph
+must have no vertex without a neighbour.
 """
 from __future__ import annotations
 
@@ -162,9 +165,6 @@ class Code:
         return Code(frozenset(tuple(mapping[v] for v in seq) for seq in self.sequences))
 
 
-_PURE_BIT_CAP = 20  # single-vertex atoms with data this small use pure repetition
-
-
 def _zigzag(n: int) -> int:
     return 2 * n if n >= 0 else -2 * n - 1
 
@@ -203,7 +203,7 @@ def encode_element(a: TowerElement) -> Code:
     Atoms are the (generator exponents, numerator/denominator side,
     monomial, coefficient) quadruples of the canonical form.  Each atom
     is emitted once per local choice -- an invariant ordering of its own
-    vertices, or a graph neighbor when only one vertex (or none)
+    vertices, or a directed edge (v, u) when only one vertex (or none)
     participates -- so the resulting set never consults a global vertex
     order:
 
@@ -212,22 +212,25 @@ def encode_element(a: TowerElement) -> Code:
         the distinct-label prefix ends), for every ordering that lists
         the cells of `_refined_cells` in colour order and permutes the
         vertices within each cell;
-      one vertex v: pure repetition of v when the data is small, else
-        <v, v, v> followed by data runs alternating u / v for every
-        neighbor u of v;
-      no vertex (prime-field constants): the same per vertex, with an
-        even/odd length split keeping the two pure classes apart.
+      at most one vertex: 4 - |verts| copies of a carrier v, then the
+        data bits carried by runs alternating u / v, for every neighbour
+        u of v; the carrier is the atom's vertex, or every graph vertex
+        for a prime-field constant.  So a one-vertex sequence starts with
+        exactly three copies of v, a constant's with exactly four, and a
+        sequence of two or more vertices with two distinct labels.
 
     Data bits are Elias-gamma streams of the side, the coefficient, the
     participating variable exponents in prefix order, and the generator
-    exponents per position pair.
+    exponents per position pair.  A vertex without a neighbour would
+    carry no sequence, so the graph must have none: `ValueError`
+    otherwise.
     """
     ctx = a.ctx
     cg = ctx.colored_graph
     if cg is None:
         raise ValueError("the codec is defined for graph-built towers")
-    if not cg.edges:
-        raise ValueError("the codec needs a graph with at least one edge")
+    if not cg.edges or not all(map(cg.graph.degree, cg.vertices)):
+        raise ValueError("the codec needs a graph with edges and no vertex without a neighbour")
     gen_endpoints = []
     for g in ctx.gens:
         _, s, t = g.recipe
@@ -241,25 +244,12 @@ def encode_element(a: TowerElement) -> Code:
                     if k:
                         verts |= gen_endpoints[i]
                 qn, qd = _coeff_to_pair(ctx, q)
-                if not verts:
-                    bits = _stream_bits([role, qn, qd])
-                    if len(bits) <= _PURE_BIT_CAP:
-                        n = 6 + 2 * int("1" + bits, 2)
-                        for v in cg.vertices:
-                            sequences.add((v,) * n)
-                    else:
-                        for v in cg.vertices:
-                            for u in cg.graph.neighbors(v):
-                                sequences.add((v,) * 4 + _bit_runs(u, v, bits))
-                elif len(verts) == 1:
-                    (v,) = verts
-                    bits = _stream_bits([role, qn, qd, mono[ctx.var_index[v]]])
-                    if len(bits) <= _PURE_BIT_CAP:
-                        n = 5 + 2 * int("1" + bits, 2)
-                        sequences.add((v,) * n)
-                    else:
+                if len(verts) <= 1:
+                    bits = _stream_bits([role, qn, qd] + [mono[ctx.var_index[v]] for v in verts])
+                    lead = 4 - len(verts)
+                    for v in verts or cg.vertices:
                         for u in cg.graph.neighbors(v):
-                            sequences.add((v,) * 3 + _bit_runs(u, v, bits))
+                            sequences.add((v,) * lead + _bit_runs(u, v, bits))
                 else:
                     head = _stream_bits((role, qn, qd))
                     vlist = sorted(verts)

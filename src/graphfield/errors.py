@@ -66,15 +66,17 @@ class TooLarge(GraphFieldError):
 
 
 class DepthExceeded(GraphFieldError):
-    """Requested a root deeper than the profile provides."""
+    """Requested a root deeper than the tower's depth provides."""
 
 
 class ProfileNotLarger(GraphFieldError):
-    """Embedding target profile must dominate the source pointwise."""
+    """An embedding target must be a tower of the same family whose
+    vertex and edge depths are at least the source's, one by one."""
 
 
 class ProfileNotSmaller(GraphFieldError):
-    """Norm subfield profile must be dominated by the element's profile."""
+    """A norm's subfield must be a tower of the same family whose vertex
+    and edge depths are at most the element's tower's, one by one."""
 
 
 class SpecInvalid(GraphFieldError):

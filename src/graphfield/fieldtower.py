@@ -306,6 +306,8 @@ def radical_extend(
             raise SpecInvalid("branch primes must be primes different from p and the characteristic")
     upolys = {}
     for v, coeffs in spec.polys.items():
+        if char and any(c.denominator % char == 0 for c in coeffs):
+            raise SpecInvalid(f"T_{v} has a coefficient whose denominator {char} divides")
         poly = Poly(field, 1, {(k,): field.of_int(c) if isinstance(c, int) else field.of_fraction(c)
                                for k, c in enumerate(coeffs)})
         if poly.is_zero() or poly.is_constant():
@@ -822,7 +824,9 @@ def primality_smoke(ctx: TowerContext, trials: int = 200, seed: int = 0,
                     invert: bool = True) -> dict:
     """Multiply random nonzero pairs and (optionally) invert random
     nonzero elements; any zero product or singular inversion is a
-    counterexample entry.
+    counterexample entry.  With more than one generator the inverted
+    samples come from `random_single_level_element`, whose inverses stay
+    affordable.
     """
     rng = random.Random(seed)
     failures = []
@@ -835,7 +839,10 @@ def primality_smoke(ctx: TowerContext, trials: int = 200, seed: int = 0,
         products += 1
         if invert and t % 2 == 0:
             try:
-                c = random_nonzero_element(ctx, rng, max_terms=2)
+                if len(ctx.gens) > 1:
+                    c = random_single_level_element(ctx, rng)
+                else:
+                    c = random_nonzero_element(ctx, rng, max_terms=2)
                 if not (c * c.inv()).is_one():
                     failures.append({"trial": t, "kind": "bad-inverse"})
             except SingularMultiplication as exc:

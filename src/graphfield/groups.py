@@ -155,9 +155,6 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, p: Perm) -> bool:
-        return p in self.elements
-
     def contains_group(self, other: "PermGroup") -> bool:
         return other.elements <= self.elements
 

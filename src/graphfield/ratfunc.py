@@ -53,14 +53,6 @@ class RatFunc:
 
     # -- views ----------------------------------------------------------------
 
-    @property
-    def field(self) -> CoeffField:
-        return self.num.field
-
-    @property
-    def nvars(self) -> int:
-        return self.num.nvars
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -69,9 +61,6 @@ class RatFunc:
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
-
-    def constant_value(self):
-        return self.field.div(self.num.constant_value(), self.den.constant_value())
 
     def variables_used(self) -> set[int]:
         return self.num.variables_used() | self.den.variables_used()
@@ -124,12 +113,6 @@ class RatFunc:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         return RatFunc._raw(self.den, self.num)
-
-    def __pow__(self, n: int) -> "RatFunc":
-        if n < 0:
-            return self.inv() ** (-n)
-        # components stay coprime under powering
-        return RatFunc._raw(self.num**n, self.den**n)
 
     def scale_poly(self, p: Poly) -> "RatFunc":
         if self.den.is_one() or p.is_constant():

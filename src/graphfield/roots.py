@@ -434,7 +434,7 @@ class PHighResult:
 
 
 def is_p_high(a: TowerElement, p: int, depth_budget: int = 3, seed: int = 0) -> PHighResult:
-    """Iterated p-th root extraction, deepening the tower profile when the
+    """Iterated p-th root extraction, deepening the tower when the
     current truncation runs out of room.
 
     true: the budget was reached with a root at every stage inside the

@@ -23,7 +23,7 @@ from graphfield.fieldtower import (
     generator_vertex,
     random_nonzero_element,
 )
-from graphfield.graphs import Graph, GraphAut, graph_auts, transform
+from graphfield.graphs import Graph, GraphAut, graph_auts, greedy_star_coloring, transform
 
 
 def k2_plus_ctx():
@@ -203,10 +203,40 @@ def test_codec_shape():
     cg, ctx = k2_plus_ctx()
     xs0 = generator_vertex(ctx, "1:s", 0)
     code = encode_element(xs0)
-    assert any(set(seq) == {"1:s"} for seq in code.sequences)
+    # the numerator atom X_{1:s}^3: three copies of 1:s, then runs from
+    # each neighbour; the denominator 1: four copies per directed edge
+    num = [seq for seq in code.sequences if seq[2] != seq[3]]
+    neighbours = cg.graph.neighbors("1:s")
+    for seq in num:
+        assert seq[:3] == ("1:s",) * 3 and seq[3] in neighbours
+    assert {seq[3] for seq in num} == neighbours and len(num) == len(neighbours)
+    den = code.sequences.difference(num)
+    assert all(seq[:4] == (seq[0],) * 4 for seq in den) and len(den) == 2 * len(cg.edges)
+    assert {(seq[0], seq[4]) for seq in den} == {
+        (v, u) for v in cg.vertices for u in cg.graph.neighbors(v)
+    }
     assert encode_element(ctx.zero()).sequences == frozenset()
     assert encode_element(ctx.constant(5)) != encode_element(ctx.constant(7))
     assert code.to_json() == sorted(list(s) for s in code.sequences)
+
+
+def test_codec_sequences_are_short_for_small_data():
+    """A one-vertex atom's data is carried by runs, never by a repetition
+    count exponential in its bits."""
+    cg, ctx = k2_plus_ctx()
+    a = generator_vertex(ctx, "1:s", 1) ** 9 * ctx.constant(-7) / ctx.constant(5)
+    code = encode_element(a)
+    assert code.sequences and all(len(seq) < 100 for seq in code.sequences)
+
+
+def test_codec_refuses_a_vertex_without_neighbours():
+    """An isolated vertex carries no sequence, so its atoms would vanish:
+    (-70/51)·X_c^9 and (-90/51)·X_c^9 would get one code."""
+    ctx = build_tower(greedy_star_coloring(Graph(["a", "b", "c"], [("a", "b")])))
+    xc = generator_vertex(ctx, "c", ctx.vertex_depths["c"]) ** 9
+    for n in (-70, -90):
+        with pytest.raises(ValueError):
+            encode_element(xc * ctx.constant(n) / ctx.constant(51))
 
 
 def _all_orderings_code(a) -> frozenset:
@@ -230,9 +260,6 @@ def _all_orderings_code(a) -> frozenset:
             seq += [(first, second)[i % 2]] * (b + 1)
         return tuple(seq)
 
-    def pure(bits):
-        return int("1" + "".join(map(str, bits)), 2)
-
     out = set()
     for exps, c in a.coeffs.items():
         for role, poly in ((0, c.num), (1, c.den)):
@@ -246,19 +273,13 @@ def _all_orderings_code(a) -> frozenset:
                 if not verts:
                     bits = stream(head)
                     for v in cg.vertices:
-                        if len(bits) <= 20:
-                            out.add((v,) * (6 + 2 * pure(bits)))
-                        else:
-                            for u in neighbors[v]:
-                                out.add((v,) * 4 + runs(u, v, bits))
+                        for u in neighbors[v]:
+                            out.add((v,) * 4 + runs(u, v, bits))
                 elif len(verts) == 1:
                     (v,) = verts
                     bits = stream(head + [mono[ctx.var_index[v]]])
-                    if len(bits) <= 20:
-                        out.add((v,) * (5 + 2 * pure(bits)))
-                    else:
-                        for u in neighbors[v]:
-                            out.add((v,) * 3 + runs(u, v, bits))
+                    for u in neighbors[v]:
+                        out.add((v,) * 3 + runs(u, v, bits))
                 else:
                     pair_exp = {ends[i]: k for i, k in enumerate(exps) if k and ends[i] <= verts}
                     for order in permutations(sorted(verts)):

@@ -1,8 +1,12 @@
 """CLI surface: exit codes, report streams, JSON outputs."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import graphfield
 from graphfield.cli import Runner, main
 from graphfield.errors import BudgetExceeded
 from graphfield.graphs import Graph, graph_to_json
@@ -50,6 +54,23 @@ def test_build_field_depth0(tmp_path, capsys):
     assert rc == 0
     lines = [json.loads(l) for l in captured.out.strip().splitlines()]
     assert lines[0]["summary"]["dimension"] == 1
+
+
+def test_build_field_triangle_default_options_finishes(tmp_path):
+    """A hang fails here instead of stalling the suite: the run is killed
+    after 60 s."""
+    infile = write_graph(
+        tmp_path, "k3.json", ["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")]
+    )
+    src = os.path.dirname(os.path.dirname(graphfield.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphfield.cli", "build-field", "--in", infile],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    smoke = next(json.loads(l) for l in proc.stdout.splitlines() if '"primality-smoke"' in l)
+    assert smoke["status"] == "pass" and smoke["details"]["inversions"] == 25
 
 
 def test_build_field_too_large_exit2(tmp_path, capsys):

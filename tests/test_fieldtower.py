@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from graphfield.coeffs import CoeffField
 from graphfield.errors import (
     DepthExceeded,
     InvalidInput,
     ProfileNotLarger,
+    ProfileNotSmaller,
     SingularMultiplication,
     SpecInvalid,
     TooLarge,
@@ -260,6 +262,26 @@ def test_embed_rejects_shrinking():
         embed(a, shallower)
 
 
+def test_embed_rejects_another_family_and_a_shrinking_edge():
+    ctx = k2_ctx()
+    a = generator_vertex(ctx, "s", 0)
+    with pytest.raises(ProfileNotLarger, match="different family"):
+        embed(a, k2_ctx(char=3))
+    with pytest.raises(ProfileNotLarger, match="edge depth of e:s,t shrinks"):
+        embed(a, ctx.with_depths({}, {"e:s,t": 0}))
+
+
+def test_field_norm_rejects_another_family_and_a_growing_depth():
+    ctx = k2_ctx()
+    a = generator_vertex(ctx, "s", 0)
+    with pytest.raises(ProfileNotSmaller, match="different family"):
+        field_norm(a, k2_ctx(char=3))
+    with pytest.raises(ProfileNotSmaller, match="depth of s grows"):
+        field_norm(a, ctx.deepen(vertex_delta=1))
+    with pytest.raises(ProfileNotSmaller, match="depth of e:s,t grows"):
+        field_norm(a, ctx.with_depths({}, {"e:s,t": 2}))
+
+
 def test_algebraic_independence_bounded_search():
     # no nonzero small-coefficient polynomial of total degree <= 3
     # annihilates the bottom vertex roots
@@ -345,6 +367,21 @@ def test_radical_extension():
     for _ in range(5):
         a = random_nonzero_element(ctx, rng, max_terms=2)
         assert (a * a.inv()).is_one()
+
+
+def test_radical_spec_rejects_a_denominator_the_characteristic_divides():
+    assert CoeffField(0).of_fraction(Fraction(1, 2)) == Fraction(1, 2)
+    assert CoeffField(3).of_fraction(Fraction(1, 2)) == 2
+    ctx = radical_extend(
+        RadicalSpec(p=2, branch_primes=(5,), partition={"v": 0}, polys={"v": (1, Fraction(1, 2))}),
+        char=3,
+    )
+    assert ctx.gen_poly(0) == Poly(ctx.field, 1, {(0,): 1, (2,): 2})  # 1 + z/2 with z = X^2
+    for char, p, q in ((3, 2, 5), (5, 3, 2)):
+        for c in (Fraction(1, char), Fraction(2, char)):
+            spec = RadicalSpec(p=p, branch_primes=(q,), partition={"v": 0}, polys={"v": (1, c)})
+            with pytest.raises(SpecInvalid, match="denominator"):
+                radical_extend(spec, char=char)
 
 
 def test_radical_spec_validation():
