@@ -785,13 +785,15 @@ def random_single_level_element(ctx: TowerContext, rng: random.Random) -> TowerE
     Inverting a generic mixed-level element of a large tower is an
     intrinsically huge exact object; these samples keep inverse
     round-trips affordable at every dimension while still crossing a
-    defining relation.
+    defining relation.  The level is drawn among generators of degree
+    above 1; with none, the sample lies in the base field.
     """
-    gi = rng.randrange(len(ctx.gens)) if ctx.gens else 0
+    levels = [i for i in range(len(ctx.gens)) if ctx.gen_degree(i) > 1]
+    gi = levels[rng.randrange(len(levels))] if levels else None
     coeffs = {}
     for _ in range(rng.randint(1, 2)):
         exps = [0] * len(ctx.gens)
-        if ctx.gens:
+        if gi is not None:
             exps[gi] = rng.randrange(1, min(ctx.gen_degree(gi), 6))
         part = _random_ratfunc(ctx, rng, allow_denominator=False)
         key = tuple(exps)
@@ -824,13 +826,15 @@ def primality_smoke(ctx: TowerContext, trials: int = 200, seed: int = 0,
                     invert: bool = True) -> dict:
     """Multiply random nonzero pairs and (optionally) invert random
     nonzero elements; any zero product or singular inversion is a
-    counterexample entry.  With more than one generator the inverted
-    samples come from `random_single_level_element`, whose inverses stay
-    affordable.
+    counterexample entry.  With more than one generator of degree above
+    1 the inverted samples come from `random_single_level_element`, whose
+    inverses stay affordable; such towers therefore do not invert
+    mixed-level elements or elements with a denominator here.
     """
     rng = random.Random(seed)
     failures = []
     products = inversions = 0
+    single_level = sum(ctx.gen_degree(i) > 1 for i in range(len(ctx.gens))) > 1
     for t in range(trials):
         a = random_nonzero_element(ctx, rng)
         b = random_nonzero_element(ctx, rng)
@@ -839,7 +843,7 @@ def primality_smoke(ctx: TowerContext, trials: int = 200, seed: int = 0,
         products += 1
         if invert and t % 2 == 0:
             try:
-                if len(ctx.gens) > 1:
+                if single_level:
                     c = random_single_level_element(ctx, rng)
                 else:
                     c = random_nonzero_element(ctx, rng, max_terms=2)

@@ -56,6 +56,24 @@ def test_build_field_depth0(tmp_path, capsys):
     assert lines[0]["summary"]["dimension"] == 1
 
 
+@pytest.mark.parametrize(
+    "vertices,edges,depth",
+    [
+        pytest.param(["a", "b", "c"], [("a", "b"), ("b", "c")], "0", id="p3-depth0"),
+        pytest.param(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")], '{"a": 1}', id="k3-vertex-only"),
+    ],
+)
+def test_build_field_with_depth0_edges(tmp_path, capsys, vertices, edges, depth):
+    """Depth-0 edges stay generators of degree 1; the primality smoke
+    must still sample and invert."""
+    infile = write_graph(tmp_path, "g.json", vertices, edges)
+    rc = main(["build-field", "--in", infile, "--depth", depth, "--trials", "6"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    smoke = next(json.loads(l) for l in captured.out.splitlines() if '"primality-smoke"' in l)
+    assert smoke["status"] == "pass" and smoke["details"]["inversions"] == 3
+
+
 def test_build_field_triangle_default_options_finishes(tmp_path):
     """A hang fails here instead of stalling the suite: the run is killed
     after 60 s."""

@@ -222,6 +222,22 @@ def test_inverse_char2_k3_two_terms():
     assert (a * a.inv()).is_one()
 
 
+def test_single_level_sampler_skips_degree_one_generators():
+    g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    ctx = build_tower(
+        greedy_star_coloring(g), char=0, vertex_depths=0,
+        edge_depths={"e:a,b": 1, "e:a,c": 0, "e:b,c": 1},
+    )
+    flat = ctx.gens.index(next(gen for gen in ctx.gens if gen.label == "e:a,c"))
+    rng = random.Random(0)
+    for _ in range(40):
+        a = random_single_level_element(ctx, rng)
+        assert all(exps[flat] == 0 for exps in a.coeffs)
+    only_flat = build_tower(greedy_star_coloring(g), char=0, vertex_depths=1, edge_depths=0)
+    a = random_single_level_element(only_flat, random.Random(0))
+    assert all(exps == (0, 0, 0) for exps in a.coeffs)
+
+
 def test_embed_homomorphism():
     ctx = k2_ctx()
     deeper = ctx.deepen(vertex_delta=1, edge_delta=1)
