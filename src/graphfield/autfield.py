@@ -23,7 +23,7 @@ from operator import itemgetter
 
 from .errors import ColorViolation
 from .fieldtower import TowerContext, TowerElement, edge_label, generator_vertex
-from .graphs import GraphAut
+from .graphs import GraphAut, graph_auts
 
 
 class FieldAut:
@@ -85,8 +85,11 @@ def sigma(phi: GraphAut, ctx: TowerContext) -> FieldAut:
 
 
 def apply(alpha: FieldAut, a: TowerElement) -> TowerElement:
-    """Apply the substitution and re-canonicalize (a ring homomorphism)."""
+    """Apply the substitution and re-canonicalize (a ring homomorphism).
+    `a` must lie in alpha's own tower: `ValueError` otherwise."""
     ctx = alpha.ctx
+    if a.ctx is not ctx:
+        raise ValueError("element of another tower context: embed it into alpha's tower first")
     out = {}
     for exps, c in a.coeffs.items():
         new_exps = [0] * len(exps)
@@ -96,10 +99,12 @@ def apply(alpha: FieldAut, a: TowerElement) -> TowerElement:
     return TowerElement(ctx, out)
 
 
-def verify_edge_image(ctx: TowerContext, alpha: FieldAut) -> dict:
+def verify_edge_image(alpha: FieldAut) -> dict:
     """Every edge's bottom generators must map to the bottom generators of
-    an edge of the same color.  alpha is applied once per vertex
-    generator, and each image is found by one dict lookup."""
+    an edge of the same color, in alpha's own tower.  alpha is applied
+    once per vertex generator, and each image is found by one dict
+    lookup."""
+    ctx = alpha.ctx
     cg = ctx.colored_graph
     vertex_gens = {v: generator_vertex(ctx, v, 0) for v in ctx.var_names}
     by_gen = {g: v for v, g in vertex_gens.items()}
@@ -122,8 +127,6 @@ def verify_edge_image(ctx: TowerContext, alpha: FieldAut) -> dict:
 def verify_injectivity_sigma(ctx: TowerContext) -> dict:
     """sigma is injective: distinct graph automorphisms give distinct
     substitutions, witnessed on the bottom vertex generators."""
-    from .graphs import graph_auts
-
     auts = graph_auts(ctx.colored_graph)
     vertex_gens = [generator_vertex(ctx, v, 0) for v in ctx.var_names]
     images = []

@@ -284,7 +284,7 @@ def _suite_sigma(r: Runner, seed: int, budget: int):
     def edge_images():
         bad = []
         for phi in graphs.graph_auts(cg):
-            rep = autfield.verify_edge_image(ctx, autfield.sigma(phi, ctx))
+            rep = autfield.verify_edge_image(autfield.sigma(phi, ctx))
             if not rep["pass"]:
                 bad.append(rep)
         return not bad, {"failures": bad}

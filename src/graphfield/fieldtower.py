@@ -37,6 +37,7 @@ from .errors import (
     SingularMultiplication,
     SpecInvalid,
     TooLarge,
+    UnknownResult,
 )
 from .graphs import ColoredGraph, check_star_coloring
 from .polynomials import Poly
@@ -288,10 +289,10 @@ def radical_extend(
     char: int = 0,
     z_depth: int = 1,
     depths=1,
-    cap: int = DEFAULT_DIMENSION_CAP,
 ) -> TowerContext:
     """The generic tower: one transcendental z_0 with p-power roots and,
-    for each v, p_k-power roots of T_v(z_0).
+    for each v, p_k-power roots of T_v(z_0), under the default dimension
+    cap.
 
     The hypotheses are validated exactly: every T_v nonconstant,
     not divisible by X, separable, and pairwise coprime.
@@ -337,7 +338,7 @@ def radical_extend(
                 color=None,
             )
         )
-    return TowerContext(char, ("z",), spec.p, {"z": z_depth}, gens, cap)
+    return TowerContext(char, ("z",), spec.p, {"z": z_depth}, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +458,7 @@ class TowerElement:
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero tower element")
-        return _inv_in(self.ctx, self)
+        return _inv_in(self)
 
     # -- serialization -------------------------------------------------------------
 
@@ -583,11 +584,12 @@ def _join_top(ctx: TowerContext, tpoly: dict[int, TowerElement]) -> TowerElement
     return TowerElement(ctx, out)
 
 
-def _inv_in(ctx: TowerContext, a: TowerElement) -> TowerElement:
+def _inv_in(a: TowerElement) -> TowerElement:
     """One level of inv(): extended Euclid in K[T]/(T^n - A), K the
-    sub-tower of the lower generators, tracking only a's cofactor s
+    sub-tower of a's lower generators, tracking only a's cofactor s
     (s*a = r mod T^n - A); leading coefficients are inverted by
     recursion into K."""
+    ctx = a.ctx
     if not ctx.gens:
         return ctx.from_ratfunc(a.base_value().inv())
     j = len(ctx.gens) - 1
@@ -597,14 +599,14 @@ def _inv_in(ctx: TowerContext, a: TowerElement) -> TowerElement:
     _sub_shifted(r0, sub.one(), 0, {0: sub.from_poly(ctx.gen_poly(j))})
     r1, s1 = _split_top(a), {0: sub.one()}
     while max(r1) > 0:
-        _divide(r0, r1, _inv_in(sub, r1[max(r1)]), s0, s1)
+        _divide(r0, r1, _inv_in(r1[max(r1)]), s0, s1)
         if not r0:
             raise SingularMultiplication(
                 "nontrivial gcd with the defining polynomial: zero divisor found",
                 counterexample=a.to_json(),
             )
         r0, s0, r1, s1 = r1, s1, r0, s0
-    r_inv = _inv_in(sub, r1[0])
+    r_inv = _inv_in(r1[0])
     return _join_top(ctx, {k: v * r_inv for k, v in s1.items()})
 
 
@@ -713,7 +715,7 @@ def _resultant(low: TowerContext, m: int, t: TowerElement, a: dict) -> TowerElem
     while max(r1) > 0:
         d0, d1 = max(r0), max(r1)
         lc = r1[d1]
-        _divide(r0, r1, _inv_in(low, lc))
+        _divide(r0, r1, _inv_in(lc))
         if not r0:
             return low.zero()
         res = res * lc ** (d0 - max(r0))
@@ -728,27 +730,20 @@ def _resultant(low: TowerContext, m: int, t: TowerElement, a: dict) -> TowerElem
 # ---------------------------------------------------------------------------
 
 
-def random_element(
+def random_nonzero_element(
     ctx: TowerContext,
     rng: random.Random,
     max_terms: int = 3,
     allow_denominator: bool = True,
 ) -> TowerElement:
-    """A sparse random element: a few generator monomials, each exponent
-    below 4, with small rational-function coefficients."""
-    n_terms = rng.randint(1, max_terms)
-    out = ctx.zero()
-    for _ in range(n_terms):
-        exps = tuple(
-            rng.randrange(min(ctx.gen_degree(i), 4)) for i in range(len(ctx.gens))
-        )
-        out = out + TowerElement(ctx, {exps: _random_ratfunc(ctx, rng, allow_denominator)})
-    return out
-
-
-def random_nonzero_element(ctx, rng, max_terms: int = 3, allow_denominator: bool = True):
+    """A sparse random nonzero element: a few generator monomials, each
+    exponent below 4, with small rational-function coefficients; a zero
+    sum is drawn again."""
     for _ in range(50):
-        x = random_element(ctx, rng, max_terms, allow_denominator)
+        x = ctx.zero()
+        for _ in range(rng.randint(1, max_terms)):
+            exps = tuple(rng.randrange(min(ctx.gen_degree(i), 4)) for i in range(len(ctx.gens)))
+            x = x + TowerElement(ctx, {exps: _random_ratfunc(ctx, rng, allow_denominator)})
         if not x.is_zero():
             return x
     raise AssertionError("sampler kept producing zero")  # pragma: no cover
@@ -861,20 +856,17 @@ def primality_smoke(ctx: TowerContext, trials: int = 200, seed: int = 0,
     }
 
 
-def check_irreducible_radical(ctx: TowerContext, generator, p: int) -> bool:
+def check_irreducible_radical(ctx: TowerContext, generator: str, p: int) -> bool:
     """X^p - g is irreducible over the tower iff g has no p-th root
-    (odd p); delegates the root decision and demands a verdict."""
-    from .errors import UnknownResult
-    from .roots import pth_root
+    (odd p), for g the deepest root of a vertex name or a generator
+    label; delegates the root decision and demands a verdict."""
+    from .roots import pth_root  # roots imports this module
 
-    if isinstance(generator, str) and generator in ctx.var_index:
+    if generator in ctx.var_index:
         g = generator_vertex(ctx, generator, ctx.vertex_depths[generator])
-    elif isinstance(generator, TowerElement):
-        g = generator
     else:
-        label = generator if isinstance(generator, str) else edge_label(generator)
-        g = generator_edge(ctx, label, ctx.gens[ctx.gen_index[label]].depth)
-    res = pth_root(g, p, ctx)
+        g = generator_edge(ctx, generator, ctx.gens[ctx.gen_index[generator]].depth)
+    res = pth_root(g, p)
     if res.outcome == "root":
         return False
     if res.outcome == "no":

@@ -892,13 +892,13 @@ def graph_from_json(text: str):
     return graph
 
 
-def structure_to_json(s: FiniteStructure, pretty: bool = False) -> str:
+def structure_to_json(s: FiniteStructure) -> str:
     doc = {
         "universe": list(s.universe),
         "relations": {n: sorted(list(t) for t in ts) for n, ts in s.relations.items()},
         "functions": {n: dict(sorted(fn.items())) for n, fn in s.unary_functions.items()},
     }
-    return json.dumps(doc, indent=2 if pretty else None, sort_keys=True)
+    return json.dumps(doc, sort_keys=True)
 
 
 def structure_from_json(text: str) -> FiniteStructure:

@@ -831,9 +831,9 @@ def _verify_action(N: PermGroup, H: PermGroup, action: dict):
 # ---------------------------------------------------------------------------
 
 
-def verify_simple_tower(S: PermGroup, middle: str = "inn", max_steps: int = 6) -> dict:
+def verify_simple_tower(S: PermGroup, middle: str = "inn") -> dict:
     """Compare the automorphism tower of G with the normalizer tower of G
-    inside Aut(S), for Inn(S) <= G <= Aut(S).
+    inside Aut(S), for Inn(S) <= G <= Aut(S), over at most 6 steps.
 
     Returns a report with stagewise orders and explicit stage
     isomorphisms (as witness dictionaries).
@@ -850,8 +850,8 @@ def verify_simple_tower(S: PermGroup, middle: str = "inn", max_steps: int = 6) -
     else:
         raise ValueError("middle must be 'inn' or 'aut'")
 
-    aut_tower = automorphism_tower(G, max_steps=max_steps)
-    nor_tower = normalizer_tower(aut_s, G, max_steps=max_steps)
+    aut_tower = automorphism_tower(G, max_steps=6)
+    nor_tower = normalizer_tower(aut_s, G, max_steps=6)
 
     stage_checks = []
     n = min(len(aut_tower.stages), len(nor_tower.stages))
@@ -874,7 +874,7 @@ def verify_simple_tower(S: PermGroup, middle: str = "inn", max_steps: int = 6) -
     }
 
 
-def verify_van_der_waerden(q: int, node_budget: int = DEFAULT_AUT_NODE_BUDGET) -> dict:
+def verify_van_der_waerden(q: int) -> dict:
     """Check Aut(PSL(2,q)) = PGammaL(2,q) acting by conjugation, with a
     trivial centralizer witnessing uniqueness.
 
@@ -886,7 +886,7 @@ def verify_van_der_waerden(q: int, node_budget: int = DEFAULT_AUT_NODE_BUDGET) -
     """
     psl = psl2(q)
     pgamma = pgammal2(q)
-    A = aut_group(psl, node_budget=node_budget)
+    A = aut_group(psl)
 
     conj_gens = []
     for gamma in pgamma.generators:
@@ -910,9 +910,10 @@ def verify_van_der_waerden(q: int, node_budget: int = DEFAULT_AUT_NODE_BUDGET) -
     }
 
 
-def verify_semidirect_tower(q: int, frob_power: int | None = None, max_steps: int = 8) -> dict:
-    """Normalizer tower of G = PGL(2,q) x| H inside PGammaL(2,q), compared
-    stagewise against PGL(2,q) x| nor^alpha(H) computed in Aut(F_q)."""
+def verify_semidirect_tower(q: int, frob_power: int | None = None) -> dict:
+    """Normalizer tower of G = PGL(2,q) x| H inside PGammaL(2,q), over at
+    most 8 steps, compared stagewise against PGL(2,q) x| nor^alpha(H)
+    computed in Aut(F_q)."""
     pgl = pgl2(q)
     pgamma = pgammal2(q)
     fr = frobenius_point_perm(q)
@@ -930,8 +931,8 @@ def verify_semidirect_tower(q: int, frob_power: int | None = None, max_steps: in
     G = closure(pgl.generators + H.generators, cap=pgamma.order, degree=pgl.degree)
     centerless = center(G).order == 1
 
-    left = normalizer_tower(pgamma, G, max_steps=max_steps)
-    right = normalizer_tower(frob_group, H, max_steps=max_steps)
+    left = normalizer_tower(pgamma, G, max_steps=8)
+    right = normalizer_tower(frob_group, H, max_steps=8)
 
     stage_checks = []
     n = max(len(left.stages), len(right.stages))

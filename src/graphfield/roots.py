@@ -6,7 +6,7 @@ structured elements:
   (i)   structured extraction: a single-monomial canonical form is solved
         exactly (exponent congruences per generator plus a rational
         function p-th root for the coefficient); any witness is
-        re-verified by exponentiation before it is returned;
+        re-verified by exponentiation, once, before it is returned;
   (ii)  valuation filter: certified places whose value groups are pinned
         down (unramified chain-variable places, and defining-polynomial
         places that are provably totally ramified at one level) give
@@ -16,7 +16,8 @@ structured elements:
         that fails the p-th power test is recorded as a refutation.
 
 Everything else is an explicit Unknown.  Places whose extension values
-are not forced are marked ambiguous and carry no information.
+are not forced are marked ambiguous and carry no information.  Every
+decision is made in the element's own tower, `a.ctx`.
 """
 from __future__ import annotations
 
@@ -27,7 +28,13 @@ from fractions import Fraction
 
 from .coeffs import is_prime
 from .errors import BadPrime, ZeroInput
-from .fieldtower import TowerContext, TowerElement, embed
+from .fieldtower import (
+    TowerContext,
+    TowerElement,
+    embed,
+    random_nonzero_element,
+    random_structured_monomial,
+)
 from .polynomials import Poly
 from .ratfunc import RatFunc
 
@@ -182,8 +189,8 @@ class PlaceValue:
     denominator: int
 
 
-def valuation_vector(a: TowerElement, ctx: TowerContext | None = None) -> list[PlaceValue]:
-    """Forced valuations of `a` at every certified place.
+def valuation_vector(a: TowerElement) -> list[PlaceValue]:
+    """Forced valuations of `a` at every certified place of its tower.
 
     A term's value is v(coefficient) + sum of exponent * v(generator);
     the element's value is the unique minimum when there is one, and an
@@ -191,9 +198,8 @@ def valuation_vector(a: TowerElement, ctx: TowerContext | None = None) -> list[P
     """
     if a.is_zero():
         raise ZeroInput("valuation of 0 is undefined")
-    ctx = ctx or a.ctx
     out = []
-    for cp in certified_places(ctx):
+    for cp in certified_places(a.ctx):
         term_values = []
         for exps, c in a.coeffs.items():
             v = Fraction(g_adic_valuation(c, cp.place))
@@ -269,16 +275,15 @@ def _structured_root(a: TowerElement, p: int) -> TowerElement | None:
     return None
 
 
-def pth_root(a: TowerElement, p: int, ctx: TowerContext | None = None, seed: int = 0) -> RootResult:
-    """Three-stage p-th root decision; see the module docstring."""
-    ctx = ctx or a.ctx
+def pth_root(a: TowerElement, p: int, *, seed: int = 0) -> RootResult:
+    """Three-stage p-th root decision in `a`'s own tower; see the module
+    docstring.  `_structured_root` returns only a verified witness."""
     if a.is_zero():
-        return RootResult(outcome="root", witness=ctx.zero(), note="zero")
+        return RootResult(outcome="root", witness=a.ctx.zero(), note="zero")
     w = _structured_root(a, p)
     if w is not None:
-        assert (w**p) == a
         return RootResult(outcome="root", witness=w, note="structured extraction")
-    for pv in valuation_vector(a, ctx):
+    for pv in valuation_vector(a):
         if not pv.exact:
             continue
         scaled = pv.value * pv.denominator
@@ -295,7 +300,7 @@ def pth_root(a: TowerElement, p: int, ctx: TowerContext | None = None, seed: int
                 },
                 note=f"value {pv.value} at {pv.label} is not divisible by {p}",
             )
-    if ctx.char == 0:
+    if a.ctx.char == 0:
         rep = specialization_refute(a, p, seed=seed)
         if rep["refuted"]:
             return RootResult(
@@ -349,9 +354,10 @@ def _dlog_table(q: int) -> tuple[int, dict]:
     raise BadPrime(f"no generator found for F_{q}")  # pragma: no cover
 
 
-def specialization_refute(a: TowerElement, p: int, trials: int = 24, seed: int = 0) -> dict:
-    """Push `a` into F_q at random points with consistent root values and
-    test p-th-power-ness by the (q-1)/p power map.
+def specialization_refute(a: TowerElement, p: int, seed: int = 0) -> dict:
+    """Push `a` into F_q at random points (24 over four primes q, at
+    least 6 for each) with consistent root values and test
+    p-th-power-ness by the (q-1)/p power map.
 
     Requires a characteristic-0 tower.  A defined nonzero image that is
     not a p-th power refutes; if every attempted point is consistent the
@@ -362,7 +368,7 @@ def specialization_refute(a: TowerElement, p: int, trials: int = 24, seed: int =
         raise ValueError("specialization targets need a characteristic-0 tower")
     primes = _specialization_primes(ctx, p, count=4)
     rng = random.Random(seed)
-    per_q = max(6, trials // len(primes))
+    per_q = max(6, 24 // len(primes))
     points_tried = 0
     consistent = 0
     for q in primes:
@@ -570,16 +576,13 @@ def _padic_val(n: int, p: int) -> int:
     return v
 
 
-def q_high_descends(ctx: TowerContext, q: int, samples: int = 20, seed: int = 0,
-                    depth_budget: int = 2) -> dict:
+def q_high_descends(ctx: TowerContext, q: int, samples: int = 20, seed: int = 0) -> dict:
     """For a prime q outside the tower primes, sampled non-base elements
-    must never verify as q-high; base constants follow the prime-field
-    rule."""
+    must never verify as q-high within two roots; base constants follow
+    the prime-field rule."""
     if q == ctx.chain_prime or any(g.prime == q for g in ctx.gens):
         raise ValueError("q must differ from all tower primes")
     rng = random.Random(seed)
-    from .fieldtower import random_nonzero_element, random_structured_monomial
-
     results = {"true": 0, "false": 0, "unknown": 0}
     violations = []
     for t in range(samples):
@@ -590,11 +593,11 @@ def q_high_descends(ctx: TowerContext, q: int, samples: int = 20, seed: int = 0,
         )
         if x.is_base():
             continue
-        res = is_p_high(x, q, depth_budget=depth_budget, seed=seed + t)
+        res = is_p_high(x, q, depth_budget=2, seed=seed + t)
         results[res.verdict] += 1
         if res.verdict == "true":
             violations.append(x.to_json())
-    base_ok = is_p_high(ctx.one(), q, depth_budget=depth_budget).verdict == "true"
+    base_ok = is_p_high(ctx.one(), q, depth_budget=2).verdict == "true"
     return {
         "q": q,
         "samples": results,

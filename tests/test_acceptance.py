@@ -277,7 +277,7 @@ def test_criterion_06_sigma_verification():
                 if lhs != rhs:
                     failures.append((base_name, "homomorphism"))
         for phi in auts:
-            er = autfield.verify_edge_image(ctx, autfield.sigma(phi, ctx))
+            er = autfield.verify_edge_image(autfield.sigma(phi, ctx))
             if not er["pass"]:
                 failures.append((base_name, "edge-image", er))
         rng = random.Random(19)

@@ -109,6 +109,22 @@ def test_apply_fixes_prime_field_and_commutes_with_embed():
         assert embed(apply(al, a), deeper) == apply(al_deep, embed(a, deeper))
 
 
+def test_apply_refuses_another_towers_element():
+    from graphfield.fieldtower import embed
+    cg, ctx = k2_plus_ctx()
+    swap = next(p for p in graph_auts(cg) if not p.is_identity())
+    al = sigma(swap, ctx)
+    other = ctx.deepen(vertex_delta=1)
+    # X_{1:s,2} of the deeper tower is a cube root of X_{1:s,1}; read in
+    # ctx it would be taken for X_{1:s,1} itself
+    with pytest.raises(ValueError):
+        apply(al, generator_vertex(other, "1:s", 2))
+    x = generator_vertex(ctx, "1:s", 1)
+    with pytest.raises(ValueError):
+        apply(al, embed(x, other))
+    assert apply(sigma(swap, other), embed(x, other)) == embed(apply(al, x), other)
+
+
 def test_apply_ring_homomorphism_random():
     cg, ctx = k2_plus_ctx()
     swap = next(p for p in graph_auts(cg) if not p.is_identity())
@@ -126,7 +142,7 @@ def test_edge_image_property():
     for maker in (k2_plus_ctx, k3_plus_ctx):
         cg, ctx = maker()
         for phi in graph_auts(cg):
-            rep = verify_edge_image(ctx, sigma(phi, ctx))
+            rep = verify_edge_image(sigma(phi, ctx))
             assert rep["pass"], rep
 
 
@@ -145,7 +161,7 @@ def test_edge_image_is_linear(monkeypatch):
     monkeypatch.setattr(TowerElement, "__eq__", counting_eq)
     for alpha in alphas:
         calls = 0
-        assert verify_edge_image(ctx, alpha)["pass"]
+        assert verify_edge_image(alpha)["pass"]
         assert calls <= 2 * len(cg.edges)
 
 

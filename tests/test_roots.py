@@ -154,7 +154,7 @@ def test_specialization_refute_consistency_on_powers():
     ctx = k2_ctx()
     b = generator_vertex(ctx, "s", 1)
     a = b**3
-    rep = specialization_refute(a, 3, trials=12, seed=0)
+    rep = specialization_refute(a, 3, seed=0)
     assert not rep["refuted"]
 
 
@@ -285,6 +285,19 @@ def test_char2_valuation_refusals():
     assert r.outcome == "root"
     r2 = pth_root(xs0, 7)  # not a tower prime: valuation obstruction
     assert r2.outcome == "no" and r2.certificate["kind"] == "valuation"
+
+
+def test_pth_root_zero_and_unknown_exits():
+    ctx = k2_ctx()
+    r = pth_root(ctx.zero(), 3)
+    assert r.outcome == "root" and r.witness.is_zero() and r.witness.ctx is ctx
+    # char 2 runs no specialization stage, and 1 + X_{s,1} has no
+    # certified valuation obstruction: the decision stays open
+    g = Graph(["s", "t"], [("s", "t")])
+    ctx2 = build_tower(greedy_star_coloring(g), char=2)
+    r2 = pth_root(generator_vertex(ctx2, "s", 1) + ctx2.one(), 3)
+    assert r2.outcome == "unknown"
+    assert r2.witness is None and r2.certificate is None
 
 
 def test_char3_behavior_recorded():
