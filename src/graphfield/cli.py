@@ -486,6 +486,13 @@ def cmd_towers(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="graphfield", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -510,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", default="all", choices=("graphs", "groups", "field", "roots", "sigma", "all"))
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--budget", type=int, default=1)
+    v.add_argument("--budget", type=_positive_int, default=1)
     v.add_argument("--char", type=int, default=0, choices=(0, 2, 3, 5, 7))
     v.add_argument("--sorted", action="store_true")
     v.set_defaults(fn=cmd_verify)

@@ -171,6 +171,13 @@ def test_verify_usage_error():
     assert main(["verify", "--suite", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("budget", ["0", "-1", "x"])
+def test_verify_refuses_a_budget_below_one(capsys, budget):
+    assert main(["verify", "--budget", budget, "--suite", "all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--budget" in captured.err
+
+
 K2_JSON = graph_to_json(Graph(["s", "t"], [("s", "t")]))
 TRIANGLE_ONE_COLOUR = json.dumps({"vertices": ["a", "b", "c"],
                                   "edges": [["a", "b"], ["b", "c"], ["a", "c"]],
