@@ -4,15 +4,16 @@ an order-free injective element encoding.
 
 The encoding maps a tower element to a finite set of finite vertex
 sequences.  No global vertex order is ever consulted: the participating
-vertices of every atom of the canonical form are ordered by colour
-refinement on the atom's own exponents, and the atom is emitted once per
-ordering of the ties that remain; an atom of at most one vertex is
-emitted once per directed edge leaving its carrier vertices.  All numeric
-data is packed positionally into the repetitions of the trailing runs,
-so a sequence grows linearly with its atom's data bits.  The orderings
-depend only on data that relabelling leaves unchanged, so the set is
-canonical and relabelling vertices permutes it elementwise.  The graph
-must have no vertex without a neighbour.
+vertices of every atom of the canonical form are ordered by the graph
+side's colour refinement (`graphs._refined`) on the atom's own
+exponents, and the atom is emitted once per ordering of the ties that
+remain; an atom of at most one vertex is emitted once per directed edge
+leaving its carrier vertices.  All numeric data is packed positionally
+into the repetitions of the trailing runs, so a sequence grows linearly
+with its atom's data bits.  The orderings depend only on data that
+relabelling leaves unchanged, so the set is canonical and relabelling
+vertices permutes it elementwise.  The graph must have no vertex without
+a neighbour.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from operator import itemgetter
 
 from .errors import ColorViolation
 from .fieldtower import TowerContext, TowerElement, edge_label, generator_vertex
-from .graphs import GraphAut, graph_auts
+from .graphs import GraphAut, _cells, _refined, graph_auts
 
 
 class FieldAut:
@@ -213,8 +214,11 @@ def encode_element(a: TowerElement) -> Code:
       two or more vertices: <pi_0, ..., pi_j> then the data bits carried
         by runs alternating pi_0 / pi_1 (the repeated pi_0 marks where
         the distinct-label prefix ends), for every ordering that lists
-        the cells of `_refined_cells` in colour order and permutes the
-        vertices within each cell;
+        the cells in order and permutes the vertices within each cell.
+        The cells are `graphs._refined` on the atom as a graph: its
+        vertices keyed by their variable exponents, an edge coloured by
+        each nonzero pair generator exponent.  They read only
+        exponents and counts, never a vertex name;
       at most one vertex: 4 - |verts| copies of a carrier v, then the
         data bits carried by runs alternating u / v, for every neighbour
         u of v; the carrier is the atom's vertex, or every graph vertex
@@ -259,17 +263,18 @@ def encode_element(a: TowerElement) -> Code:
                     k = len(vlist)
                     pos = {v: i for i, v in enumerate(vlist)}
                     vexp = [mono[ctx.var_index[v]] for v in vlist]
-                    # pexp[i][j]: the generator exponent on the pair
-                    # {vlist[i], vlist[j]}, 0 when none
-                    pexp = [[0] * k for _ in range(k)]
+                    # the atom as a graph on positions: adj[i][j] is the
+                    # generator exponent on the pair {vlist[i], vlist[j]},
+                    # absent when 0
+                    adj: list[dict[int, int]] = [{} for _ in range(k)]
                     for gi, ends in enumerate(gen_endpoints):
                         if exps[gi] and ends <= verts:
                             i, j = (pos[v] for v in ends)
-                            pexp[i][j] = pexp[j][i] = exps[gi]
+                            adj[i][j] = adj[j][i] = exps[gi]
                     vbits = [_gamma_bits(x) for x in vexp]
-                    pbits = [[_gamma_bits(x) for x in row] for row in pexp]
+                    pbits = [[_gamma_bits(adj[i].get(j, 0)) for j in range(k)] for i in range(k)]
                     pairs = list(combinations(range(k), 2))
-                    cells = _refined_cells(vexp, pexp)
+                    cells = _cells(_refined(vexp, adj)[0])
                     for choice in product(*(permutations(cell) for cell in cells)):
                         idx = [i for part in choice for i in part]
                         order = tuple(vlist[i] for i in idx)
@@ -278,36 +283,6 @@ def encode_element(a: TowerElement) -> Code:
                         bits = head + "".join(tail)
                         sequences.add(order + _bit_runs(order[0], order[1], bits))
     return Code(frozenset(sequences))
-
-
-def _refined_cells(vexp: list, pexp: list) -> list:
-    """The cells of one atom's vertices (as indices), in colour order.
-
-    A vertex's colour starts as its own variable exponent; each round
-    gives it the rank of (its colour, the sorted multiset of (colour,
-    pair generator exponent) over the atom's other vertices), until the
-    number of colours stops growing.  Only exponents are read, never a
-    vertex name, so relabelling the atom relabels its cells.  The old
-    colour leads each signature, so the ranks keep the earlier order of
-    the cells and only split them.
-    """
-    k = len(vexp)
-    colour = vexp
-    count = len(set(colour))
-    while count < k:
-        sigs = [
-            (colour[i], tuple(sorted((colour[j], pexp[i][j]) for j in range(k) if j != i)))
-            for i in range(k)
-        ]
-        rank = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
-        colour = [rank[sig] for sig in sigs]
-        if len(rank) == count:
-            break
-        count = len(rank)
-    cells: dict = {}
-    for i in sorted(range(k), key=colour.__getitem__):
-        cells.setdefault(colour[i], []).append(i)
-    return list(cells.values())
 
 
 def _coeff_to_pair(ctx, q) -> tuple[int, int]:

@@ -76,7 +76,7 @@ class Runner:
 # ---------------------------------------------------------------------------
 
 
-def _suite_graphs(r: Runner, seed: int, budget: int):
+def _suite_graphs(r: Runner, args):
     def gadget_exact():
         g = graphs.gadget()
         aut = graphs.aut_graph(g)
@@ -86,7 +86,7 @@ def _suite_graphs(r: Runner, seed: int, budget: int):
 
     r.run("gadget-exactness", "graphs.gadget", gadget_exact)
 
-    max_n = 4 if budget < 2 else 5
+    max_n = 4 if args.budget < 2 else 5
     corpus_graphs = []
     for n in range(1, max_n + 1):
         corpus_graphs.extend(graphs.connected_graphs_up_to_iso(n))
@@ -124,7 +124,7 @@ def _suite_graphs(r: Runner, seed: int, budget: int):
     r.run("transform-star-classes", "graphs.check_star_coloring", star_classes)
 
 
-def _suite_groups(r: Runner, seed: int, budget: int):
+def _suite_groups(r: Runner, args):
     def s4_chain():
         s4 = groups.closure(
             [groups.Perm.from_cycles(4, [(0, 1)]), groups.Perm.from_cycles(4, [(0, 1, 2, 3)])]
@@ -176,10 +176,10 @@ def _field_contexts(char: int):
     return out
 
 
-def _suite_field(r: Runner, seed: int, budget: int, char: int):
-    trials = 40 * budget
-    inv_counts = {"K2": 20 * budget, "P3": 6 * budget, "K3": 3 * budget}
-    for name, ctx in _field_contexts(char):
+def _suite_field(r: Runner, args):
+    trials = 40 * args.budget
+    inv_counts = {"K2": 20 * args.budget, "P3": 6 * args.budget, "K3": 3 * args.budget}
+    for name, ctx in _field_contexts(args.char):
         expected_dim = 1
         for i in range(len(ctx.gens)):
             expected_dim *= ctx.gen_degree(i)
@@ -190,13 +190,13 @@ def _suite_field(r: Runner, seed: int, budget: int, char: int):
         r.run(f"tower-dimension-{name}", "fieldtower.build_tower", dims)
 
         def smoke(ctx=ctx, name=name):
-            rep = fieldtower.primality_smoke(ctx, trials=trials, seed=seed, invert=(name == "K2"))
+            rep = fieldtower.primality_smoke(ctx, trials=trials, seed=args.seed, invert=(name == "K2"))
             return rep["pass"], rep
 
         r.run(f"primality-smoke-{name}", "fieldtower.primality_smoke", smoke)
 
         def inverses(ctx=ctx, name=name):
-            rng = random.Random(seed + 1)
+            rng = random.Random(args.seed + 1)
             n = inv_counts[name]
             for _ in range(n):
                 if name == "K3":
@@ -212,7 +212,7 @@ def _suite_field(r: Runner, seed: int, budget: int, char: int):
         r.run(f"inverse-roundtrip-{name}", "fieldtower.inv", inverses)
 
 
-def _suite_roots(r: Runner, seed: int, budget: int):
+def _suite_roots(r: Runner, args):
     k2 = graphs.Graph(["s", "t"], [("s", "t")])
     ctx = fieldtower.build_tower(graphs.greedy_star_coloring(k2), char=0)
     p0, p1 = ctx.chain_prime, ctx.gens[0].prime
@@ -236,21 +236,21 @@ def _suite_roots(r: Runner, seed: int, budget: int):
     r.run("vertex-root-refusals", "roots.pth_root", no_other_roots)
 
     def p_high_corpus():
-        rng = random.Random(seed)
-        n = 10 * budget
+        rng = random.Random(args.seed)
+        n = 10 * args.budget
         highs = refuted = unknown = 0
         for i in range(n):
             m = fieldtower.random_structured_monomial(ctx, rng, p=p0)
             if m.is_base() and m.base_value().is_constant():
                 continue
-            if roots.is_p_high(m, p0, depth_budget=2, seed=seed + i).verdict == "true":
+            if roots.is_p_high(m, p0, depth_budget=2, seed=args.seed + i).verdict == "true":
                 highs += 1
         for i in range(n):
             a = fieldtower.random_nonzero_element(ctx, rng, max_terms=3, allow_denominator=False)
             form, _ = roots.classify_p_high(a, p0)
             if form is not None:
                 continue
-            v = roots.is_p_high(a, p0, depth_budget=2, seed=seed + i).verdict
+            v = roots.is_p_high(a, p0, depth_budget=2, seed=args.seed + i).verdict
             if v == "false":
                 refuted += 1
             elif v == "unknown":
@@ -262,13 +262,13 @@ def _suite_roots(r: Runner, seed: int, budget: int):
     r.run("p-high-classification", "roots.is_p_high", p_high_corpus)
 
     def q_high():
-        rep = roots.q_high_descends(ctx, 2, samples=4 * budget, seed=seed)
+        rep = roots.q_high_descends(ctx, 2, samples=4 * args.budget, seed=args.seed)
         return rep["pass"], rep
 
     r.run("q-high-descent", "roots.q_high_descends", q_high)
 
 
-def _suite_sigma(r: Runner, seed: int, budget: int):
+def _suite_sigma(r: Runner, args):
     k2 = graphs.Graph(["s", "t"], [("s", "t")])
     cg = graphs.transform(k2)
     att = {e for e in cg.edges if any(v.startswith("1:") for v in e)}
@@ -292,10 +292,10 @@ def _suite_sigma(r: Runner, seed: int, budget: int):
     r.run("sigma-edge-images", "autfield.verify_edge_image", edge_images)
 
     def psi_checks():
-        rng = random.Random(seed)
+        rng = random.Random(args.seed)
         auts = graphs.graph_auts(cg)
         seen = {}
-        for _ in range(100 * budget):
+        for _ in range(100 * args.budget):
             a = fieldtower.random_nonzero_element(ctx, rng, max_terms=2, allow_denominator=False)
             key = autfield.encode_element(a).sequences
             if key in seen and not (seen[key] == a):
@@ -303,12 +303,12 @@ def _suite_sigma(r: Runner, seed: int, budget: int):
             seen[key] = a
         for phi in auts:
             alpha = autfield.sigma(phi, ctx)
-            for _ in range(10 * budget):
+            for _ in range(10 * args.budget):
                 a = fieldtower.random_nonzero_element(ctx, rng, max_terms=2, allow_denominator=False)
                 lhs = autfield.encode_element(autfield.apply(alpha, a))
                 if lhs != autfield.encode_element(a).relabel(phi.mapping):
                     return False, {"equivariance-violation": a.to_json()}
-        return True, {"pairs": 100 * budget}
+        return True, {"pairs": 100 * args.budget}
 
     r.run("psi-injective-equivariant", "autfield.encode_element", psi_checks)
 
@@ -316,7 +316,7 @@ def _suite_sigma(r: Runner, seed: int, budget: int):
 _SUITES = {
     "graphs": _suite_graphs,
     "groups": _suite_groups,
-    "field": None,  # handled specially for --char
+    "field": _suite_field,
     "roots": _suite_roots,
     "sigma": _suite_sigma,
 }
@@ -424,10 +424,7 @@ def cmd_verify(args) -> int:
     runner = Runner(sort_reports=args.sorted)
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
     for name in suites:
-        if name == "field":
-            _suite_field(runner, args.seed, args.budget, args.char)
-        else:
-            _SUITES[name](runner, args.seed, args.budget)
+        _SUITES[name](runner, args)
     return runner.finish()
 
 
@@ -500,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("transform", help="gadget-transform a graph and verify the clauses")
     t.add_argument("--in", dest="infile", required=True)
     t.add_argument("--out", default=None)
-    t.add_argument("--budget", type=int, default=64)
+    t.add_argument("--budget", type=_positive_int, default=64)
     t.add_argument("--sorted", action="store_true")
     t.set_defaults(fn=cmd_transform)
 
@@ -508,14 +505,14 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--in", dest="infile", required=True)
     b.add_argument("--char", type=int, default=0, choices=(0, 2, 3, 5, 7))
     b.add_argument("--depth", default="1", help="uniform depth or per-generator JSON")
-    b.add_argument("--trials", type=int, default=50)
+    b.add_argument("--trials", type=_positive_int, default=50)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--budget", type=int, default=2000)
     b.add_argument("--sorted", action="store_true")
     b.set_defaults(fn=cmd_build_field)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("--suite", default="all", choices=("graphs", "groups", "field", "roots", "sigma", "all"))
+    v.add_argument("--suite", default="all", choices=(*_SUITES, "all"))
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--budget", type=_positive_int, default=1)
     v.add_argument("--char", type=int, default=0, choices=(0, 2, 3, 5, 7))

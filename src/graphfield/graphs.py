@@ -304,6 +304,42 @@ def _equitable(part, stack: list[int], wadj, expect=None):
     return trace
 
 
+def _refined(keys: list, adj: list[dict[int, int]]):
+    """The coarsest equitable partition of the graph given as {neighbour:
+    colour} dicts that is finer than the cells of equal `keys`, and the
+    packed edge weights.  The cells start in increasing key order, all on
+    the splitter stack of `_equitable`, so the result reads only keys,
+    positions and counts: relabelling the vertices relabels its cells."""
+    n = len(adj)
+    shift = max(1, n.bit_length())
+    # a neighbour of colour c adds 1 << (shift * c) to a vertex's count,
+    # so the per-colour counts, each below n, never carry into each other
+    wadj = [[(u, 1 << (shift * c)) for u, c in nb.items()] for nb in adj]
+    elems = sorted(range(n), key=keys.__getitem__)
+    cell_of = [0] * n
+    end = [0] * n
+    starts = []
+    for i, v in enumerate(elems):
+        if i == 0 or keys[v] != keys[elems[i - 1]]:
+            starts.append(i)
+        cell_of[v] = starts[-1]
+        end[starts[-1]] = i + 1
+    part = (elems, cell_of, end)
+    _equitable(part, starts, wadj)
+    return part, wadj
+
+
+def _cells(part) -> list[list[int]]:
+    """The cells of an ordered partition, in order."""
+    elems, _, end = part
+    cells = []
+    s = 0
+    while s < len(elems):
+        cells.append(elems[s:end[s]])
+        s = end[s]
+    return cells
+
+
 def _target_cell(part) -> int | None:
     """The start of the first smallest non-singleton cell, or None when
     the partition is discrete."""
@@ -352,10 +388,10 @@ def _aut_generators(adj: list[dict[int, int]], budget: int) -> tuple[list[Perm],
     the graph given as {neighbour: colour} dicts, and the group's order.
 
     Individualisation and refinement (McKay & Piperno, "Practical graph
-    isomorphism II", J. Symb. Comput. 2014): the root partition comes from
-    `_degree_triangles`, each node individualises one vertex of its target
-    cell and refines.  The first path takes the first vertex of each
-    target cell down to a discrete leaf.  Going back up, from the deepest
+    isomorphism II", J. Symb. Comput. 2014): the root partition is
+    `_refined` from `_degree_triangles`, each node individualises one
+    vertex of its target cell and refines.  The first path takes the
+    first vertex of each target cell down to a discrete leaf.  Going back up, from the deepest
     level to the root, every target-cell vertex w outside the orbit of the
     first-path vertex v under the generators found so far (all fix the
     first path above this level) has its subtree searched for a leaf whose
@@ -365,10 +401,6 @@ def _aut_generators(adj: list[dict[int, int]], budget: int) -> tuple[list[Perm],
     order is the product of the orbit lengths.
     """
     n = len(adj)
-    shift = max(1, n.bit_length())
-    # a neighbour of colour c adds 1 << (shift * c) to a vertex's count,
-    # so the per-colour counts, each below n, never carry into each other
-    wadj = [[(u, 1 << (shift * c)) for u, c in nb.items()] for nb in adj]
     left = budget
 
     def spend():
@@ -377,19 +409,8 @@ def _aut_generators(adj: list[dict[int, int]], budget: int) -> tuple[list[Perm],
         if left < 0:
             raise BudgetExceeded("aut_graph search nodes", budget)
 
-    inv = _degree_triangles(adj)
-    elems = sorted(range(n), key=lambda v: inv[v])
-    cell_of = [0] * n
-    end = [0] * n
-    starts = []
-    for i, v in enumerate(elems):
-        if i == 0 or inv[v] != inv[elems[i - 1]]:
-            starts.append(i)
-        cell_of[v] = starts[-1]
-        end[starts[-1]] = i + 1
-    part = (elems, cell_of, end)
     spend()
-    _equitable(part, starts, wadj)
+    part, wadj = _refined(_degree_triangles(adj), adj)
 
     # the first path: (partition, target cell start) per level, and the
     # trace that individualising the target's first vertex produced
@@ -451,8 +472,9 @@ def _aut_generators(adj: list[dict[int, int]], budget: int) -> tuple[list[Perm],
 
 
 def graph_auts(g) -> list[GraphAut]:
-    """aut_graph, converted to explicit vertex mappings."""
-    group = aut_graph(g)
+    """aut_graph, converted to explicit vertex mappings; only the search
+    node budget bounds it."""
+    group = aut_graph(g, max_vertices=len(g.vertices))
     verts = group.points
     out = []
     for p in group.sorted_elements():

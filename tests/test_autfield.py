@@ -1,7 +1,8 @@
 """Graph symmetries acting on the tower: sigma, supports, the codec."""
 import random
-from functools import lru_cache
+from collections import Counter
 from itertools import combinations, groupby, permutations
+from math import factorial, prod
 
 import pytest
 
@@ -306,8 +307,9 @@ def _all_orderings_code(a) -> frozenset:
 
 
 def _decode_ordered(seq) -> tuple:
-    """(order, {vertex: exponent}, {pair: generator exponent}) carried by a
-    sequence of an atom of two or more vertices."""
+    """(order, head, {vertex: exponent}, {pair: generator exponent})
+    carried by a sequence of an atom of two or more vertices, where head
+    is (side, coefficient numerator, coefficient denominator)."""
     k = seq.index(seq[0], 1)
     order = seq[:k]
     bits = "".join("01"[len(list(run)) - 1] for _, run in groupby(seq[k:]))
@@ -318,17 +320,15 @@ def _decode_ordered(seq) -> tuple:
         i += 2 * zeros + 1
     vexp = dict(zip(order, values[3 : 3 + k]))
     pair_exp = dict(zip(map(frozenset, combinations(order, 2)), values[3 + k :]))
-    return order, vexp, pair_exp
+    return order, tuple(values[:3]), vexp, pair_exp
 
 
-@lru_cache(maxsize=None)
 def _refined_colours(vexp: frozenset, pair_exp: frozenset) -> dict:
     """The refined colour of each vertex of an atom.
 
     A colour starts as the vertex's own exponent.  Each round makes it the
     pair (its colour, the sorted (colour, pair exponent) of every other
-    vertex of the atom), until the number of colours stops growing.
-    Nested tuples compare the way the codec's ranks do."""
+    vertex of the atom), until the number of colours stops growing."""
     colour = dict(vexp)
     pair = dict(pair_exp)
     while True:
@@ -344,34 +344,38 @@ def _refined_colours(vexp: frozenset, pair_exp: frozenset) -> dict:
         colour = new
 
 
-def _invariant_order(order, vexp, pair_exp) -> bool:
-    """True when `order` lists the atom's vertices by refined colour."""
-    colour = _refined_colours(frozenset(vexp.items()), frozenset(pair_exp.items()))
-    seen = [colour[v] for v in order]
-    return seen == sorted(seen)
+def _atom_orderings(sequences) -> dict:
+    """{(head, vertex exponents, pair exponents): [order, ...]} over the
+    sequences of atoms with two or more vertices."""
+    atoms = {}
+    for seq in sequences:
+        if seq[0] != seq[1]:
+            order, head, vexp, pair_exp = _decode_ordered(seq)
+            key = (head, frozenset(vexp.items()), frozenset(pair_exp.items()))
+            atoms.setdefault(key, []).append(order)
+    return atoms
 
 
-def _reference_code(all_orderings: frozenset) -> frozenset:
-    """encode_element as its reference: the all-orderings code, keeping an
-    atom's sequence only when its order is invariant.  Sequences of atoms
-    with at most one vertex start with a repeated label and are kept.
-
-    Each atom's data is decoded once, from its sequence in sorted vertex
-    order; a sequence is decoded only when its order is invariant for the
-    data of some atom on the same vertices."""
-    kept = {seq for seq in all_orderings if seq[0] == seq[1]}
-    by_order = {}
-    for seq in all_orderings - kept:
-        by_order.setdefault(seq[: seq.index(seq[0], 1)], []).append(seq)
-    atoms = {
-        frozenset(order): [_decode_ordered(seq)[1:] for seq in seqs]
-        for order, seqs in by_order.items()
-        if list(order) == sorted(order)
-    }
-    for order, seqs in by_order.items():
-        if any(_invariant_order(order, *data) for data in atoms[frozenset(order)]):
-            kept.update(seq for seq in seqs if _invariant_order(*_decode_ordered(seq)))
-    return frozenset(kept)
+def _check_against_reference(code: frozenset, full: frozenset):
+    """The codec against the all-orderings code: the same sequences for
+    atoms of at most one vertex, the same atoms otherwise, and for each
+    atom of two or more vertices the orderings that list the classes of
+    the reference refinement as contiguous blocks, in one block order
+    shared by all of them, with every order inside the blocks."""
+    assert code <= full
+    assert {s for s in code if s[0] == s[1]} == {s for s in full if s[0] == s[1]}
+    atoms = _atom_orderings(code)
+    assert atoms.keys() == _atom_orderings(full).keys()
+    for (_, vexp, pair_exp), orders in atoms.items():
+        colour = _refined_colours(vexp, pair_exp)
+        block_orders = set()
+        for order in orders:
+            blocks = tuple(c for c, _ in groupby(colour[v] for v in order))
+            assert len(set(blocks)) == len(blocks)
+            block_orders.add(blocks)
+        assert len(block_orders) == 1
+        sizes = Counter(colour.values()).values()
+        assert len(orders) == prod(map(factorial, sizes))
 
 
 def test_codec_matches_bitwise_reference():
@@ -386,10 +390,7 @@ def test_codec_matches_bitwise_reference():
                 random_nonzero_element(ctx, rng, max_terms=2, allow_denominator=(i % 2 == 0))
             )
         for a in samples:
-            code = encode_element(a).sequences
-            full = _all_orderings_code(a)
-            assert code == _reference_code(full)
-            assert code <= full
+            _check_against_reference(encode_element(a).sequences, _all_orderings_code(a))
 
 
 def test_codec_tie_handling():

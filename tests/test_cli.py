@@ -178,6 +178,35 @@ def test_verify_refuses_a_budget_below_one(capsys, budget):
     assert captured.out == "" and "--budget" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, option", [("transform", "--budget"), ("build-field", "--trials")]
+)
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_counts_below_one_are_refused(tmp_path, capsys, command, option, value):
+    infile = write_graph(tmp_path, "k2.json", ["s", "t"], [("s", "t")])
+    assert main([command, "--in", infile, option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and option in captured.err
+
+
+VERIFY_CHECKS = [
+    "gadget-exactness", "transform-corpus", "transform-star-classes",
+    "normalizer-tower-s4", "automorphism-tower-a5", "psl-simplicity", "aut-psl-conjugation-q4",
+    "tower-dimension-K2", "primality-smoke-K2", "inverse-roundtrip-K2",
+    "tower-dimension-P3", "primality-smoke-P3", "inverse-roundtrip-P3",
+    "tower-dimension-K3", "primality-smoke-K3", "inverse-roundtrip-K3",
+    "radical-irreducibility-K2", "vertex-root-refusals", "p-high-classification", "q-high-descent",
+    "sigma-injectivity", "sigma-edge-images", "psi-injective-equivariant",
+]
+
+
+def test_verify_all_suites_pass(capsys):
+    assert main(["verify", "--suite", "all", "--seed", "0", "--budget", "1"]) == 0
+    reports = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+    assert [r["check"] for r in reports] == VERIFY_CHECKS
+    assert all(r["status"] == "pass" for r in reports)
+
+
 K2_JSON = graph_to_json(Graph(["s", "t"], [("s", "t")]))
 TRIANGLE_ONE_COLOUR = json.dumps({"vertices": ["a", "b", "c"],
                                   "edges": [["a", "b"], ["b", "c"], ["a", "c"]],

@@ -192,6 +192,15 @@ def test_aut_graph_chain_transforms_within_the_default_budget():
         assert aut_graph(cg, max_vertices=size).order == group.order
 
 
+def test_graph_auts_is_bounded_by_the_node_budget_alone():
+    # the 487-vertex chain transform of S2 is past aut_graph's default
+    # vertex bound
+    s2 = closure([Perm.from_cycles(2, [(0, 1)])])
+    cg = transform(code_structure(cayley_structure(s2)))
+    auts = graph_auts(cg)
+    assert len(auts) == 2 and all(phi.is_automorphism_of(cg) for phi in auts)
+
+
 def _corpus_transforms():
     return [transform(g) for n in range(1, 7) for g in connected_graphs_up_to_iso(n)]
 
