@@ -118,6 +118,7 @@ class TowerContext:
                 raise TooLarge(f"basis dimension exceeds cap {cap}")
         self._gen_polys = [self._build_gen_poly(g) for g in self.gens]
         self._gen_pow_cache: dict = {}
+        self._gen_var_degrees: list | None = None
         self._sub_cache: dict = {}
 
     # -- structure -----------------------------------------------------------
@@ -136,6 +137,13 @@ class TowerContext:
             cached = self._gen_polys[i] ** k
             self._gen_pow_cache[key] = cached
         return cached
+
+    def gen_var_degrees(self) -> list[dict[int, int]]:
+        """deg_{X_j}(A_i) as one sparse column {j: degree} per generator i
+        (an edge polynomial touches two variables), built at first use."""
+        if self._gen_var_degrees is None:
+            self._gen_var_degrees = [A.degrees() for A in self._gen_polys]
+        return self._gen_var_degrees
 
     def gen_support_vars(self, i: int) -> set[int]:
         return self._gen_polys[i].variables_used()

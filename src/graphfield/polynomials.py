@@ -110,6 +110,10 @@ class Poly:
     def degree_in(self, var: int) -> int:
         return max((e[var] for e in self.ints), default=-1)
 
+    def degrees(self) -> dict[int, int]:
+        """{j: degree in X_j} over the variables used."""
+        return {j: d for j, d in enumerate(map(max, zip(*self.ints))) if d}
+
     def min_degree_in(self, var: int) -> int:
         if not self.ints:
             raise ValueError("zero polynomial")

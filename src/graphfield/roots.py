@@ -4,9 +4,13 @@ The root procedure is sound by construction and complete only on
 structured elements:
 
   (i)   structured extraction: a single-monomial canonical form is solved
-        exactly (exponent congruences per generator plus a rational
-        function p-th root for the coefficient); any witness is
-        re-verified by exponentiation, once, before it is returned;
+        exactly.  The exponent congruences per generator leave one free
+        digit in F_p for each generator whose degree p divides; the
+        degree valuations deg_{X_j} of the coefficient fix those digits
+        by one linear system over F_p (unique in a star-coloured tower,
+        see `_structured_root`), and a rational function p-th root gives
+        the coefficient.  Any witness is re-verified by exponentiation,
+        once, before it is returned;
   (ii)  valuation filter: certified places whose value groups are pinned
         down (unramified chain-variable places, and defining-polynomial
         places that are provably totally ramified at one level) give
@@ -14,6 +18,8 @@ structured elements:
   (iii) specialization: the element is pushed into a small prime field
         with consistently chosen root values; a defined nonzero image
         that fails the p-th power test is recorded as a refutation.
+        When no admissible prime exists for the tower's degrees the
+        stage answers Unknown with that reason.
 
 Everything else is an explicit Unknown.  Places whose extension values
 are not forced are marked ambiguous and carry no information.  Every
@@ -21,6 +27,7 @@ decision is made in the element's own tower, `a.ctx`.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field as dataclass_field
@@ -235,37 +242,74 @@ class RootResult:
 
 
 def _structured_root(a: TowerElement, p: int) -> TowerElement | None:
-    """Roots of single-monomial elements: solve p*beta = alpha modulo each
-    generator degree, correct by defining-polynomial powers, and take the
-    coefficient root in the rational function field."""
+    """Roots of single-monomial elements c * Y^alpha, found by one linear
+    solve over F_p and verified by exponentiation.
+
+    A root is a monomial r * Y^beta with p*beta_i = alpha_i + s_i*n_i,
+    where n_i is the degree of generator i and the shift s_i >= 0 folds
+    Y_i^(s_i*n_i) back into A_i^s_i; then r^p must equal the target
+    c * prod A_i^(-s_i).  With g_i = gcd(p, n_i), a generator with
+    g_i = 1 has one exponent beta_i; one with g_i = p has the p exponents
+    base_i + t_i*n_i/p, t_i in F_p, and its shift is shift0_i + t_i.
+
+    Every degree deg_{X_j} is a valuation on the base field, and a p-th
+    power's value is divisible by p.  So the target can be a p-th power
+    only when, for every variable X_j,
+
+        sum_i t_i deg_j(A_i) = deg_j(c) - sum_i shift0_i deg_j(A_i)  (mod p).
+
+    This system is row-reduced mod p: when it is inconsistent no exponent
+    vector can work, and otherwise each point of its affine solution set,
+    in lexicographic order of the exponent vectors, goes through the
+    coefficient root and the exact check `cand**p == a`.
+    `_MAX_CANDIDATES` bounds the solution set, not the p^k vectors the
+    congruences allow.  In a tower from
+    `build_tower` the set has at most one point: each colour has its own
+    prime, so the unknowns of prime p are the edges of one star forest,
+    and the column of edge {s, t} is p0^d_s, p0^d_t at its two endpoints,
+    units mod p since the chain prime p0 differs from p.  A forest's
+    incidence matrix has full column rank, so the solution is unique.
+    """
     if len(a.coeffs) != 1:
         return None
     ctx = a.ctx
     (alpha, c), = a.coeffs.items()
-    per_gen: list[list[int]] = []
-    total = 1
+    columns = ctx.gen_var_degrees()
+    rhs = c.num.degrees()
+    for j, d in c.den.degrees().items():
+        rhs[j] = rhs.get(j, 0) - d
+    beta0, shift0, unknowns = [], [], []
     for i, k in enumerate(alpha):
         n = ctx.gen_degree(i)
         g = math.gcd(p, n)
         if k % g:
             return None
         n_red = n // g
-        base = (k // g) * pow(p // g, -1, n_red) % n_red
-        sols = [base + t * n_red for t in range(g)]
-        per_gen.append(sols)
-        total *= len(sols)
-        if total > _MAX_CANDIDATES:
-            return None
-    candidates = [()]
-    for sols in per_gen:
-        candidates = [c0 + (s,) for c0 in candidates for s in sols]
-    for beta in candidates:
+        b = (k // g) * pow(p // g, -1, n_red) % n_red
+        s = (p * b - k) // n
+        beta0.append(b)
+        shift0.append(s)
+        if s:
+            for j, d in columns[i].items():
+                rhs[j] = rhs.get(j, 0) - s * d
+        if g == p:
+            unknowns.append(i)
+    equations = {j: ({}, r) for j, r in rhs.items()}  # X_j -> ({column: deg_j}, rhs_j)
+    for col, i in enumerate(unknowns):
+        for j, d in columns[i].items():
+            equations.setdefault(j, ({}, 0))[0][col] = d
+    solutions = _affine_solutions(equations.values(), len(unknowns), p)
+    if solutions is None:
+        return None
+    for t in solutions:
+        beta, shift = list(beta0), list(shift0)
+        for i, ti in zip(unknowns, t):
+            beta[i] += ti * (ctx.gen_degree(i) // p)
+            shift[i] += ti
         target = c
-        ok = True
-        for i, (b, k) in enumerate(zip(beta, alpha)):
-            shift = (p * b - k) // ctx.gen_degree(i)
-            if shift:
-                target = target / RatFunc.from_poly(ctx.gen_poly_power(i, shift))
+        for i, s in enumerate(shift):
+            if s:
+                target = target / RatFunc.from_poly(ctx.gen_poly_power(i, s))
         root_c = target.pth_root(p)
         if root_c is None:
             continue
@@ -273,6 +317,56 @@ def _structured_root(a: TowerElement, p: int) -> TowerElement | None:
         if (cand**p) == a:
             return cand
     return None
+
+
+def _affine_solutions(equations, n: int, p: int) -> list[tuple] | None:
+    """All t in F_p^n with sum_k row[k]*t_k = r (mod p) for every sparse
+    equation (row, r), in lexicographic order; None when there is none or
+    when there are more than `_MAX_CANDIDATES`.
+
+    Gauss-Jordan elimination on sparse rows: `pivots` maps a pivot column
+    to its row without the pivot (coefficient 1) and its right-hand side,
+    and no pivot row holds another pivot column.
+    """
+    pivots: dict[int, tuple[dict, int]] = {}
+    for row, r in equations:
+        row = {k: v % p for k, v in row.items() if v % p}
+        r %= p
+        for k in [k for k in row if k in pivots]:
+            f = row.pop(k)
+            prow, pr = pivots[k]
+            for kk, v in prow.items():
+                row[kk] = (row.get(kk, 0) - f * v) % p
+            r = (r - f * pr) % p
+        row = {k: v for k, v in row.items() if v}
+        if not row:
+            if r:
+                return None
+            continue
+        k0 = min(row)
+        inv = pow(row.pop(k0), -1, p)
+        row = {k: v * inv % p for k, v in row.items()}
+        r = r * inv % p
+        for k, (prow, pr) in pivots.items():
+            f = prow.pop(k0, 0)
+            if f:
+                for kk, v in row.items():
+                    prow[kk] = (prow.get(kk, 0) - f * v) % p
+                pivots[k] = ({kk: v for kk, v in prow.items() if v}, (pr - f * r) % p)
+        pivots[k0] = (row, r)
+    free = [k for k in range(n) if k not in pivots]
+    if p ** len(free) > _MAX_CANDIDATES:
+        return None
+    out = []
+    for values in itertools.product(range(p), repeat=len(free)):
+        t = [0] * n
+        for k, v in zip(free, values):
+            t[k] = v
+        for k, (prow, pr) in pivots.items():
+            t[k] = (pr - sum(v * t[kk] for kk, v in prow.items())) % p
+        out.append(tuple(t))
+    out.sort()
+    return out
 
 
 def pth_root(a: TowerElement, p: int, *, seed: int = 0) -> RootResult:
@@ -301,7 +395,10 @@ def pth_root(a: TowerElement, p: int, *, seed: int = 0) -> RootResult:
                 note=f"value {pv.value} at {pv.label} is not divisible by {p}",
             )
     if a.ctx.char == 0:
-        rep = specialization_refute(a, p, seed=seed)
+        try:
+            rep = specialization_refute(a, p, seed=seed)
+        except BadPrime as exc:
+            return RootResult(outcome="unknown", note=str(exc))
         if rep["refuted"]:
             return RootResult(
                 outcome="no",

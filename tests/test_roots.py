@@ -1,10 +1,13 @@
 """Root decisions: valuations, the three-stage procedure, p-high logic."""
+import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from graphfield.errors import ZeroInput
+from graphfield.errors import BadPrime, ZeroInput
 from graphfield.fieldtower import (
     build_tower,
     generator_edge,
@@ -12,11 +15,21 @@ from graphfield.fieldtower import (
     random_nonzero_element,
     random_structured_monomial,
 )
-from graphfield.graphs import Graph, greedy_star_coloring
+from graphfield.graphs import (
+    Graph,
+    cayley_structure,
+    code_structure,
+    greedy_star_coloring,
+    transform,
+)
+from graphfield.groups import Perm, closure
 from graphfield.polynomials import Poly
 from graphfield.ratfunc import RatFunc
 from graphfield.roots import (
+    _MAX_CANDIDATES,
     ValuationPlace,
+    _affine_solutions,
+    _structured_root,
     classify_p_high,
     g_adic_valuation,
     is_p_high,
@@ -138,16 +151,93 @@ def test_pth_root_specialization_refusals():
     assert r2.certificate["kind"] == "specialization"
 
 
+TOWERS = {
+    "K2": (["s", "t"], [("s", "t")]),
+    "P3": (["a", "b", "c"], [("a", "b"), ("b", "c")]),
+    "K3": (["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")]),
+}
+
+
 def test_pth_root_never_rejects_true_powers():
-    ctx = k2_ctx()
+    # b**p is never refused: b runs over every vertex and edge generator
+    # at levels 0 and 1 with exponents -1 and 2, for every tower prime p,
+    # and over random structured monomials
     rng = random.Random(2)
-    for p in (3, 5):
-        for _ in range(20):
-            b = random_structured_monomial(ctx, rng, p=p)
-            a = b**p
-            r = pth_root(a, p)
-            assert r.outcome == "root", (p, b)
-            assert r.witness**p == a
+    for char in (0, 2):
+        for vs, es in TOWERS.values():
+            ctx = build_tower(greedy_star_coloring(Graph(vs, es)), char=char)
+            primes = sorted({ctx.chain_prime} | {g.prime for g in ctx.gens})
+            gens = [generator_vertex(ctx, v, i) for v in vs for i in (0, 1)]
+            gens += [generator_edge(ctx, g.label, i) for g in ctx.gens for i in (0, 1)]
+            for p in primes:
+                powers = [x**k for x in gens for k in (-1, 2)]
+                powers += [random_structured_monomial(ctx, rng, p=p) for _ in range(4)]
+                for b in powers:
+                    a = b**p
+                    r = pth_root(a, p)
+                    assert r.outcome == "root", (char, vs, p, b)
+                    assert r.witness**p == a
+
+
+def test_affine_solutions_match_brute_force():
+    rng = random.Random(4)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5))
+        n = rng.randint(0, 4)
+        equations = [
+            ({k: rng.randint(-6, 6) for k in range(n) if rng.random() < 0.6}, rng.randint(-6, 6))
+            for _ in range(rng.randint(0, 5))
+        ]
+        expected = [
+            t
+            for t in itertools.product(range(p), repeat=n)
+            if all((sum(v * t[k] for k, v in row.items()) - r) % p == 0 for row, r in equations)
+        ]
+        capped = expected if 0 < len(expected) <= _MAX_CANDIDATES else None
+        assert _affine_solutions(equations, n, p) == capped
+
+
+def test_pth_root_past_the_old_candidate_cap():
+    # the star c-{a,b,d,e} has four prime-5 generators of depth 1, so a
+    # monomial's exponent congruences alone leave 5^4 = 625 candidates
+    g = Graph(["a", "b", "c", "d", "e"], [("c", "a"), ("c", "b"), ("c", "d"), ("c", "e")])
+    ctx = build_tower(greedy_star_coloring(g), char=0)
+    assert [(gen.prime, gen.depth) for gen in ctx.gens] == [(5, 1)] * 4
+    b = ctx.one()
+    for gen in ctx.gens:
+        b = b * generator_edge(ctx, gen.label, 1)
+    a = b**5
+    r = pth_root(a, 5)
+    assert r.outcome == "root"
+    assert r.witness**5 == a
+
+
+def test_structured_root_on_the_sym2_chain_tower():
+    # the 487-vertex chain transform of S2 has 196 generators of prime 7
+    s2 = closure([Perm.from_cycles(2, [(0, 1)])])
+    ctx = build_tower(transform(code_structure(cayley_structure(s2))), char=0, cap=math.inf)
+    assert (ctx.nvars, len(ctx.gens)) == (487, 882)
+    sevens = [gen.label for gen in ctx.gens if gen.prime == 7]
+    assert len(sevens) == 196
+    b = generator_edge(ctx, sevens[0], 1) * generator_edge(ctx, sevens[1], 1)
+    a = b**7
+    start = time.perf_counter()
+    w = _structured_root(a, 7)
+    assert time.perf_counter() - start < 1.0
+    assert w is not None and w**7 == a
+
+
+def test_pth_root_without_a_specialization_prime_is_unknown():
+    # q = 1 mod lcm(5, 11^4) = 73,205 has no prime below the
+    # discrete-log table bound, so stage (iii) cannot run
+    g = Graph(["s", "t"], [("s", "t")])
+    ctx = build_tower(greedy_star_coloring(g), char=0, primes=(3, 11), edge_depths=4, cap=20000)
+    a = generator_vertex(ctx, "s", 1) + ctx.one()
+    with pytest.raises(BadPrime):
+        specialization_refute(a, 5)
+    r = pth_root(a, 5)
+    assert r.outcome == "unknown"
+    assert "no admissible specialization prime" in r.note
 
 
 def test_specialization_refute_consistency_on_powers():
