@@ -19,11 +19,17 @@ kernels take and return tuple-keyed dicts.  Exact division keeps tuples.
 
 `int_gcd` serves both characteristics with one gcd over F_p (`_fp_gcd`):
 Brown's evaluation and interpolation, with a probe that settles
-coprimality first.  Its univariate images are taken at points of an
-image field: F_p itself for the word-size primes, GF(p^k) for a small
-characteristic p, with k chosen from the degrees and raised when
-candidates keep failing.  A candidate is accepted only when its
-coefficients lie in F_p and it divides both inputs exactly over F_p.
+coprimality first.  Its contents are kept cheap: the monomial contents
+split off first (gcd(x^a·f, x^b·g) = x^min(a,b)·gcd(f, g)); the main
+variable is one in which both inputs have a one-term coefficient when
+there is one, which makes both contents in it 1; and a content of three
+or more coefficients is one gcd of a coefficient with a combination of
+the others, certified by exact division (`_fp_content_in`).  Its
+univariate images are taken at points of an image field: F_p itself for
+the word-size primes, GF(p^k) for a small characteristic p, with k
+chosen from the degrees and raised when candidates keep failing.  A
+candidate is accepted only when its coefficients lie in F_p and it
+divides both inputs exactly over F_p.
 Over Z the images for several primes are combined by CRT, the lift is
 made primitive and verified by exact trial division over the integers;
 a failed verification moves to the next prime.  When the deg-lex
@@ -684,11 +690,33 @@ def _fp_to_list(d: dict, v: int) -> list:
 
 
 def _fp_content_in(d: dict, v: int, p: int) -> dict:
-    acc: dict = {}
-    for c in _fp_coeffs_in(d, v):
-        if not c:
-            continue
-        acc = _fp_gcd(acc, c, p) if acc else _fp_monic(dict(c), p)
+    """The monic content of d in X_v: the gcd of its coefficients in X_v.
+
+    A one-term coefficient makes the content the monomial content of d
+    with X_v left out.  Otherwise, with c_0 a coefficient of fewest terms
+    and three or more coefficients in all, gcd(c_0, sum t_i·c_i) for
+    seeded t_i in F_p^* is a multiple of the content; it is the content
+    when it divides every c_i exactly (Geddes, Czapor & Labahn,
+    *Algorithms for Computer Algebra*, 1992).  When it does not, the
+    chain of pairwise gcds runs on from it, which gives the same gcd.
+    """
+    cs = sorted((c for c in _fp_coeffs_in(d, v) if c), key=len)
+    if len(cs[0]) == 1:
+        low = _low(d)
+        return {low[:v] + (0,) + low[v + 1:]: 1}
+    acc = _fp_monic(cs[0], p)
+    if len(cs) > 2:
+        rng = random.Random(0xC0 ^ p)
+        mix: dict = {}
+        for c in cs[1:]:
+            t = rng.randrange(1, p)
+            for e, x in c.items():
+                mix[e] = (mix.get(e, 0) + t * x) % p
+        acc = _fp_gcd(acc, {e: x for e, x in mix.items() if x}, p)
+        if _is_constant(acc) or all(_divide_terms(c, acc, p) is not None for c in cs[1:]):
+            return acc
+    for c in cs[1:]:
+        acc = _fp_gcd(acc, c, p)
         if _is_constant(acc):
             break
     return acc
@@ -721,11 +749,38 @@ def _probe_degrees(f: dict, g: dict, common: set, F, rng) -> dict | None:
 
 
 def _fp_gcd(f: dict, g: dict, p: int) -> dict:
-    """Monic gcd over F_p[X...]."""
+    """Monic gcd over F_p[X...].
+
+    The monomial contents split off first: gcd(x^a·f', x^b·g') =
+    x^min(a, b)·gcd(f', g').  A monomial factor keeps a polynomial monic,
+    since deg-lex order is compatible with products."""
     if not f:
         return _fp_monic(g, p)
     if not g:
         return _fp_monic(f, p)
+    low_f, low_g = _low(f), _low(g)
+    low = tuple(map(min, low_f, low_g))
+    h = _fp_gcd_free(_shift_down(f, low_f), _shift_down(g, low_g), p)
+    return {tuple(map(add, e, low)): c for e, c in h.items()} if any(low) else h
+
+
+def _low(d: dict) -> tuple:
+    """The exponents of d's monomial content: the least of each variable."""
+    return tuple(map(min, zip(*d)))
+
+
+def _shift_down(d: dict, low: tuple) -> dict:
+    """d over the monomial x^low, which divides it."""
+    return {tuple(map(sub, e, low)): c for e, c in d.items()} if any(low) else d
+
+
+def _fp_gcd_free(f: dict, g: dict, p: int) -> dict:
+    """Monic gcd over F_p[X...] of nonzero f and g without monomial
+    contents.
+
+    The main variable m is the first shared variable in which both
+    inputs have a one-term coefficient, since such a coefficient proves
+    the content in m trivial, or else the first shared variable."""
     nvars = len(next(iter(f)))
     unit = {(0,) * nvars: 1}
     if _is_constant(f) or _is_constant(g):
@@ -745,19 +800,28 @@ def _fp_gcd(f: dict, g: dict, p: int) -> dict:
     profile = _probe_degrees(f, g, common, F, rng)
     if profile is not None and all(d == 0 for d in profile.values()):
         return unit
-    m = min(common)
-    # split off contents with respect to the main variable
-    cont_f = _fp_content_in(f, m, p)
-    cont_g = _fp_content_in(g, m, p)
-    cont = _fp_gcd(cont_f, cont_g, p)
-    pf = f if _is_constant(cont_f) else _divide_terms(f, cont_f, p)
-    pg = g if _is_constant(cont_g) else _divide_terms(g, cont_g, p)
-    prim = _fp_gcd_primitive(pf, pg, m, p, F, rng, profile or {})
+    m = next((v for v in sorted(common) if _one_term_in(f, v) and _one_term_in(g, v)), None)
+    if m is None:
+        m = min(common)
+        # split off contents with respect to the main variable
+        cont_f = _fp_content_in(f, m, p)
+        cont_g = _fp_content_in(g, m, p)
+        cont = _fp_gcd(cont_f, cont_g, p)
+        f = f if _is_constant(cont_f) else _divide_terms(f, cont_f, p)
+        g = g if _is_constant(cont_g) else _divide_terms(g, cont_g, p)
+    else:
+        cont = unit
+    prim = _fp_gcd_primitive(f, g, m, p, F, rng, profile or {})
     if _is_constant(prim):
         return cont
     if _is_constant(cont):
         return _fp_monic(prim, p)
     return _fp_monic(_mul_terms(cont, prim, p), p)
+
+
+def _one_term_in(d: dict, v: int) -> bool:
+    """Whether some coefficient of d in X_v has exactly one term."""
+    return 1 in Counter(e[v] for e in d).values()
 
 
 def _constant_coefficient(d: dict, common: set) -> bool:

@@ -264,7 +264,9 @@ def build_tower(
     Y_e^(p_{l+1}^d_e) = X_s^(p_0^d_s) + X_t^(p_0^d_t) + 1.
 
     The coloring must be a star coloring: that backs the classification
-    arguments, not the arithmetic.
+    arguments, not the arithmetic.  So does the distinctness of the chain
+    prime p_0 and the color primes p_1 ... p_n (`primes`, which defaults
+    to `choose_primes`).
     """
     bad = [c for c, rep in check_star_coloring(cg).items() if not rep["ok"]]
     if bad:
@@ -273,6 +275,8 @@ def build_tower(
         primes = choose_primes(char, cg.color_count)
     if len(primes) < cg.color_count + 1:
         raise InvalidInput("need one prime per color plus the chain prime")
+    if len(set(primes[:cg.color_count + 1])) != cg.color_count + 1:
+        raise InvalidInput("the chain prime and the color primes must be pairwise distinct")
     verts = sorted(cg.vertices)
     vd = {v: (vertex_depths if isinstance(vertex_depths, int) else vertex_depths.get(v, 0)) for v in verts}
     gens = []

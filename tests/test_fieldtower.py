@@ -96,6 +96,14 @@ def test_build_tower_input_errors():
         build_tower(greedy_star_coloring(Graph(["s", "t"], [("s", "t")])), primes=(2,))
 
 
+@pytest.mark.parametrize("primes", [(3, 5, 5, 5), (3, 3, 5, 7)])
+def test_build_tower_refuses_repeated_primes(primes):
+    # one prime per colour, and the chain prime apart from all of them
+    tri = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    with pytest.raises(InvalidInput, match="pairwise distinct"):
+        build_tower(greedy_star_coloring(tri), primes=primes)
+
+
 def test_build_tower_cap():
     g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
     with pytest.raises(TooLarge):

@@ -1,12 +1,13 @@
 """Property tests for the term-dict kernels of `_modgcd`: products, p-th
 roots and exact division, against naive tuple-keyed references written
-here.
+here, and `int_gcd` against sympy's gcd (skipped without sympy).
 
 Operands have 1, 2-3 or at least 4 terms in 0-6 variables; exponents are
 scaled so that total degrees pass 255, 65,535, 2^32 and 2^64, which runs
 every digit width of the packed keys that products and roots use inside.
 Needs `hypothesis` (skipped without it).
 """
+import math
 import random
 from operator import add
 
@@ -16,7 +17,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from graphfield._modgcd import _divide_terms, _mul_terms, _packing, _root_terms  # noqa: E402
+from graphfield._modgcd import (  # noqa: E402
+    _divide_terms,
+    _mul_terms,
+    _packing,
+    _root_terms,
+    int_gcd,
+)
 
 SETTINGS = settings(max_examples=100, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -103,9 +110,9 @@ def naive_root(f, top, rc, p, r):
 
 
 @st.composite
-def term_dicts(draw, n, r, sizes, scale):
+def term_dicts(draw, n, r, sizes, scale, top=3):
     lo, hi = sizes
-    exps = st.tuples(*[st.integers(0, 3).map(lambda x: x * scale)] * n)
+    exps = st.tuples(*[st.integers(0, top).map(lambda x: x * scale)] * n)
     coeff = st.integers(1, r - 1) if r else st.integers(-5, 5).filter(bool)
     out = draw(st.dictionaries(exps, coeff, min_size=lo, max_size=hi))
     assume(len(out) >= lo)
@@ -210,3 +217,68 @@ def test_kernels_on_a_sparse_1439_variable_tower(degree):
     assert _root_terms(f, top, rc, 2, 0) == a
     g = naive_sub(f, {(0,) * n: 1}, 0)
     assert _root_terms(g, top, rc, 2, 0) == naive_root(g, top, rc, 2, 0)
+
+
+# A_{b,c} = X_1^3 + X_2^3 + 1, the defining polynomial of a tower edge; a
+# power of it is a content in X_0 of the gcds that tower products cancel
+EDGE_POLY = {(0, 3, 0): 1, (0, 0, 3): 1, (0, 0, 0): 1}
+GCD_CHARS = (0, 2, 3, 2147483647)
+
+
+@st.composite
+def planted_gcd_args(draw):
+    """(r, f, g) with f = x^a·h·u·c_u and g = x^b·h·v·c_v over three
+    variables, h = A_{b,c}^k·w, and c_u, c_v of two or three terms, each
+    free of one variable.  When c_u and c_v leave out X_1 and X_2, every
+    shared variable has a multi-term coefficient in f or in g, which
+    makes the gcd take contents in X_0.  Over Z, f and g are primitive.
+    w, u, v, c_u and c_v have degree at most 1 in each variable, which
+    keeps sympy's gcd over F_r fast."""
+    r = draw(st.sampled_from(GCD_CHARS))
+    k = draw(st.integers(1, 2))
+    w, u, v = (draw(term_dicts(3, r, (1, 3), 1, top=1)) for _ in range(3))
+    cu, cv = ({e[:j] + (0,) + e[j:]: c for e, c in draw(term_dicts(2, r, (2, 3), 1, top=1)).items()}
+              for j in draw(st.sampled_from([(1, 2), (2, 1), (0, 1), (1, 1), (0, 2)])))
+    a, b = (draw(st.tuples(*[st.integers(0, 2)] * 3)) for _ in range(2))
+    h = w
+    for _ in range(k):
+        h = naive_mul(h, EDGE_POLY, r)
+    f = naive_mul(naive_mul(naive_mul({a: 1}, h, r), u, r), cu, r)
+    g = naive_mul(naive_mul(naive_mul({b: 1}, h, r), v, r), cv, r)
+    if not r:
+        f, g = ({e: c // math.gcd(*d.values()) for e, c in d.items()} for d in (f, g))
+    assume(f and g and not is_constant(f) and not is_constant(g))
+    return r, f, g
+
+
+def is_constant(d):
+    return all(not any(e) for e in d)
+
+
+def sympy_gcd(f, g, r):
+    """The gcd by sympy, normalised as `int_gcd` normalises it: monic
+    under deg-lex over F_r, primitive with a positive deg-lex leading
+    coefficient over Z."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x0:3")
+
+    def expr(d):
+        return sum(c * sympy.prod(x**i for x, i in zip(xs, e)) for e, c in d.items())
+
+    opts = {"modulus": r} if r else {}
+    ref = sympy.Poly(sympy.gcd(expr(f), expr(g), *xs, **opts), *xs)
+    out = {e: int(c) % r if r else int(c) for e, c in ref.terms()}
+    lead = out[max(out, key=deglex)]
+    if r:
+        inv = pow(lead, -1, r)
+        return {e: c * inv % r for e, c in out.items() if c % r}
+    div = math.gcd(*out.values()) * (1 if lead > 0 else -1)
+    return {e: c // div for e, c in out.items()}
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(planted_gcd_args())
+def test_int_gcd_on_planted_contents_matches_sympy(args):
+    r, f, g = args
+    assert int_gcd(f, g, r) == sympy_gcd(f, g, r)

@@ -228,7 +228,7 @@ def _lin(c: int, a: int = 1) -> dict:
 _MULTI_PRIME_GCDS = {
     "crt": (_umul(_lin(2**40), _lin(1)), _umul(_lin(2**40), _lin(2)), _lin(2**40)),
     "skip-lc": (_umul(_lin(1, _PRIMES[0]), _lin(3)), _umul(_lin(3), _lin(5)), _lin(3)),
-    "unlucky": (_umul(_lin(2**40), _lin(_PRIMES[1])), _umul(_lin(2**40), _lin(0)), _lin(2**40)),
+    "unlucky": (_umul(_lin(2**40), _lin(_PRIMES[1] + 1)), _umul(_lin(2**40), _lin(1)), _lin(2**40)),
 }
 
 
@@ -253,10 +253,30 @@ def test_int_gcd_multi_prime_paths(name, monkeypatch):
     # one image mod p0 cannot lift the coefficient 2^40, so CRT must run
     assert crts
     if name == "unlucky":
-        # mod p1 the cofactors x + p1 and x collide: a degree-2 image, discarded
+        # mod p1 the cofactors x + p1 + 1 and x + 1 collide: a degree-2
+        # image, discarded
         assert primes[:3] == list(_PRIMES[:3])
         assert max(images[1][1]) == (2,)
         assert crts == [_PRIMES[2]]
+
+
+def test_fp_content_falls_back_to_the_chain(monkeypatch):
+    """Over F_2 the combination of the coefficients c_1 + c_2 shares the
+    factor X_1 + 1 with c_0, so gcd(c_0, c_1 + c_2) is too large; it fails
+    the division check, and the chain still finds the content K."""
+    def poly(*exps):  # a polynomial in X_1 over F_2, as a term dict in (X_0, X_1)
+        return {(0, e): 1 for e in exps}
+
+    K = poly(4, 1, 0)  # X_1^4 + X_1 + 1
+    c = [poly(1, 0), poly(2, 1, 0), poly(3, 1, 0)]
+    d = {}
+    for i, ci in enumerate(c):
+        d.update({(i, e[1]): x for e, x in _modgcd._mul_terms(K, ci, 2).items()})
+    gcds, fp_gcd = [], _modgcd._fp_gcd
+    monkeypatch.setattr(_modgcd, "_fp_gcd", lambda a, b, p: gcds.append(fp_gcd(a, b, p)) or gcds[-1])
+    assert _modgcd._fp_content_in(d, 0, 2) == K
+    assert gcds[0] == _modgcd._mul_terms(K, c[0], 2)  # the combination's gcd: K·(X_1 + 1)
+    assert len(gcds) > 1  # the chain ran
 
 
 @pytest.mark.parametrize("name", sorted(_MULTI_PRIME_GCDS))
