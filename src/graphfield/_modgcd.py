@@ -6,16 +6,10 @@ modulus r is 0 and over F_r when r > 0 (reduced once per output term).
 rational content, so products, exact division and p-th roots in every
 characteristic run the loops below.
 
-Products with at least 4 terms in each operand, and p-th roots, run
-their loops on packed keys (Johnson, "Sparse polynomial arithmetic",
-SIGSAM Bull. 1974; Monagan & Pearce, CASC 2007): one int per exponent
-tuple, holding sum(e) in its top digit and then e_0 ... e_(n-1), each
-digit the fewest whole bytes that hold a total-degree bound proved from
-the inputs (`_packing`).  No digit can carry, so keys add as exponents
-do and integer order is deg-lex order.  The bound of a product is the
-sum of its operands' maximal total degrees; that of a p-th root is the
-total degree of the leading term.  Keys live only inside one call: the
-kernels take and return tuple-keyed dicts.  Exact division keeps tuples.
+Products with at least 4 terms in each operand, exact division and
+p-th roots run their loops on packed deg-lex int keys; `_packing`
+describes the layout.  The keys never leave one call: the kernels take
+and return tuple-keyed dicts.
 
 `int_gcd` serves both characteristics with one gcd over F_p (`_fp_gcd`):
 Brown's evaluation and interpolation, with a probe that settles
@@ -53,7 +47,7 @@ import random
 import sys
 from array import array
 from collections import Counter
-from operator import add, neg, sub, xor
+from operator import add, sub, xor
 
 # the 16 largest primes below 2^31, descending
 _PRIMES = (
@@ -74,14 +68,17 @@ _SWAP = sys.byteorder == "little"
 
 def _packing(n: int, bound: int):
     """(pack, unpack) between exponent tuples of length n and total
-    degree at most `bound` and their deg-lex keys.
+    degree at most `bound` and their deg-lex keys (Johnson, "Sparse
+    polynomial arithmetic", SIGSAM Bull. 1974; Monagan & Pearce, CASC
+    2007).
 
     A key holds sum(e) in its top digit, then e_0 ... e_(n-1), most
     significant first; every digit takes the fewest whole bytes (1, 2, 4
     or 8, more only past 2^64) that hold `bound`.  Within the bound no
     digit can carry, so the key of a product of monomials is the sum of
-    their keys, and integer order is deg-lex order.  Both directions are
-    linear in n: bytes for 1-byte digits, `array` for 2, 4 and 8.
+    their keys, and integer order is deg-lex order.  Each kernel proves
+    its bound from its inputs and says how.  Both directions are linear
+    in n: bytes for 1-byte digits, `array` for 2, 4 and 8.
     """
     size = 1
     while bound >= 1 << (8 * size):
@@ -166,40 +163,50 @@ def _mul_terms(a: dict, b: dict, r: int) -> dict:
 
 
 def _from_top(d: dict, heap: list):
-    """Yield the exponents of d from the deg-lex top down.  `heap` holds
-    the `_desc` keys of d's exponents; the caller may edit d below the
-    exponent last yielded, and pushes the key of each exponent it adds."""
+    """Yield the packed keys of d from the largest down.  `heap` holds
+    the negated keys of d; the caller may edit d at and below the key
+    last yielded, and pushes -k for each key k it adds."""
     heapq.heapify(heap)
     while heap:
-        e = heapq.heappop(heap)[2]
-        if e in d:
-            yield e
-
-
-def _desc(e: tuple) -> tuple:
-    return (-sum(e), tuple(map(neg, e)), e)
+        k = -heapq.heappop(heap)
+        if k in d:
+            yield k
 
 
 def _divide_terms(f: dict, g: dict, r: int) -> dict | None:
     """Exact quotient f / g of term dicts (g nonzero), or None.  Over Z
-    (r = 0) a quotient that is not integral counts as none."""
+    (r = 0) a quotient that is not integral counts as none.
+
+    The remainder runs on packed keys (`_packing`) with the bound
+    maxdeg(f): each term added to it lies below the term it cancels in
+    deg-lex order, so no term of the remainder or the quotient has a
+    larger total degree.  A divisor whose leading term has a larger
+    total degree than f returns None before anything is packed."""
+    if not f:
+        return {}
     le = max(g, key=_deglex)
+    bound = max(map(sum, f))
+    if sum(le) > bound:
+        return None
+    pack, unpack = _packing(len(le), bound)
+    lk = pack(le)
     lc = g[le]
     lc_inv = pow(lc, -1, r) if r else None
-    rest = [(e, c) for e, c in g.items() if e != le]
-    rem = dict(f)
-    heap = [_desc(e) for e in rem]
+    rest = [(pack(e), c) for e, c in g.items() if e != le]
+    rem = {pack(e): c for e, c in f.items()}
+    heap = [-k for k in rem]
     quo = {}
-    for e in _from_top(rem, heap):
-        qe = tuple(map(sub, e, le))
+    for k in _from_top(rem, heap):
+        qe = tuple(map(sub, unpack(k), le))
         if min(qe, default=0) < 0:
             return None
-        qc, m = (rem.pop(e) * lc_inv % r, 0) if r else divmod(rem.pop(e), lc)
+        qc, m = (rem.pop(k) * lc_inv % r, 0) if r else divmod(rem.pop(k), lc)
         if m:
             return None
         quo[qe] = qc
-        for e2, c2 in rest:
-            t = tuple(map(add, qe, e2))
+        qk = k - lk  # no digit borrows: qe >= 0
+        for k2, c2 in rest:
+            t = qk + k2
             s = rem.get(t, 0) - qc * c2
             if r:
                 s %= r
@@ -207,7 +214,7 @@ def _divide_terms(f: dict, g: dict, r: int) -> dict | None:
                 rem.pop(t, None)
                 continue
             if t not in rem:
-                heapq.heappush(heap, _desc(t))
+                heapq.heappush(heap, -t)
             rem[t] = s
     return quo
 
@@ -228,7 +235,7 @@ def _root_terms(f: dict, top: tuple, rc: int, p: int, r: int) -> dict | None:
     The powers are keyed by packed keys (`_packing`) with the bound
     sum(top): every term of h lies at or below top/p in deg-lex order,
     so every h^j with j <= p, and h^p - f, has total degree at most
-    sum(top).  The heap of h^p - f pops negated keys, largest key first.
+    sum(top).  The terms of h^p - f come from the top down (`_from_top`).
     """
     pack, unpack = _packing(len(top), sum(top))
     low = -(-min(map(sum, f)) // p)
@@ -242,11 +249,7 @@ def _root_terms(f: dict, top: tuple, rc: int, p: int, r: int) -> dict | None:
     h = {h0: rc}
     rem = powers[p]
     heap = [-k for k in rem]
-    heapq.heapify(heap)
-    while heap:
-        e = -heapq.heappop(heap)
-        if e not in rem:
-            continue
+    for e in _from_top(rem, heap):
         te = tuple(map(sub, unpack(e), shift))
         if min(te, default=0) < 0 or sum(te) < low:
             return None

@@ -69,12 +69,6 @@ class FieldAut:
     def is_identity(self) -> bool:
         return all(v == w for v, w in self.vertex_map.items())
 
-    def __eq__(self, other):
-        return isinstance(other, FieldAut) and self.ctx is other.ctx and self.vertex_map == other.vertex_map
-
-    def __hash__(self):
-        return hash(frozenset(self.vertex_map.items()))
-
     def __repr__(self):
         moved = {v: w for v, w in self.vertex_map.items() if v != w}
         return f"FieldAut({moved or 'id'})"

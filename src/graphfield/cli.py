@@ -507,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--depth", default="1", help="uniform depth or per-generator JSON")
     b.add_argument("--trials", type=_positive_int, default=50)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--budget", type=int, default=2000)
+    b.add_argument("--budget", type=_positive_int, default=2000)
     b.add_argument("--sorted", action="store_true")
     b.set_defaults(fn=cmd_build_field)
 
@@ -515,14 +515,15 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", default="all", choices=(*_SUITES, "all"))
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--budget", type=_positive_int, default=1)
-    v.add_argument("--char", type=int, default=0, choices=(0, 2, 3, 5, 7))
+    v.add_argument("--char", type=int, default=0, choices=(0, 2, 3, 5, 7),
+                   help="characteristic of the field suite; the other suites ignore it")
     v.add_argument("--sorted", action="store_true")
     v.set_defaults(fn=cmd_verify)
 
     w = sub.add_parser("towers", help="automorphism or normalizer tower of a group")
     w.add_argument("--group", required=True, help="sym:n | alt:n | psl2:q | pgl2:q")
     w.add_argument("--subgroup", default=None, help="cycles, e.g. '(0 1)(2 3)'")
-    w.add_argument("--budget", type=int, default=10)
+    w.add_argument("--budget", type=_positive_int, default=10)
     w.set_defaults(fn=cmd_towers)
     return ap
 

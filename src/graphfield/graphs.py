@@ -901,13 +901,23 @@ def graph_to_json(g, pretty: bool = False) -> str:
     return json.dumps(doc, indent=2 if pretty else None, sort_keys=True)
 
 
+def _strings(xs) -> bool:
+    return isinstance(xs, list) and all(isinstance(x, str) for x in xs)
+
+
 def graph_from_json(text: str):
     try:
         doc = json.loads(text)
-        graph = Graph(doc["vertices"], [tuple(e) for e in doc["edges"]])
+        vertices, edges = doc["vertices"], doc["edges"]
+        if not (_strings(vertices) and isinstance(edges, list)
+                and all(_strings(e) and len(e) == 2 for e in edges)):
+            raise InvalidInput("graph JSON needs a list of string vertices and edges as lists of two strings")
+        graph = Graph(vertices, edges)
         if "colors" in doc:
             colors = {frozenset(k.split(",")): v for k, v in doc["colors"].items()}
             count = doc.get("color_count", (max(colors.values()) + 1) if colors else 1)
+            if not all(type(c) is int for c in (*colors.values(), count)):
+                raise InvalidInput("graph JSON colours and color_count must be integers")
             return ColoredGraph(graph, colors, count)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise InvalidInput(f"malformed graph JSON: {exc!r}") from exc
@@ -926,6 +936,8 @@ def structure_to_json(s: FiniteStructure) -> str:
 def structure_from_json(text: str) -> FiniteStructure:
     try:
         doc = json.loads(text)
+        if not isinstance(doc["universe"], list):
+            raise InvalidInput("structure JSON needs the universe as a list")
         return FiniteStructure(
             universe=tuple(doc["universe"]),
             relations={n: {tuple(t) for t in ts} for n, ts in doc.get("relations", {}).items()},

@@ -167,16 +167,6 @@ class PermGroup:
     def sorted_elements(self) -> list[Perm]:
         return sorted(self.elements)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PermGroup)
-            and self.degree == other.degree
-            and self.elements == other.elements
-        )
-
-    def __hash__(self):
-        return hash((self.degree, self.elements))
-
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
@@ -654,7 +644,9 @@ def _gf(q: int):
     of q; its elements are the ints below q."""
     if 2 <= q <= _MAX_Q:
         p = next(d for d in range(2, q + 1) if q % d == 0)
-        k = round(math.log(q, p))
+        k = 1
+        while p**k < q:
+            k += 1
         if p**k == q:
             return _image_field(p, k)
     raise NotPrimePower(f"q = {q} is not a supported prime power")

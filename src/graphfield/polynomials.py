@@ -13,13 +13,9 @@ primitive, so products take no gcd.
 Leading terms are deg-lex (total degree, then exponents compared by
 variable index; the index order is fixed per context) and cached.
 
-Keys stay exponent tuples here.  Inside a product whose operands both
-have at least 4 terms, and inside the integer part's p-th root, the
-kernel packs each tuple into one int: sum(e) in the top digit, then
-e_0 ... e_(n-1), each digit the fewest whole bytes that hold a
-total-degree bound (the sum of the operands' total degrees for a
-product, that of the leading term for a root).  Keys then add as
-exponents do and compare in deg-lex order (`_modgcd._packing`).
+Keys stay exponent tuples here.  Inside products of operands with at
+least 4 terms, exact division and the integer part's p-th root, the
+kernel packs each tuple into one deg-lex int key (`_modgcd._packing`).
 
 `Poly.cofactors` is the one gcd routine and returns (g, f/g, h/g).  It
 first tries one input as a divisor of the other (one trial division),

@@ -179,12 +179,17 @@ def test_verify_refuses_a_budget_below_one(capsys, budget):
 
 
 @pytest.mark.parametrize(
-    "command, option", [("transform", "--budget"), ("build-field", "--trials")]
+    "command, option",
+    [("transform", "--budget"), ("build-field", "--trials"), ("build-field", "--budget"),
+     ("towers", "--budget")],
 )
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_counts_below_one_are_refused(tmp_path, capsys, command, option, value):
-    infile = write_graph(tmp_path, "k2.json", ["s", "t"], [("s", "t")])
-    assert main([command, "--in", infile, option, value]) == 2
+    if command == "towers":
+        args = ["--group", "sym:3"]
+    else:
+        args = ["--in", write_graph(tmp_path, "k2.json", ["s", "t"], [("s", "t")])]
+    assert main([command, *args, option, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and option in captured.err
 
@@ -213,6 +218,11 @@ TRIANGLE_ONE_COLOUR = json.dumps({"vertices": ["a", "b", "c"],
                                   "colors": {"a,b": 0, "b,c": 0, "a,c": 0}, "color_count": 1})
 
 
+def k2_coloured(colour, count):
+    return json.dumps({"vertices": ["s", "t"], "edges": [["s", "t"]],
+                       "colors": {"s,t": colour}, "color_count": count})
+
+
 @pytest.mark.parametrize(
     "infile, args",
     [
@@ -230,6 +240,12 @@ TRIANGLE_ONE_COLOUR = json.dumps({"vertices": ["a", "b", "c"],
         pytest.param(K2_JSON, ["build-field", "--depth", "abc"], id="depth-not-json"),
         pytest.param(TRIANGLE_ONE_COLOUR, ["build-field"], id="not-a-star-colouring"),
         pytest.param(None, ["towers", "--group", "psl2:32"], id="psl2-32"),
+        pytest.param(k2_coloured(0.0, 1), ["build-field"], id="float-colour"),
+        pytest.param(k2_coloured(0, 1.5), ["build-field"], id="float-colour-count"),
+        pytest.param(k2_coloured(True, 2), ["build-field"], id="bool-colour"),
+        pytest.param(k2_coloured(0, True), ["build-field"], id="bool-colour-count"),
+        pytest.param('{"vertices": "st", "edges": ["st"]}', ["transform"], id="string-vertices"),
+        pytest.param('{"vertices": ["s", "t"], "edges": ["st"]}', ["transform"], id="string-edge"),
     ],
 )
 def test_input_errors_exit2(tmp_path, capsys, infile, args):

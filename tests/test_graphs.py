@@ -537,6 +537,7 @@ def test_structure_json_roundtrip():
         pytest.param("{}", id="no-universe"),
         pytest.param('{"universe": ["a", "b"], "functions": {"f": {"a": "b"}}}', id="partial-function"),
         pytest.param('{"universe": ["a"], "relations": {"r": 5}}', id="relation-not-a-list"),
+        pytest.param('{"universe": "ab"}', id="universe-not-a-list"),
     ],
 )
 def test_structure_from_json_input_errors(text):

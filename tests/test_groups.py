@@ -349,6 +349,18 @@ def test_gfq_rejects_non_prime_powers():
                 build(q)
 
 
+def test_gfq_degree_is_found_without_floats(monkeypatch):
+    def no_float(*args):
+        raise AssertionError("math.log called")
+
+    monkeypatch.setattr(math, "log", no_float)
+    for q, pk in {4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4), 13: (13, 1)}.items():
+        assert (_gf(q).p, _gf(q).k) == pk
+    for q in (6, 12, 15):
+        with pytest.raises(NotPrimePower):
+            _gf(q)
+
+
 def _digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
