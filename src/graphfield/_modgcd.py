@@ -30,8 +30,8 @@ a failed verification moves to the next prime.  When the deg-lex
 leading coefficients of both inputs survive mod p, a constant modular
 gcd proves actual coprimality, so the "coprime" answer is sound as well.
 
-`groups` builds PSL, PGL and PGammaL(2, q) for q <= 16 on the fields
-that `_image_field` returns.  They are not the package's only
+`groups` builds PSL, PGL and PGammaL(2, q) on the image fields, which
+find their own moduli (`_power_tables`).  They are not the package's only
 finite-field arithmetic: `roots.specialization_refute` computes mod a
 prime q on its own, with its own discrete-log table (`_dlog_table`);
 moving it onto one shared map into a finite field (`TowerImage`) is the
@@ -382,18 +382,7 @@ def _fp_norm(d: dict, p: int) -> dict:
 _MIN_Q = 256  # smallest image field of a multivariate gcd
 _POINTS_PER_DEGREE = 32  # image field size per unit of the largest degree
 
-# The image fields GF(p^k), k > 1, for the small characteristics, up to
-# p^k = 2^16: the low k base-p digits of the first primitive monic
-# x^k + ... over F_p, candidates taken in increasing order.
-_MODULI = {
-    (2, 2): 3, (2, 3): 3, (2, 4): 3, (2, 5): 5, (2, 6): 3, (2, 7): 3, (2, 8): 29,
-    (2, 9): 17, (2, 10): 9, (2, 11): 5, (2, 12): 83, (2, 13): 27, (2, 14): 43,
-    (2, 15): 3, (2, 16): 45,
-    (3, 2): 5, (3, 3): 7, (3, 4): 5, (3, 5): 7, (3, 6): 5, (3, 7): 16, (3, 8): 29,
-    (3, 9): 64, (3, 10): 32,
-    (5, 2): 7, (5, 3): 17, (5, 4): 37, (5, 5): 22, (5, 6): 7,
-    (7, 2): 10, (7, 3): 23, (7, 4): 75, (7, 5): 11,
-}
+MAX_FIELD_ORDER = 2**16  # of an image field, and of a `coeffs.CoeffField` prime
 _FIELDS: dict = {}
 
 
@@ -469,7 +458,7 @@ class _PrimeField:
 
 
 class _ExtField:
-    """GF(p^k), k > 1, as F_p[x]/(x^k + m(x)) with m from `_MODULI`.
+    """GF(p^k), k > 1, as F_p[x]/(x^k + m(x)) with m from `_power_tables`.
 
     An element is the int below p^k whose base-p digits are its
     coefficients in x, so F_p is 0..p-1.  The modulus is primitive: x
@@ -483,7 +472,8 @@ class _ExtField:
     def __init__(self, p: int, k: int):
         self.p, self.k, self.q = p, k, p**k
         n = self.n = self.q - 1
-        exp, log = self.exp, self.log = _power_tables(p, k, _MODULI[(p, k)])
+        self.modulus, exp, log = _power_tables(p, k)
+        self.exp, self.log = exp, log
         self.half = n // 2 if p > 2 else 0  # x^half = -1
         if p == 2:
             self.add = xor
@@ -567,32 +557,42 @@ class _ExtField:
         return out
 
 
-def _power_tables(p: int, k: int, modulus: int) -> tuple[list, list]:
-    """(exp, log) for F_p[x]/(x^k + m(x)), m's coefficients the base-p
-    digits of `modulus`, which must make x a generator."""
+def _power_tables(p: int, k: int) -> tuple[int, list, list]:
+    """(modulus, exp, log) for GF(p^k) = F_p[x]/(x^k + m(x)), m's
+    coefficients the base-p digits of the least `modulus` for which x has
+    order p^k - 1, so that x^k + m is primitive and hence irreducible
+    (Lidl & Niederreiter, "Finite Fields", 1997, ch. 3).  The walk that
+    fills the tables is the test: it meets no power twice (a 0 repeats at
+    once) and ends at 1."""
     q = p**k
     n = q - 1
-    low = [-(modulus // p**i) % p for i in range(k)]  # x^k = -m(x)
-    exp = [0] * (4 * n + 1)
-    log = [2 * n] * q
-    a = 1
-    for i in range(n):
-        exp[i] = exp[i + n] = a
-        log[a] = i
-        if p == 2:
-            a <<= 1
-            if a >= q:
-                a ^= q | modulus
-            continue
-        top, b = divmod(a * p, q)
-        a = b
-        if top:
-            a, w = 0, 1
-            for c in low:
-                b, d = divmod(b, p)
-                a += (d + top * c) % p * w
-                w *= p
-    return exp, log
+    unseen = 2 * n
+    for modulus in range(q):
+        low = [-(modulus // p**i) % p for i in range(k)]  # x^k = -m(x)
+        exp = [0] * (4 * n + 1)
+        log = [unseen] * q
+        a = 1
+        for i in range(n):
+            if log[a] != unseen:
+                break
+            exp[i] = exp[i + n] = a
+            log[a] = i
+            if p == 2:
+                a <<= 1
+                if a >= q:
+                    a ^= q | modulus
+                continue
+            top, b = divmod(a * p, q)
+            a = b
+            if top:
+                a, w = 0, 1
+                for c in low:
+                    b, d = divmod(b, p)
+                    a += (d + top * c) % p * w
+                    w *= p
+        else:
+            if a == 1:
+                return modulus, exp, log
 
 
 def _image_field(p: int, k: int):
@@ -608,14 +608,14 @@ def _start_field(p: int, degree: int):
     _POINTS_PER_DEGREE * (degree + 1)) elements, or the largest one."""
     want = max(_MIN_Q, _POINTS_PER_DEGREE * (degree + 1))
     k = 1
-    while p**k < want and (p, k + 1) in _MODULI:
+    while p**k < want and p ** (k + 1) <= MAX_FIELD_ORDER:
         k += 1
     return _image_field(p, k)
 
 
 def _larger(F):
     """The next image field after F, or F when there is none."""
-    return _image_field(F.p, F.k + 1) if (F.p, F.k + 1) in _MODULI else F
+    return _image_field(F.p, F.k + 1) if F.q * F.p <= MAX_FIELD_ORDER else F
 
 
 # -- gcd over F_p by evaluation and interpolation ----------------------------------

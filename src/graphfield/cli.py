@@ -14,7 +14,7 @@ import sys
 import time
 from dataclasses import dataclass, field as dataclass_field
 
-from . import autfield, fieldtower, graphs, groups, roots
+from . import autfield, coeffs, fieldtower, graphs, groups, roots
 from .errors import BudgetExceeded, GraphFieldError, InvalidInput
 
 
@@ -441,14 +441,18 @@ def _parse_group(spec: str) -> groups.PermGroup:
         raise InvalidInput(
             f"group {spec!r}: expected sym:n (n >= 2), alt:n (n >= 3), psl2:q or pgl2:q (q >= 2)"
         )
+    if kind in ("psl2", "pgl2"):
+        return groups.psl2(n) if kind == "psl2" else groups.pgl2(n)
+    # refuse |sym:n| = 2·3···n or |alt:n| = 3···n over the cap before building
+    order = 1
+    for i in range(2 if kind == "sym" else 3, n + 1):
+        order *= i
+        if order > groups.DEFAULT_CLOSURE_CAP:
+            raise BudgetExceeded("group closure", groups.DEFAULT_CLOSURE_CAP)
     if kind == "sym":
         gens = [groups.Perm.from_cycles(n, [(0, 1)]), groups.Perm.from_cycles(n, [tuple(range(n))])]
-    elif kind == "alt":
-        gens = [groups.Perm.from_cycles(n, [(i, i + 1, i + 2)]) for i in range(n - 2)]
-    elif kind == "psl2":
-        return groups.psl2(n)
     else:
-        return groups.pgl2(n)
+        gens = [groups.Perm.from_cycles(n, [(i, i + 1, i + 2)]) for i in range(n - 2)]
     return groups.closure(gens)
 
 
@@ -490,6 +494,13 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _char(text: str) -> int:
+    try:
+        return coeffs.CoeffField(int(text)).char
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="graphfield", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -503,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build-field", help="build a tower field over a colored graph")
     b.add_argument("--in", dest="infile", required=True)
-    b.add_argument("--char", type=int, default=0, choices=(0, 2, 3, 5, 7))
+    b.add_argument("--char", type=_char, default=0)
     b.add_argument("--depth", default="1", help="uniform depth or per-generator JSON")
     b.add_argument("--trials", type=_positive_int, default=50)
     b.add_argument("--seed", type=int, default=0)
@@ -515,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", default="all", choices=(*_SUITES, "all"))
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--budget", type=_positive_int, default=1)
-    v.add_argument("--char", type=int, default=0, choices=(0, 2, 3, 5, 7),
+    v.add_argument("--char", type=_char, default=0,
                    help="characteristic of the field suite; the other suites ignore it")
     v.add_argument("--sorted", action="store_true")
     v.set_defaults(fn=cmd_verify)

@@ -10,17 +10,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._modgcd import MAX_FIELD_ORDER
 from .errors import TooLarge
-
-SUPPORTED_CHARS = (0, 2, 3, 5, 7)
 
 
 class CoeffField:
-    """The prime field of a given characteristic."""
+    """The prime field of characteristic 0 or of a prime up to `MAX_FIELD_ORDER`."""
 
     def __init__(self, char: int):
-        if char not in SUPPORTED_CHARS:
-            raise ValueError(f"unsupported characteristic {char}")
+        if char != 0 and not (char <= MAX_FIELD_ORDER and is_prime(char)):
+            raise ValueError(f"characteristic {char} is not 0 or a prime up to {MAX_FIELD_ORDER}")
         self.char = char
         self.zero = self.of_int(0)
         self.one = self.of_int(1)
@@ -72,7 +71,7 @@ class CoeffField:
         In Q this takes integer p-th roots of numerator and denominator
         (odd p handles negatives by sign).  In F_r the power map is
         inverted; when gcd(p, r-1) > 1 the fiber is searched directly,
-        which is fine at r <= 7.
+        in O(r) steps, which `MAX_FIELD_ORDER` bounds.
         """
         if self.char == 0:
             q = Fraction(a)
@@ -90,14 +89,9 @@ class CoeffField:
         a %= r
         if a == 0:
             return 0
-        if (r - 1) % p != 0:
-            # x -> x^p is a bijection on F_r^*
-            e = pow(p, -1, r - 1)
-            return pow(a, e, r)
-        for x in range(1, r):
-            if pow(x, p, r) == a:
-                return x
-        return None
+        if (r - 1) % p != 0:  # x -> x^p is a bijection on F_r^*
+            return pow(a, pow(p, -1, r - 1), r)
+        return next((x for x in range(1, r) if pow(x, p, r) == a), None)
 
     def is_p_high(self, a, p: int) -> bool:
         """Whether `a` admits iterated p-th roots forever inside the prime field.

@@ -40,7 +40,7 @@ class NotCenterless(GraphFieldError):
 
 
 class NotPrimePower(GraphFieldError):
-    """q is not a prime power in the supported range."""
+    """q is not a prime power."""
 
 
 class NotAnAction(GraphFieldError):

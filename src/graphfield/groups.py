@@ -21,10 +21,10 @@ G to H and stops at the first tuple that extends to an isomorphism.
 per orbit of the automorphisms found so far; the automorphisms that
 passed generate Aut(G), and its element set comes from their closure.
 
-PSL, PGL and PGammaL(2, q), q a prime power up to 16, permute the q + 1
-points of the projective line over GF(q).  The field is the `_modgcd`
-image field GF(p^k), whose elements are the ints below q; this module
-has no field arithmetic of its own.
+PSL, PGL and PGammaL(2, q), q a prime power with |PGL(2, q)| within
+`DEFAULT_CLOSURE_CAP` (q <= 27), permute the q + 1 points of the
+projective line over GF(q), the `_modgcd` image field GF(p^k) whose
+elements are the ints below q; this module has no field arithmetic.
 """
 from __future__ import annotations
 
@@ -633,23 +633,23 @@ def automorphism_tower(G: PermGroup, max_steps: int = 10) -> TowerReport:
 
 
 # ---------------------------------------------------------------------------
-# Projective groups over GF(q), q <= 16
+# Projective groups over GF(q)
 # ---------------------------------------------------------------------------
-
-_MAX_Q = 16
 
 
 def _gf(q: int):
     """GF(q) as the `_modgcd` image field GF(p^k), p the least divisor
-    of q; its elements are the ints below q."""
-    if 2 <= q <= _MAX_Q:
+    of q; its elements are the ints below q.  q is refused first when
+    |PGL(2, q)| = q^3 - q, the number of matrices `_projective_group`
+    turns into permutations, exceeds `DEFAULT_CLOSURE_CAP`."""
+    if q**3 - q > DEFAULT_CLOSURE_CAP:
+        raise BudgetExceeded(f"PGL(2, {q})", DEFAULT_CLOSURE_CAP)
+    if q >= 2:
         p = next(d for d in range(2, q + 1) if q % d == 0)
-        k = 1
-        while p**k < q:
-            k += 1
+        k = next(k for k in range(1, q) if p**k >= q)
         if p**k == q:
             return _image_field(p, k)
-    raise NotPrimePower(f"q = {q} is not a supported prime power")
+    raise NotPrimePower(f"q = {q} is not a prime power")
 
 
 def _projective_line(q: int):
@@ -686,23 +686,19 @@ def _projective_group(q: int, det_one: bool) -> PermGroup:
         if det and (det in squares or not det_one):
             perms.add(_point_perm(F, points, index, lambda u, v: (
                 add(mul(a, u), mul(b, v)), add(mul(c, u), mul(d, v)))))
+    expected = (q**3 - q) // (math.gcd(2, q - 1) if det_one else 1)
+    assert len(perms) == expected, f"{len(perms)} elements for q = {q}, expected {expected}"
     gens = greedy_generators(perms, len(points))
     return PermGroup(len(points), gens, perms, points=[str(pt) for pt in points])
 
 
 def psl2(q: int) -> PermGroup:
     """PSL(2, q) as permutations of the q+1 projective points."""
-    G = _projective_group(q, det_one=True)
-    expected = q * (q * q - 1) // math.gcd(2, q - 1)
-    assert G.order == expected, f"|PSL(2,{q})| = {G.order}, expected {expected}"
-    return G
+    return _projective_group(q, det_one=True)
 
 
 def pgl2(q: int) -> PermGroup:
-    G = _projective_group(q, det_one=False)
-    expected = q * (q * q - 1)
-    assert G.order == expected, f"|PGL(2,{q})| = {G.order}, expected {expected}"
-    return G
+    return _projective_group(q, det_one=False)
 
 
 def frobenius_point_perm(q: int) -> Perm:

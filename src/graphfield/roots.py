@@ -46,7 +46,6 @@ from .polynomials import Poly
 from .ratfunc import RatFunc
 
 _MAX_CANDIDATES = 512
-_SPECIALIZE_PRIME_SCAN = 200_000
 _DLOG_TABLE_CAP = 1_000_000
 
 
@@ -414,24 +413,23 @@ def pth_root(a: TowerElement, p: int, *, seed: int = 0) -> RootResult:
 
 
 def _specialization_primes(ctx: TowerContext, p: int, count: int) -> list[int]:
-    """Smallest `count` primes q = 1 mod lcm(p, all generator degrees).
+    """Smallest `count` primes q = 1 mod L = lcm(p, all generator degrees).
 
     Several primes are needed: a rational constant can accidentally be a
-    p-th power mod the first q while failing at the next one.
+    p-th power mod the first q while failing at the next one.  Only
+    `_DLOG_TABLE_CAP` = 10^6 bounds the scan, and so its steps: L >= 2;
+    q passes 10^6 within 200,000 steps if L >= 5, and four primes come
+    within 10 steps if L = 2, 3, 4 (3 5 7 11, 7 13 19 31, 5 13 17 29).
     """
     L = p
     for i in range(len(ctx.gens)):
         L = math.lcm(L, ctx.gen_degree(i))
     out = []
     q = L + 1
-    scanned = 0
-    while len(out) < count and scanned < _SPECIALIZE_PRIME_SCAN:
-        if q > _DLOG_TABLE_CAP:
-            break
+    while len(out) < count and q <= _DLOG_TABLE_CAP:
         if is_prime(q):
             out.append(q)
         q += L
-        scanned += 1
     if not out:
         raise BadPrime(f"no admissible specialization prime below {_DLOG_TABLE_CAP}")
     return out

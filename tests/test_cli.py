@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -240,6 +241,8 @@ def k2_coloured(colour, count):
         pytest.param(K2_JSON, ["build-field", "--depth", "abc"], id="depth-not-json"),
         pytest.param(TRIANGLE_ONE_COLOUR, ["build-field"], id="not-a-star-colouring"),
         pytest.param(None, ["towers", "--group", "psl2:32"], id="psl2-32"),
+        pytest.param(None, ["towers", "--group", "sym:20000"], id="sym-20000"),
+        pytest.param(None, ["towers", "--group", "alt:100000"], id="alt-100000"),
         pytest.param(k2_coloured(0.0, 1), ["build-field"], id="float-colour"),
         pytest.param(k2_coloured(0, 1.5), ["build-field"], id="float-colour-count"),
         pytest.param(k2_coloured(True, 2), ["build-field"], id="bool-colour"),
@@ -253,8 +256,19 @@ def test_input_errors_exit2(tmp_path, capsys, infile, args):
         path = tmp_path / "in.json"
         path.write_text(infile)
         args = args + ["--in", str(path)]
+    t0 = time.perf_counter()
     assert main(args) == 2
+    # refused before any large work: sym:n and alt:n before their
+    # permutations are built, psl2:q before q is factored
+    assert time.perf_counter() - t0 < 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("char", ["1", "4", "-3", "65537", "x"])
+@pytest.mark.parametrize("command", [["verify", "--suite", "field"], ["build-field", "--in", "k2.json"]])
+def test_char_that_is_not_zero_or_a_small_prime_is_a_usage_error(capsys, command, char):
+    assert main(command + ["--char", char]) == 2
+    assert "--char" in capsys.readouterr().err
 
 
 def test_verify_sorted_flag(capsys):

@@ -341,12 +341,27 @@ def test_gfq_arithmetic():
 
 
 def test_gfq_rejects_non_prime_powers():
-    # GF(q) is offered for the prime powers up to 16 only; 32 has an
-    # image field in _modgcd but stays refused here
     for build in (psl2, pgl2, pgammal2):
-        for q in (0, 1, 6, 17, 18, 25, 32):
+        for q in (0, 1, 6, 18):
             with pytest.raises(NotPrimePower):
                 build(q)
+    # prime powers past 16 build: GF(17) and GF(25) = GF(5^2)
+    assert (_gf(17).p, _gf(17).k) == (17, 1) and (_gf(25).p, _gf(25).k) == (5, 2)
+
+
+def test_projective_groups_past_sixteen():
+    # |PSL(2, q)| = q(q^2 - 1)/gcd(2, q - 1) and |PGL(2, q)| = q(q^2 - 1)
+    assert psl2(17).order == 2448
+    assert pgl2(25).order == 15600
+
+
+def test_gfq_refuses_q_whose_pgl2_exceeds_the_closure_cap():
+    # |PGL(2, 27)| = 19656 is within the cap; |PGL(2, 32)| = 32736 is not,
+    # and q is refused before it is factored
+    assert _gf(27).q == 27
+    for q in (32, 1000000007):
+        with pytest.raises(BudgetExceeded):
+            _gf(q)
 
 
 def test_gfq_degree_is_found_without_floats(monkeypatch):

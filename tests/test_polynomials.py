@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from graphfield import _modgcd, polynomials
-from graphfield._modgcd import _MODULI, _PRIMES, _divide_terms, _image_field, _strip
+from graphfield._modgcd import _PRIMES, _divide_terms, _image_field, _strip
 from graphfield.coeffs import CoeffField, _int_root, is_prime
 from graphfield.errors import TooLarge
 from graphfield.polynomials import Poly
@@ -132,7 +132,39 @@ def test_cofactors_trial_division_runs_the_other_way(monkeypatch):
     assert not calls
 
 
-@pytest.mark.parametrize("p, k", sorted(_MODULI))
+# The moduli of GF(p^k), k > 1, that the image fields used when they were
+# a table: the low k base-p digits m of the first primitive x^k + m(x) over
+# F_p, candidates in increasing order.  The fields now derive them.
+PINNED_MODULI = {
+    (2, 2): 3, (2, 3): 3, (2, 4): 3, (2, 5): 5, (2, 6): 3, (2, 7): 3, (2, 8): 29,
+    (2, 9): 17, (2, 10): 9, (2, 11): 5, (2, 12): 83, (2, 13): 27, (2, 14): 43,
+    (2, 15): 3, (2, 16): 45,
+    (3, 2): 5, (3, 3): 7, (3, 4): 5, (3, 5): 7, (3, 6): 5, (3, 7): 16, (3, 8): 29,
+    (3, 9): 64, (3, 10): 32,
+    (5, 2): 7, (5, 3): 17, (5, 4): 37, (5, 5): 22, (5, 6): 7,
+    (7, 2): 10, (7, 3): 23, (7, 4): 75, (7, 5): 11,
+}
+BEYOND_THE_TABLE = [(11, 2), (13, 2), (101, 2), (251, 2)]
+
+
+def test_derived_moduli_match_the_pinned_table():
+    # a wrong modulus gives a map that is not a field: the maps built on it
+    # (permutations of a projective line) need not be bijections
+    derived = {pk: _image_field(*pk).modulus for pk in PINNED_MODULI}
+    assert derived == PINNED_MODULI
+
+
+@pytest.mark.parametrize("p, k", sorted(PINNED_MODULI) + BEYOND_THE_TABLE)
+def test_derived_moduli_are_irreducible(p, k):
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    m = _image_field(p, k).modulus
+    f = [1] + [m // p**i % p for i in reversed(range(k))]  # x^k + m(x), top first
+    assert galoistools.gf_irreducible_p(f, p, ZZ)
+
+
+@pytest.mark.parametrize("p, k", sorted(PINNED_MODULI) + BEYOND_THE_TABLE)
 def test_image_field_arithmetic(p, k):
     F = _image_field(p, k)
     q = p**k
@@ -434,6 +466,14 @@ def test_int_root_beyond_float_range():
     assert Q.pth_root(root**3, 3) == root
     assert Q.pth_root(-(root**3), 3) == -root
     assert Q.pth_root(root**3 + 1, 3) is None
+
+
+def test_coeff_field_accepts_the_primes_up_to_the_field_bound():
+    for r in (11, 101, 65521):
+        assert CoeffField(r).char == r and CoeffField(r).inv(2) * 2 % r == 1
+    for r in (1, 4, -3, 65537):
+        with pytest.raises(ValueError):
+            CoeffField(r)
 
 
 def test_is_prime():
