@@ -49,6 +49,9 @@ class Graph:
         self.vertices = frozenset(vertices)
         es = set()
         for e in edges:
+            if type(e) is frozenset and len(e) == 2:
+                es.add(e)  # a 2-element set is no loop
+                continue
             pair = tuple(e)
             if len(pair) != 2:
                 raise ValueError(f"edge {e!r} is not a 2-set")
@@ -525,19 +528,19 @@ def gadget_prime_edges() -> list[frozenset]:
 N_COLORS = len(gadget_prime_edges())  # 7
 
 
-def _gadget_edge_colors() -> dict:
-    """Color of each gadget edge: the gadget_prime_edges() index of the
-    first member of its orbit under the swap.  The five orbits take colors
-    0..4; colors 5 and 6 stay empty."""
+def _gadget_edge_colors() -> tuple:
+    """(u, w, color) for each gadget edge {u, w}: the color is the
+    gadget_prime_edges() index of the first member of its orbit under the
+    swap.  The five orbits take colors 0..4; colors 5 and 6 stay empty."""
     index = {e: i for i, e in enumerate(gadget_prime_edges())}
-    colors = {}
+    out = []
     for u, w in _GADGET_EDGES:
         orbit = (_edge(u, w), _edge(_GADGET_SWAP[u], _GADGET_SWAP[w]))
-        colors[orbit[0]] = min(index[e] for e in orbit if e in index)
-    return colors
+        out.append((u, w, min(index[e] for e in orbit if e in index)))
+    return tuple(out)
 
 
-_GADGET_COLORS = _gadget_edge_colors()
+_GADGET_COLORED_EDGES = _gadget_edge_colors()
 
 
 # ":" and "|" tag the transform's output labels, and "," joins the
@@ -577,10 +580,10 @@ def transform(g: Graph) -> ColoredGraph:
         vertices.update(place.values())
         place["x"] = f"1:{s}"
         place["y"] = f"1:{t}"
-        for u, w in _GADGET_EDGES:
+        for u, w, color in _GADGET_COLORED_EDGES:
             ed = _edge(place[u], place[w])
             edges.add(ed)
-            colors[ed] = _GADGET_COLORS[_edge(u, w)]
+            colors[ed] = color
     return ColoredGraph(Graph(vertices, edges), colors, N_COLORS)
 
 

@@ -10,12 +10,19 @@ deriving a generating set again; `semidirect` takes the embedded
 generators of N and H.  Everything here is exhaustive search tuned
 only as far as desk scale requires.
 
+`closure` builds a group by Dimino's coset enumeration, and a product
+of permutations is one C-level gather over the image tuple.
+
 Automorphisms and isomorphisms of abstract groups come from one
 depth-first search over generator images (`_isomorphisms`), which
 charges each prefix to a node budget.  The preamble before it, the
-conjugacy classes and the choice of generators, charges each of its
-permutation products to the same budget, so the node budget is the
-only limit on either search.  `find_isomorphism` runs it from
+conjugacy classes and the choice of generators, charges fixed counts to
+the same budget, so the node budget is the only limit on either search:
+2·|G|·|gens| for the classes, even when the group holds them already,
+and |gens|·|closure| for each closure of the generator choice.  These
+are the product counts of an uncached class walk and of a breadth-first
+closure; the charges keep those counts rather than the products made
+now, so every refusal happens where it did.  `find_isomorphism` runs it from
 G to H and stops at the first tuple that extends to an isomorphism.
 `aut_group` runs it from G to G and gives the full check to one tuple
 per orbit of the automorphisms found so far; the automorphisms that
@@ -31,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 
 from ._modgcd import _image_field
 from .errors import (
@@ -48,18 +56,22 @@ DEFAULT_AUT_NODE_BUDGET = 2_000_000
 class Perm:
     """A permutation of {0, ..., n-1}, stored as its image tuple.
 
-    Composition is right-to-left: (p * q)(x) = p(q(x)).
+    Composition is right-to-left: (p * q)(x) = p(q(x)).  The constructor
+    refuses images that are not a permutation of range(n); products and
+    inverses, permutations by construction, skip that check.
     """
 
     __slots__ = ("images", "_hash")
 
     def __init__(self, images):
         self.images = tuple(images)
+        if sorted(self.images) != list(range(len(self.images))):
+            raise ValueError(f"images {self.images!r} are not a permutation of range({len(self.images)})")
         self._hash = hash(self.images)
 
     @staticmethod
     def identity(n: int) -> "Perm":
-        return Perm(range(n))
+        return _perm(tuple(range(n)))
 
     @staticmethod
     def from_cycles(n: int, cycles) -> "Perm":
@@ -94,14 +106,17 @@ class Perm:
         return self.images[x]
 
     def __mul__(self, other: "Perm") -> "Perm":
-        img = self.images
-        return Perm([img[x] for x in other.images])
+        # one C-level gather; below degree 2, itemgetter returns a scalar
+        # or raises, and the only permutation is the identity
+        if len(other.images) > 1:
+            return _perm(itemgetter(*other.images)(self.images))
+        return _perm(tuple(self.images[x] for x in other.images))
 
     def inv(self) -> "Perm":
         out = [0] * len(self.images)
         for i, x in enumerate(self.images):
             out[x] = i
-        return Perm(out)
+        return _perm(tuple(out))
 
     def __pow__(self, n: int) -> "Perm":
         if n < 0:
@@ -137,12 +152,25 @@ class Perm:
         return "Perm(" + "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) + ")"
 
 
+_new_perm = object.__new__  # a module global: cheaper to call than object.__new__
+
+
+def _perm(images: tuple) -> Perm:
+    """The Perm with this image tuple, which must be a permutation of
+    range(len(images)), without the constructor's check."""
+    p = _new_perm(Perm)
+    p.images = images
+    p._hash = hash(images)
+    return p
+
+
 class PermGroup:
     """A materialized permutation group.  Invariant: `generators`
     generate `elements` (the trivial group may have none); every builder
     keeps it, and code that builds a `PermGroup` directly must too.
     `points` optionally labels the permuted domain (e.g. graph vertices
-    or group-element indices); it is cosmetic.
+    or group-element indices); it is cosmetic.  The elements are frozen,
+    so `conjugacy_classes` computes the classes once and keeps them here.
     """
 
     def __init__(self, degree: int, generators, elements, points=None):
@@ -150,6 +178,7 @@ class PermGroup:
         self.generators = tuple(generators)
         self.elements = frozenset(elements)
         self.points = tuple(points) if points is not None else None
+        self._classes: tuple[frozenset, ...] | None = None
 
     @property
     def order(self) -> int:
@@ -172,7 +201,21 @@ class PermGroup:
 
 
 def closure(gens, cap: int = DEFAULT_CLOSURE_CAP, degree: int | None = None) -> PermGroup:
-    """Materialize the group generated by `gens` by breadth-first products."""
+    """Materialize the group generated by `gens` by Dimino's coset
+    enumeration (G. Butler, *Fundamental Algorithms for Permutation
+    Groups*, LNCS 559, 1991, ch. 7).
+
+    The generators join one at a time; one already in H, the group of
+    those before it, is skipped.  Otherwise <H, s> is a union of right
+    cosets H·r: starting from r = 1, each representative r and each
+    generator t so far give r·t, and when r·t is new its coset H·(r·t)
+    is added and r·t becomes a representative.  The union contains 1 and
+    is closed under right products by the generators, so it is the group.
+    That takes about |G| + (cosets·generators) products, against the
+    |G|·|gens| of a breadth-first walk.  Raises BudgetExceeded("group
+    closure", cap) exactly when the group has more than `cap` elements
+    (an addition that would pass `cap` is refused before it is made).
+    """
     gens = list(gens)
     if degree is None:
         if not gens:
@@ -182,18 +225,21 @@ def closure(gens, cap: int = DEFAULT_CLOSURE_CAP, degree: int | None = None) -> 
         raise ValueError("generators of mixed degree")
     ident = Perm.identity(degree)
     elements = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in elements:
-                    if len(elements) >= cap:
+    added: list[Perm] = []
+    for s in gens:
+        if s in elements:
+            continue
+        added.append(s)
+        subgroup = list(elements)
+        reps = [ident]
+        for r in reps:
+            for t in added:
+                rt = r * t
+                if rt not in elements:
+                    if len(elements) + len(subgroup) > cap:
                         raise BudgetExceeded("group closure", cap)
-                    elements.add(y)
-                    nxt.append(y)
-        frontier = nxt
+                    elements.update([h * rt for h in subgroup])
+                    reps.append(rt)
     return PermGroup(degree, gens, elements)
 
 
@@ -273,7 +319,11 @@ def _conjugation_orbits(G: PermGroup, xs):
 
 
 def conjugacy_classes(G: PermGroup) -> list[frozenset]:
-    return [frozenset(orbit) for orbit in _conjugation_orbits(G, G.sorted_elements())]
+    """The classes in the order of their least elements, computed once
+    per group."""
+    if G._classes is None:
+        G._classes = tuple(frozenset(orbit) for orbit in _conjugation_orbits(G, G.sorted_elements()))
+    return list(G._classes)
 
 
 def normal_closure(G: PermGroup, seed_elements) -> PermGroup:
@@ -331,8 +381,9 @@ def _charge(budget, units: int, what: str) -> None:
 
 
 def _charged_invariants(G: PermGroup, budget, what: str):
-    """_element_invariants(G), after charging its conjugacy classes'
-    2·|G|·|generators| permutation products to `budget`."""
+    """_element_invariants(G), after charging 2·|G|·|generators| units to
+    `budget`: the products of one walk over the conjugacy classes, charged
+    even when G holds its classes already, so refusals do not move."""
     _charge(budget, 2 * G.order * len(G.generators), what)
     return _element_invariants(G)
 
@@ -341,7 +392,9 @@ def _choose_generators(G: PermGroup, invariants, budget, what: str) -> list[Perm
     """A small generating set biased toward elements with rare invariants,
     preferring a 2-element set when one exists.  A partner x of g1 that
     lies in a proper <g1, x'> found before is skipped: <g1, x> is proper.
-    Each closure of gens charges its |gens|·|closure| products to `budget`."""
+    Each closure of gens charges |gens|·|closure| units to `budget`: the
+    products of a breadth-first closure, not the fewer that Dimino's
+    makes, kept so that every refusal happens where it did."""
     if G.order == 1:
         return [G.identity()]
 
@@ -469,8 +522,8 @@ def aut_group(G: PermGroup, node_budget: int = DEFAULT_AUT_NODE_BUDGET) -> AutGr
     that extends lies in A·gens, so A is Aut(G), generated by the verified
     automorphisms in the order found (none when Aut(G) is trivial).
     `node_budget` is the one limit: the conjugacy classes and the
-    generator choice before the search charge each permutation product
-    to it, the search charges each node, and A holds at most
+    generator choice before the search charge it the fixed counts of
+    the module docstring, the search charges each node, and A holds at most
     node_budget // |G| elements; running out raises BudgetExceeded, and
     when A outgrows its bound the error names "automorphisms held" and
     that bound.
@@ -597,8 +650,10 @@ def normalizer_tower(G: PermGroup, H: PermGroup, max_steps: int = 10) -> TowerRe
     chain = [H]
     for _ in range(max_steps):
         nxt = normalizer(G, chain[-1])
-        chain.append(nxt)
-        if nxt.elements == chain[-2].elements:
+        if nxt.elements == chain[-1].elements:
+            # the fixpoint stage is the group before it, whose conjugacy
+            # classes may be computed already
+            chain.append(chain[-1])
             return TowerReport(
                 kind="normalizer",
                 chain_orders=[g.order for g in chain],
@@ -606,6 +661,7 @@ def normalizer_tower(G: PermGroup, H: PermGroup, max_steps: int = 10) -> TowerRe
                 stabilized=True,
                 stages=chain,
             )
+        chain.append(nxt)
     raise BudgetExceeded("normalizer tower steps", max_steps)
 
 

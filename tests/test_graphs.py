@@ -79,6 +79,19 @@ def path(n):
     return Graph(vs, [(vs[i], vs[i + 1]) for i in range(n - 1)])
 
 
+def test_graph_refuses_loops_and_undeclared_endpoints():
+    for edge in (frozenset({"a"}), ("a", "a"), ["a"], ("a", "b", "c")):
+        with pytest.raises(ValueError):
+            Graph(["a", "b", "c"], [edge])
+    for edge in (frozenset({"a", "z"}), ("a", "z")):
+        with pytest.raises(ValueError, match="not a declared vertex"):
+            Graph(["a", "b"], [edge])
+    with pytest.raises(ValueError, match="must be a string"):
+        Graph(["a", 1], [frozenset({"a", 1})])
+    g = Graph(["a", "b", "c"], [frozenset({"a", "b"}), ("b", "c"), ["c", "a"]])
+    assert g.edges == {frozenset({"a", "b"}), frozenset({"b", "c"}), frozenset({"a", "c"})}
+
+
 # -- gadget -------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Permutation-group engine: closures, normalizers, Aut, towers, PSL."""
 import hashlib
 import math
+import random
 import time
 from itertools import product
 
@@ -74,6 +75,103 @@ def test_closure_examples():
     assert closure([Perm.from_cycles(2, [(0, 1)])]).order == 2
     assert sym(3).order == 6
     assert psl2(5).order == 5 * 24 // 2 == 60
+
+
+def test_perm_refuses_images_that_are_not_a_permutation():
+    # before the check, Perm([0, 0]).order() and Perm([0, -1]).to_cycles()
+    # never returned
+    for images in ([0, 0], [0, -1], [1, 2], [0, 2, 2], [3]):
+        with pytest.raises(ValueError):
+            Perm(images)
+    assert Perm([]).degree == 0 and Perm([1, 0]).order() == 2
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 66, 5000])
+def test_product_composes_right_to_left(degree):
+    rng = random.Random(degree)
+    p, q = (Perm(rng.sample(range(degree), degree)) for _ in range(2))
+    pq = p * q
+    assert all(pq(x) == p(q(x)) for x in range(degree))
+    same = Perm([p(q(x)) for x in range(degree)])
+    assert pq == same and hash(pq) == hash(same)
+    assert type(pq.images) is tuple and all(type(x) is int for x in pq.images)
+    assert p.inv() * p == Perm.identity(degree) == p * p.inv()
+
+
+def _bfs_closure(gens, degree: int, cap: int) -> set | None:
+    """The reference closure: breadth-first products of every element with
+    every generator, composed by a list comprehension; None past `cap`."""
+    ident = Perm(range(degree))
+    elements = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = Perm([x.images[i] for i in g.images])
+                if y not in elements:
+                    elements.add(y)
+                    nxt.append(y)
+        frontier = nxt
+        if len(elements) > cap:
+            return None
+    return elements
+
+
+def _random_generator_lists():
+    """Seeded generator lists of degrees 1-9 with 1-4 generators, each
+    moving at most 4 points, with the identity and repeats mixed in."""
+    rng = random.Random(2027)
+    cases = []
+    for degree in range(1, 10):
+        for count in range(1, 5):
+            for _ in range(3):
+                gens = []
+                for _ in range(count):
+                    support = rng.sample(range(degree), rng.randint(0, min(4, degree)))
+                    images = list(range(degree))
+                    for x, y in zip(support, rng.sample(support, len(support))):
+                        images[x] = y
+                    gens.append(Perm(images))
+                cases.append(gens)
+            cases.append(gens + [Perm.identity(degree)] + gens[:1])
+    return cases
+
+
+def test_closure_matches_breadth_first_reference():
+    cap = 2000
+    sizes = []
+    for gens in _random_generator_lists():
+        degree = gens[0].degree
+        expected = _bfs_closure(gens, degree, cap)
+        if expected is None:
+            with pytest.raises(BudgetExceeded):
+                closure(gens, cap=cap)
+            continue
+        G = closure(gens, cap=cap)
+        assert G.elements == expected
+        assert G.generators == tuple(gens)
+        sizes.append(len(expected))
+    assert len(sizes) > 100 and max(sizes) > 100  # the lists reach nontrivial groups
+    for degree in (0, 1, 5):
+        assert closure([], degree=degree).elements == {Perm.identity(degree)}
+
+
+@pytest.mark.parametrize("build", [psl2, pgl2])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_closure_of_projective_generators_matches_reference(build, q):
+    G = build(q)
+    expected = _bfs_closure(G.generators, G.degree, G.order)
+    assert closure(G.generators, degree=G.degree).elements == expected == G.elements
+
+
+@pytest.mark.parametrize("build", [lambda: sym(4), lambda: alt(5), lambda: pgl2(5)])
+def test_closure_refuses_exactly_past_the_cap(build):
+    G = build()
+    assert closure(G.generators, cap=G.order, degree=G.degree).elements == G.elements
+    with pytest.raises(BudgetExceeded) as exc:
+        closure(G.generators, cap=G.order - 1, degree=G.degree)
+    assert (exc.value.what, exc.value.budget) == ("group closure", G.order - 1)
 
 
 def test_normalizer_examples():
@@ -553,6 +651,35 @@ def test_conjugacy_class_sizes_partition_the_group():
     classes = conjugacy_classes(g)
     assert sum(len(c) for c in classes) == 24
     assert sorted(len(c) for c in classes) == [1, 3, 6, 6, 8]
+
+
+def test_conjugacy_classes_are_computed_once_per_group(monkeypatch):
+    # verify_simple_tower(psl2(7)) computed them 10 times; the groups
+    # whose classes it needs are S, Inn(S), the two stages above it and
+    # the normalizer tower's one new stage
+    walks = []
+    orbits = groups._conjugation_orbits
+
+    def counting(G, xs):
+        if len(xs) == G.order:  # the walk of conjugacy_classes, not normal_closure's
+            walks.append(G)
+        return orbits(G, xs)
+
+    monkeypatch.setattr(groups, "_conjugation_orbits", counting)
+    g = sym(4)
+    first = conjugacy_classes(g)
+    first.pop()
+    assert conjugacy_classes(g) == conjugacy_classes(sym(4)) and len(walks) == 2
+    walks.clear()
+    rep = verify_simple_tower(psl2(7), "inn")
+    assert rep["pass"] and [c["aut_order"] for c in rep["stages"]] == [168, 336, 336]
+    assert len(walks) == 5 == len({id(G) for G in walks})
+
+
+def test_normalizer_tower_reuses_the_fixpoint_group():
+    rep = normalizer_tower(sym(4), closure([Perm.from_cycles(4, [(0, 1)])]))
+    assert rep.stages[-1] is rep.stages[-2]
+    assert rep.chain_orders[-1] == rep.chain_orders[-2]
 
 
 # -- generators kept by every builder --------------------------------------------------
