@@ -3,13 +3,13 @@
 Polynomials here are term dicts {exponent tuple: int}, over Z when the
 modulus r is 0 and over F_r when r > 0 (reduced once per output term).
 `polynomials.Poly` keeps its coefficients in such a dict next to a
-rational content, so products, exact division and p-th roots in every
-characteristic run the loops below.
+rational content, so products, powers, exact division and p-th roots
+in every characteristic run the loops below.
 
-Products with at least 4 terms in each operand, exact division and
-p-th roots run their loops on packed deg-lex int keys; `_packing`
-describes the layout.  The keys never leave one call: the kernels take
-and return tuple-keyed dicts.
+Products with at least 4 terms in each operand, powers of two or more
+terms, exact division and p-th roots run their loops on packed deg-lex
+int keys; `_packing` describes the layout.  The keys never leave one
+call: the kernels take and return tuple-keyed dicts.
 
 `int_gcd` serves both characteristics with one gcd over F_p (`_fp_gcd`):
 Brown's evaluation and interpolation, with a probe that settles
@@ -76,9 +76,14 @@ def _packing(n: int, bound: int):
     significant first; every digit takes the fewest whole bytes (1, 2, 4
     or 8, more only past 2^64) that hold `bound`.  Within the bound no
     digit can carry, so the key of a product of monomials is the sum of
-    their keys, and integer order is deg-lex order.  Each kernel proves
-    its bound from its inputs and says how.  Both directions are linear
-    in n: bytes for 1-byte digits, `array` for 2, 4 and 8.
+    their keys, and integer order is deg-lex order.  Both directions are
+    linear in n: bytes for 1-byte digits, `array` for 2, 4 and 8.
+
+    Four kernels pack, and each proves its bound from its inputs: a
+    product (`_mul_terms`) the sum of the operands' maximal total
+    degrees, a power a^n (`_pow_terms`) n·maxdeg(a), exact division
+    (`_divide_terms`) maxdeg(f) and a p-th root (`_root_terms`) the
+    total degree of f's leading term.
     """
     size = 1
     while bound >= 1 << (8 * size):
@@ -125,12 +130,13 @@ def _mul_terms(a: dict, b: dict, r: int) -> dict:
     """Product of term dicts, reduced mod r when r > 0.
 
     When the smaller operand has at least `_PACK_MIN_TERMS` (4) terms,
-    the pair loop adds packed keys (`_packing`), whose bound is the sum
-    of the operands' maximal total degrees.  Below that, packing and
-    unpacking cost more than they save, so the loop adds tuples.  On the
-    products of one recorded `tower-char0` run (3 variables, Python
-    3.11), a 3-term smaller operand took 22 us with tuples and 24 us
-    packed, and a 6-term one 81 us with tuples and 57 us packed.
+    the pair loop adds packed keys (`_packing`, `_mul_packed`), whose
+    bound is the sum of the operands' maximal total degrees.  Below
+    that, packing and unpacking cost more than they save, so the loop
+    adds tuples.  On the products of one recorded `tower-char0` run (3
+    variables, Python 3.11), a 3-term smaller operand took 22 us with
+    tuples and 24 us packed, and a 6-term one 81 us with tuples and 57
+    us packed.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -146,20 +152,78 @@ def _mul_terms(a: dict, b: dict, r: int) -> dict:
                 out[e] = get(e, 0) + c1 * c2
     else:
         pack, unpack = _packing(len(next(iter(a))), max(map(sum, a)) + max(map(sum, b)))
-        pa = [(pack(e), c) for e, c in a.items()]
-        out = {}
-        get = out.get
-        for e2, c2 in b.items():
-            k2 = pack(e2)
-            for k1, c1 in pa:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
+        out = _mul_packed([(pack(e), c) for e, c in a.items()], [(pack(e), c) for e, c in b.items()])
         if r:
             return {unpack(k): c % r for k, c in out.items() if c % r}
         return {unpack(k): c for k, c in out.items() if c}
     if r:
         return {e: c % r for e, c in out.items() if c % r}
     return {e: c for e, c in out.items() if c}
+
+
+def _mul_packed(a: list, b: list) -> dict:
+    """The packed product loop: {key: coefficient} of the product of two
+    lists of (packed key, coefficient) pairs, neither reduced nor
+    cleared of zeros.  The inner loop runs over a, so a should be the
+    longer list."""
+    out = {}
+    get = out.get
+    for k2, c2 in b:
+        for k1, c1 in a:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return out
+
+
+def _square_packed(a: list, r: int) -> list:
+    """(key, coefficient) pairs of the square of a packed term list,
+    reduced mod r when r > 0: each unordered pair of terms is visited
+    once, with its cross term doubled (in characteristic 2 the cross
+    terms vanish and the square is taken termwise)."""
+    out = {}
+    get = out.get
+    for i, (k1, c1) in enumerate(a):
+        k = k1 + k1
+        out[k] = get(k, 0) + c1 * c1
+        c2 = 2 * c1 % r if r else 2 * c1
+        if c2:
+            for k2, c in a[i + 1:]:
+                k = k1 + k2
+                out[k] = get(k, 0) + c2 * c
+    return _nonzero(out, r)
+
+
+def _nonzero(d: dict, r: int) -> list:
+    if r:
+        return [(k, c % r) for k, c in d.items() if c % r]
+    return [(k, c) for k, c in d.items() if c]
+
+
+def _pow_terms(a: dict, n: int, r: int) -> dict:
+    """a^n for a nonzero term dict a and n >= 0, reduced mod r when r > 0.
+
+    One term is raised in closed form.  Otherwise a is packed once
+    (`_packing`) with the bound n·maxdeg(a), which bounds the total
+    degree of every a^j with j <= n, and the bits of n are read from the
+    top: each step squares (`_square_packed`) and, on a set bit,
+    multiplies by a through `_mul_packed`, the product loop of
+    `_mul_terms`.  The result is unpacked once.
+    """
+    if n == 0:
+        return {(0,) * len(next(iter(a))): 1}
+    if len(a) == 1:
+        (e, c), = a.items()
+        return {tuple(x * n for x in e): pow(c, n, r) if r else c**n}
+    if n == 1:
+        return dict(a)
+    pack, unpack = _packing(len(next(iter(a))), n * max(map(sum, a)))
+    base = [(pack(e), c) for e, c in a.items()]
+    acc = base
+    for bit in bin(n)[3:]:
+        acc = _square_packed(acc, r)
+        if bit == "1":
+            acc = _nonzero(_mul_packed(acc, base), r)
+    return {unpack(k): c for k, c in acc}
 
 
 def _from_top(d: dict, heap: list):

@@ -16,9 +16,12 @@ combine only elements of one context object and raise ValueError
 otherwise; embed() moves an element into a deeper truncation of the same
 family, and field_norm() takes it down to a shallower one.
 
-Inversion walks the generator levels with extended Euclid against each
-defining polynomial T^N - A; a nontrivial gcd on the way would exhibit a
-zero divisor and aborts with the offending factor preserved.  Norms to a
+A one-term element c·Y^e is raised to a power and inverted in closed
+form, since its generator powers fold into a product of the A_i.  Other
+elements are raised by square-and-multiply, and inverted by walking the
+generator levels with extended Euclid against each defining polynomial
+T^N - A; a nontrivial gcd on the way would exhibit a zero divisor and
+aborts with the offending factor preserved.  Norms to a
 shallower truncation go down one pure step T^m = t at a time (a deeper
 generator root, then a deeper vertex root) and take each step's norm as
 the resultant Res_T(T^m - t, a(T)), read off the same remainder sequence.
@@ -442,8 +445,13 @@ class TowerElement:
         return _reduce(self.ctx, raw)
 
     def __pow__(self, n: int) -> "TowerElement":
+        """self^n; a negative n inverts first.  A one-term element with
+        n >= 2 is raised in closed form (`_monomial_power`); any other
+        element by square-and-multiply."""
         if n < 0:
             return self.inv() ** (-n)
+        if n >= 2 and len(self.coeffs) == 1:
+            return _monomial_power(self, n)
         acc = self.ctx.one()
         base = self
         while n:
@@ -467,6 +475,14 @@ class TowerElement:
         a zero divisor: SingularMultiplication is raised, carrying the
         to_json() form of the element being inverted at that level as its
         counterexample.
+
+        A one-term element c·Y^e, at any level, is inverted in closed
+        form instead: Y_i^e_i · Y_i^(N_i - e_i) = A_i, so its inverse is
+        c^-1 · prod_(e_i > 0) A_i^-1 · Y^(N - e), with N - e read as 0
+        where e_i = 0.  With c = u/d in lowest terms the coefficient is
+        d / (u·P), P = prod_(e_i > 0) A_i, and gcd(d, u·P) = gcd(d, P), so
+        one `cofactors` of d against P reduces it.  A zero P makes some
+        Y_i nilpotent, and SingularMultiplication is raised as above.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero tower element")
@@ -494,6 +510,78 @@ class TowerElement:
 def _same_ctx(a: TowerElement, b: TowerElement) -> None:
     if a.ctx is not b.ctx:
         raise ValueError("elements of two different tower contexts: embed one into the other's first")
+
+
+def _monomial_power(a: TowerElement, n: int) -> TowerElement:
+    """(c·Y^e)^n for a one-term element and n >= 2, in closed form:
+    c^n · prod_i A_i^q_i · Y^r with q_i, r_i = divmod(n·e_i, N_i).
+
+    With c = u/d in lowest terms, u^n and d^n are coprime, so the
+    coefficient u^n · prod A_i^q_i / d^n is brought to lowest terms by
+    cancelling the powers A_i^q_i against d^n (`_cancel_powers`) before
+    any of them is multiplied out.  A zero A_i with q_i > 0 gives zero.
+    """
+    ctx = a.ctx
+    (e, c), = a.coeffs.items()
+    exps, folds, index = [], [], {}
+    for i, k in enumerate(e):
+        q, r = divmod(n * k, ctx.gen_degree(i))
+        exps.append(r)
+        if q:
+            A = ctx.gen_poly(i)
+            if A.is_zero():
+                return ctx.zero()
+            folds.append((A, q))
+            index[id(A)] = i
+    dens = [] if c.den.is_one() else [(c.den, n)]
+    folds, dens = _cancel_powers(folds, dens)
+    num = c.num**n
+    for f, q in folds:
+        # an A_i that nothing cancelled takes its cached power
+        i = index.get(id(f))
+        num = num * (f**q if i is None else ctx.gen_poly_power(i, q))
+    den = None
+    for d, m in dens:
+        den = d**m if den is None else den * d**m
+    if den is None:
+        den = Poly.one(ctx.field, ctx.nvars)
+    return TowerElement(ctx, {tuple(exps): RatFunc._raw(num, den)})
+
+
+def _cancel_powers(nums: list, dens: list) -> tuple[list, list]:
+    """prod a^q / prod d^m in lowest terms, for lists of (Poly, exponent)
+    pairs: the same quotient as two such lists whose bases are pairwise
+    coprime across the bar.
+
+    A numerator piece a^q meets each denominator entry d^m in turn.  With
+    h = gcd(a, d), a = h·a' and d = h·d', where a' and d' are coprime;
+    h^min(q, m) cancels, a'^q goes on to the next entry, d^m becomes
+    d'^m, and the surplus power of h stays on its side: as a new
+    denominator entry at the end of the list, which every piece still
+    moving meets, or as a numerator piece that starts again at d'.  A
+    piece coprime to d is coprime to its divisors h and d', so no entry
+    is revisited.  Each split lowers sum(exponent·degree) over both lists
+    by 2·min(q, m)·deg(h), so the loop ends.  The gcds are of the bases,
+    never of their powers or products.
+    """
+    dens = list(dens)
+    out = []
+    stack = [(a, q, 0) for a, q in nums]
+    while stack:
+        a, q, j = stack.pop()
+        while j < len(dens) and not a.is_constant():
+            d, m = dens[j]
+            h, a, d = a.cofactors(d)
+            if not h.is_one():
+                c = min(q, m)
+                dens[j] = (d, m)
+                if m > c:
+                    dens.append((h, m - c))
+                if q > c:
+                    stack.append((h, q - c, j))
+            j += 1
+        out.append((a, q))
+    return out, dens
 
 
 def _reduce(ctx: TowerContext, raw: dict) -> TowerElement:
@@ -602,8 +690,8 @@ def _inv_in(a: TowerElement) -> TowerElement:
     (s*a = r mod T^n - A); leading coefficients are inverted by
     recursion into K."""
     ctx = a.ctx
-    if not ctx.gens:
-        return ctx.from_ratfunc(a.base_value().inv())
+    if len(a.coeffs) == 1:
+        return _monomial_inverse(a)
     j = len(ctx.gens) - 1
     sub = ctx.sub_context(j)
     # r0 = T^n - A, built by subtraction because A may be zero
@@ -620,6 +708,27 @@ def _inv_in(a: TowerElement) -> TowerElement:
         r0, s0, r1, s1 = r1, s1, r0, s0
     r_inv = _inv_in(r1[0])
     return _join_top(ctx, {k: v * r_inv for k, v in s1.items()})
+
+
+def _monomial_inverse(a: TowerElement) -> TowerElement:
+    """(c·Y^e)^-1 = c^-1 · prod_(e_i > 0) A_i^-1 · Y^(N - e); see `inv`."""
+    ctx = a.ctx
+    (e, c), = a.coeffs.items()
+    if not any(e):
+        return ctx.from_ratfunc(c.inv())
+    P = None
+    for i, k in enumerate(e):
+        if k:
+            A = ctx.gen_poly(i)
+            P = A if P is None else P * A
+    if P.is_zero():
+        raise SingularMultiplication(
+            "nontrivial gcd with the defining polynomial: zero divisor found",
+            counterexample=a.to_json(),
+        )
+    _, den, P = c.den.cofactors(P)
+    exps = tuple(ctx.gen_degree(i) - k if k else 0 for i, k in enumerate(e))
+    return TowerElement(ctx, {exps: RatFunc._raw(den, c.num * P)})
 
 
 def _divide(r0: dict, r1: dict, lc_inv: TowerElement, s0=None, s1=None) -> None:

@@ -14,8 +14,9 @@ Leading terms are deg-lex (total degree, then exponents compared by
 variable index; the index order is fixed per context) and cached.
 
 Keys stay exponent tuples here.  Inside products of operands with at
-least 4 terms, exact division and the integer part's p-th root, the
-kernel packs each tuple into one deg-lex int key (`_modgcd._packing`).
+least 4 terms, powers, exact division and the integer part's p-th root,
+the kernel packs each tuple into one deg-lex int key
+(`_modgcd._packing`).
 
 `Poly.cofactors` is the one gcd routine and returns (g, f/g, h/g).  It
 first tries one input as a divisor of the other (one trial division),
@@ -32,7 +33,7 @@ import math
 from fractions import Fraction
 from operator import add, le, mul, sub
 
-from ._modgcd import _deglex, _divide_terms, _mul_terms, _root_terms, int_gcd
+from ._modgcd import _deglex, _divide_terms, _mul_terms, _pow_terms, _root_terms, int_gcd
 from .coeffs import CoeffField, _int_root
 
 
@@ -202,16 +203,20 @@ class Poly:
         return _poly(self.field, self.nvars, self.content * c, self.ints, self._lead, False)
 
     def __pow__(self, n: int) -> "Poly":
+        """self^n for n >= 0, on packed keys (`_modgcd._pow_terms`).  The
+        content is raised to the n-th power and the leading exponent is
+        multiplied by n: by Gauss's lemma a power of a primitive integer
+        part is primitive, and a positive leading coefficient stays
+        positive, so the result needs no normalising pass."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.field, self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if n == 0:
+            return Poly.one(self.field, self.nvars)
+        if not self.ints:
+            return self
+        ints = _pow_terms(self.ints, n, self.field.char)
+        lead = tuple(x * n for x in self._top())
+        return _poly(self.field, self.nvars, self.content**n, ints, lead, False)
 
     def stretch(self, factors: tuple[int, ...]) -> "Poly":
         """Substitute X_i -> X_i^factors[i] (all factors >= 1)."""

@@ -5,7 +5,8 @@ rational functions are equal iff their canonical (num, den) pairs are.
 
 Arithmetic uses the classical reduced-fraction formulas, so gcds are
 only ever taken of already-reduced components; results are reduced by
-construction and skip renormalization.  Every cancellation calls
+construction and skip renormalization.  A square takes no gcd at all:
+gcd(n, d) = 1 gives gcd(n^2, d^2) = 1.  Every cancellation calls
 `Poly.cofactors`, whose quotients are the reduced parts, so no division
 follows a gcd.  Making den monic only rescales the rational contents of
 num and den in characteristic 0 (see `polynomials`), so it costs no
@@ -99,6 +100,9 @@ class RatFunc:
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         n1, d1 = self.num, self.den
+        if other is self:
+            # gcd(n, d) = 1 gives gcd(n^2, d^2) = 1, and d^2 stays monic
+            return RatFunc._raw(n1**2, d1**2)
         n2, d2 = other.num, other.den
         if not (n1.is_constant() or d2.is_constant()):
             _, n1, d2 = n1.cofactors(d2)

@@ -187,6 +187,88 @@ def test_inverse_zero_divisor_keeps_witness():
     assert (b * b.inv()).is_one()
 
 
+def zero_poly_ctx():
+    # a hand-built tower whose defining polynomial is zero: Y^5 = 0
+    return TowerContext(0, ("z",), 3, {"z": 0},
+                        [RadicalGen("t:v", 5, 1, ("tpoly", "z", (Fraction(0), Fraction(0))))])
+
+
+def test_zero_defining_polynomial_is_refused_by_the_one_term_inverse():
+    ctx = zero_poly_ctx()
+    y = generator_edge(ctx, "t:v", 1)
+    z = generator_vertex(ctx, "z", 0)
+    assert (y**5).is_zero() and (y**7).is_zero() and (y * y * y * y * y).is_zero()
+    with pytest.raises(SingularMultiplication) as info:
+        (y * z).inv()
+    assert info.value.counterexample == (y * z).to_json()
+    assert z.inv() * z == ctx.one()
+
+
+def tower(name, char):
+    if name == "shared":
+        # Y_u^5 = z and Y_v^7 = z + z^2 share the factor z, so a power's
+        # cancellation meets a gcd of two defining polynomials
+        c = CoeffField(char).of_int
+        return TowerContext(char, ("z",), 3, {"z": 1}, [
+            RadicalGen("t:u", 5, 1, ("tpoly", "z", (c(0), c(1)))),
+            RadicalGen("t:v", 7, 1, ("tpoly", "z", (c(0), c(1), c(1)))),
+        ])
+    vs, es = {"K2": ("st", ["st"]), "P3": ("abc", ["ab", "bc"]), "K3": ("abc", ["ab", "bc", "ac"])}[name]
+    return build_tower(greedy_star_coloring(Graph(list(vs), [tuple(e) for e in es])), char=char)
+
+
+def one_term(ctx, rng):
+    """c·Y^e with a rational-function c whose denominator may hold
+    defining polynomials and chain variables."""
+    a = random_nonzero_element(ctx, rng, max_terms=1) * random_structured_monomial(ctx, rng)
+    assert len(a.coeffs) == 1
+    return a
+
+
+def assert_same_form(x, y):
+    """Equal elements, compared part by part: the content, the integer
+    part and the cached leading exponent of every numerator and
+    denominator."""
+    assert x.coeffs.keys() == y.coeffs.keys()
+    for e, c in x.coeffs.items():
+        d = y.coeffs[e]
+        for p, q in ((c.num, d.num), (c.den, d.den)):
+            assert type(p.content) is type(q.content) and p.content == q.content
+            assert p.ints == q.ints
+            assert p._top() == max(p.ints, key=lambda k: (sum(k), k))
+
+
+@pytest.mark.parametrize("char", [0, 2])
+@pytest.mark.parametrize("name", ["K2", "P3", "K3", "shared"])
+def test_one_term_power_matches_repeated_products(name, char):
+    ctx = tower(name, char)
+    rng = random.Random(f"{name}:{char}")
+    top = max(ctx.gen_degree(i) for i in range(len(ctx.gens)))
+    for _ in range(6 if name == "shared" else 2):
+        a = one_term(ctx, rng)
+        inv = a.inv()
+        assert (a * inv).is_one()
+        want, want_inv = a, inv
+        for n in range(2, 2 * top + 2):
+            want, want_inv = want * a, want_inv * inv
+            assert_same_form(a**n, want)
+            assert_same_form(a ** -n, want_inv)
+
+
+@pytest.mark.parametrize("char", [0, 2])
+@pytest.mark.parametrize("name", ["K2", "P3"])
+def test_one_term_inverse_matches_the_euclid_path(name, char):
+    # a·b has two terms, so (a·b)^-1 runs extended Euclid
+    ctx = tower(name, char)
+    rng = random.Random(f"{name}:{char}")
+    for _ in range(4):
+        a = one_term(ctx, rng)
+        b = ctx.one() + generator_edge(ctx, rng.choice(ctx.gens).label, 1)
+        assert len((a * b).coeffs) == 2
+        assert (a * a.inv()).is_one()
+        assert_same_form(a.inv(), (a * b).inv() * b)
+
+
 def test_char3_tower():
     ctx = k2_ctx(char=3)
     assert ctx.chain_prime == 5  # 3 is excluded as the characteristic

@@ -1,6 +1,7 @@
-"""Property tests for the term-dict kernels of `_modgcd`: products, p-th
-roots and exact division, against naive tuple-keyed references written
-here, and `int_gcd` against sympy's gcd (skipped without sympy).
+"""Property tests for the term-dict kernels of `_modgcd`: products,
+powers, p-th roots and exact division, against naive tuple-keyed
+references written here (powers against repeated `_mul_terms`), and
+`int_gcd` against sympy's gcd (skipped without sympy).
 
 Operands have 1, 2-3 or at least 4 terms in 0-6 variables; exponents are
 scaled so that total degrees pass 255, 65,535, 2^32 and 2^64, which runs
@@ -21,6 +22,7 @@ from graphfield._modgcd import (  # noqa: E402
     _divide_terms,
     _mul_terms,
     _packing,
+    _pow_terms,
     _root_terms,
     int_gcd,
 )
@@ -163,6 +165,22 @@ def test_divide_terms_on_exact_and_inexact_inputs(args):
     for inexact in (naive_sub(f, extra, r), naive_sub(f, {(0,) * n: 1}, r)):
         if inexact:
             assert _divide_terms(inexact, g, r) == naive_divide(inexact, g, r)
+
+
+POW_CHARS = (0, 2, 3, 2147483647)
+
+
+@SETTINGS
+@given(st.sampled_from(POW_CHARS), st.integers(1, 5), st.sampled_from((1, 100)),
+       st.integers(0, 7), st.data())
+def test_pow_terms_matches_repeated_products(r, n, scale, k, data):
+    """Scale 100 takes total degrees past 255, so the 2-byte key layout
+    runs; 1-8 terms cover the one-term closed form and the packed loop."""
+    a = data.draw(term_dicts(n, r, (1, 8), scale))
+    want = {(0,) * n: 1}
+    for _ in range(k):
+        want = _mul_terms(want, a, r)
+    assert _pow_terms(a, k, r) == want
 
 
 def root_case(draw):

@@ -11,9 +11,12 @@ change's copy differs.  Pair i (one per seed) runs the parent first when
 i is even and the change first when i is odd; the workloads take turns
 within each pair.  For every end-to-end metric it writes the medians and
 quartiles of both sides, the pairs the change won and a verdict (see
-VERDICT_RULE).  One traced run per side and workload at TRACE_SEED adds
-the calls and self times of every layer that the parent's BENCHMARK.json
-lists with a `<layer>.calls` or `<layer>.self_s` metric.  Each
+VERDICT_RULE).  TRACE_RUNS traced runs per side and workload at
+TRACE_SEED, the sides alternating, add the calls and the median self
+time of every layer that the parent's BENCHMARK.json lists with a
+`<layer>.calls` or `<layer>.self_s` metric; the script stops when a
+layer's calls differ between the traced runs of one side, since the
+operation list is fixed by the seed.  Each
 checkout's test suite then runs once (the parent first) under `pytest
 --durations=0`, and the total and the tests named in --durations are
 recorded.  Uses the standard library only.
@@ -33,6 +36,7 @@ import time
 from pathlib import Path
 
 TRACE_SEED = 700
+TRACE_RUNS = 3  # one traced run's self times move by up to 40 % on layers a change does not touch
 QUARTILES = "statistics.quantiles(n=4, method='inclusive') over the runs of one side"
 VERDICT_RULE = (
     "improved: the change fails no larger share of operations than the parent, is better "
@@ -61,6 +65,23 @@ def traced_layers(spec: dict) -> dict[str, list[str]]:
         layer, _, kind = m["name"].rpartition(".")
         if kind in ("calls", "self_s"):
             out.setdefault(layer, []).append(kind)
+    return out
+
+
+def traced_summary(runs: dict[str, list[dict]], layers: dict[str, list[str]]) -> dict:
+    """{layer: {kind: {side: value}}} over the traced runs of each side:
+    the calls, which must agree between the runs of one side, and the
+    median self time."""
+    out: dict = {}
+    for layer, kinds in layers.items():
+        out[layer] = {}
+        for kind in kinds:
+            out[layer][kind] = {}
+            for side, metrics in runs.items():
+                values = [m[f"{layer}.{kind}"]["value"] for m in metrics]
+                if kind == "calls" and len(set(values)) > 1:
+                    sys.exit(f"{layer}.calls differs between the traced runs of the {side}: {values}")
+                out[layer][kind][side] = round(statistics.median(values), 4)
     return out
 
 
@@ -159,8 +180,10 @@ def main() -> int:
                      "when i is odd; the workloads take turns within each pair index",
             "quartiles": QUARTILES, "verdict_rule": VERDICT_RULE,
             "traced": f"python3 perfbench/run.py --workload <workload> --seed {TRACE_SEED} "
-                      f"--seconds {seconds} --trace 1, one run per side; self times are "
-                      "seconds at reference speed for one round of the operation list"},
+                      f"--seconds {seconds} --trace 1, {TRACE_RUNS} runs per side, the sides "
+                      "alternating; calls agree between the runs of one side, and self times "
+                      "are the median, in seconds at reference speed for one round of the "
+                      "operation list"},
         "workloads": {}}
     for w in args.workloads:
         more_failures = failed_share(runs[w]["change"]) > failed_share(runs[w]["parent"])
@@ -178,11 +201,11 @@ def main() -> int:
                 [r["metrics"][name]["value"] for r in runs[w]["parent"]],
                 [r["metrics"][name]["value"] for r in runs[w]["change"]],
                 m["better"], m["bound"], more_failures))
-        traced = {s: run_bench(sides[s], w, TRACE_SEED, seconds, 1)["metrics"] for s in sides}
-        rec[f"traced_per_layer_seed_{TRACE_SEED}"] = {
-            layer: {k: {s: round(traced[s][f"{layer}.{k}"]["value"], 4) for s in sides}
-                    for k in kinds}
-            for layer, kinds in layers.items()}
+        traced = {s: [] for s in sides}
+        for _ in range(TRACE_RUNS):
+            for s in sides:
+                traced[s].append(run_bench(sides[s], w, TRACE_SEED, seconds, 1)["metrics"])
+        rec[f"traced_per_layer_seed_{TRACE_SEED}"] = traced_summary(traced, layers)
         out["workloads"][w] = rec
     walls = {s: run_tier1(sides[s], args.durations) for s in sides}
     out["wall_times_s"] = {
