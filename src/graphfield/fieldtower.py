@@ -17,17 +17,22 @@ otherwise; embed() moves an element into a deeper truncation of the same
 family, and field_norm() takes it down to a shallower one.
 
 A one-term element c·Y^e is raised to a power and inverted in closed
-form, since its generator powers fold into a product of the A_i.  Other
-elements are raised by square-and-multiply, and inverted by walking the
-generator levels with extended Euclid against each defining polynomial
-T^N - A; a nontrivial gcd on the way would exhibit a zero divisor and
-aborts with the offending factor preserved.  Norms to a
+form, since its generator powers fold into a product of the A_i.  A
+two-term element m0 + m1 is inverted in closed form too: w = -m1/m0 is
+one term, and a power w^L lies in the base field, so (m0 + m1)^-1 =
+m0^-1 · sum_(j < L) w^j / (1 - w^L).  Other elements are raised by
+square-and-multiply, and inverted by walking the generator levels with
+extended Euclid against each defining polynomial T^N - A; so is a
+two-term element with 1 - w^L = 0.  A nontrivial gcd on the way would
+exhibit a zero divisor and aborts with the offending factor preserved.
+Norms to a
 shallower truncation go down one pure step T^m = t at a time (a deeper
 generator root, then a deeper vertex root) and take each step's norm as
 the resultant Res_T(T^m - t, a(T)), read off the same remainder sequence.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -465,24 +470,49 @@ class TowerElement:
         return self * other.inv()
 
     def inv(self) -> "TowerElement":
-        """Field inverse by extended Euclid against each defining polynomial.
+        """Field inverse: in closed form for one and two terms, otherwise
+        by extended Euclid against each defining polynomial.
 
-        Level by level from the top generator down, the remainder sequence
-        of T^N - A and the element (a polynomial in T over the lower
-        levels) runs until a constant remainder r; the tracked cofactor
-        times r^-1 is the inverse.  A zero remainder of positive degree
-        before that means a nontrivial gcd with T^N - A, so the tower has
-        a zero divisor: SingularMultiplication is raised, carrying the
-        to_json() form of the element being inverted at that level as its
-        counterexample.
+        Euclid: level by level from the top generator down, the remainder
+        sequence of T^N - A and the element (a polynomial in T over the
+        lower levels) runs until a constant remainder r; the tracked
+        cofactor times r^-1 is the inverse.  A zero remainder of positive
+        degree before that means a nontrivial gcd with T^N - A, so the
+        tower has a zero divisor: SingularMultiplication is raised,
+        carrying the to_json() form of the element being inverted at that
+        level as its counterexample.  Leading coefficients are inverted
+        by this same dispatch one level down.
 
-        A one-term element c·Y^e, at any level, is inverted in closed
-        form instead: Y_i^e_i · Y_i^(N_i - e_i) = A_i, so its inverse is
+        One term: a one-term element c·Y^e, at any level, has
+        Y_i^e_i · Y_i^(N_i - e_i) = A_i, so its inverse is
         c^-1 · prod_(e_i > 0) A_i^-1 · Y^(N - e), with N - e read as 0
         where e_i = 0.  With c = u/d in lowest terms the coefficient is
         d / (u·P), P = prod_(e_i > 0) A_i, and gcd(d, u·P) = gcd(d, P), so
         one `cofactors` of d against P reduces it.  A zero P makes some
         Y_i nilpotent, and SingularMultiplication is raised as above.
+
+        Two terms: a = m0 + m1, m0 the term of smaller exponent vector.
+        Then w = -m1·m0^-1 is one term c·Y^δ, and a = m0·(1 - w).  Let L
+        be the lcm of N_i / gcd(N_i, δ_i) over δ_i != 0, the order of δ
+        modulo N: w^L = c^L · prod A_i^(L·δ_i/N_i) lies in the base field,
+        and w^0, ..., w^(L-1) have pairwise distinct exponents, so their
+        sum is a plain collection of terms.  Since
+        (1 - w) · sum_(j < L) w^j = 1 - w^L = D, when D != 0
+
+            a^-1 = m0^-1 · D^-1 · sum_(j < L) w^j,
+
+        and the identity makes this exact.  If a is not a unit, D must be
+        0, since otherwise the right-hand side is an inverse; so the closed
+        form never hides a zero divisor.  D = 0 sends a to the Euclid walk,
+        which raises SingularMultiplication as above (y - z over
+        Y^5 = z^5).  The cost is one base-field inversion and L one-term
+        products.  When the numerators and denominators of m0's and m1's
+        coefficients and the A_i under a are pairwise coprime (one gcd per
+        pair, taken once), each term is a product of powers of these
+        pieces over the numerator of D, already in lowest terms
+        (`_binomial_by_bases`); otherwise term j + 1 is term j times w,
+        reduced as it goes.  On a tower with A_i = 0 for one of a's
+        generators, m0 need not be a unit, and a takes the Euclid walk.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero tower element")
@@ -685,13 +715,24 @@ def _join_top(ctx: TowerContext, tpoly: dict[int, TowerElement]) -> TowerElement
 
 
 def _inv_in(a: TowerElement) -> TowerElement:
+    """inv() of a nonzero element: one term by `_monomial_inverse`, two
+    terms by `_binomial_inverse` where its closed form applies, anything
+    else by `_euclid_inverse`."""
+    if len(a.coeffs) == 1:
+        return _monomial_inverse(a)
+    if len(a.coeffs) == 2:
+        x = _binomial_inverse(a)
+        if x is not None:
+            return x
+    return _euclid_inverse(a)
+
+
+def _euclid_inverse(a: TowerElement) -> TowerElement:
     """One level of inv(): extended Euclid in K[T]/(T^n - A), K the
     sub-tower of a's lower generators, tracking only a's cofactor s
     (s*a = r mod T^n - A); leading coefficients are inverted by
-    recursion into K."""
+    `_inv_in` in K."""
     ctx = a.ctx
-    if len(a.coeffs) == 1:
-        return _monomial_inverse(a)
     j = len(ctx.gens) - 1
     sub = ctx.sub_context(j)
     # r0 = T^n - A, built by subtraction because A may be zero
@@ -729,6 +770,102 @@ def _monomial_inverse(a: TowerElement) -> TowerElement:
     _, den, P = c.den.cofactors(P)
     exps = tuple(ctx.gen_degree(i) - k if k else 0 for i, k in enumerate(e))
     return TowerElement(ctx, {exps: RatFunc._raw(den, c.num * P)})
+
+
+def _binomial_inverse(a: TowerElement) -> TowerElement | None:
+    """(m0 + m1)^-1 = m0^-1 · (1 - w^L)^-1 · sum_(j < L) w^j with
+    w = -m1/m0 and L the order of w's exponents; see `inv`.  None where
+    the closed form does not apply: a zero A_i under a's generators, or
+    1 - w^L = 0.  When the coefficients' numerators and denominators and
+    the A_i under a are pairwise coprime, `_binomial_by_bases` forms the
+    terms without a gcd; otherwise term j + 1 is term j times w."""
+    ctx = a.ctx
+    e0, e1 = sorted(a.coeffs)
+    gens = [i for i, (k0, k1) in enumerate(zip(e0, e1)) if k0 or k1]
+    if any(ctx.gen_poly(i).is_zero() for i in gens):
+        return None
+    L = 1
+    for i in gens:
+        n = ctx.gen_degree(i)
+        L = math.lcm(L, n // math.gcd(n, e1[i] - e0[i]))
+    c0, c1 = a.coeffs[e0], a.coeffs[e1]
+    p0, q0, p1, q1 = c0.num, c0.den, c1.num, c1.den
+    A = [ctx.gen_poly(i) for i in gens]
+    pairs = [(p0, p1), (p0, q1), (q0, p1), (q0, q1)]
+    pairs += [(f, A[x]) for x in range(len(A)) for f in [p0, q0, p1, q1] + A[:x]]
+    if all(f.is_constant() or g.is_constant() or f.gcd(g).is_one() for f, g in pairs):
+        return _binomial_by_bases(ctx, e0, e1, gens, L, p0, q0, p1, q1)
+    m0_inv = _monomial_inverse(TowerElement(ctx, {e0: c0}))
+    w = -(TowerElement(ctx, {e1: c1}) * m0_inv)
+    (delta, wc), = w.coeffs.items()
+    v = _monomial_power(w, L).base_value()
+    if v.is_one():
+        return None
+    # v = n/d in lowest terms, so (d - n)/d is too
+    (e, c), = m0_inv.coeffs.items()
+    c = c * RatFunc._raw(v.den, v.den - v.num)
+    exps = list(e)
+    out = {}
+    for j in range(L):
+        if j:
+            c = c * wc
+            for i in gens:
+                exps[i] += delta[i]
+                if exps[i] >= ctx.gen_degree(i):
+                    exps[i] -= ctx.gen_degree(i)
+                    c = c.scale_poly(ctx.gen_poly(i))
+        out[tuple(exps)] = c
+    return TowerElement(ctx, out)
+
+
+def _binomial_by_bases(ctx, e0, e1, gens, L, p0, q0, p1, q1) -> TowerElement | None:
+    """`_binomial_inverse` for m0 = (p0/q0)·Y^e0 and m1 = (p1/q1)·Y^e1
+    whose bases p0, q0, p1, q1 and A_i (i in gens) are pairwise coprime.
+
+    With s = e1 - e0 and Q_i = L·s_i/N_i, w = -(p1·q0)/(q1·p0)·Y^s and
+    w^L = (-p1·q0)^L · prod A_i^Q_i / (q1·p0)^L = n/d in lowest terms.
+    Term j of the inverse, m0^-1 · w^j · d/(d - n), is
+
+        (-q0·p1)^j·q0 · (p0·q1)^(L-1-j)·q1 · prod A_i^x_ij / (d - n)
+
+    at Y^r, with x_ij = floor((j·s_i - e0_i)/N_i) + max(-Q_i, 0) and
+    r_i = (j·s_i - e0_i) mod N_i; an A_i with x_ij < 0 goes below the
+    bar.  A factor of d - n dividing a base of n or d would divide both,
+    so d - n is coprime to every base that occurs in w^L, and an A_i that
+    does not (s_i = 0) has x_ij = -1 for every j, below the bar with
+    d - n.  So every term is in lowest terms as it stands, and none
+    takes a gcd."""
+    N = {i: ctx.gen_degree(i) for i in gens}
+    Q = {i: L * (e1[i] - e0[i]) // N[i] for i in gens}
+    n = (-(p1 * q0)) ** L
+    d = (q1 * p0) ** L
+    for i in gens:
+        if Q[i] > 0:
+            n = n * ctx.gen_poly_power(i, Q[i])
+        elif Q[i] < 0:
+            d = d * ctx.gen_poly_power(i, -Q[i])
+    D = d - n
+    if D.is_zero():
+        return None
+    tail = [q1]  # tail[k] = (p0·q1)^k·q1
+    for _ in range(L - 1):
+        tail.append(tail[-1] * p0 * q1)
+    head, step = q0, -(q0 * p1)  # head = (-q0·p1)^j·q0
+    exps = [0] * len(e0)
+    out = {}
+    for j in range(L):
+        if j:
+            head = head * step
+        num, den = head * tail[L - 1 - j], D
+        for i in gens:
+            x, exps[i] = divmod(j * (e1[i] - e0[i]) - e0[i], N[i])
+            x += max(-Q[i], 0)
+            if x > 0:
+                num = num * ctx.gen_poly_power(i, x)
+            elif x < 0:
+                den = den * ctx.gen_poly_power(i, -x)
+        out[tuple(exps)] = RatFunc._raw(num, den)
+    return TowerElement(ctx, out)
 
 
 def _divide(r0: dict, r1: dict, lc_inv: TowerElement, s0=None, s1=None) -> None:

@@ -33,6 +33,8 @@ from graphfield.fieldtower import (
     random_single_level_element,
     random_structured_monomial,
 )
+from graphfield import fieldtower
+from graphfield.fieldtower import _binomial_inverse, _euclid_inverse
 from graphfield.graphs import ColoredGraph, Graph, greedy_star_coloring
 from graphfield.polynomials import Poly
 from graphfield.ratfunc import RatFunc
@@ -267,6 +269,129 @@ def test_one_term_inverse_matches_the_euclid_path(name, char):
         assert len((a * b).coeffs) == 2
         assert (a * a.inv()).is_one()
         assert_same_form(a.inv(), (a * b).inv() * b)
+
+
+def two_term(ctx, rng, plain, top=4):
+    """c0·Y^e0 + c1·Y^e1, e0 != e1, exponents below min(N_i, top).  Unless
+    plain, a coefficient is a random rational function, divided by a
+    defining polynomial or by 1 + a chain variable four times in ten;
+    plain coefficients are small constants."""
+    F = ctx.field
+    while True:
+        e0, e1 = (tuple(rng.randrange(min(ctx.gen_degree(i), top)) for i in range(len(ctx.gens)))
+                  for _ in range(2))
+        if e0 != e1:
+            break
+    coeffs = {}
+    for e in (e0, e1):
+        if plain:
+            c = RatFunc.const(F, ctx.nvars, F.of_int(rng.choice((1, -1, 3))))
+        else:
+            (c,) = random_nonzero_element(ctx, rng, max_terms=1).coeffs.values()
+            if rng.random() < 0.4:
+                den = rng.choice([ctx.gen_poly(i) for i in range(len(ctx.gens))]
+                                 + [Poly.var(F, ctx.nvars, rng.randrange(ctx.nvars), 1) + Poly.one(F, ctx.nvars)])
+                c = c * RatFunc(Poly.one(F, ctx.nvars), den)
+        coeffs[e] = c
+    return TowerElement(ctx, coeffs)
+
+
+def count_calls(monkeypatch, name):
+    """A list that records each call of fieldtower.<name>."""
+    calls, original = [], getattr(fieldtower, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fieldtower, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("char", [0, 2, 5])
+@pytest.mark.parametrize("name", ["K2", "P3", "K3"])
+def test_two_term_inverse_matches_the_euclid_path(name, char, monkeypatch):
+    by_bases = count_calls(monkeypatch, "_binomial_by_bases")
+    ctx = tower(name, char)
+    rng = random.Random(f"two-term:{name}:{char}")
+    # K3 inverses of mixed-level elements with rational coefficients take
+    # seconds each, so its draws have constant coefficients and exponents 0 or 1
+    count, plain, top = {"K2": (10, False, 4), "P3": (6, False, 4), "K3": (6, True, 2)}[name]
+    mixed = negative = denominator = False
+    for _ in range(count):
+        a = two_term(ctx, rng, plain, top)
+        e0, e1 = sorted(a.coeffs)
+        denominator |= any(not c.den.is_one() for c in a.coeffs.values())
+        mixed |= sum(k0 != k1 for k0, k1 in zip(e0, e1)) > 1
+        negative |= any(k1 < k0 for k0, k1 in zip(e0, e1))
+        x = _binomial_inverse(a)
+        assert x is not None
+        assert_same_form(x, _euclid_inverse(a))
+    # the draws cover exponent differences with more than one nonzero
+    # coordinate and with a negative one, coefficients with denominators,
+    # and both ways of forming the terms
+    assert mixed == negative == (name != "K2")
+    assert denominator == (not plain)
+    # (the Euclid walk's inverses one level down call it too)
+    top = sum(args[0] is ctx for args in by_bases)
+    assert 0 < top <= count and (top < count) == (not plain)
+
+
+def test_two_term_inverse_of_a_mixed_level_k3_element(monkeypatch):
+    # draw 3 of ROADMAP item 5's K3 probe: -Y^(0,3,2) + Y^(1,3,0); w has
+    # exponents (1, 0, 5), so L = lcm(5, 7) = 35 terms
+    by_bases = count_calls(monkeypatch, "_binomial_by_bases")
+    ctx = tower("K3", 0)
+    one = RatFunc.one(ctx.field, ctx.nvars)
+    a = TowerElement(ctx, {(0, 3, 2): -one, (1, 3, 0): one})
+    x = _binomial_inverse(a)
+    assert len(x.coeffs) == 35 and len(by_bases) == 1
+    assert_same_form(x, _euclid_inverse(a))
+
+
+def test_two_term_inverse_falls_back_where_the_closed_form_does_not_apply(monkeypatch):
+    # over Y^5 = z^5, y - z has 1 - w^5 = 0, so the Euclid walk raises
+    # with its witness; y^2 + z has 1 - w^5 = 1 + z^5 and takes the closed
+    # form.  z and A = z^5 share a factor, so both go term by term.
+    by_bases = count_calls(monkeypatch, "_binomial_by_bases")
+    ctx = y5_z5_ctx()
+    y = generator_edge(ctx, "t:v", 1)
+    z = generator_vertex(ctx, "z", 0)
+    assert _binomial_inverse(y - z) is None
+    with pytest.raises(SingularMultiplication, match="nontrivial gcd with the defining polynomial") as info:
+        (y - z).inv()
+    assert info.value.counterexample == (y - z).to_json()
+    b = y * y + z
+    x = _binomial_inverse(b)
+    assert x is not None and (b * x).is_one()
+    assert_same_form(x, _euclid_inverse(b))
+    assert_same_form(b.inv(), x)
+    assert not by_bases
+    # over Y^5 = 1 the pieces of 1 - y and 1 + y are constants, so both
+    # take `_binomial_by_bases`: 1 - y has 1 - w^5 = 0 and 1 + y has 2
+    ctx = TowerContext(0, ("z",), 3, {"z": 0}, [RadicalGen("t:v", 5, 1, ("tpoly", "z", (Fraction(1),)))])
+    y = generator_edge(ctx, "t:v", 1)
+    one = ctx.one()
+    assert _binomial_inverse(one - y) is None
+    with pytest.raises(SingularMultiplication, match="nontrivial gcd") as info:
+        (one - y).inv()
+    assert info.value.counterexample == (one - y).to_json()
+    x = _binomial_inverse(one + y)
+    assert_same_form(x, _euclid_inverse(one + y))
+    assert x == (one - y + y * y - y * y * y + y * y * y * y) * ctx.constant(2).inv()
+    assert len(by_bases) == 3
+    # over Y^5 = 0 every two-term element takes the Euclid walk
+    ctx = zero_poly_ctx()
+    y = generator_edge(ctx, "t:v", 1)
+    z = generator_vertex(ctx, "z", 0)
+    one = ctx.one()
+    for a in (one + y, z + y, y + y * y, z * y + y * y * y):
+        assert _binomial_inverse(a) is None
+    assert (one + y).inv() == one - y + y * y - y * y * y + y * y * y * y
+    for a in (y + y * y, z * y + y * y * y):
+        with pytest.raises(SingularMultiplication, match="nontrivial gcd") as info:
+            a.inv()
+        assert info.value.counterexample == a.to_json()
 
 
 def test_char3_tower():
