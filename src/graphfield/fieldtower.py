@@ -778,7 +778,10 @@ def _binomial_inverse(a: TowerElement) -> TowerElement | None:
     the closed form does not apply: a zero A_i under a's generators, or
     1 - w^L = 0.  When the coefficients' numerators and denominators and
     the A_i under a are pairwise coprime, `_binomial_by_bases` forms the
-    terms without a gcd; otherwise term j + 1 is term j times w."""
+    terms without a gcd; otherwise term j + 1 is term j times w.  (The
+    by-bases products also hold unreduced, but where the pieces share a
+    factor they grow with L before their one gcd per term, and that is
+    slower than reducing as the terms go.)"""
     ctx = a.ctx
     e0, e1 = sorted(a.coeffs)
     gens = [i for i, (k0, k1) in enumerate(zip(e0, e1)) if k0 or k1]
