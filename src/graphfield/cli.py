@@ -450,10 +450,11 @@ def _parse_group(spec: str) -> groups.PermGroup:
         if order > groups.DEFAULT_CLOSURE_CAP:
             raise BudgetExceeded("group closure", groups.DEFAULT_CLOSURE_CAP)
     if kind == "sym":
-        gens = [groups.Perm.from_cycles(n, [(0, 1)]), groups.Perm.from_cycles(n, [tuple(range(n))])]
+        # for n = 2 the n-cycle is the transposition, listed once
+        cycles = dict.fromkeys([(0, 1), tuple(range(n))])
     else:
-        gens = [groups.Perm.from_cycles(n, [(i, i + 1, i + 2)]) for i in range(n - 2)]
-    return groups.closure(gens)
+        cycles = [(i, i + 1, i + 2) for i in range(n - 2)]
+    return groups.closure([groups.Perm.from_cycles(n, [c]) for c in cycles])
 
 
 def _parse_cycles(text: str, degree: int) -> groups.Perm:

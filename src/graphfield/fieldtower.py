@@ -16,19 +16,19 @@ combine only elements of one context object and raise ValueError
 otherwise; embed() moves an element into a deeper truncation of the same
 family, and field_norm() takes it down to a shallower one.
 
-A one-term element c·Y^e is raised to a power and inverted in closed
-form, since its generator powers fold into a product of the A_i.  A
-two-term element m0 + m1 is inverted in closed form too: w = -m1/m0 is
-one term, and a power w^L lies in the base field, so (m0 + m1)^-1 =
-m0^-1 · sum_(j < L) w^j / (1 - w^L).  Other elements are raised by
-square-and-multiply, and inverted by walking the generator levels with
-extended Euclid against each defining polynomial T^N - A; so is a
-two-term element with 1 - w^L = 0.  A nontrivial gcd on the way would
-exhibit a zero divisor and aborts with the offending factor preserved.
-Norms to a
-shallower truncation go down one pure step T^m = t at a time (a deeper
-generator root, then a deeper vertex root) and take each step's norm as
-the resultant Res_T(T^m - t, a(T)), read off the same remainder sequence.
+A one-term element c·Y^e is raised to every integer power in one
+closed form, since its generator powers fold into a product of the A_i;
+its inverse is the (-1)-st power.  A two-term element m0 + m1 is
+inverted in closed form too: w = -m1/m0 is one term, and a power w^L
+lies in the base field, so (m0 + m1)^-1 = m0^-1 · sum_(j < L) w^j /
+(1 - w^L).  Other elements are raised by square-and-multiply, and
+inverted by walking the generator levels with extended Euclid against
+each defining polynomial T^N - A; so is a two-term element with
+1 - w^L = 0.  A nontrivial gcd on the way would exhibit a zero divisor
+and aborts with the offending factor preserved.  Norms to a shallower
+truncation go down one pure step T^m = t at a time (a deeper generator
+root, then a deeper vertex root) and take each step's norm as the
+resultant Res_T(T^m - t, a(T)), read off the same remainder sequence.
 """
 from __future__ import annotations
 
@@ -450,13 +450,14 @@ class TowerElement:
         return _reduce(self.ctx, raw)
 
     def __pow__(self, n: int) -> "TowerElement":
-        """self^n; a negative n inverts first.  A one-term element with
-        n >= 2 is raised in closed form (`_monomial_power`); any other
-        element by square-and-multiply."""
+        """self^n.  A one-term element is raised in closed form
+        (`_monomial_power`) for every n other than 0 and 1; any other
+        element is inverted first for a negative n, then raised by
+        square-and-multiply."""
+        if len(self.coeffs) == 1 and n not in (0, 1):
+            return _monomial_power(self, n)
         if n < 0:
             return self.inv() ** (-n)
-        if n >= 2 and len(self.coeffs) == 1:
-            return _monomial_power(self, n)
         acc = self.ctx.one()
         base = self
         while n:
@@ -483,13 +484,11 @@ class TowerElement:
         level as its counterexample.  Leading coefficients are inverted
         by this same dispatch one level down.
 
-        One term: a one-term element c·Y^e, at any level, has
-        Y_i^e_i · Y_i^(N_i - e_i) = A_i, so its inverse is
-        c^-1 · prod_(e_i > 0) A_i^-1 · Y^(N - e), with N - e read as 0
-        where e_i = 0.  With c = u/d in lowest terms the coefficient is
-        d / (u·P), P = prod_(e_i > 0) A_i, and gcd(d, u·P) = gcd(d, P), so
-        one `cofactors` of d against P reduces it.  A zero P makes some
-        Y_i nilpotent, and SingularMultiplication is raised as above.
+        One term: the n = -1 case of the one-term power
+        (`_monomial_power`).  Y_i^e_i · Y_i^(N_i - e_i) = A_i, so
+        (c·Y^e)^-1 = c^-1 · prod_(e_i > 0) A_i^-1 · Y^(N - e), with N - e
+        read as 0 where e_i = 0; a zero A_i there makes Y_i nilpotent,
+        and SingularMultiplication is raised as above.
 
         Two terms: a = m0 + m1, m0 the term of smaller exponent vector.
         Then w = -m1·m0^-1 is one term c·Y^δ, and a = m0·(1 - w).  Let L
@@ -543,16 +542,23 @@ def _same_ctx(a: TowerElement, b: TowerElement) -> None:
 
 
 def _monomial_power(a: TowerElement, n: int) -> TowerElement:
-    """(c·Y^e)^n for a one-term element and n >= 2, in closed form:
-    c^n · prod_i A_i^q_i · Y^r with q_i, r_i = divmod(n·e_i, N_i).
+    """(c·Y^e)^n for a one-term element and an integer n other than 0 and
+    1, in closed form: c^n · prod_i A_i^q_i · Y^r with q_i, r_i =
+    divmod(n·e_i, N_i).  n = -1 is the inverse.
 
-    With c = u/d in lowest terms, u^n and d^n are coprime, so the
-    coefficient u^n · prod A_i^q_i / d^n is brought to lowest terms by
-    cancelling the powers A_i^q_i against d^n (`_cancel_powers`) before
-    any of them is multiplied out.  A zero A_i with q_i > 0 gives zero.
+    With c = u/d in lowest terms and m = |n|, c^n = t^m / b^m with
+    (t, b) = (u, d) for n > 0 and (d, u) for n < 0, and t^m and b^m are
+    coprime.  Every q_i has the sign of n, so the A_i^|q_i| sit on one
+    side of the bar with u^m (above it for n > 0, below it for n < 0) and
+    face d^m alone.  Cancelling them against d^m (`_cancel_powers`, gcds
+    of the bases only) before any is multiplied out therefore leaves the
+    coefficient in lowest terms.  A zero A_i with q_i != 0 makes Y_i
+    nilpotent: the power is zero for n > 0, and n < 0 raises
+    SingularMultiplication with a's to_json() form as its counterexample.
     """
     ctx = a.ctx
     (e, c), = a.coeffs.items()
+    m = abs(n)
     exps, folds, index = [], [], {}
     for i, k in enumerate(e):
         q, r = divmod(n * k, ctx.gen_degree(i))
@@ -560,21 +566,27 @@ def _monomial_power(a: TowerElement, n: int) -> TowerElement:
         if q:
             A = ctx.gen_poly(i)
             if A.is_zero():
-                return ctx.zero()
-            folds.append((A, q))
+                if n > 0:
+                    return ctx.zero()
+                raise SingularMultiplication(
+                    "nontrivial gcd with the defining polynomial: zero divisor found",
+                    counterexample=a.to_json(),
+                )
+            folds.append((A, abs(q)))
             index[id(A)] = i
-    dens = [] if c.den.is_one() else [(c.den, n)]
+    dens = [] if c.den.is_one() else [(c.den, m)]
     folds, dens = _cancel_powers(folds, dens)
-    num = c.num**n
+    u_side = c.num**m
     for f, q in folds:
         # an A_i that nothing cancelled takes its cached power
         i = index.get(id(f))
-        num = num * (f**q if i is None else ctx.gen_poly_power(i, q))
-    den = None
-    for d, m in dens:
-        den = d**m if den is None else den * d**m
-    if den is None:
-        den = Poly.one(ctx.field, ctx.nvars)
+        u_side = u_side * (f**q if i is None else ctx.gen_poly_power(i, q))
+    d_side = None
+    for d, k in dens:
+        d_side = d**k if d_side is None else d_side * d**k
+    if d_side is None:
+        d_side = Poly.one(ctx.field, ctx.nvars)
+    num, den = (u_side, d_side) if n > 0 else (d_side, u_side)
     return TowerElement(ctx, {tuple(exps): RatFunc._raw(num, den)})
 
 
@@ -682,11 +694,11 @@ def embed(a: TowerElement, target: TowerContext) -> TowerElement:
             raise ProfileNotLarger(f"edge depth of {gs.label} shrinks")
         deltas_e.append(gs.prime**d)
     factors = tuple(deltas_v)
-    out: dict = {}
-    for e, c in a.coeffs.items():
-        e2 = tuple(x * f for x, f in zip(e, deltas_e))
-        out[e2] = c.stretch(factors)
-    return _reduce(target, out)
+    # e_i < p^d gives e_i·p^δ < p^(d+δ), the target's N_i, and distinct
+    # keys stay distinct, so nothing folds or merges
+    return TowerElement(target, {
+        tuple(x * f for x, f in zip(e, deltas_e)): c.stretch(factors) for e, c in a.coeffs.items()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -715,11 +727,11 @@ def _join_top(ctx: TowerContext, tpoly: dict[int, TowerElement]) -> TowerElement
 
 
 def _inv_in(a: TowerElement) -> TowerElement:
-    """inv() of a nonzero element: one term by `_monomial_inverse`, two
+    """inv() of a nonzero element: one term by `_monomial_power`, two
     terms by `_binomial_inverse` where its closed form applies, anything
     else by `_euclid_inverse`."""
     if len(a.coeffs) == 1:
-        return _monomial_inverse(a)
+        return _monomial_power(a, -1)
     if len(a.coeffs) == 2:
         x = _binomial_inverse(a)
         if x is not None:
@@ -751,27 +763,6 @@ def _euclid_inverse(a: TowerElement) -> TowerElement:
     return _join_top(ctx, {k: v * r_inv for k, v in s1.items()})
 
 
-def _monomial_inverse(a: TowerElement) -> TowerElement:
-    """(c·Y^e)^-1 = c^-1 · prod_(e_i > 0) A_i^-1 · Y^(N - e); see `inv`."""
-    ctx = a.ctx
-    (e, c), = a.coeffs.items()
-    if not any(e):
-        return ctx.from_ratfunc(c.inv())
-    P = None
-    for i, k in enumerate(e):
-        if k:
-            A = ctx.gen_poly(i)
-            P = A if P is None else P * A
-    if P.is_zero():
-        raise SingularMultiplication(
-            "nontrivial gcd with the defining polynomial: zero divisor found",
-            counterexample=a.to_json(),
-        )
-    _, den, P = c.den.cofactors(P)
-    exps = tuple(ctx.gen_degree(i) - k if k else 0 for i, k in enumerate(e))
-    return TowerElement(ctx, {exps: RatFunc._raw(den, c.num * P)})
-
-
 def _binomial_inverse(a: TowerElement) -> TowerElement | None:
     """(m0 + m1)^-1 = m0^-1 · (1 - w^L)^-1 · sum_(j < L) w^j with
     w = -m1/m0 and L the order of w's exponents; see `inv`.  None where
@@ -798,7 +789,7 @@ def _binomial_inverse(a: TowerElement) -> TowerElement | None:
     pairs += [(f, A[x]) for x in range(len(A)) for f in [p0, q0, p1, q1] + A[:x]]
     if all(f.is_constant() or g.is_constant() or f.gcd(g).is_one() for f, g in pairs):
         return _binomial_by_bases(ctx, e0, e1, gens, L, p0, q0, p1, q1)
-    m0_inv = _monomial_inverse(TowerElement(ctx, {e0: c0}))
+    m0_inv = _monomial_power(TowerElement(ctx, {e0: c0}), -1)
     w = -(TowerElement(ctx, {e1: c1}) * m0_inv)
     (delta, wc), = w.coeffs.items()
     v = _monomial_power(w, L).base_value()

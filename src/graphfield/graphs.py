@@ -114,7 +114,7 @@ class ColoredGraph:
         self.graph = graph
         self.colors = {frozenset(e): c for e, c in colors.items()}
         self.color_count = color_count
-        if set(self.colors.keys()) != set(graph.edges):
+        if self.colors.keys() != graph.edges:
             raise ValueError("coloring must assign exactly the edges of the graph")
         for c in self.colors.values():
             if not (0 <= c < color_count):
@@ -581,7 +581,8 @@ def transform(g: Graph) -> ColoredGraph:
         place["x"] = f"1:{s}"
         place["y"] = f"1:{t}"
         for u, w, color in _GADGET_COLORED_EDGES:
-            ed = _edge(place[u], place[w])
+            # the labels "1:s", "1:t" and "2:s|t:w" are distinct: no loop
+            ed = frozenset((place[u], place[w]))
             edges.add(ed)
             colors[ed] = color
     return ColoredGraph(Graph(vertices, edges), colors, N_COLORS)

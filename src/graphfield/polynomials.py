@@ -212,7 +212,7 @@ class Poly:
             raise ValueError("negative power of a polynomial")
         if n == 0:
             return Poly.one(self.field, self.nvars)
-        if not self.ints:
+        if n == 1 or not self.ints:
             return self
         ints = _pow_terms(self.ints, n, self.field.char)
         lead = tuple(x * n for x in self._top())

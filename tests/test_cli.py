@@ -8,7 +8,7 @@ import time
 import pytest
 
 import graphfield
-from graphfield.cli import Runner, main
+from graphfield.cli import Runner, _parse_group, main
 from graphfield.errors import BudgetExceeded
 from graphfield.graphs import Graph, graph_to_json
 
@@ -139,6 +139,18 @@ def test_runner_records_budget_reason(capsys):
     assert rep.details == {"budget": {"what": "automorphism search", "limit": 5}}
     line = json.loads(capsys.readouterr().out.strip())
     assert line["details"]["budget"] == {"what": "automorphism search", "limit": 5}
+
+
+@pytest.mark.parametrize("spec, order, gens", [
+    ("sym:2", 2, [[(0, 1)]]),  # the 2-cycle is the transposition: one generator
+    ("sym:3", 6, [[(0, 1)], [(0, 1, 2)]]),
+    ("alt:3", 3, [[(0, 1, 2)]]),
+    ("alt:4", 12, [[(0, 1, 2)], [(1, 2, 3)]]),
+])
+def test_parse_group_lists_each_generator_once(spec, order, gens):
+    G = _parse_group(spec)
+    assert G.order == order
+    assert [g.to_cycles() for g in G.generators] == gens
 
 
 def test_towers_s4_subgroup(capsys):

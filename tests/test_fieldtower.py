@@ -203,6 +203,9 @@ def test_zero_defining_polynomial_is_refused_by_the_one_term_inverse():
     with pytest.raises(SingularMultiplication) as info:
         (y * z).inv()
     assert info.value.counterexample == (y * z).to_json()
+    with pytest.raises(SingularMultiplication, match="nontrivial gcd with the defining polynomial") as info:
+        y ** -3
+    assert info.value.counterexample == y.to_json()
     assert z.inv() * z == ctx.one()
 
 
@@ -259,16 +262,27 @@ def test_one_term_power_matches_repeated_products(name, char):
 
 @pytest.mark.parametrize("char", [0, 2])
 @pytest.mark.parametrize("name", ["K2", "P3"])
-def test_one_term_inverse_matches_the_euclid_path(name, char):
-    # a·b has two terms, so (a·b)^-1 runs extended Euclid
+def test_one_term_inverse_matches_the_euclid_path(name, char, monkeypatch):
+    # `_euclid_inverse` runs the remainder sequence of the top level on a
+    # one-term element that involves the top generator: on K2 throughout,
+    # on P3 at the top level, with the lower level's leading coefficients
+    # inverted in closed form
+    euclid = count_calls(monkeypatch, "_euclid_inverse")
     ctx = tower(name, char)
     rng = random.Random(f"{name}:{char}")
+    top = len(ctx.gens) - 1
+    n_max = 2 * max(ctx.gen_degree(i) for i in range(len(ctx.gens))) + 1
     for _ in range(4):
         a = one_term(ctx, rng)
-        b = ctx.one() + generator_edge(ctx, rng.choice(ctx.gens).label, 1)
-        assert len((a * b).coeffs) == 2
-        assert (a * a.inv()).is_one()
-        assert_same_form(a.inv(), (a * b).inv() * b)
+        while not next(iter(a.coeffs))[top]:
+            a = one_term(ctx, rng)
+        x = fieldtower._euclid_inverse(a)
+        assert (a * x).is_one()
+        assert_same_form(a.inv(), x)
+        for n in range(1, n_max + 1):
+            assert_same_form(a ** -n, x**n)
+    # only the oracle took the Euclid walk
+    assert len(euclid) == 4
 
 
 def two_term(ctx, rng, plain, top=4):
