@@ -31,12 +31,9 @@ leading coefficients of both inputs survive mod p, a constant modular
 gcd proves actual coprimality, so the "coprime" answer is sound as well.
 
 `groups` builds PSL, PGL and PGammaL(2, q) on the image fields, which
-find their own moduli (`_power_tables`).  They are not the package's only
-finite-field arithmetic: `roots.specialization_refute` computes mod a
-prime q on its own, with its own discrete-log table (`_dlog_table`);
-moving it onto one shared map into a finite field (`TowerImage`) is the
-ROADMAP item "Root decisions on chain towers, over one map into a finite
-field".
+find their own moduli (`_power_tables`).  `roots.specialization_refute`
+takes the generator of F_q^* and its exp/log tables from
+`_power_tables(q, 1)`, so the package has one finite-field arithmetic.
 """
 from __future__ import annotations
 

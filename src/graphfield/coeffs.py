@@ -107,12 +107,16 @@ class CoeffField:
         a %= r
         if a == 0 or (r - 1) % p != 0:
             return True  # 0^p = 0; or the power map is a bijection
-        m = 0
-        rest = r - 1
-        while rest % p == 0:
-            rest //= p
-            m += 1
-        return pow(a, (r - 1) // p**m, r) == 1
+        return pow(a, (r - 1) // p ** padic_val(r - 1, p), r) == 1
+
+
+def padic_val(n: int, p: int) -> int:
+    """The exponent of p in n (0 for n = 0)."""
+    v = 0
+    while n and n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def _int_root(n: int, p: int):

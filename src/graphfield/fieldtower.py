@@ -115,7 +115,7 @@ class TowerContext:
         self.gen_index = {g.label: i for i, g in enumerate(self.gens)}
         depths = list(self.vertex_depths.items()) + [(g.label, g.depth) for g in self.gens]
         for name, d in depths:
-            if not isinstance(d, int) or d < 0:
+            if not isinstance(d, int) or isinstance(d, bool) or d < 0:
                 raise InvalidInput(f"depth of {name} must be an integer >= 0, got {d!r}")
         self.cap = cap
         self.colored_graph = colored_graph
@@ -286,6 +286,10 @@ def build_tower(
     if len(set(primes[:cg.color_count + 1])) != cg.color_count + 1:
         raise InvalidInput("the chain prime and the color primes must be pairwise distinct")
     verts = sorted(cg.vertices)
+    for depths, names in ((vertex_depths, verts), (edge_depths, map(edge_label, cg.edges))):
+        unknown = set() if isinstance(depths, int) else set(depths) - set(names)
+        if unknown:
+            raise InvalidInput(f"depths name no vertex or edge of the input: {sorted(map(str, unknown))}")
     vd = {v: (vertex_depths if isinstance(vertex_depths, int) else vertex_depths.get(v, 0)) for v in verts}
     gens = []
     for e in sorted(cg.edges, key=lambda e: sorted(e)):

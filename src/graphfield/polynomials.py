@@ -281,28 +281,6 @@ class Poly:
             parts[e[var]][e[:var] + (0,) + e[var + 1:]] = c
         return [_poly(self.field, self.nvars, self.content, d) for d in parts]
 
-    def eval_mod(self, point: list[int], q: int) -> int:
-        """Evaluate at integer points mod a prime q (char-0 coefficients).
-
-        Raises ZeroDivisionError when a coefficient denominator vanishes
-        mod q (exactly when the content's does); callers treat that as a
-        bad specialization prime.
-        """
-        if self.field.char != 0:
-            raise ValueError("eval_mod is for characteristic-0 polynomials")
-        if not self.ints:
-            return 0
-        d = self.content.denominator % q
-        if d == 0:
-            raise ZeroDivisionError("coefficient denominator vanishes mod q")
-        acc = 0
-        for e, c in self.ints.items():
-            for i, k in enumerate(e):
-                if k:
-                    c = c * pow(point[i], k, q) % q
-            acc += c
-        return acc * self.content.numerator * pow(d, -1, q) % q
-
     def pth_root(self, p: int) -> "Poly | None":
         """Exact p-th root, or None when self is not a perfect p-th power.
 

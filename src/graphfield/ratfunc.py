@@ -141,13 +141,6 @@ class RatFunc:
             return None
         return RatFunc._raw(rn, rd)
 
-    def eval_mod(self, point: list[int], q: int) -> int:
-        d = self.den.eval_mod(point, q)
-        if d % q == 0:
-            raise ZeroDivisionError("denominator vanishes at specialization point")
-        n = self.num.eval_mod(point, q)
-        return n * pow(d, -1, q) % q
-
 
 def _canonical(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """(num, den) with den monic, or (0, 1), for a coprime pair."""

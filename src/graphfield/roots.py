@@ -16,10 +16,13 @@ structured elements:
         places that are provably totally ramified at one level) give
         divisibility obstructions that can never reject a true power;
   (iii) specialization: the element is pushed into a small prime field
-        with consistently chosen root values; a defined nonzero image
-        that fails the p-th power test is recorded as a refutation.
-        When no admissible prime exists for the tower's degrees the
-        stage answers Unknown with that reason.
+        F_q with consistently chosen root values; a defined nonzero image
+        that fails the p-th power test is recorded as a refutation.  The
+        arithmetic runs on discrete logs over the generator of F_q^* and
+        the exp/log tables that `_modgcd._power_tables(q, 1)` builds, the
+        ones behind the gcd's image fields.  When no admissible prime
+        exists for the tower's degrees the stage answers Unknown with
+        that reason.
 
 Everything else is an explicit Unknown.  Places whose extension values
 are not forced are marked ambiguous and carry no information.  Every
@@ -32,8 +35,10 @@ import math
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from operator import mul
 
-from .coeffs import is_prime
+from ._modgcd import _power_tables
+from .coeffs import is_prime, padic_val
 from .errors import BadPrime, ZeroInput
 from .fieldtower import (
     TowerContext,
@@ -143,20 +148,6 @@ def certified_places(ctx: TowerContext) -> list[CertifiedPlace]:
     return out
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _capelli_irreducible(A: Poly) -> bool:
     """Certify irreducibility for binomial-in-one-variable shapes
     c*X^m + B (B free of X, c a nonzero constant, m odd): X^m = b is
@@ -182,7 +173,7 @@ def _capelli_irreducible(A: Poly) -> bool:
             continue  # stay clear of the 4 | m exception
         c = top.constant_value()
         b = B.scale(-F.inv(c))
-        if all(b.pth_root(q) is None for q in _prime_factors(m)):
+        if all(b.pth_root(q) is None for q in range(3, m + 1, 2) if m % q == 0 and is_prime(q)):
             return True
     return False
 
@@ -417,9 +408,11 @@ def _specialization_primes(ctx: TowerContext, p: int, count: int) -> list[int]:
 
     Several primes are needed: a rational constant can accidentally be a
     p-th power mod the first q while failing at the next one.  Only
-    `_DLOG_TABLE_CAP` = 10^6 bounds the scan, and so its steps: L >= 2;
-    q passes 10^6 within 200,000 steps if L >= 5, and four primes come
-    within 10 steps if L = 2, 3, 4 (3 5 7 11, 7 13 19 31, 5 13 17 29).
+    `_DLOG_TABLE_CAP` = 10^6 bounds the scan: it caps the q - 1 entries
+    of each q's exp/log tables (`_modgcd._power_tables(q, 1)`), and so
+    the scan's steps: L >= 2; q passes 10^6 within 200,000 steps if
+    L >= 5, and four primes come within 10 steps if L = 2, 3, 4
+    (3 5 7 11, 7 13 19 31, 5 13 17 29).
     """
     L = p
     for i in range(len(ctx.gens)):
@@ -435,24 +428,49 @@ def _specialization_primes(ctx: TowerContext, p: int, count: int) -> list[int]:
     return out
 
 
-def _dlog_table(q: int) -> tuple[int, dict]:
-    """A generator of F_q^* and its full discrete-log table (q is small)."""
-    factors = _prime_factors(q - 1)
-    for g in range(2, q):
-        if all(pow(g, (q - 1) // f, q) != 1 for f in factors):
-            logs = {}
-            x = 1
-            for e in range(q - 1):
-                logs[x] = e
-                x = x * g % q
-            return g, logs
-    raise BadPrime(f"no generator found for F_{q}")  # pragma: no cover
+def _value_at(f: Poly, logs: list, q: int, exp: list) -> int | None:
+    """f (characteristic 0) mod q at the point of F_q^* whose coordinates
+    are exp[logs[j]], or None when f's content denominator vanishes mod q."""
+    d = f.content.denominator % q
+    if d == 0:
+        return None
+    acc = sum(c * exp[sum(map(mul, e, logs)) % (q - 1)] for e, c in f.ints.items())
+    return acc * f.content.numerator * pow(d, -1, q) % q
+
+
+def _image(a: TowerElement, logs: list, q: int, exp: list, log: list) -> tuple[int, list] | None:
+    """(image of a, logs of the generators' roots) at the point whose
+    coordinates have logs `logs`; None when a generator's root does not
+    exist there or the image is undefined or zero."""
+    ctx = a.ctx
+    roots = []
+    for i in range(len(ctx.gens)):
+        val = _value_at(ctx.gen_poly(i), logs, q, exp)
+        if not val or log[val] % ctx.gen_degree(i):
+            return None
+        roots.append(log[val] // ctx.gen_degree(i))
+    image = 0
+    for exps, c in a.coeffs.items():
+        num = _value_at(c.num, logs, q, exp)
+        den = _value_at(c.den, logs, q, exp)
+        if num is None or not den:
+            return None
+        image += num * exp[sum(map(mul, exps, roots)) % (q - 1)] * pow(den, -1, q)
+    image %= q
+    return (image, roots) if image else None
 
 
 def specialization_refute(a: TowerElement, p: int, seed: int = 0) -> dict:
     """Push `a` into F_q at random points (24 over four primes q, at
     least 6 for each) with consistent root values and test
     p-th-power-ness by the (q-1)/p power map.
+
+    F_q^* is cyclic with the generator and exp/log tables of
+    `_modgcd._power_tables(q, 1)`, so the point's coordinates are held as
+    logs.  A generator of degree N has a root at the point exactly when
+    N divides the log of A_i(point) (N divides q - 1), and the root taken
+    is the one whose log is that log over N.  A term's generator monomial
+    is then one table lookup.
 
     Requires a characteristic-0 tower.  A defined nonzero image that is
     not a p-th power refutes; if every attempted point is consistent the
@@ -467,47 +485,20 @@ def specialization_refute(a: TowerElement, p: int, seed: int = 0) -> dict:
     points_tried = 0
     consistent = 0
     for q in primes:
-        g, logs = _dlog_table(q)
+        _, exp, log = _power_tables(q, 1)
         for _ in range(per_q):
             for _retry in range(20):
                 point = [rng.randrange(1, q) for _ in range(ctx.nvars)]
-                eta = []
-                ok = True
-                for i in range(len(ctx.gens)):
-                    n = ctx.gen_degree(i)
-                    try:
-                        val = ctx.gen_poly(i).eval_mod(point, q)
-                    except ZeroDivisionError:
-                        ok = False
-                        break
-                    if val == 0:
-                        ok = False
-                        break
-                    e = logs[val]
-                    if e % n:
-                        ok = False  # the needed n-th root does not exist here
-                        break
-                    eta.append(pow(g, e // n, q))
-                if not ok:
+                found = _image(a, [log[x] for x in point], q, exp, log)
+                if found is None:
                     continue
-                try:
-                    image = 0
-                    for exps, c in a.coeffs.items():
-                        v = c.eval_mod(point, q)
-                        for ei, k in zip(eta, exps):
-                            if k:
-                                v = v * pow(ei, k, q) % q
-                        image = (image + v) % q
-                except ZeroDivisionError:
-                    continue
-                if image == 0:
-                    continue
+                image, roots = found
                 points_tried += 1
                 if pow(image, (q - 1) // p, q) != 1:
                     return {
                         "refuted": True,
                         "q": q,
-                        "point": {"vars": point, "roots": eta, "image": image},
+                        "point": {"vars": point, "roots": [exp[r] for r in roots], "image": image},
                         "points_tried": points_tried,
                     }
                 consistent += 1
@@ -632,7 +623,7 @@ def classify_p_high(a: TowerElement, p: int) -> tuple[PHighForm | None, str]:
         if z == 0:
             continue
         d = ctx.vertex_depths[v]
-        val = _padic_val(abs(z), ctx.chain_prime)
+        val = padic_val(abs(z), ctx.chain_prime)
         n = d - min(val, d)
         m = z // ctx.chain_prime ** (d - n)
         vertex_part[v] = (n, m)
@@ -641,7 +632,7 @@ def classify_p_high(a: TowerElement, p: int) -> tuple[PHighForm | None, str]:
         w = gen_exps[i]
         if w == 0:
             continue
-        val = _padic_val(abs(w), g.prime)
+        val = padic_val(abs(w), g.prime)
         n = g.depth - min(val, g.depth)
         m = w // g.prime ** (g.depth - n)
         edge_part[g.label] = (n, m)
@@ -661,14 +652,6 @@ def classify_p_high(a: TowerElement, p: int) -> tuple[PHighForm | None, str]:
     if not ctx.field.is_p_high(unit, p):
         return None, "unit is not p-high in the prime field"
     return PHighForm(unit=unit, vertex_part=vertex_part, edge_part=edge_part), ""
-
-
-def _padic_val(n: int, p: int) -> int:
-    v = 0
-    while n and n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def q_high_descends(ctx: TowerContext, q: int, samples: int = 20, seed: int = 0) -> dict:

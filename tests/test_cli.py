@@ -251,6 +251,8 @@ def k2_coloured(colour, count):
         pytest.param(K2_JSON, ["build-field", "--depth", "-1"], id="negative-depth"),
         pytest.param(K2_JSON, ["build-field", "--depth", '{"e:s,t": -1}'], id="negative-edge-depth"),
         pytest.param(K2_JSON, ["build-field", "--depth", "abc"], id="depth-not-json"),
+        pytest.param(K2_JSON, ["build-field", "--depth", '{"nosuch": 3}'], id="depth-unknown-key"),
+        pytest.param(K2_JSON, ["build-field", "--depth", '{"e:s,t": true}'], id="bool-edge-depth"),
         pytest.param(TRIANGLE_ONE_COLOUR, ["build-field"], id="not-a-star-colouring"),
         pytest.param(None, ["towers", "--group", "psl2:32"], id="psl2-32"),
         pytest.param(None, ["towers", "--group", "sym:20000"], id="sym-20000"),

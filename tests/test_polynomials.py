@@ -10,6 +10,7 @@ from graphfield.coeffs import CoeffField, _int_root, is_prime
 from graphfield.errors import TooLarge
 from graphfield.polynomials import Poly
 from graphfield.ratfunc import RatFunc
+from graphfield.roots import _value_at
 
 Q = CoeffField(0)
 F3 = CoeffField(3)
@@ -383,11 +384,13 @@ def test_stretch_and_permute():
 
 
 def test_eval_mod():
+    # the specialization stage evaluates at points of F_q^* held as logs
     x = Poly.var(Q, 2, 0)
     f = x * x + Poly.const(Q, 2, Fraction(1, 2))
-    assert f.eval_mod([3, 0], 7) == (9 + pow(2, -1, 7)) % 7
-    with pytest.raises(ZeroDivisionError):
-        f.eval_mod([3, 0], 2)  # denominator 2 vanishes mod 2
+    _, exp, log = _modgcd._power_tables(7, 1)
+    assert _value_at(f, [log[3], log[5]], 7, exp) == (9 + pow(2, -1, 7)) % 7
+    _, exp, log = _modgcd._power_tables(2, 1)
+    assert _value_at(f, [log[1], log[1]], 2, exp) is None  # denominator 2 vanishes mod 2
 
 
 # -- rational functions ----------------------------------------------------------------

@@ -38,7 +38,7 @@ from graphfield.roots import (
     specialization_refute,
     valuation_vector,
 )
-from graphfield.coeffs import CoeffField
+from graphfield.coeffs import CoeffField, is_prime
 
 Q = CoeffField(0)
 
@@ -228,8 +228,8 @@ def test_structured_root_on_the_sym2_chain_tower():
 
 
 def test_pth_root_without_a_specialization_prime_is_unknown():
-    # q = 1 mod lcm(5, 11^4) = 73,205 has no prime below the
-    # discrete-log table bound, so stage (iii) cannot run
+    # q = 1 mod lcm(5, 11^4) = 73,205 has no prime up to the bound
+    # _DLOG_TABLE_CAP = 10^6 on q, so stage (iii) cannot run
     g = Graph(["s", "t"], [("s", "t")])
     ctx = build_tower(greedy_star_coloring(g), char=0, primes=(3, 11), edge_depths=4, cap=20000)
     a = generator_vertex(ctx, "s", 1) + ctx.one()
@@ -238,6 +238,58 @@ def test_pth_root_without_a_specialization_prime_is_unknown():
     r = pth_root(a, 5)
     assert r.outcome == "unknown"
     assert "no admissible specialization prime" in r.note
+
+
+def _mod_q(x: Fraction, q: int) -> int:
+    assert x.denominator % q
+    return x.numerator * pow(x.denominator, -1, q) % q
+
+
+def _rational_value(f: Poly, point: list) -> Fraction:
+    return sum((c * math.prod(x**k for x, k in zip(point, e)) for e, c in f.terms().items()), Fraction(0))
+
+
+def _check_specialization_certificate(a, p: int, cert: dict) -> None:
+    """Re-derive a specialization certificate of `a` with exact rationals."""
+    ctx, q, point = a.ctx, cert["q"], cert["point"]
+    xs, etas = point["vars"], point["roots"]
+    assert is_prime(q) and (q - 1) % p == 0
+    assert len(xs) == ctx.nvars and all(0 < x < q for x in xs)
+    assert len(etas) == len(ctx.gens)
+    for i, eta in enumerate(etas):
+        assert pow(eta, ctx.gen_degree(i), q) == _mod_q(_rational_value(ctx.gen_poly(i), xs), q)
+    image = 0
+    for exps, c in a.coeffs.items():
+        value = _mod_q(_rational_value(c.num, xs) / _rational_value(c.den, xs), q)
+        image += value * math.prod(pow(eta, k, q) for eta, k in zip(etas, exps))
+    assert image % q == point["image"]
+    assert pow(point["image"], (q - 1) // p, q) != 1
+
+
+def test_specialization_certificates_recheck_with_rationals():
+    # every specialization refusal on K2 and P3 names a point, roots of
+    # the defining relations there, and an image that is not a p-th power
+    rng = random.Random(0)
+    checked = with_den = with_fraction = 0
+    for name in ("K2", "P3"):
+        ctx = build_tower(greedy_star_coloring(Graph(*TOWERS[name])), char=0)
+        vertex = generator_vertex(ctx, ctx.var_names[0], 0)
+        corpus = [vertex, vertex + ctx.one(), ctx.constant(2),
+                  ctx.from_ratfunc(RatFunc.const(Q, ctx.nvars, Fraction(2, 5))),
+                  (vertex + ctx.constant(3)) * ctx.from_ratfunc(RatFunc.const(Q, ctx.nvars, Fraction(1, 7)))]
+        # the p-high corpus of `verify --suite roots`, and elements with denominators
+        corpus += [random_nonzero_element(ctx, rng, max_terms=3, allow_denominator=False) for _ in range(15)]
+        corpus += [random_nonzero_element(ctx, rng, max_terms=3) for _ in range(15)]
+        for i, a in enumerate(corpus):
+            for p in sorted({2, ctx.chain_prime} | {g.prime for g in ctx.gens}):
+                r = pth_root(a, p, seed=i)
+                if r.outcome != "no" or r.certificate["kind"] != "specialization":
+                    continue
+                _check_specialization_certificate(a, p, r.certificate)
+                checked += 1
+                with_den += any(not c.den.is_one() for c in a.coeffs.values())
+                with_fraction += any(c.num.content.denominator != 1 for c in a.coeffs.values())
+    assert checked >= 50 and with_den >= 5 and with_fraction >= 5, (checked, with_den, with_fraction)
 
 
 def test_specialization_refute_consistency_on_powers():
