@@ -622,9 +622,44 @@ def _power_tables(p: int, k: int) -> tuple[int, list, list]:
     """(modulus, exp, log) for GF(p^k) = F_p[x]/(x^k + m(x)), m's
     coefficients the base-p digits of the least `modulus` for which x has
     order p^k - 1, so that x^k + m is primitive and hence irreducible
-    (Lidl & Niederreiter, "Finite Fields", 1997, ch. 3).  The walk that
-    fills the tables is the test: it meets no power twice (a 0 repeats at
-    once) and ends at 1."""
+    (Lidl & Niederreiter, "Finite Fields", 1997, ch. 3).  exp[i] =
+    exp[i + n] = x^i for i < n = p^k - 1, and 0 above; log[a] is the
+    exponent of a, and 2n for 0.  Prime fields come from
+    `_prime_tables`, other fields from `_digit_walk`."""
+    return _prime_tables(p) if k == 1 else _digit_walk(p, k)
+
+
+@functools.lru_cache(maxsize=4)
+def _prime_tables(p: int) -> tuple[int, list, list]:
+    """`_power_tables(p, 1)` by one multiplicative walk, the last four
+    kept.  Over F_p[x]/(x + m), x = -m, so the least m of the digit walk
+    is p - g for the largest primitive root g (m = 1, g = 1 for p = 2);
+    g is the largest element with g^(n/l) != 1 for every prime l
+    dividing n = p - 1, and its powers fill the tables."""
+    n, primes, m, d = p - 1, [], p - 1, 2
+    while d * d <= m:
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        primes.append(m)
+    g = next(g for g in range(n, 0, -1) if all(pow(g, n // l, p) != 1 for l in primes))
+    exp, log = [0] * (4 * n + 1), [2 * n] * p
+    a = 1
+    for i in range(n):
+        exp[i] = a
+        log[a] = i
+        a = a * g % p
+    exp[n:2 * n] = exp[:n]
+    return -g % p, exp, log
+
+
+def _digit_walk(p: int, k: int) -> tuple[int, list, list]:
+    """`_power_tables` by trying each modulus in turn: the walk that
+    fills the tables is the test.  It meets no power twice (a 0 repeats
+    at once) and ends at 1."""
     q = p**k
     n = q - 1
     unseen = 2 * n

@@ -18,7 +18,12 @@ family, and field_norm() takes it down to a shallower one.
 
 A one-term element c·Y^e is raised to every integer power in one
 closed form, since its generator powers fold into a product of the A_i;
-its inverse is the (-1)-st power.  A two-term element m0 + m1 is
+its inverse is the (-1)-st power.  When the A_i form a coprime base
+(`TowerContext.coprime_base`), a one-term element built from constants
+and generators carries its coefficient as a power product r·prod A_i^k_i
+beside the canonical form: products and powers add and scale the
+exponent vectors k, and the coefficient is expanded from cached A_i
+powers without a gcd (`_expand`).  A two-term element m0 + m1 is
 inverted in closed form too: w = -m1/m0 is one term, and a power w^L
 lies in the base field, so (m0 + m1)^-1 = m0^-1 · sum_(j < L) w^j /
 (1 - w^L).  Other elements are raised by square-and-multiply, and
@@ -128,6 +133,7 @@ class TowerContext:
         self._gen_pow_cache: dict = {}
         self._gen_var_degrees: list | None = None
         self._sub_cache: dict = {}
+        self._coprime: bool | None = None
 
     # -- structure -----------------------------------------------------------
 
@@ -152,6 +158,24 @@ class TowerContext:
         if self._gen_var_degrees is None:
             self._gen_var_degrees = [A.degrees() for A in self._gen_polys]
         return self._gen_var_degrees
+
+    def coprime_base(self) -> bool:
+        """Whether the A_i are nonzero, nonconstant, monic and pairwise
+        coprime, decided at first use.  Only then do one-term elements
+        carry power-product forms.  Two A_i can share a factor only in the
+        variables they share (`_coprime`), so only pairs that share a
+        variable are looked at."""
+        if self._coprime is None:
+            A, degs = self._gen_polys, self.gen_var_degrees()
+            users: dict = {}
+            for i, d in enumerate(degs):
+                for v in d:
+                    users.setdefault(v, []).append(i)
+            pairs = {(i, j) for u in users.values() for x, j in enumerate(u) for i in u[:x]}
+            self._coprime = all(not f.is_constant() and f.is_monic() for f in A) and all(
+                _coprime(A[i], A[j], degs[i].keys() & degs[j].keys()) for i, j in pairs
+            )
+        return self._coprime
 
     def gen_support_vars(self, i: int) -> set[int]:
         return self._gen_polys[i].variables_used()
@@ -219,6 +243,7 @@ class TowerContext:
                 self.cap,
                 self.colored_graph,
             )
+            ctx._coprime = self._coprime or None  # a subset of a coprime base is one
             self._sub_cache[j] = ctx
         return ctx
 
@@ -246,7 +271,10 @@ class TowerContext:
         if r.is_zero():
             return self.zero()
         zero_exp = (0,) * len(self.gens)
-        return TowerElement(self, {zero_exp: r})
+        out = TowerElement(self, {zero_exp: r})
+        if r.is_constant() and self.coprime_base():
+            out._pp = (r, zero_exp)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +399,19 @@ def radical_extend(
 
 
 class TowerElement:
-    """Canonical form: {reduced generator exponent vector: RatFunc}."""
+    """Canonical form: {reduced generator exponent vector: RatFunc}.
 
-    __slots__ = ("ctx", "coeffs")
+    `_pp` is None or, on a one-term element of a tower with a coprime
+    base, its coefficient's power-product form (r, k): the coefficient
+    is r·prod A_i^k_i with r coprime to every A_i (see `_expand`).  It
+    only speeds up arithmetic; equality and hashing never read it."""
+
+    __slots__ = ("ctx", "coeffs", "_pp")
 
     def __init__(self, ctx: TowerContext, coeffs: dict):
         self.ctx = ctx
         self.coeffs = {e: c for e, c in coeffs.items() if not c.is_zero()}
+        self._pp = None
 
     # -- basic views -----------------------------------------------------------
 
@@ -444,6 +478,17 @@ class TowerElement:
 
     def __mul__(self, other: "TowerElement") -> "TowerElement":
         _same_ctx(self, other)
+        if self._pp is not None and other._pp is not None:
+            # one term times one term: r1·r2, k1 + k2 + the fold
+            (e1, _), = self.coeffs.items()
+            (e2, _), = other.coeffs.items()
+            (r1, k1), (r2, k2) = self._pp, other._pp
+            exps, k = [], []
+            for i, (x, y, u, v) in enumerate(zip(e1, e2, k1, k2)):
+                q, x = divmod(x + y, self.ctx.gen_degree(i))
+                exps.append(x)
+                k.append(u + v + q)
+            return _from_form(self.ctx, tuple(exps), r1 * r2, tuple(k))
         raw: dict = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -455,8 +500,9 @@ class TowerElement:
 
     def __pow__(self, n: int) -> "TowerElement":
         """self^n.  A one-term element is raised in closed form
-        (`_monomial_power`) for every n other than 0 and 1; any other
-        element is inverted first for a negative n, then raised by
+        (`_monomial_power`) for every n other than 0 and 1, by exponent
+        arithmetic on its power-product form when it carries one; any
+        other element is inverted first for a negative n, then raised by
         square-and-multiply."""
         if len(self.coeffs) == 1 and n not in (0, 1):
             return _monomial_power(self, n)
@@ -492,7 +538,9 @@ class TowerElement:
         (`_monomial_power`).  Y_i^e_i · Y_i^(N_i - e_i) = A_i, so
         (c·Y^e)^-1 = c^-1 · prod_(e_i > 0) A_i^-1 · Y^(N - e), with N - e
         read as 0 where e_i = 0; a zero A_i there makes Y_i nilpotent,
-        and SingularMultiplication is raised as above.
+        and SingularMultiplication is raised as above.  A power-product
+        form (r, k) goes to (r^-1, -k - [e_i > 0]), and the coefficient
+        is expanded from it without a gcd.
 
         Two terms: a = m0 + m1, m0 the term of smaller exponent vector.
         Then w = -m1·m0^-1 is one term c·Y^δ, and a = m0·(1 - w).  Let L
@@ -540,6 +588,26 @@ class TowerElement:
         }
 
 
+def _coprime(f: Poly, g: Poly, shared) -> bool:
+    """gcd(f, g) = 1, for nonconstant f and g that share the variables
+    `shared`.  A common factor h involves only those, so it divides every
+    coefficient of f as a polynomial over K[shared] in its other
+    variables.  When one of those coefficients is a nonzero constant (a
+    term alone in its class and free of the shared variables, like the 1
+    of an edge polynomial X_s^a + X_t^b + 1 against another edge at s), h
+    is a unit and no gcd runs."""
+    for h in (f, g):
+        classes: dict = {}
+        for e in h.ints:
+            rest = e
+            for j in shared:
+                rest = rest[:j] + (0,) + rest[j + 1:]
+            classes[rest] = None if rest in classes else rest == e
+        if any(classes.values()):
+            return True
+    return f.gcd(g).is_one()
+
+
 def _same_ctx(a: TowerElement, b: TowerElement) -> None:
     if a.ctx is not b.ctx:
         raise ValueError("elements of two different tower contexts: embed one into the other's first")
@@ -559,14 +627,18 @@ def _monomial_power(a: TowerElement, n: int) -> TowerElement:
     coefficient in lowest terms.  A zero A_i with q_i != 0 makes Y_i
     nilpotent: the power is zero for n > 0, and n < 0 raises
     SingularMultiplication with a's to_json() form as its counterexample.
+
+    When a carries a power-product form (r, k), the power's form is
+    (r^n, n·k + q), and `_from_form` expands it: no gcd at all.
     """
     ctx = a.ctx
     (e, c), = a.coeffs.items()
     m = abs(n)
-    exps, folds, index = [], [], {}
+    exps, qs, folds, index = [], [], [], {}
     for i, k in enumerate(e):
         q, r = divmod(n * k, ctx.gen_degree(i))
         exps.append(r)
+        qs.append(q)
         if q:
             A = ctx.gen_poly(i)
             if A.is_zero():
@@ -578,6 +650,9 @@ def _monomial_power(a: TowerElement, n: int) -> TowerElement:
                 )
             folds.append((A, abs(q)))
             index[id(A)] = i
+    if a._pp is not None:
+        r, k = a._pp
+        return _from_form(ctx, tuple(exps), r**n, tuple(n * x + q for x, q in zip(k, qs)))
     dens = [] if c.den.is_one() else [(c.den, m)]
     folds, dens = _cancel_powers(folds, dens)
     u_side = c.num**m
@@ -592,6 +667,65 @@ def _monomial_power(a: TowerElement, n: int) -> TowerElement:
         d_side = Poly.one(ctx.field, ctx.nvars)
     num, den = (u_side, d_side) if n > 0 else (d_side, u_side)
     return TowerElement(ctx, {tuple(exps): RatFunc._raw(num, den)})
+
+
+def _expand(ctx: TowerContext, r: RatFunc, k) -> RatFunc:
+    """The coefficient r·prod A_i^k_i of a power-product form, as
+    r.num·prod_(k_i > 0) A_i^k_i over r.den·prod_(k_i < 0) A_i^-k_i from
+    the cached powers.  On a coprime base this is in lowest terms: r.num
+    and r.den are coprime to each other and to every A_i, and the A_i are
+    pairwise coprime, so no irreducible factor can divide both sides.
+    The denominator is monic, a product of monic polynomials, so the pair
+    is canonical as it stands: no gcd and no rescaling."""
+    out = object.__new__(RatFunc)
+    out.num, out.den = r.num, r.den
+    for i, x in enumerate(k):
+        if x > 0:
+            out.num = out.num * ctx.gen_poly_power(i, x)
+        elif x < 0:
+            out.den = out.den * ctx.gen_poly_power(i, -x)
+    return out
+
+
+def _from_form(ctx: TowerContext, e: tuple, r: RatFunc, k: tuple) -> TowerElement:
+    """The one-term element r·prod A_i^k_i · Y^e, carrying its form."""
+    out = TowerElement(ctx, {e: _expand(ctx, r, k)})
+    out._pp = (r, k)
+    return out
+
+
+def _monomial_root(a: TowerElement, beta: tuple, shift: list, p: int) -> TowerElement | None:
+    """The candidate p-th root c'·Y^beta of one-term a = c·Y^alpha with
+    p·beta_i = alpha_i + shift_i·N_i, so that c'^p must be the target
+    c·prod A_i^-shift_i; None when the target has no p-th root, or when a
+    shift needs a zero A_i (the candidate's p-th power is then 0, not a).
+
+    With a power-product form (r, k) the target's form is (r, k - shift),
+    by subtraction.  When p divides every k_i - shift_i, the target is a
+    p-th power exactly when r is, and the root's form is (r^(1/p),
+    (k - shift)/p).  Otherwise (an A_i may itself be a p-th power, as z^5
+    is) the expanded target is peeled (`RatFunc.pth_root`), as it is
+    without a form, where the target is c divided by each A_i^shift_i.
+    Either way the root is the one whose leading coefficient is the
+    prime field's root of the target's, since every A_i is monic."""
+    ctx = a.ctx
+    (_, c), = a.coeffs.items()
+    if a._pp is not None:
+        r, k = a._pp
+        k = [x - s for x, s in zip(k, shift)]
+        if not any(x % p for x in k):
+            root = r.pth_root(p)
+            return None if root is None else _from_form(ctx, beta, root, tuple(x // p for x in k))
+        target = _expand(ctx, r, k)
+    else:
+        if any(s and ctx.gen_poly(i).is_zero() for i, s in enumerate(shift)):
+            return None
+        target = c
+        for i, s in enumerate(shift):
+            if s:
+                target = target / RatFunc.from_poly(ctx.gen_poly_power(i, s))
+    root = target.pth_root(p)
+    return None if root is None else TowerElement(ctx, {beta: root})
 
 
 def _cancel_powers(nums: list, dens: list) -> tuple[list, list]:
@@ -676,7 +810,10 @@ def generator_edge(ctx: TowerContext, e, i: int) -> TowerElement:
         raise DepthExceeded(f"edge root {i} exceeds depth {g.depth}")
     exps = [0] * len(ctx.gens)
     exps[gi] = g.prime ** (g.depth - i)
-    return _reduce(ctx, {tuple(exps): RatFunc.one(ctx.field, ctx.nvars)})
+    out = _reduce(ctx, {tuple(exps): RatFunc.one(ctx.field, ctx.nvars)})
+    if ctx.coprime_base():  # Y^N folds into A at i = 0: the form (1, e_gi), else (1, 0)
+        out._pp = (RatFunc.one(ctx.field, ctx.nvars), tuple(int(i == 0 and j == gi) for j in range(len(exps))))
+    return out
 
 
 def embed(a: TowerElement, target: TowerContext) -> TowerElement:

@@ -110,6 +110,12 @@ class RatFunc:
             _, n2, d1 = n2.cofactors(d1)
         return RatFunc._raw(n1 * n2, d1 * d2)
 
+    def __pow__(self, n: int) -> "RatFunc":
+        """self^n for any integer n (self nonzero when n < 0): gcd(u, d) = 1
+        gives gcd(u^m, d^m) = 1, so no gcd is taken."""
+        t, b = (self.num, self.den) if n >= 0 else (self.den, self.num)
+        return RatFunc._raw(t ** abs(n), b ** abs(n))
+
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         return self * other.inv()
 

@@ -8,9 +8,11 @@ structured elements:
         digit in F_p for each generator whose degree p divides; the
         degree valuations deg_{X_j} of the coefficient fix those digits
         by one linear system over F_p (unique in a star-coloured tower,
-        see `_structured_root`), and a rational function p-th root gives
-        the coefficient.  Any witness is re-verified by exponentiation,
-        once, before it is returned;
+        see `_structured_root`).  The coefficient's root comes from
+        exponent subtraction and division when the element carries a
+        power-product form, and otherwise from a rational function p-th
+        root (`fieldtower._monomial_root`).  Any witness is re-verified
+        by exponentiation, once, before it is returned;
   (ii)  valuation filter: certified places whose value groups are pinned
         down (unramified chain-variable places, and defining-polynomial
         places that are provably totally ramified at one level) give
@@ -43,6 +45,7 @@ from .errors import BadPrime, ZeroInput
 from .fieldtower import (
     TowerContext,
     TowerElement,
+    _monomial_root,
     embed,
     random_nonzero_element,
     random_structured_monomial,
@@ -110,14 +113,15 @@ def certified_places(ctx: TowerContext) -> list[CertifiedPlace]:
     n_gens = len(ctx.gens)
     # chain-variable places: every A_i has a nonzero term free of the
     # variable (edge polynomials have constant term 1; generic defining
-    # polynomials have nonzero constant term), so all generators are units
+    # polynomials have nonzero constant term), so all generators are
+    # units; a zero A_i makes its generator nilpotent and gives no place
     for v, i in ctx.var_index.items():
         place = ValuationPlace(kind="var", var=i, label=f"X:{v}")
         vals = []
         ok = True
         for gi in range(n_gens):
-            m = ctx.gen_poly(gi).min_degree_in(i)
-            if m != 0:
+            A = ctx.gen_poly(gi)
+            if A.is_zero() or A.min_degree_in(i) != 0:
                 ok = False
                 break
             vals.append(Fraction(0))
@@ -251,7 +255,13 @@ def _structured_root(a: TowerElement, p: int) -> TowerElement | None:
     This system is row-reduced mod p: when it is inconsistent no exponent
     vector can work, and otherwise each point of its affine solution set,
     in lexicographic order of the exponent vectors, goes through the
-    coefficient root and the exact check `cand**p == a`.
+    coefficient root (`fieldtower._monomial_root`) and the exact check
+    `cand**p == a`.  With a power-product form c = r·prod A_i^k_i, the
+    target's exponents are k - shift, by subtraction; when p divides
+    them all, the root is r^(1/p)·prod A_i^((k_i - shift_i)/p), found by
+    division, and otherwise the target is expanded and peeled.  Without
+    a form the target is c divided by each A_i^shift_i, and a shift that
+    needs a zero A_i is skipped, since that candidate's p-th power is 0.
     `_MAX_CANDIDATES` bounds the solution set, not the p^k vectors the
     congruences allow.  In a tower from
     `build_tower` the set has at most one point: each colour has its own
@@ -296,15 +306,8 @@ def _structured_root(a: TowerElement, p: int) -> TowerElement | None:
         for i, ti in zip(unknowns, t):
             beta[i] += ti * (ctx.gen_degree(i) // p)
             shift[i] += ti
-        target = c
-        for i, s in enumerate(shift):
-            if s:
-                target = target / RatFunc.from_poly(ctx.gen_poly_power(i, s))
-        root_c = target.pth_root(p)
-        if root_c is None:
-            continue
-        cand = TowerElement(ctx, {tuple(beta): root_c})
-        if (cand**p) == a:
+        cand = _monomial_root(a, tuple(beta), shift, p)
+        if cand is not None and cand**p == a:
             return cand
     return None
 

@@ -393,6 +393,17 @@ def test_eval_mod():
     assert _value_at(f, [log[1], log[1]], 2, exp) is None  # denominator 2 vanishes mod 2
 
 
+def test_prime_field_tables_match_the_digit_walk():
+    # one multiplicative walk from the largest primitive root gives the
+    # digit walk's tables, so specialization certificates do not move
+    for q in (2, 3, 5, 7, 11, 13, 101, 257, 7681, 65537):
+        assert _modgcd._prime_tables.__wrapped__(q) == _modgcd._digit_walk(q, 1)
+    modulus, exp, log = _modgcd._power_tables(65537, 1)
+    assert (modulus, exp[1]) == (65537 - 65534, 65534)  # 65536 and 65535 are squares
+    # the last four prime fields are kept
+    assert _modgcd._power_tables(65537, 1)[1] is exp
+
+
 # -- rational functions ----------------------------------------------------------------
 
 

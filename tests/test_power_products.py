@@ -2,9 +2,10 @@
 
 `power_product_corpus.json` holds, for one-term elements over K2, P3, K3,
 the shared-factor tower and Y^5 = z^5 in characteristics 0, 2 and 5, the
-canonical forms of a**n (n in -7..7 outside {0, 1}), of a.inv(), and of
-the results of pth_root(a**p, p) and of a refused pth_root(a**p * Y, p)
-for each generator prime p.  Most elements are products of constants and
+canonical forms of a**n (n in -7..7 outside {0, 1}), of a.inv(), of a·a
+and of a times each generator's deepest root Y_i, and of the results of
+pth_root(a**p, p) and of a refused pth_root(a**p * Y, p) for each
+generator prime p.  Most elements are products of constants and
 generator powers; some have a coefficient that is not such a product.
 Every form is compared part by part (content, integer part, cached
 leading exponent) with `assert_same_form`.
@@ -28,6 +29,12 @@ from graphfield.roots import pth_root
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from test_fieldtower import assert_same_form, tower  # noqa: E402
+
+try:
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover
+    given = None
 
 CORPUS = Path(__file__).resolve().parent / "power_product_corpus.json"
 # the shared-factor tower and Y^5 = z^5 have a generator of degree 5,
@@ -109,6 +116,9 @@ def cases(ctx, a):
     for n in POWERS:
         yield f"pow:{n}", a**n
     yield "inv", a.inv()
+    yield "square", a * a
+    for g in ctx.gens:
+        yield f"times:{g.label}", a * generator_edge(ctx, g.label, g.depth)
     for p in sorted({g.prime for g in ctx.gens}):
         y = next(generator_edge(ctx, g.label, g.depth) for g in ctx.gens if g.prime == p)
         b = a**p
@@ -153,6 +163,67 @@ def test_one_term_forms_match_the_recorded_corpus(name, char, recorded):
     # every element's round trip finds its root
     ops = [recorded[(name, char, k)]["ops"] for k in range(len(items))]
     assert all(o[label]["outcome"] == "root" for o in ops for label in o if label.startswith("root:"))
+
+
+def plain(x: TowerElement) -> TowerElement:
+    """x without its power-product form."""
+    return TowerElement(x.ctx, x.coeffs)
+
+
+def form_value(x: TowerElement) -> RatFunc:
+    """r·prod A_i^k_i of x's form, by reduced rational-function products."""
+    r, k = x._pp
+    for i, n in enumerate(k):
+        r = r * RatFunc(x.ctx.gen_poly(i), RatFunc.one(x.ctx.field, x.ctx.nvars).num) ** n
+    return r
+
+
+if given is not None:
+    STEPS = st.one_of(
+        st.tuples(st.just("edge"), st.integers(0, 2), st.integers(0, 1), st.sampled_from((-2, -1, 1, 2))),
+        st.tuples(st.just("pow"), st.sampled_from((-3, -2, -1, 2, 3))),
+        st.tuples(st.just("inv")),
+        st.tuples(st.just("root"), st.integers(0, 2)),
+    )
+
+    @settings(max_examples=100, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from([t for t in TOWERS if t[0] != "shared"]), st.integers(0, 2),
+           st.lists(STEPS, min_size=1, max_size=4))
+    def test_carried_forms_expand_to_their_coefficients(tower_char, const, steps):
+        # each step runs on the element with its form and on the same
+        # element without one (today's path); the results agree part by
+        # part, and a carried form is the coefficient's factorisation
+        ctx = context(*tower_char)
+        consts = CONSTANTS[ctx.char]
+        c = ctx.field.of_fraction(Fraction(consts[const % len(consts)]))
+        x = ctx.from_ratfunc(RatFunc.const(ctx.field, ctx.nvars, c))
+        assert x._pp is not None
+        for step in steps:
+            g = ctx.gens[step[1] % len(ctx.gens)] if step[0] in ("edge", "root") else None
+            if step[0] == "edge":
+                y = generator_edge(ctx, g.label, step[2]) ** step[3]
+                got, want = x * y, plain(x) * plain(y)
+            elif step[0] == "pow":
+                got, want = x ** step[1], plain(x) ** step[1]
+            elif step[0] == "inv":
+                got, want = x.inv(), plain(x).inv()
+            else:
+                res, ref = pth_root(x**g.prime, g.prime), pth_root(plain(x) ** g.prime, g.prime)
+                assert res.outcome == ref.outcome == "root"
+                got, want = res.witness, ref.witness
+            assert_same_form(got, want)
+            assert want._pp is None
+            # a form passes through products and powers; a root found by
+            # peeling (over Y^5 = z^5, z^5 is a fifth power) carries none
+            assert got._pp is not None or step[0] == "root" or x._pp is None
+            if got._pp is not None:
+                (c,) = got.coeffs.values()
+                assert form_value(got) == c
+            x = got
+else:  # pragma: no cover
+    @pytest.mark.skip(reason="needs hypothesis")
+    def test_carried_forms_expand_to_their_coefficients():
+        pass
 
 
 if __name__ == "__main__":

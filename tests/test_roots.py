@@ -9,6 +9,8 @@ import pytest
 
 from graphfield.errors import BadPrime, ZeroInput
 from graphfield.fieldtower import (
+    RadicalGen,
+    TowerContext,
     build_tower,
     generator_edge,
     generator_vertex,
@@ -30,6 +32,7 @@ from graphfield.roots import (
     ValuationPlace,
     _affine_solutions,
     _structured_root,
+    certified_places,
     classify_p_high,
     g_adic_valuation,
     is_p_high,
@@ -440,6 +443,23 @@ def test_pth_root_zero_and_unknown_exits():
     r2 = pth_root(generator_vertex(ctx2, "s", 1) + ctx2.one(), 3)
     assert r2.outcome == "unknown"
     assert r2.witness is None and r2.certificate is None
+
+
+def test_pth_root_over_a_zero_defining_polynomial():
+    # Y^5 = 0: a shifted candidate would need A^-1 = 0^-1, and no place
+    # can be certified where a generator is nilpotent; every call answers
+    # a RootResult, and every root carries a witness of a
+    ctx = TowerContext(0, ("z",), 3, {"z": 0},
+                       [RadicalGen("t:v", 5, 1, ("tpoly", "z", (Fraction(0), Fraction(0))))])
+    z = generator_vertex(ctx, "z", 0)
+    y = generator_edge(ctx, "t:v", 1)
+    assert certified_places(ctx) == []
+    outcomes = []
+    for a in (ctx.constant(2), z, y * z, ctx.constant(32), z**5, ctx.one()):
+        r = pth_root(a, 5)
+        outcomes.append(r.outcome)
+        assert r.outcome != "root" or r.witness**5 == a
+    assert outcomes == ["unknown"] * 3 + ["root"] * 3
 
 
 def test_char3_behavior_recorded():
