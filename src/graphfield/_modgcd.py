@@ -625,8 +625,10 @@ def _power_tables(p: int, k: int) -> tuple[int, list, list]:
     (Lidl & Niederreiter, "Finite Fields", 1997, ch. 3).  exp[i] =
     exp[i + n] = x^i for i < n = p^k - 1, and 0 above; log[a] is the
     exponent of a, and 2n for 0.  Prime fields come from
-    `_prime_tables`, other fields from `_digit_walk`."""
-    return _prime_tables(p) if k == 1 else _digit_walk(p, k)
+    `_prime_tables`, cached up to order `MAX_FIELD_ORDER` only (a table
+    near 10^6 holds 5·10^6 entries), other fields from `_digit_walk`."""
+    walk = _prime_tables if p <= MAX_FIELD_ORDER else _prime_tables.__wrapped__
+    return walk(p) if k == 1 else _digit_walk(p, k)
 
 
 @functools.lru_cache(maxsize=4)
@@ -923,14 +925,20 @@ def _one_term_in(d: dict, v: int) -> bool:
     return 1 in Counter(e[v] for e in d).values()
 
 
-def _constant_coefficient(d: dict, common: set) -> bool:
+def _constant_coefficient(d: dict, common) -> bool:
     """Whether d, written over the ring of the variables in `common`,
     has a constant coefficient.  A common divisor of two polynomials
     involves only their shared variables, so it divides each such
     coefficient: with `common` the shared variables, True proves the
-    gcd constant."""
-    parts = Counter(tuple(0 if i in common else x for i, x in enumerate(e)) for e in d)
-    return any(parts[e] == 1 for e in d if not any(e[i] for i in common))
+    gcd constant.  A key is read and cleared at those positions only."""
+    classes: dict = {}
+    for e in d:
+        rest = e
+        for j in common:
+            if rest[j]:
+                rest = rest[:j] + (0,) + rest[j + 1:]
+        classes[rest] = None if rest in classes else rest is e
+    return any(classes.values())
 
 
 def _fp_gcd_primitive(f: dict, g: dict, m: int, p: int, F, rng, deg_hints: dict) -> dict:

@@ -29,7 +29,18 @@ from .graphs import GraphAut, _cells, _refined, graph_auts
 
 class FieldAut:
     """The substitution X_s -> X_phi(s), Y_e -> Y_phi(e) induced by a
-    color-preserving graph automorphism with matching root depths."""
+    color-preserving graph automorphism with matching root depths.
+
+    The checks make phi a coloured-graph automorphism with d_phi(v) =
+    d_v, and give e and phi(e) one prime and one depth.  What is left of
+    "Y_e^N = A_e goes to phi(e)'s relation" is A_e(X_phi) = A_phi(e), a
+    check of recipes: A_e = X_s^(p0^d_s) + X_t^(p0^d_t) + 1 is fixed by
+    its recipe ("edge", s, t), d_s, d_t and p0, so with invariant depths
+    A_e(X_phi) is the polynomial of ("edge", *sorted((phi(s), phi(t)))).
+    With u != v, X_u^a + X_v^b + 1 names its endpoints, which an edge
+    recipe lists sorted (`build_tower`), so A_phi(e) is that polynomial
+    exactly when phi(e) has that recipe.
+    """
 
     def __init__(self, ctx: TowerContext, vertex_map: dict):
         if ctx.colored_graph is None:
@@ -44,24 +55,22 @@ class FieldAut:
                 raise ValueError("vertex map is not a graph automorphism")
             if cg.colors[img] != cg.colors[e]:
                 raise ColorViolation(f"edge {sorted(e)} changes color under the map")
-        for v, w in vertex_map.items():
-            if ctx.vertex_depths[v] != ctx.vertex_depths[w]:
-                raise ValueError("vertex depths are not invariant under the map")
+        if any(ctx.vertex_depths[v] != ctx.vertex_depths[w] for v, w in vertex_map.items()):
+            raise ValueError("vertex depths are not invariant under the map")
         self.ctx = ctx
         self.vertex_map = dict(vertex_map)
         self.var_perm = [ctx.var_index[vertex_map[v]] for v in ctx.var_names]
-        gen_perm = []
+        self.gen_perm = []
         for g in ctx.gens:
             _, s, t = g.recipe
-            j = ctx.gen_index[edge_label((vertex_map[s], vertex_map[t]))]
-            if ctx.gens[j].depth != g.depth or ctx.gens[j].prime != g.prime:
+            img = sorted((vertex_map[s], vertex_map[t]))
+            j = ctx.gen_index[edge_label(img)]
+            h = ctx.gens[j]
+            if h.depth != g.depth or h.prime != g.prime:
                 raise ValueError("edge depths are not invariant under the map")
-            gen_perm.append(j)
-        self.gen_perm = gen_perm
-        # substitution must send each defining relation to the image relation
-        for i, g in enumerate(ctx.gens):
-            if ctx.gen_poly(i).permute_vars(self.var_perm) != ctx.gen_poly(gen_perm[i]):
+            if h.recipe != ("edge", *img):
                 raise ValueError("substitution breaks a defining relation")
+            self.gen_perm.append(j)
 
     def compose(self, other: "FieldAut") -> "FieldAut":
         return FieldAut(self.ctx, {v: self.vertex_map[w] for v, w in other.vertex_map.items()})
@@ -232,10 +241,7 @@ def encode_element(a: TowerElement) -> Code:
         raise ValueError("the codec is defined for graph-built towers")
     if not cg.edges or not all(map(cg.graph.degree, cg.vertices)):
         raise ValueError("the codec needs a graph with edges and no vertex without a neighbour")
-    gen_endpoints = []
-    for g in ctx.gens:
-        _, s, t = g.recipe
-        gen_endpoints.append(frozenset((s, t)))
+    gen_endpoints = [frozenset(g.recipe[1:]) for g in ctx.gens]
     sequences = set()
     for exps, c in a.coeffs.items():
         for role, poly in ((0, c.num), (1, c.den)):

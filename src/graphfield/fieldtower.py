@@ -52,6 +52,7 @@ from .errors import (
     TooLarge,
     UnknownResult,
 )
+from ._modgcd import _constant_coefficient
 from .graphs import ColoredGraph, check_star_coloring
 from .polynomials import Poly
 from .ratfunc import RatFunc
@@ -133,6 +134,7 @@ class TowerContext:
         self._gen_pow_cache: dict = {}
         self._gen_var_degrees: list | None = None
         self._sub_cache: dict = {}
+        self._coprime_rows: list | None = None
         self._coprime: bool | None = None
 
     # -- structure -----------------------------------------------------------
@@ -159,26 +161,35 @@ class TowerContext:
             self._gen_var_degrees = [A.degrees() for A in self._gen_polys]
         return self._gen_var_degrees
 
-    def coprime_base(self) -> bool:
-        """Whether the A_i are nonzero, nonconstant, monic and pairwise
-        coprime, decided at first use.  Only then do one-term elements
-        carry power-product forms.  Two A_i can share a factor only in the
-        variables they share (`_coprime`), so only pairs that share a
-        variable are looked at."""
-        if self._coprime is None:
+    def coprime_to_others(self) -> list[bool]:
+        """For each i, whether A_i is coprime to every other A_j: the one
+        pass over pairs of defining polynomials, at first use.  A common
+        factor involves only shared variables, so only the pairs that
+        share one (by the `gen_var_degrees` columns) and the pairs with a
+        zero A_j, which has none, go through `_coprime`."""
+        if self._coprime_rows is None:
             A, degs = self._gen_polys, self.gen_var_degrees()
+            rows = [True] * len(A)
             users: dict = {}
             for i, d in enumerate(degs):
                 for v in d:
                     users.setdefault(v, []).append(i)
             pairs = {(i, j) for u in users.values() for x, j in enumerate(u) for i in u[:x]}
-            self._coprime = all(not f.is_constant() and f.is_monic() for f in A) and all(
-                _coprime(A[i], A[j], degs[i].keys() & degs[j].keys()) for i, j in pairs
-            )
-        return self._coprime
+            pairs |= {(z, i) for z, f in enumerate(A) if f.is_zero() for i in range(len(A)) if i != z}
+            for i, j in pairs:
+                if (rows[i] or rows[j]) and not _coprime(A[i], A[j], degs[i].keys() & degs[j].keys()):
+                    rows[i] = rows[j] = False
+            self._coprime_rows = rows
+        return self._coprime_rows
 
-    def gen_support_vars(self, i: int) -> set[int]:
-        return self._gen_polys[i].variables_used()
+    def coprime_base(self) -> bool:
+        """Whether the A_i are nonzero, nonconstant, monic and pairwise
+        coprime (`coprime_to_others`), decided at first use.  Only then
+        do one-term elements carry power-product forms."""
+        if self._coprime is None:
+            monic = all(not f.is_constant() and f.is_monic() for f in self._gen_polys)
+            self._coprime = monic and all(self.coprime_to_others())
+        return self._coprime
 
     def _chain_bottom_exp(self, var: str) -> int:
         return self.chain_prime ** self.vertex_depths[var]
@@ -243,7 +254,8 @@ class TowerContext:
                 self.cap,
                 self.colored_graph,
             )
-            ctx._coprime = self._coprime or None  # a subset of a coprime base is one
+            if self._coprime:  # a subset of a coprime base is one
+                ctx._coprime, ctx._coprime_rows = True, self._coprime_rows[:j]
             self._sub_cache[j] = ctx
         return ctx
 
@@ -367,13 +379,13 @@ def radical_extend(
             raise SpecInvalid(f"T_{v} must be nonconstant")
         if poly.min_degree_in(0) > 0:
             raise SpecInvalid(f"T_{v} must not be divisible by X")
-        if not poly.gcd(poly.derivative(0)).is_one():
+        if not _coprime(poly, poly.derivative(0)):
             raise SpecInvalid(f"T_{v} must be separable")
         upolys[v] = poly
     labels = sorted(upolys)
     for i, v in enumerate(labels):
         for w in labels[i + 1 :]:
-            if not upolys[v].gcd(upolys[w]).is_one():
+            if not _coprime(upolys[v], upolys[w]):
                 raise SpecInvalid(f"T_{v} and T_{w} must be relatively prime")
     gens = []
     for v in labels:
@@ -435,12 +447,10 @@ class TowerElement:
         return next(iter(self.coeffs.values()))
 
     def support_vars(self) -> set[int]:
+        columns = self.ctx.gen_var_degrees()
         out = set()
         for e, c in self.coeffs.items():
-            out |= c.variables_used()
-            for i, k in enumerate(e):
-                if k:
-                    out |= self.ctx.gen_support_vars(i)
+            out.update(c.variables_used(), *(columns[i] for i, k in enumerate(e) if k))
         return out
 
     def __eq__(self, other):
@@ -558,8 +568,8 @@ class TowerElement:
         which raises SingularMultiplication as above (y - z over
         Y^5 = z^5).  The cost is one base-field inversion and L one-term
         products.  When the numerators and denominators of m0's and m1's
-        coefficients and the A_i under a are pairwise coprime (one gcd per
-        pair, taken once), each term is a product of powers of these
+        coefficients and the A_i under a are pairwise coprime (`_coprime`
+        per pair, taken once), each term is a product of powers of these
         pieces over the numerator of D, already in lowest terms
         (`_binomial_by_bases`); otherwise term j + 1 is term j times w,
         reduced as it goes.  On a tower with A_i = 0 for one of a's
@@ -588,24 +598,18 @@ class TowerElement:
         }
 
 
-def _coprime(f: Poly, g: Poly, shared) -> bool:
-    """gcd(f, g) = 1, for nonconstant f and g that share the variables
-    `shared`.  A common factor h involves only those, so it divides every
-    coefficient of f as a polynomial over K[shared] in its other
-    variables.  When one of those coefficients is a nonzero constant (a
-    term alone in its class and free of the shared variables, like the 1
-    of an edge polynomial X_s^a + X_t^b + 1 against another edge at s), h
-    is a unit and no gcd runs."""
-    for h in (f, g):
-        classes: dict = {}
-        for e in h.ints:
-            rest = e
-            for j in shared:
-                rest = rest[:j] + (0,) + rest[j + 1:]
-            classes[rest] = None if rest in classes else rest == e
-        if any(classes.values()):
-            return True
-    return f.gcd(g).is_one()
+def _coprime(f: Poly, g: Poly, shared=None) -> bool:
+    """gcd(f, g) = 1, the one coprimality test.  A common factor of
+    nonconstant f and g involves only their shared variables (`shared`,
+    from `degrees()` when not given), so when f or g has a constant
+    coefficient over them (`_modgcd._constant_coefficient`; the 1 of an
+    edge polynomial against another edge at one endpoint) no gcd runs."""
+    if f.is_constant() or g.is_constant():  # gcd(0, h) = h
+        return not (f.is_zero() or g.is_zero()) or f.gcd(g).is_one()
+    if shared is None:
+        shared = f.degrees().keys() & g.degrees().keys()
+    return (_constant_coefficient(f.ints, shared) or _constant_coefficient(g.ints, shared)
+            or f.gcd(g).is_one())
 
 
 def _same_ctx(a: TowerElement, b: TowerElement) -> None:
@@ -928,7 +932,7 @@ def _binomial_inverse(a: TowerElement) -> TowerElement | None:
     A = [ctx.gen_poly(i) for i in gens]
     pairs = [(p0, p1), (p0, q1), (q0, p1), (q0, q1)]
     pairs += [(f, A[x]) for x in range(len(A)) for f in [p0, q0, p1, q1] + A[:x]]
-    if all(f.is_constant() or g.is_constant() or f.gcd(g).is_one() for f, g in pairs):
+    if all(_coprime(f, g) for f, g in pairs):
         return _binomial_by_bases(ctx, e0, e1, gens, L, p0, q0, p1, q1)
     m0_inv = _monomial_power(TowerElement(ctx, {e0: c0}), -1)
     w = -(TowerElement(ctx, {e1: c1}) * m0_inv)

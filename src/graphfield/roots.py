@@ -16,7 +16,8 @@ structured elements:
   (ii)  valuation filter: certified places whose value groups are pinned
         down (unramified chain-variable places, and defining-polynomial
         places that are provably totally ramified at one level) give
-        divisibility obstructions that can never reject a true power;
+        divisibility obstructions that can never reject a true power,
+        read off the tower context's record of its A_i (no divisions);
   (iii) specialization: the element is pushed into a small prime field
         F_q with consistently chosen root values; a defined nonzero image
         that fails the p-th power test is recorded as a refutation.  The
@@ -97,68 +98,51 @@ class CertifiedPlace:
     valuation extension: 1 for chain-variable places (all defining
     polynomials are units there, so the whole tower is unramified), and
     N_i for the place at an irreducible defining polynomial A_i (value
-    1, totally ramified at that one level, units elsewhere).
+    1, totally ramified at that one level, units elsewhere).  `ramified`
+    is that i (value 1/N_i), or None; other generators have value 0.
     """
 
     place: ValuationPlace
-    gen_values: tuple  # Fraction value of each generator at this place
+    ramified: int | None
     denominator: int
 
 
 def certified_places(ctx: TowerContext) -> list[CertifiedPlace]:
+    """The tower's places, built at first use and kept on the context.
+    X_j = 0 is unramified when every A_i has a term free of X_j (edge
+    polynomials have constant term 1); only A_i whose `gen_var_degrees`
+    column holds j can fail that, and a zero A_i leaves no such place.
+    A_i = 0 is totally ramified at generator i when N_i > 1 and A_i is
+    certified irreducible (`_capelli_irreducible`) and coprime to every
+    other A_j (`TowerContext.coprime_to_others`): for irreducible A_i
+    and nonzero A_j that says A_i does not divide A_j, and a zero A_j is
+    coprime to no nonconstant polynomial."""
     cached = getattr(ctx, "_certified_places", None)
     if cached is not None:
         return cached
-    out = []
-    n_gens = len(ctx.gens)
-    # chain-variable places: every A_i has a nonzero term free of the
-    # variable (edge polynomials have constant term 1; generic defining
-    # polynomials have nonzero constant term), so all generators are
-    # units; a zero A_i makes its generator nilpotent and gives no place
-    for v, i in ctx.var_index.items():
-        place = ValuationPlace(kind="var", var=i, label=f"X:{v}")
-        vals = []
-        ok = True
-        for gi in range(n_gens):
-            A = ctx.gen_poly(gi)
-            if A.is_zero() or A.min_degree_in(i) != 0:
-                ok = False
-                break
-            vals.append(Fraction(0))
-        if ok:
-            out.append(CertifiedPlace(place=place, gen_values=tuple(vals), denominator=1))
-    # defining-polynomial places, when A_i is certified irreducible and
-    # divides no other defining polynomial
-    for gi in range(n_gens):
-        A = ctx.gen_poly(gi)
-        if not _capelli_irreducible(A):
-            continue
-        ok = True
-        vals = []
-        for gj in range(n_gens):
-            if gj == gi:
-                vals.append(Fraction(1, ctx.gen_degree(gi)))
-                continue
-            if ctx.gen_poly(gj).multiplicity_of(A) != 0:
-                ok = False
-                break
-            vals.append(Fraction(0))
-        if ok and ctx.gen_degree(gi) > 1:
-            place = ValuationPlace(kind="irr", poly=A, label=f"A:{ctx.gens[gi].label}")
-            out.append(
-                CertifiedPlace(place=place, gen_values=tuple(vals), denominator=ctx.gen_degree(gi))
-            )
+    polys, columns = [ctx.gen_poly(gi) for gi in range(len(ctx.gens))], ctx.gen_var_degrees()
+    bad = {j for A, column in zip(polys, columns) for j in column if A.min_degree_in(j)}
+    out = [] if any(A.is_zero() for A in polys) else [
+        CertifiedPlace(ValuationPlace(kind="var", var=i, label=f"X:{v}"), None, 1)
+        for v, i in ctx.var_index.items() if i not in bad
+    ]
+    rows = ctx.coprime_to_others()
+    for gi, (g, A) in enumerate(zip(ctx.gens, polys)):
+        N = ctx.gen_degree(gi)
+        if N > 1 and rows[gi] and _capelli_irreducible(A, columns[gi]):
+            out.append(CertifiedPlace(ValuationPlace(kind="irr", poly=A, label=f"A:{g.label}"), gi, N))
     ctx._certified_places = out
     return out
 
 
-def _capelli_irreducible(A: Poly) -> bool:
+def _capelli_irreducible(A: Poly, degrees: dict) -> bool:
     """Certify irreducibility for binomial-in-one-variable shapes
     c*X^m + B (B free of X, c a nonzero constant, m odd): X^m = b is
     irreducible iff b is not a q-th power for each prime q dividing m.
-    Returns False (no certificate) for any other shape."""
+    Returns False (no certificate) for any other shape.  `degrees` is
+    A.degrees(), the variables tried (a `gen_var_degrees` column)."""
     F = A.field
-    for v in sorted(A.variables_used()):
+    for v in sorted(degrees):
         coeffs = A.coeffs_in(v)
         m = len(coeffs) - 1
         if m == 0:
@@ -201,13 +185,10 @@ def valuation_vector(a: TowerElement) -> list[PlaceValue]:
         raise ZeroInput("valuation of 0 is undefined")
     out = []
     for cp in certified_places(a.ctx):
-        term_values = []
-        for exps, c in a.coeffs.items():
-            v = Fraction(g_adic_valuation(c, cp.place))
-            for k, gv in zip(exps, cp.gen_values):
-                if k:
-                    v += k * gv
-            term_values.append(v)
+        term_values = [
+            g_adic_valuation(c, cp.place) + Fraction(0 if cp.ramified is None else e[cp.ramified], cp.denominator)
+            for e, c in a.coeffs.items()
+        ]
         lo = min(term_values)
         exact = term_values.count(lo) == 1
         out.append(PlaceValue(label=cp.place.label, value=lo, exact=exact, denominator=cp.denominator))

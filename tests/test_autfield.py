@@ -1,6 +1,7 @@
 """Graph symmetries acting on the tower: sigma, supports, the codec."""
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations, groupby, permutations
 from math import factorial, prod
 
@@ -17,6 +18,7 @@ from graphfield.autfield import (
 )
 from graphfield.errors import ColorViolation
 from graphfield.fieldtower import (
+    TowerContext,
     TowerElement,
     build_tower,
     edge_label,
@@ -24,7 +26,7 @@ from graphfield.fieldtower import (
     generator_vertex,
     random_nonzero_element,
 )
-from graphfield.graphs import Graph, GraphAut, graph_auts, greedy_star_coloring, transform
+from graphfield.graphs import ColoredGraph, Graph, GraphAut, graph_auts, greedy_star_coloring, transform
 
 
 def k2_plus_ctx():
@@ -83,6 +85,38 @@ def test_sigma_rejects_color_breaking_maps():
     vm[inner[0]], vm[inner[1]] = vm[inner[1]], vm[inner[0]]
     with pytest.raises((ColorViolation, ValueError)):
         FieldAut(ctx, vm)
+
+
+def path3(colors=(0, 0)):
+    """The path a - b - c with its two edges coloured `colors`."""
+    g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    return ColoredGraph(g, {("a", "b"): colors[0], ("b", "c"): colors[1]}, max(colors) + 1)
+
+
+def test_field_aut_refusals():
+    swap = {"a": "c", "b": "b", "c": "a"}
+    ident = {v: v for v in "abc"}
+    cg = path3()
+    ctx = build_tower(cg)
+    assert FieldAut(ctx, swap).gen_perm == [1, 0]
+    bare = TowerContext(0, ctx.var_names, ctx.chain_prime, ctx.vertex_depths, ctx.gens)
+    # the generator labelled e:a,b carries the relation of b - c, and back
+    crossed = [replace(g, recipe=h.recipe) for g, h in zip(ctx.gens, reversed(ctx.gens))]
+    cases = [
+        (bare, ident, ValueError, "need a graph-built tower"),
+        (ctx, {"a": "a", "b": "b"}, ValueError, "must be a bijection of the graph vertices"),
+        (ctx, {"a": "b", "b": "a", "c": "c"}, ValueError, "is not a graph automorphism"),
+        (build_tower(path3((0, 1))), swap, ColorViolation, "changes color under the map"),
+        (build_tower(cg, vertex_depths={"a": 1, "b": 1, "c": 0}), swap, ValueError,
+         "vertex depths are not invariant"),
+        (build_tower(cg, edge_depths={"e:a,b": 1, "e:b,c": 0}), swap, ValueError,
+         "edge depths are not invariant"),
+        (TowerContext(0, ctx.var_names, ctx.chain_prime, ctx.vertex_depths, crossed, colored_graph=cg),
+         ident, ValueError, "substitution breaks a defining relation"),
+    ]
+    for tower, vertex_map, exc, message in cases:
+        with pytest.raises(exc, match=message):
+            FieldAut(tower, vertex_map)
 
 
 def test_sigma_relation_substitution():

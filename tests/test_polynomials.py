@@ -400,8 +400,11 @@ def test_prime_field_tables_match_the_digit_walk():
         assert _modgcd._prime_tables.__wrapped__(q) == _modgcd._digit_walk(q, 1)
     modulus, exp, log = _modgcd._power_tables(65537, 1)
     assert (modulus, exp[1]) == (65537 - 65534, 65534)  # 65536 and 65535 are squares
-    # the last four prime fields are kept
-    assert _modgcd._power_tables(65537, 1)[1] is exp
+    # the last four prime fields of order up to MAX_FIELD_ORDER = 2^16
+    # are kept; a larger one is built for its caller and not kept
+    assert _modgcd._power_tables(65537, 1)[1] is not exp
+    exp = _modgcd._power_tables(65521, 1)[1]
+    assert _modgcd._power_tables(65521, 1)[1] is exp
 
 
 # -- rational functions ----------------------------------------------------------------

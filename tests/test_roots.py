@@ -2,18 +2,23 @@
 import itertools
 import math
 import random
+import gc
 import time
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from graphfield.errors import BadPrime, ZeroInput
 from graphfield.fieldtower import (
     RadicalGen,
+    RadicalSpec,
     TowerContext,
     build_tower,
     generator_edge,
     generator_vertex,
+    radical_extend,
     random_nonzero_element,
     random_structured_monomial,
 )
@@ -31,6 +36,7 @@ from graphfield.roots import (
     _MAX_CANDIDATES,
     ValuationPlace,
     _affine_solutions,
+    _capelli_irreducible,
     _structured_root,
     certified_places,
     classify_p_high,
@@ -215,10 +221,15 @@ def test_pth_root_past_the_old_candidate_cap():
     assert r.witness**5 == a
 
 
+@lru_cache(maxsize=1)
+def sym2_chain_tower():
+    s2 = closure([Perm.from_cycles(2, [(0, 1)])])
+    return build_tower(transform(code_structure(cayley_structure(s2))), char=0, cap=math.inf)
+
+
 def test_structured_root_on_the_sym2_chain_tower():
     # the 487-vertex chain transform of S2 has 196 generators of prime 7
-    s2 = closure([Perm.from_cycles(2, [(0, 1)])])
-    ctx = build_tower(transform(code_structure(cayley_structure(s2))), char=0, cap=math.inf)
+    ctx = sym2_chain_tower()
     assert (ctx.nvars, len(ctx.gens)) == (487, 882)
     sevens = [gen.label for gen in ctx.gens if gen.prime == 7]
     assert len(sevens) == 196
@@ -472,3 +483,102 @@ def test_char3_behavior_recorded():
     assert r.outcome == "root"
     r2 = pth_root(xs0, 2)
     assert r2.outcome in ("no", "unknown")
+
+
+# -- certified places against the pairwise-divisibility definition -------------
+
+
+def reference_places(ctx):
+    """(label, ramified generator, denominator) of each certified place by
+    the definition that `certified_places` first used: X_j = 0 when every
+    A_i is nonzero with a term free of X_j; A_i = 0 when N_i > 1, A_i is
+    Capelli-certified and divides no other A_j, where A_i | 0 counts as
+    dividing."""
+    A = [ctx.gen_poly(i) for i in range(len(ctx.gens))]
+    out = [(f"X:{v}", None, 1) for v, j in ctx.var_index.items()
+           if all(not f.is_zero() and f.min_degree_in(j) == 0 for f in A)]
+    for i, f in enumerate(A):
+        others = [g for j, g in enumerate(A) if j != i]
+        if (ctx.gen_degree(i) > 1 and _capelli_irreducible(f, f.degrees())
+                and all(not g.is_zero() and g.multiplicity_of(f) == 0 for g in others)):
+            out.append((f"A:{ctx.gens[i].label}", i, ctx.gen_degree(i)))
+    return out
+
+
+def zero_and_irreducible_tower():
+    # Y_u^5 = 0 and Y_v^7 = 1 + z: A_v is irreducible and A_v | A_u = 0
+    return TowerContext(0, ("z",), 3, {"z": 0}, [
+        RadicalGen("t:u", 5, 1, ("tpoly", "z", (Fraction(0),))),
+        RadicalGen("t:v", 7, 1, ("tpoly", "z", (Fraction(1), Fraction(1)))),
+    ])
+
+
+def oracle_towers():
+    graphs = {"K2": ("st", ["st"]), "P3": ("abc", ["ab", "bc"]), "K3": ("abc", ["ab", "bc", "ac"])}
+    for name, (vs, es) in graphs.items():
+        for char in (0, 2, 5):
+            g = greedy_star_coloring(Graph(list(vs), [tuple(e) for e in es]))
+            yield f"{name}:{char}", build_tower(g, char=char)
+    for char in (0, 2):
+        c = CoeffField(char).of_int
+        yield f"shared:{char}", TowerContext(char, ("z",), 3, {"z": 1}, [
+            RadicalGen("t:u", 5, 1, ("tpoly", "z", (c(0), c(1)))),
+            RadicalGen("t:v", 7, 1, ("tpoly", "z", (c(0), c(1), c(1)))),
+        ])
+        for name, top in (("y5_z5", 1), ("y5_0", 0)):
+            coeffs = tuple(map(c, (0, 0, 0, 0, 0, top)))
+            yield f"{name}:{char}", TowerContext(char, ("z",), 3, {"z": 0},
+                                                 [RadicalGen("t:v", 5, 1, ("tpoly", "z", coeffs))])
+    yield "zero_and_irreducible", zero_and_irreducible_tower()
+    spec = RadicalSpec(p=3, branch_primes=(5, 7), partition={"a": 0, "b": 1},
+                       polys={"a": (1, 1), "b": (2, 0, 1)})
+    yield "radical_extend", radical_extend(spec)
+
+
+def test_certified_places_match_the_pairwise_divisibility_definition():
+    seen = set()
+    for name, ctx in oracle_towers():
+        got = [(cp.place.label, cp.ramified, cp.denominator) for cp in certified_places(ctx)]
+        assert got == reference_places(ctx), name
+        seen.update(kind for kind, _, _ in got)
+    # both kinds of place occur, and some towers lose a defining-polynomial place
+    assert any(label.startswith("X:") for label in seen) and any(label.startswith("A:") for label in seen)
+
+
+def test_pth_root_over_a_zero_and_an_irreducible_defining_polynomial():
+    # certified_places divided the zero A_u by A_v and raised "zero
+    # polynomial"; A_v divides 0, so it has no place, and nor does z
+    ctx = zero_and_irreducible_tower()
+    assert certified_places(ctx) == []
+    r = pth_root(generator_vertex(ctx, "z", 0), 5)
+    assert r.outcome == "unknown" and r.witness is None and r.certificate is None
+
+
+def test_certified_places_on_the_sym2_chain_tower():
+    # 487 chain-variable places and one place per generator: every edge
+    # polynomial is Capelli-certified and coprime to the other 881
+    ctx = sym2_chain_tower()
+    places = certified_places(ctx)
+    assert len(places) == 487 + 882 == 1369
+    v = ctx.var_names[0]
+    r = pth_root(generator_vertex(ctx, v, 0), 2)
+    assert r.outcome == "no"
+    assert r.certificate["kind"] == "valuation" and r.certificate["place"] == f"X:{v}"
+
+
+def test_specialization_keeps_no_large_prime_table():
+    # K2 with an edge of degree 113^2 specializes over q = 127,691 alone;
+    # its exp/log tables (about 13 MiB) outlived the call in the cache
+    g = Graph(["s", "t"], [("s", "t")])
+    ctx = build_tower(greedy_star_coloring(g), char=0, primes=(3, 113), edge_depths=2, cap=20000)
+    a = generator_vertex(ctx, "s", 1) + ctx.one()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rep = specialization_refute(a, 5)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep["q"] == 127691
+    assert retained < 2**20
