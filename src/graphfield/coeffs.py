@@ -60,6 +60,13 @@ class CoeffField:
         q = a * self.inv(b)
         return q % self.char if self.char else q
 
+    def mul(self, a, b):
+        return a * b % self.char if self.char else a * b
+
+    def pow(self, a, n: int):
+        """a^n for any integer n (a nonzero when n < 0)."""
+        return pow(a, n, self.char) if self.char else a**n
+
     def is_zero(self, a) -> bool:
         return a == 0
 

@@ -20,10 +20,11 @@ A one-term element c·Y^e is raised to every integer power in one
 closed form, since its generator powers fold into a product of the A_i;
 its inverse is the (-1)-st power.  When the A_i form a coprime base
 (`TowerContext.coprime_base`), a one-term element built from constants
-and generators carries its coefficient as a power product r·prod A_i^k_i
-beside the canonical form: products and powers add and scale the
-exponent vectors k, and the coefficient is expanded from cached A_i
-powers without a gcd (`_expand`).  A two-term element m0 + m1 is
+and generators carries its coefficient as a power product c·prod A_i^k_i
+(c a prime-field constant) in place of the canonical form: products and
+powers add and scale the exponent vectors k, and the coefficient is
+expanded from cached A_i powers without a gcd (`_expand`) only when the
+canonical form is first read.  A two-term element m0 + m1 is
 inverted in closed form too: w = -m1/m0 is one term, and a power w^L
 lies in the base field, so (m0 + m1)^-1 = m0^-1 · sum_(j < L) w^j /
 (1 - w^L).  Other elements are raised by square-and-multiply, and
@@ -283,10 +284,9 @@ class TowerContext:
         if r.is_zero():
             return self.zero()
         zero_exp = (0,) * len(self.gens)
-        out = TowerElement(self, {zero_exp: r})
-        if r.is_constant() and self.coprime_base():
-            out._pp = (r, zero_exp)
-        return out
+        if r.is_constant() and self.coprime_base():  # den is monic: 1
+            return _from_form(self, zero_exp, r.num.constant_value(), zero_exp)
+        return TowerElement(self, {zero_exp: r})
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +414,19 @@ class TowerElement:
     """Canonical form: {reduced generator exponent vector: RatFunc}.
 
     `_pp` is None or, on a one-term element of a tower with a coprime
-    base, its coefficient's power-product form (r, k): the coefficient
-    is r·prod A_i^k_i with r coprime to every A_i (see `_expand`).  It
-    only speeds up arithmetic; equality and hashing never read it."""
+    base, its power-product form (e, c, k): the element is
+    c·prod A_i^k_i · Y^e with c a nonzero prime-field constant.  Such an
+    element is built without its canonical form (`_from_form`); `coeffs`
+    is expanded from the form (`_expand`) when first read, and kept.
+
+    Two forms are equal exactly when their elements are.  The A_i are
+    nonzero, nonconstant, monic and pairwise coprime, so if
+    c·prod A_i^k_i = c'·prod A_i^k'_i, any irreducible factor of A_j
+    divides no other A_i, and its valuation gives k_j = k'_j; cancelling
+    the powers then gives c = c'.  So equality compares forms when both
+    sides carry one, and coefficients otherwise; hashing always hashes
+    the expanded coefficients, so equal elements hash alike with or
+    without a form."""
 
     __slots__ = ("ctx", "coeffs", "_pp")
 
@@ -425,10 +435,18 @@ class TowerElement:
         self.coeffs = {e: c for e, c in coeffs.items() if not c.is_zero()}
         self._pp = None
 
+    def __getattr__(self, name):
+        # reached only for an unset slot: the coefficients of a form
+        if name != "coeffs" or self._pp is None:
+            raise AttributeError(name)
+        e, c, k = self._pp
+        self.coeffs = {e: _expand(self.ctx, c, k)}
+        return self.coeffs
+
     # -- basic views -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self._pp is None and not self.coeffs
 
     def is_one(self) -> bool:
         z = (0,) * len(self.ctx.gens)
@@ -457,6 +475,8 @@ class TowerElement:
         if not isinstance(other, TowerElement):
             return NotImplemented
         _same_ctx(self, other)
+        if self._pp is not None and other._pp is not None:
+            return self._pp == other._pp
         return self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -489,16 +509,14 @@ class TowerElement:
     def __mul__(self, other: "TowerElement") -> "TowerElement":
         _same_ctx(self, other)
         if self._pp is not None and other._pp is not None:
-            # one term times one term: r1·r2, k1 + k2 + the fold
-            (e1, _), = self.coeffs.items()
-            (e2, _), = other.coeffs.items()
-            (r1, k1), (r2, k2) = self._pp, other._pp
+            # one term times one term: c1·c2, k1 + k2 + the fold
+            (e1, c1, k1), (e2, c2, k2) = self._pp, other._pp
             exps, k = [], []
             for i, (x, y, u, v) in enumerate(zip(e1, e2, k1, k2)):
                 q, x = divmod(x + y, self.ctx.gen_degree(i))
                 exps.append(x)
                 k.append(u + v + q)
-            return _from_form(self.ctx, tuple(exps), r1 * r2, tuple(k))
+            return _from_form(self.ctx, tuple(exps), self.ctx.field.mul(c1, c2), tuple(k))
         raw: dict = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -514,7 +532,7 @@ class TowerElement:
         arithmetic on its power-product form when it carries one; any
         other element is inverted first for a negative n, then raised by
         square-and-multiply."""
-        if len(self.coeffs) == 1 and n not in (0, 1):
+        if (self._pp is not None or len(self.coeffs) == 1) and n not in (0, 1):
             return _monomial_power(self, n)
         if n < 0:
             return self.inv() ** (-n)
@@ -549,8 +567,8 @@ class TowerElement:
         (c·Y^e)^-1 = c^-1 · prod_(e_i > 0) A_i^-1 · Y^(N - e), with N - e
         read as 0 where e_i = 0; a zero A_i there makes Y_i nilpotent,
         and SingularMultiplication is raised as above.  A power-product
-        form (r, k) goes to (r^-1, -k - [e_i > 0]), and the coefficient
-        is expanded from it without a gcd.
+        form (e, c, k) goes to (N - e, c^-1, -k - [e_i > 0]), and nothing
+        is expanded.
 
         Two terms: a = m0 + m1, m0 the term of smaller exponent vector.
         Then w = -m1·m0^-1 is one term c·Y^δ, and a = m0·(1 - w).  Let L
@@ -632,11 +650,11 @@ def _monomial_power(a: TowerElement, n: int) -> TowerElement:
     nilpotent: the power is zero for n > 0, and n < 0 raises
     SingularMultiplication with a's to_json() form as its counterexample.
 
-    When a carries a power-product form (r, k), the power's form is
-    (r^n, n·k + q), and `_from_form` expands it: no gcd at all.
+    When a carries a power-product form (e, c, k), the power's form is
+    (r, c^n, n·k + q), and nothing is expanded.
     """
     ctx = a.ctx
-    (e, c), = a.coeffs.items()
+    e = a._pp[0] if a._pp is not None else next(iter(a.coeffs))
     m = abs(n)
     exps, qs, folds, index = [], [], [], {}
     for i, k in enumerate(e):
@@ -655,8 +673,9 @@ def _monomial_power(a: TowerElement, n: int) -> TowerElement:
             folds.append((A, abs(q)))
             index[id(A)] = i
     if a._pp is not None:
-        r, k = a._pp
-        return _from_form(ctx, tuple(exps), r**n, tuple(n * x + q for x, q in zip(k, qs)))
+        _, c, k = a._pp
+        return _from_form(ctx, tuple(exps), ctx.field.pow(c, n), tuple(n * x + q for x, q in zip(k, qs)))
+    c = a.coeffs[e]
     dens = [] if c.den.is_one() else [(c.den, m)]
     folds, dens = _cancel_powers(folds, dens)
     u_side = c.num**m
@@ -673,28 +692,29 @@ def _monomial_power(a: TowerElement, n: int) -> TowerElement:
     return TowerElement(ctx, {tuple(exps): RatFunc._raw(num, den)})
 
 
-def _expand(ctx: TowerContext, r: RatFunc, k) -> RatFunc:
-    """The coefficient r·prod A_i^k_i of a power-product form, as
-    r.num·prod_(k_i > 0) A_i^k_i over r.den·prod_(k_i < 0) A_i^-k_i from
-    the cached powers.  On a coprime base this is in lowest terms: r.num
-    and r.den are coprime to each other and to every A_i, and the A_i are
+def _expand(ctx: TowerContext, c, k) -> RatFunc:
+    """The coefficient c·prod A_i^k_i of a power-product form, as
+    c·prod_(k_i > 0) A_i^k_i over prod_(k_i < 0) A_i^-k_i from the cached
+    powers.  On a coprime base this is in lowest terms: the A_i are
     pairwise coprime, so no irreducible factor can divide both sides.
     The denominator is monic, a product of monic polynomials, so the pair
     is canonical as it stands: no gcd and no rescaling."""
-    out = object.__new__(RatFunc)
-    out.num, out.den = r.num, r.den
+    num = den = Poly.one(ctx.field, ctx.nvars)
     for i, x in enumerate(k):
         if x > 0:
-            out.num = out.num * ctx.gen_poly_power(i, x)
+            num = ctx.gen_poly_power(i, x) if num.is_one() else num * ctx.gen_poly_power(i, x)
         elif x < 0:
-            out.den = out.den * ctx.gen_poly_power(i, -x)
+            den = ctx.gen_poly_power(i, -x) if den.is_one() else den * ctx.gen_poly_power(i, -x)
+    out = object.__new__(RatFunc)
+    out.num, out.den = num.scale(c), den
     return out
 
 
-def _from_form(ctx: TowerContext, e: tuple, r: RatFunc, k: tuple) -> TowerElement:
-    """The one-term element r·prod A_i^k_i · Y^e, carrying its form."""
-    out = TowerElement(ctx, {e: _expand(ctx, r, k)})
-    out._pp = (r, k)
+def _from_form(ctx: TowerContext, e: tuple, c, k: tuple) -> TowerElement:
+    """The one-term element c·prod A_i^k_i · Y^e, built from its form;
+    its coefficient is expanded when first read."""
+    out = object.__new__(TowerElement)
+    out.ctx, out._pp = ctx, (e, c, k)
     return out
 
 
@@ -704,27 +724,28 @@ def _monomial_root(a: TowerElement, beta: tuple, shift: list, p: int) -> TowerEl
     c·prod A_i^-shift_i; None when the target has no p-th root, or when a
     shift needs a zero A_i (the candidate's p-th power is then 0, not a).
 
-    With a power-product form (r, k) the target's form is (r, k - shift),
-    by subtraction.  When p divides every k_i - shift_i, the target is a
-    p-th power exactly when r is, and the root's form is (r^(1/p),
-    (k - shift)/p).  Otherwise (an A_i may itself be a p-th power, as z^5
-    is) the expanded target is peeled (`RatFunc.pth_root`), as it is
-    without a form, where the target is c divided by each A_i^shift_i.
-    Either way the root is the one whose leading coefficient is the
-    prime field's root of the target's, since every A_i is monic."""
+    With a power-product form (alpha, c, k) the target's form is
+    (c, k - shift), by subtraction.  When p divides every k_i - shift_i,
+    the target is a p-th power exactly when the constant c is, and the
+    root's form is (beta, c^(1/p), (k - shift)/p), with c^(1/p) from the
+    prime field (`CoeffField.pth_root`).  Otherwise (an A_i may itself be
+    a p-th power, as z^5 is) the expanded target is peeled
+    (`RatFunc.pth_root`), as it is without a form, where the target is
+    the coefficient divided by each A_i^shift_i.  Either way the root is
+    the one whose leading coefficient is the prime field's root of the
+    target's, since every A_i is monic."""
     ctx = a.ctx
-    (_, c), = a.coeffs.items()
     if a._pp is not None:
-        r, k = a._pp
+        _, c, k = a._pp
         k = [x - s for x, s in zip(k, shift)]
         if not any(x % p for x in k):
-            root = r.pth_root(p)
+            root = ctx.field.pth_root(c, p)
             return None if root is None else _from_form(ctx, beta, root, tuple(x // p for x in k))
-        target = _expand(ctx, r, k)
+        target = _expand(ctx, c, k)
     else:
         if any(s and ctx.gen_poly(i).is_zero() for i, s in enumerate(shift)):
             return None
-        target = c
+        (target,) = a.coeffs.values()
         for i, s in enumerate(shift):
             if s:
                 target = target / RatFunc.from_poly(ctx.gen_poly_power(i, s))
@@ -814,10 +835,12 @@ def generator_edge(ctx: TowerContext, e, i: int) -> TowerElement:
         raise DepthExceeded(f"edge root {i} exceeds depth {g.depth}")
     exps = [0] * len(ctx.gens)
     exps[gi] = g.prime ** (g.depth - i)
-    out = _reduce(ctx, {tuple(exps): RatFunc.one(ctx.field, ctx.nvars)})
-    if ctx.coprime_base():  # Y^N folds into A at i = 0: the form (1, e_gi), else (1, 0)
-        out._pp = (RatFunc.one(ctx.field, ctx.nvars), tuple(int(i == 0 and j == gi) for j in range(len(exps))))
-    return out
+    if not ctx.coprime_base():
+        return _reduce(ctx, {tuple(exps): RatFunc.one(ctx.field, ctx.nvars)})
+    k = [0] * len(exps)  # Y^N folds into A at i = 0
+    if i == 0:
+        exps[gi], k[gi] = 0, 1
+    return _from_form(ctx, tuple(exps), ctx.field.one, tuple(k))
 
 
 def embed(a: TowerElement, target: TowerContext) -> TowerElement:
@@ -875,7 +898,7 @@ def _inv_in(a: TowerElement) -> TowerElement:
     """inv() of a nonzero element: one term by `_monomial_power`, two
     terms by `_binomial_inverse` where its closed form applies, anything
     else by `_euclid_inverse`."""
-    if len(a.coeffs) == 1:
+    if a._pp is not None or len(a.coeffs) == 1:
         return _monomial_power(a, -1)
     if len(a.coeffs) == 2:
         x = _binomial_inverse(a)

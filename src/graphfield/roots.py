@@ -12,7 +12,9 @@ structured elements:
         exponent subtraction and division when the element carries a
         power-product form, and otherwise from a rational function p-th
         root (`fieldtower._monomial_root`).  Any witness is re-verified
-        by exponentiation, once, before it is returned;
+        by exponentiation, once, before it is returned; on a witness and
+        an element that both carry forms, that check compares the forms
+        and expands no coefficient;
   (ii)  valuation filter: certified places whose value groups are pinned
         down (unramified chain-variable places, and defining-polynomial
         places that are provably totally ramified at one level) give
@@ -179,16 +181,33 @@ def valuation_vector(a: TowerElement) -> list[PlaceValue]:
 
     A term's value is v(coefficient) + sum of exponent * v(generator);
     the element's value is the unique minimum when there is one, and an
-    inexact lower bound (marked ambiguous) otherwise.
+    inexact lower bound (marked ambiguous) otherwise.  A power-product
+    form c·prod A_i^k_i·Y^e has value k_i + e_i/N_i at the place of A_i
+    (which divides no other A_j) and 0 at X_j = 0 (where every A_i is a
+    unit).  Otherwise v_(A_i) is found by trial division, but only of a
+    side (numerator or denominator) whose degree in each variable of A_i
+    reaches A_i's: a side of lower degree cannot be divisible by A_i.
     """
     if a.is_zero():
         raise ZeroInput("valuation of 0 is undefined")
+    places = certified_places(a.ctx)
+    if a._pp is not None:
+        e, _, k = a._pp
+        return [PlaceValue(cp.place.label, Fraction(0) if cp.ramified is None else
+                           k[cp.ramified] + Fraction(e[cp.ramified], cp.denominator), True, cp.denominator)
+                for cp in places]
+    columns = a.ctx.gen_var_degrees()
+    terms = [(e, c, [(side, side.degrees()) for side in (c.num, c.den)]) for e, c in a.coeffs.items()]
     out = []
-    for cp in certified_places(a.ctx):
-        term_values = [
-            g_adic_valuation(c, cp.place) + Fraction(0 if cp.ramified is None else e[cp.ramified], cp.denominator)
-            for e, c in a.coeffs.items()
-        ]
+    for cp in places:
+        i = cp.ramified
+        if i is None:
+            term_values = [Fraction(g_adic_valuation(c, cp.place)) for _, c, _ in terms]
+        else:
+            term_values = [Fraction(e[i], cp.denominator) + sum(
+                sign * side.multiplicity_of(cp.place.poly)
+                for sign, (side, degs) in zip((1, -1), sides)
+                if all(degs.get(j, 0) >= d for j, d in columns[i].items())) for e, _, sides in terms]
         lo = min(term_values)
         exact = term_values.count(lo) == 1
         out.append(PlaceValue(label=cp.place.label, value=lo, exact=exact, denominator=cp.denominator))
@@ -233,16 +252,21 @@ def _structured_root(a: TowerElement, p: int) -> TowerElement | None:
 
         sum_i t_i deg_j(A_i) = deg_j(c) - sum_i shift0_i deg_j(A_i)  (mod p).
 
+    With a power-product form c = c0·prod A_i^k_i, deg_j(c) is
+    sum_i k_i·deg_j(A_i), read off the `gen_var_degrees` columns.
+
     This system is row-reduced mod p: when it is inconsistent no exponent
     vector can work, and otherwise each point of its affine solution set,
     in lexicographic order of the exponent vectors, goes through the
     coefficient root (`fieldtower._monomial_root`) and the exact check
-    `cand**p == a`.  With a power-product form c = r·prod A_i^k_i, the
-    target's exponents are k - shift, by subtraction; when p divides
-    them all, the root is r^(1/p)·prod A_i^((k_i - shift_i)/p), found by
-    division, and otherwise the target is expanded and peeled.  Without
-    a form the target is c divided by each A_i^shift_i, and a shift that
-    needs a zero A_i is skipped, since that candidate's p-th power is 0.
+    `cand**p == a`.  With a power-product form, the target's exponents
+    are k - shift, by subtraction; when p divides them all, the root is
+    c0^(1/p)·prod A_i^((k_i - shift_i)/p), found by division, and
+    otherwise the target is expanded and peeled.  Such a root carries a
+    form, so `cand**p` is exponent arithmetic and `==` compares the two
+    forms (see `TowerElement`), expanding nothing.  Without a form the
+    target is c divided by each A_i^shift_i, and a shift that needs a
+    zero A_i is skipped, since that candidate's p-th power is 0.
     `_MAX_CANDIDATES` bounds the solution set, not the p^k vectors the
     congruences allow.  In a tower from
     `build_tower` the set has at most one point: each colour has its own
@@ -251,14 +275,22 @@ def _structured_root(a: TowerElement, p: int) -> TowerElement | None:
     units mod p since the chain prime p0 differs from p.  A forest's
     incidence matrix has full column rank, so the solution is unique.
     """
-    if len(a.coeffs) != 1:
+    if a._pp is None and len(a.coeffs) != 1:
         return None
     ctx = a.ctx
-    (alpha, c), = a.coeffs.items()
     columns = ctx.gen_var_degrees()
-    rhs = c.num.degrees()
-    for j, d in c.den.degrees().items():
-        rhs[j] = rhs.get(j, 0) - d
+    if a._pp is not None:  # deg_j(c·prod A_i^k_i) = sum_i k_i·deg_j(A_i)
+        alpha, _, k = a._pp
+        rhs = {}
+        for i, x in enumerate(k):
+            if x:
+                for j, d in columns[i].items():
+                    rhs[j] = rhs.get(j, 0) + x * d
+    else:
+        (alpha, c), = a.coeffs.items()
+        rhs = c.num.degrees()
+        for j, d in c.den.degrees().items():
+            rhs[j] = rhs.get(j, 0) - d
     beta0, shift0, unknowns = [], [], []
     for i, k in enumerate(alpha):
         n = ctx.gen_degree(i)

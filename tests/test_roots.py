@@ -566,6 +566,26 @@ def test_certified_places_on_the_sym2_chain_tower():
     assert r.certificate["kind"] == "valuation" and r.certificate["place"] == f"X:{v}"
 
 
+def test_valuations_of_a_vertex_monomial_take_no_trial_division(monkeypatch):
+    # every edge polynomial of the sym:2 chain tower has two variables, and
+    # x_v^0 = X_v^m (and its denominator 1) has degree 0 in at least one
+    # of them, so none of the 882 places divides: before the degree test
+    # this took two multiplicity_of calls per place, 1,764 divisions
+    ctx = sym2_chain_tower()
+    certified_places(ctx)
+    calls = []
+    divexact = Poly.divexact
+    monkeypatch.setattr(Poly, "divexact", lambda f, g: calls.append(g) or divexact(f, g))
+    v = ctx.var_names[1]
+    assert pth_root(generator_vertex(ctx, v, 0), 2).outcome == "no"
+    assert len(calls) == 0
+    # a side that reaches an A_i's degrees is still divided
+    A = ctx.gen_poly(0)
+    values = {pv.label: pv.value for pv in valuation_vector(ctx.from_poly(A * A))}
+    assert values[f"A:{ctx.gens[0].label}"] == 2
+    assert len(calls) == 3  # A^2 / A, A / A, then 1 / A fails
+
+
 def test_specialization_keeps_no_large_prime_table():
     # K2 with an edge of degree 113^2 specializes over q = 127,691 alone;
     # its exp/log tables (about 13 MiB) outlived the call in the cache
