@@ -654,13 +654,20 @@ def _monomial_power(a: TowerElement, n: int) -> TowerElement:
     (r, c^n, n·k + q), and nothing is expanded.
     """
     ctx = a.ctx
-    e = a._pp[0] if a._pp is not None else next(iter(a.coeffs))
+    if a._pp is not None:  # a coprime base has no zero A_i
+        e, c, k = a._pp
+        exps, ks = [], []
+        for i, (x, y) in enumerate(zip(e, k)):
+            q, r = divmod(n * x, ctx.gen_degree(i))
+            exps.append(r)
+            ks.append(n * y + q)
+        return _from_form(ctx, tuple(exps), ctx.field.pow(c, n), tuple(ks))
+    (e, c), = a.coeffs.items()
     m = abs(n)
-    exps, qs, folds, index = [], [], [], {}
+    exps, folds, index = [], [], {}
     for i, k in enumerate(e):
         q, r = divmod(n * k, ctx.gen_degree(i))
         exps.append(r)
-        qs.append(q)
         if q:
             A = ctx.gen_poly(i)
             if A.is_zero():
@@ -672,10 +679,6 @@ def _monomial_power(a: TowerElement, n: int) -> TowerElement:
                 )
             folds.append((A, abs(q)))
             index[id(A)] = i
-    if a._pp is not None:
-        _, c, k = a._pp
-        return _from_form(ctx, tuple(exps), ctx.field.pow(c, n), tuple(n * x + q for x, q in zip(k, qs)))
-    c = a.coeffs[e]
     dens = [] if c.den.is_one() else [(c.den, m)]
     folds, dens = _cancel_powers(folds, dens)
     u_side = c.num**m

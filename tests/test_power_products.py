@@ -8,7 +8,12 @@ pth_root(a**p, p) and of a refused pth_root(a**p * Y, p) for each
 generator prime p.  Most elements are products of constants and
 generator powers; some have a coefficient that is not such a product.
 Every form is compared part by part (content, integer part, cached
-leading exponent) with `assert_same_form`.
+leading exponent) with `assert_same_form`.  Elements built from
+constants and generators hold only their power-product form until their
+coefficients are read, so writing the corpus also checks the lazy
+expansion.  Further tests check the readers of forms (==, hash,
+valuation_vector, the structured roots) against the same elements
+rebuilt from their expanded coefficients (`plain`).
 
     PYTHONPATH=src python3 tests/test_power_products.py > tests/power_product_corpus.json
 
