@@ -4,9 +4,10 @@
 the shared-factor tower and Y^5 = z^5 in characteristics 0, 2 and 5, the
 canonical forms of a**n (n in -7..7 outside {0, 1}), of a.inv(), of a·a
 and of a times each generator's deepest root Y_i, and of the results of
-pth_root(a**p, p) and of a refused pth_root(a**p * Y, p) for each
-generator prime p.  Most elements are products of constants and
-generator powers; some have a coefficient that is not such a product.
+pth_root(a**p, p) and of a refused pth_root(a**p * Y, p) for the chain
+prime (Y the first vertex's deepest root) and each generator prime p.
+Most elements are products of constants and edge or vertex generator
+powers; some have a coefficient that is not such a product.
 Every form is compared part by part (content, integer part, cached
 leading exponent) with `assert_same_form`.  Elements built from
 constants and generators hold only their power-product form until their
@@ -28,7 +29,14 @@ import pytest
 
 from graphfield import fieldtower
 from graphfield.coeffs import CoeffField
-from graphfield.fieldtower import RadicalGen, TowerContext, TowerElement, _from_form, generator_edge
+from graphfield.fieldtower import (
+    RadicalGen,
+    TowerContext,
+    TowerElement,
+    _from_form,
+    generator_edge,
+    generator_vertex,
+)
 from graphfield.polynomials import Poly, _poly
 from graphfield.ratfunc import RatFunc
 from graphfield.roots import _structured_root, pth_root, valuation_vector
@@ -59,6 +67,16 @@ SHAPES = {
     "shared": [((0, 1), (1, 1)), ((1, -1), (0, -1)), ((1, 2), None)],
     "y5_z5": [((0, 1),), ((0, -1),), ((1, 2),)],
 }
+# (level, exponent) of each vertex's root, None where it is absent; each
+# shape gives a vertex element and, times the edge shape of its index, a
+# vertex × edge element
+VERTEX_SHAPES = {
+    "K2": [((1, 1), None), ((0, -1), (1, 2)), ((1, -2), (0, 1))],
+    "P3": [((1, 1), None, (0, -1)), (None, (1, -2), None), ((0, 2), (1, 1), (1, -1))],
+    "K3": [((1, -1), (0, 1), None), (None, None, (1, 2)), ((1, 1), (1, 1), (1, 1))],
+    "shared": [((1, 1),), ((0, -1),)],
+    "y5_z5": [((0, 1),), ((0, -2),)],
+}
 
 
 def context(name, char):
@@ -72,24 +90,51 @@ def context(name, char):
 
 def elements(ctx, name):
     """The corpus's one-term elements of ctx: a constant times a product
-    of generator powers for each shape, then one element built directly
-    from a rational-function coefficient."""
+    of edge generator powers for each shape, one element built directly
+    from a rational-function coefficient, then for each vertex shape a
+    constant times a product of vertex generator powers, alone and times
+    an edge shape's product."""
     consts = CONSTANTS[ctx.char]
-    out = []
-    for j, shape in enumerate(SHAPES[name]):
+
+    def constant(j):
         c = ctx.field.of_fraction(Fraction(consts[j % len(consts)]))
-        a = ctx.from_ratfunc(RatFunc.const(ctx.field, ctx.nvars, c))
+        return ctx.from_ratfunc(RatFunc.const(ctx.field, ctx.nvars, c))
+
+    def edges(a, shape):
         for g, part in zip(ctx.gens, shape):
             if part is not None:
                 level, m = part
                 a = a * generator_edge(ctx, g.label, level) ** m
-        out.append(a)
+        return a
+
+    out = [edges(constant(j), shape) for j, shape in enumerate(SHAPES[name])]
     F, n = ctx.field, ctx.nvars
     num = Poly.var(F, n, 0) + Poly.const(F, n, F.of_int(2))
     den = Poly.var(F, n, n - 1, 2) + Poly.const(F, n, F.of_int(3))
     exps = tuple(min(ctx.gen_degree(i) - 1, 2) for i in range(len(ctx.gens)))
     out.append(TowerElement(ctx, {exps: RatFunc(num, den)}))
+    for j, shape in enumerate(VERTEX_SHAPES[name]):
+        a = constant(j + 1)
+        for v, part in zip(ctx.var_names, shape):
+            if part is not None:
+                level, m = part
+                a = a * generator_vertex(ctx, v, level) ** m
+        out += [a, edges(a, SHAPES[name][j])]
     return out
+
+
+def primes(ctx) -> list:
+    """The chain prime and the generator primes of ctx."""
+    return sorted({ctx.chain_prime} | {g.prime for g in ctx.gens})
+
+
+def deepest_root(ctx, p):
+    """The first vertex's deepest root for the chain prime, else the first
+    generator of prime p's."""
+    if p == ctx.chain_prime:
+        v = ctx.var_names[0]
+        return generator_vertex(ctx, v, ctx.vertex_depths[v])
+    return next(generator_edge(ctx, g.label, g.depth) for g in ctx.gens if g.prime == p)
 
 
 def form_doc(x: TowerElement) -> list:
@@ -125,8 +170,8 @@ def cases(ctx, a):
     yield "square", a * a
     for g in ctx.gens:
         yield f"times:{g.label}", a * generator_edge(ctx, g.label, g.depth)
-    for p in sorted({g.prime for g in ctx.gens}):
-        y = next(generator_edge(ctx, g.label, g.depth) for g in ctx.gens if g.prime == p)
+    for p in primes(ctx):
+        y = deepest_root(ctx, p)
         b = a**p
         yield f"root:{p}", pth_root(b, p)
         yield f"refusal:{p}", pth_root(b * y, p)
@@ -153,7 +198,7 @@ def recorded():
 def test_one_term_forms_match_the_recorded_corpus(name, char, recorded):
     ctx = context(name, char)
     items = elements(ctx, name)
-    assert len(items) == len(SHAPES[name]) + 1
+    assert len(items) == len(SHAPES[name]) + 1 + 2 * len(VERTEX_SHAPES[name])
     for k, a in enumerate(items):
         case = recorded[(name, char, k)]
         assert_same_form(a, from_doc(ctx, case["form"]))
@@ -221,7 +266,7 @@ def check_readers(xs: list) -> None:
         assert hash(x) == hash(px)
         assert plains[table[x]] == px
         assert valuation_vector(x) == valuation_vector(px)
-        for p in sorted({g.prime for g in ctx.gens}):
+        for p in primes(ctx):
             for y, py in ((x, px), (x**p, px**p)):
                 got, want = _structured_root(y, p), _structured_root(py, p)
                 assert (got is None) == (want is None)
@@ -236,7 +281,7 @@ def test_form_readers_agree_with_the_expanded_coefficients(name, char):
     ctx = context(name, char)
     items = elements(ctx, name)
     xs = [y for x in items for y in [x, *variants(x)]]
-    assert sum(x._pp is not None for x in xs) > len(items)
+    assert any(x._pp is not None for x in items) and len(xs) > len(items)
     check_readers(xs)
 
 
