@@ -894,7 +894,7 @@ def _fp_gcd_free(f: dict, g: dict, p: int) -> dict:
         h = _univar_gcd(_fp_to_list(f, v), _fp_to_list(g, v), _image_field(p, 1))
         return _from_list(h, v, nvars)
     common = used_f & used_g
-    if not common or _constant_coefficient(f, common) or _constant_coefficient(g, common):
+    if not common or _constant_coefficient(f, common, used_f) or _constant_coefficient(g, common, used_g):
         return unit
     F = _start_field(p, max(max(map(max, f)), max(map(max, g))))
     rng = random.Random(0x5EED ^ p)
@@ -925,19 +925,20 @@ def _one_term_in(d: dict, v: int) -> bool:
     return 1 in Counter(e[v] for e in d).values()
 
 
-def _constant_coefficient(d: dict, common) -> bool:
+def _constant_coefficient(d: dict, common, used) -> bool:
     """Whether d, written over the ring of the variables in `common`,
     has a constant coefficient.  A common divisor of two polynomials
     involves only their shared variables, so it divides each such
     coefficient: with `common` the shared variables, True proves the
-    gcd constant.  A key is read and cleared at those positions only."""
+    gcd constant.  `used` holds the positions d uses (a superset will
+    do); a term's class is keyed by its exponents at the used positions
+    outside `common`, so a key is as wide as d's own variables, not the
+    ring's."""
+    rest = [j for j in used if j not in common]
     classes: dict = {}
     for e in d:
-        rest = e
-        for j in common:
-            if rest[j]:
-                rest = rest[:j] + (0,) + rest[j + 1:]
-        classes[rest] = None if rest in classes else rest is e
+        key = tuple([e[j] for j in rest])
+        classes[key] = None if key in classes else not any(e[j] for j in common)
     return any(classes.values())
 
 

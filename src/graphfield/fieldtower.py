@@ -20,11 +20,12 @@ A one-term element c·Y^e is raised to every integer power in one
 closed form, since its generator powers fold into a product of the A_i;
 its inverse is the (-1)-st power.  When the A_i form a coprime base
 (`TowerContext.coprime_base`), a one-term element built from constants
-and generators carries its coefficient as a power product c·prod A_i^k_i
-(c a prime-field constant) in place of the canonical form: products and
-powers add and scale the exponent vectors k, and the coefficient is
-expanded from cached A_i powers without a gcd (`_expand`) only when the
-canonical form is first read.  A two-term element m0 + m1 is
+and generators carries its coefficient as a power product
+c·prod A_i^k_i·prod X_j^x_j (c a prime-field constant, X_j only a chain
+variable that divides no A_i) in place of the canonical form: products
+and powers add and scale the exponent vectors k and x, and the
+coefficient is expanded from cached A_i powers without a gcd (`_expand`)
+only when the canonical form is first read.  A two-term element m0 + m1 is
 inverted in closed form too: w = -m1/m0 is one term, and a power w^L
 lies in the base field, so (m0 + m1)^-1 = m0^-1 · sum_(j < L) w^j /
 (1 - w^L).  Other elements are raised by square-and-multiply, and
@@ -41,6 +42,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import add, sub
 
 from .coeffs import CoeffField, is_prime
 from .errors import (
@@ -55,7 +57,7 @@ from .errors import (
 )
 from ._modgcd import _constant_coefficient
 from .graphs import ColoredGraph, check_star_coloring
-from .polynomials import Poly
+from .polynomials import Poly, _poly
 from .ratfunc import RatFunc
 
 DEFAULT_DIMENSION_CAP = 2000
@@ -126,23 +128,26 @@ class TowerContext:
                 raise InvalidInput(f"depth of {name} must be an integer >= 0, got {d!r}")
         self.cap = cap
         self.colored_graph = colored_graph
-        self.dimension = 1
+        self.dimension, degrees = 1, []
         for g in self.gens:
-            self.dimension *= g.prime**g.depth
+            degrees.append(g.prime**g.depth)
+            self.dimension *= degrees[-1]
             if self.dimension > cap:
                 raise TooLarge(f"basis dimension exceeds cap {cap}")
+        self.gen_degrees = tuple(degrees)  # N_i
         self._gen_polys = [self._build_gen_poly(g) for g in self.gens]
         self._gen_pow_cache: dict = {}
         self._gen_var_degrees: list | None = None
         self._sub_cache: dict = {}
         self._coprime_rows: list | None = None
         self._coprime: bool | None = None
+        self._dividing_vars: frozenset | None = None
+        self.root_plans: dict = {}  # p -> roots._RootPlan, filled by roots
 
     # -- structure -----------------------------------------------------------
 
     def gen_degree(self, i: int) -> int:
-        g = self.gens[i]
-        return g.prime**g.depth
+        return self.gen_degrees[i]
 
     def gen_poly(self, i: int) -> Poly:
         return self._gen_polys[i]
@@ -178,7 +183,7 @@ class TowerContext:
             pairs = {(i, j) for u in users.values() for x, j in enumerate(u) for i in u[:x]}
             pairs |= {(z, i) for z, f in enumerate(A) if f.is_zero() for i in range(len(A)) if i != z}
             for i, j in pairs:
-                if (rows[i] or rows[j]) and not _coprime(A[i], A[j], degs[i].keys() & degs[j].keys()):
+                if (rows[i] or rows[j]) and not _coprime(A[i], A[j], (degs[i], degs[j])):
                     rows[i] = rows[j] = False
             self._coprime_rows = rows
         return self._coprime_rows
@@ -191,6 +196,18 @@ class TowerContext:
             monic = all(not f.is_constant() and f.is_monic() for f in self._gen_polys)
             self._coprime = monic and all(self.coprime_to_others())
         return self._coprime
+
+    def dividing_vars(self) -> frozenset:
+        """The j for which X_j divides some A_i, at first use.  Only an A_i
+        whose `gen_var_degrees` column holds j can; an A_i with a term
+        free of X_j (an edge polynomial's 1) cannot.  Any other X_j is
+        coprime to every nonzero A_i, so it is a power-product atom, and
+        X_j = 0 is an unramified place (`roots.certified_places`)."""
+        if self._dividing_vars is None:
+            self._dividing_vars = frozenset(
+                j for A, column in zip(self._gen_polys, self.gen_var_degrees())
+                for j in column if A.min_degree_in(j))
+        return self._dividing_vars
 
     def _chain_bottom_exp(self, var: str) -> int:
         return self.chain_prime ** self.vertex_depths[var]
@@ -281,11 +298,17 @@ class TowerContext:
         return self.from_ratfunc(RatFunc.from_poly(p))
 
     def from_ratfunc(self, r: RatFunc) -> "TowerElement":
+        """The element r; a constant times a quotient of chain-variable
+        monomials over a coprime base starts a power-product form, unless
+        one of its variables divides an A_i."""
         if r.is_zero():
             return self.zero()
         zero_exp = (0,) * len(self.gens)
-        if r.is_constant() and self.coprime_base():  # den is monic: 1
-            return _from_form(self, zero_exp, r.num.constant_value(), zero_exp)
+        if len(r.num.ints) == len(r.den.ints) == 1 and self.coprime_base():
+            ((m, u),), ((d, _),) = r.num.ints.items(), r.den.ints.items()  # den is monic
+            x = tuple(map(sub, m, d))
+            if not any(x[j] for j in self.dividing_vars()):
+                return _from_form(self, zero_exp, r.num.content * u, zero_exp, x)
         return TowerElement(self, {zero_exp: r})
 
 
@@ -414,19 +437,23 @@ class TowerElement:
     """Canonical form: {reduced generator exponent vector: RatFunc}.
 
     `_pp` is None or, on a one-term element of a tower with a coprime
-    base, its power-product form (e, c, k): the element is
-    c·prod A_i^k_i · Y^e with c a nonzero prime-field constant.  Such an
-    element is built without its canonical form (`_from_form`); `coeffs`
-    is expanded from the form (`_expand`) when first read, and kept.
+    base, its power-product form (e, c, k, x): the element is
+    c·prod A_i^k_i·prod X_j^x_j · Y^e with c a nonzero prime-field
+    constant, and x_j = 0 wherever X_j divides an A_i
+    (`TowerContext.dividing_vars`).  Such an element is built without its
+    canonical form (`_from_form`); `coeffs` is expanded from the form
+    (`_expand`) when first read, and kept.
 
     Two forms are equal exactly when their elements are.  The A_i are
-    nonzero, nonconstant, monic and pairwise coprime, so if
-    c·prod A_i^k_i = c'·prod A_i^k'_i, any irreducible factor of A_j
-    divides no other A_i, and its valuation gives k_j = k'_j; cancelling
-    the powers then gives c = c'.  So equality compares forms when both
-    sides carry one, and coefficients otherwise; hashing always hashes
-    the expanded coefficients, so equal elements hash alike with or
-    without a form."""
+    nonzero, nonconstant, monic and pairwise coprime, and an X_j with
+    x_j != 0 is irreducible and divides none of them, so the A_i and
+    those X_j are pairwise coprime.  If c·prod A_i^k_i·prod X_j^x_j =
+    c'·prod A_i^k'_i·prod X_j^x'_j, any irreducible factor of one of
+    them divides no other, and its valuation gives k_i = k'_i and
+    x_j = x'_j; cancelling the powers then gives c = c'.  So equality
+    compares forms when both sides carry one, and coefficients
+    otherwise; hashing always hashes the expanded coefficients, so equal
+    elements hash alike with or without a form."""
 
     __slots__ = ("ctx", "coeffs", "_pp")
 
@@ -439,8 +466,8 @@ class TowerElement:
         # reached only for an unset slot: the coefficients of a form
         if name != "coeffs" or self._pp is None:
             raise AttributeError(name)
-        e, c, k = self._pp
-        self.coeffs = {e: _expand(self.ctx, c, k)}
+        e, c, k, x = self._pp
+        self.coeffs = {e: _expand(self.ctx, c, k, x)}
         return self.coeffs
 
     # -- basic views -----------------------------------------------------------
@@ -509,14 +536,15 @@ class TowerElement:
     def __mul__(self, other: "TowerElement") -> "TowerElement":
         _same_ctx(self, other)
         if self._pp is not None and other._pp is not None:
-            # one term times one term: c1·c2, k1 + k2 + the fold
-            (e1, c1, k1), (e2, c2, k2) = self._pp, other._pp
+            # one term times one term: c1·c2, k1 + k2 + the fold, x1 + x2
+            (e1, c1, k1, x1), (e2, c2, k2, x2) = self._pp, other._pp
             exps, k = [], []
-            for i, (x, y, u, v) in enumerate(zip(e1, e2, k1, k2)):
-                q, x = divmod(x + y, self.ctx.gen_degree(i))
+            for n, x, y, u, v in zip(self.ctx.gen_degrees, e1, e2, k1, k2):
+                q, x = divmod(x + y, n)
                 exps.append(x)
                 k.append(u + v + q)
-            return _from_form(self.ctx, tuple(exps), self.ctx.field.mul(c1, c2), tuple(k))
+            return _from_form(self.ctx, tuple(exps), self.ctx.field.mul(c1, c2), tuple(k),
+                              tuple(map(add, x1, x2)))
         raw: dict = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -567,8 +595,8 @@ class TowerElement:
         (c·Y^e)^-1 = c^-1 · prod_(e_i > 0) A_i^-1 · Y^(N - e), with N - e
         read as 0 where e_i = 0; a zero A_i there makes Y_i nilpotent,
         and SingularMultiplication is raised as above.  A power-product
-        form (e, c, k) goes to (N - e, c^-1, -k - [e_i > 0]), and nothing
-        is expanded.
+        form (e, c, k, x) goes to (N - e, c^-1, -k - [e_i > 0], -x), and
+        nothing is expanded.
 
         Two terms: a = m0 + m1, m0 the term of smaller exponent vector.
         Then w = -m1·m0^-1 is one term c·Y^δ, and a = m0·(1 - w).  Let L
@@ -616,17 +644,18 @@ class TowerElement:
         }
 
 
-def _coprime(f: Poly, g: Poly, shared=None) -> bool:
+def _coprime(f: Poly, g: Poly, degrees=None) -> bool:
     """gcd(f, g) = 1, the one coprimality test.  A common factor of
-    nonconstant f and g involves only their shared variables (`shared`,
-    from `degrees()` when not given), so when f or g has a constant
-    coefficient over them (`_modgcd._constant_coefficient`; the 1 of an
-    edge polynomial against another edge at one endpoint) no gcd runs."""
+    nonconstant f and g involves only their shared variables (read off
+    `degrees`, the pair (f.degrees(), g.degrees()), computed when not
+    given), so when f or g has a constant coefficient over them
+    (`_modgcd._constant_coefficient`; the 1 of an edge polynomial
+    against another edge at one endpoint) no gcd runs."""
     if f.is_constant() or g.is_constant():  # gcd(0, h) = h
         return not (f.is_zero() or g.is_zero()) or f.gcd(g).is_one()
-    if shared is None:
-        shared = f.degrees().keys() & g.degrees().keys()
-    return (_constant_coefficient(f.ints, shared) or _constant_coefficient(g.ints, shared)
+    df, dg = degrees or (f.degrees(), g.degrees())
+    shared = df.keys() & dg.keys()
+    return (_constant_coefficient(f.ints, shared, df) or _constant_coefficient(g.ints, shared, dg)
             or f.gcd(g).is_one())
 
 
@@ -650,18 +679,18 @@ def _monomial_power(a: TowerElement, n: int) -> TowerElement:
     nilpotent: the power is zero for n > 0, and n < 0 raises
     SingularMultiplication with a's to_json() form as its counterexample.
 
-    When a carries a power-product form (e, c, k), the power's form is
-    (r, c^n, n·k + q), and nothing is expanded.
+    When a carries a power-product form (e, c, k, x), the power's form is
+    (r, c^n, n·k + q, n·x), and nothing is expanded.
     """
     ctx = a.ctx
     if a._pp is not None:  # a coprime base has no zero A_i
-        e, c, k = a._pp
+        e, c, k, x = a._pp
         exps, ks = [], []
-        for i, (x, y) in enumerate(zip(e, k)):
-            q, r = divmod(n * x, ctx.gen_degree(i))
+        for N, y, z in zip(ctx.gen_degrees, e, k):
+            q, r = divmod(n * y, N)
             exps.append(r)
-            ks.append(n * y + q)
-        return _from_form(ctx, tuple(exps), ctx.field.pow(c, n), tuple(ks))
+            ks.append(n * z + q)
+        return _from_form(ctx, tuple(exps), ctx.field.pow(c, n), tuple(ks), tuple(n * y for y in x))
     (e, c), = a.coeffs.items()
     m = abs(n)
     exps, folds, index = [], [], {}
@@ -695,29 +724,33 @@ def _monomial_power(a: TowerElement, n: int) -> TowerElement:
     return TowerElement(ctx, {tuple(exps): RatFunc._raw(num, den)})
 
 
-def _expand(ctx: TowerContext, c, k) -> RatFunc:
-    """The coefficient c·prod A_i^k_i of a power-product form, as
-    c·prod_(k_i > 0) A_i^k_i over prod_(k_i < 0) A_i^-k_i from the cached
-    powers.  On a coprime base this is in lowest terms: the A_i are
-    pairwise coprime, so no irreducible factor can divide both sides.
-    The denominator is monic, a product of monic polynomials, so the pair
-    is canonical as it stands: no gcd and no rescaling."""
-    num = den = Poly.one(ctx.field, ctx.nvars)
-    for i, x in enumerate(k):
-        if x > 0:
-            num = ctx.gen_poly_power(i, x) if num.is_one() else num * ctx.gen_poly_power(i, x)
-        elif x < 0:
-            den = ctx.gen_poly_power(i, -x) if den.is_one() else den * ctx.gen_poly_power(i, -x)
+def _expand(ctx: TowerContext, c, k, x) -> RatFunc:
+    """The coefficient c·prod A_i^k_i·prod X_j^x_j of a power-product
+    form, as c·prod_(k_i > 0) A_i^k_i·prod_(x_j > 0) X_j^x_j over the
+    powers of negative exponent, from the cached A_i powers.  On a coprime
+    base this is in lowest terms: the A_i and the X_j of the form are
+    pairwise coprime (see `TowerElement`), so no irreducible factor can
+    divide both sides.  The denominator is monic, a product of monic
+    polynomials, so the pair is canonical as it stands: no gcd and no
+    rescaling."""
+    F, n = ctx.field, ctx.nvars
+    up, down = tuple(y if y > 0 else 0 for y in x), tuple(-y if y < 0 else 0 for y in x)
+    num, den = _poly(F, n, F.one, {up: 1}, up, False), _poly(F, n, F.one, {down: 1}, down, False)
+    for i, y in enumerate(k):
+        if y > 0:
+            num = ctx.gen_poly_power(i, y) if num.is_one() else num * ctx.gen_poly_power(i, y)
+        elif y < 0:
+            den = ctx.gen_poly_power(i, -y) if den.is_one() else den * ctx.gen_poly_power(i, -y)
     out = object.__new__(RatFunc)
     out.num, out.den = num.scale(c), den
     return out
 
 
-def _from_form(ctx: TowerContext, e: tuple, c, k: tuple) -> TowerElement:
-    """The one-term element c·prod A_i^k_i · Y^e, built from its form;
-    its coefficient is expanded when first read."""
+def _from_form(ctx: TowerContext, e: tuple, c, k: tuple, x: tuple) -> TowerElement:
+    """The one-term element c·prod A_i^k_i·prod X_j^x_j · Y^e, built from
+    its form; its coefficient is expanded when first read."""
     out = object.__new__(TowerElement)
-    out.ctx, out._pp = ctx, (e, c, k)
+    out.ctx, out._pp = ctx, (e, c, k, x)
     return out
 
 
@@ -727,24 +760,29 @@ def _monomial_root(a: TowerElement, beta: tuple, shift: list, p: int) -> TowerEl
     c·prod A_i^-shift_i; None when the target has no p-th root, or when a
     shift needs a zero A_i (the candidate's p-th power is then 0, not a).
 
-    With a power-product form (alpha, c, k) the target's form is
-    (c, k - shift), by subtraction.  When p divides every k_i - shift_i,
-    the target is a p-th power exactly when the constant c is, and the
-    root's form is (beta, c^(1/p), (k - shift)/p), with c^(1/p) from the
-    prime field (`CoeffField.pth_root`).  Otherwise (an A_i may itself be
-    a p-th power, as z^5 is) the expanded target is peeled
+    With a power-product form (alpha, c, k, x) the target's form is
+    (c, k - shift, x), by subtraction.  An X_j of the form is irreducible
+    and divides no A_i, so the target's X_j-adic value is x_j, and p
+    must divide it.  When p also divides every k_i - shift_i, the target
+    is a p-th power exactly when the constant c is, and the root's form
+    is (beta, c^(1/p), (k - shift)/p, x/p), with c^(1/p) from the prime
+    field (`CoeffField.pth_root`).  Otherwise (an A_i may itself be a
+    p-th power, as z^5 is) the expanded target is peeled
     (`RatFunc.pth_root`), as it is without a form, where the target is
     the coefficient divided by each A_i^shift_i.  Either way the root is
     the one whose leading coefficient is the prime field's root of the
     target's, since every A_i is monic."""
     ctx = a.ctx
     if a._pp is not None:
-        _, c, k = a._pp
-        k = [x - s for x, s in zip(k, shift)]
-        if not any(x % p for x in k):
+        _, c, k, x = a._pp
+        if any(y % p for y in x):
+            return None
+        k = [y - s for y, s in zip(k, shift)]
+        if not any(y % p for y in k):
             root = ctx.field.pth_root(c, p)
-            return None if root is None else _from_form(ctx, beta, root, tuple(x // p for x in k))
-        target = _expand(ctx, c, k)
+            return None if root is None else _from_form(ctx, beta, root, tuple(y // p for y in k),
+                                                        tuple(y // p for y in x))
+        target = _expand(ctx, c, k, x)
     else:
         if any(s and ctx.gen_poly(i).is_zero() for i, s in enumerate(shift)):
             return None
@@ -843,7 +881,7 @@ def generator_edge(ctx: TowerContext, e, i: int) -> TowerElement:
     k = [0] * len(exps)  # Y^N folds into A at i = 0
     if i == 0:
         exps[gi], k[gi] = 0, 1
-    return _from_form(ctx, tuple(exps), ctx.field.one, tuple(k))
+    return _from_form(ctx, tuple(exps), ctx.field.one, tuple(k), (0,) * ctx.nvars)
 
 
 def embed(a: TowerElement, target: TowerContext) -> TowerElement:
@@ -1012,9 +1050,9 @@ def _binomial_by_bases(ctx, e0, e1, gens, L, p0, q0, p1, q1) -> TowerElement | N
     D = d - n
     if D.is_zero():
         return None
-    tail = [q1]  # tail[k] = (p0·q1)^k·q1
+    tail, pq = [q1], p0 * q1  # tail[k] = (p0·q1)^k·q1
     for _ in range(L - 1):
-        tail.append(tail[-1] * p0 * q1)
+        tail.append(tail[-1] * pq)
     head, step = q0, -(q0 * p1)  # head = (-q0·p1)^j·q0
     exps = [0] * len(e0)
     out = {}

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, le, mul, sub
+from itertools import compress, repeat
+from operator import add, itemgetter, le, mul, sub
 
 from ._modgcd import _deglex, _divide_terms, _mul_terms, _pow_terms, _root_terms, int_gcd
 from .coeffs import CoeffField, _int_root
@@ -108,8 +109,16 @@ class Poly:
         return max((e[var] for e in self.ints), default=-1)
 
     def degrees(self) -> dict[int, int]:
-        """{j: degree in X_j} over the variables used."""
-        return {j: d for j, d in enumerate(map(max, zip(*self.ints))) if d}
+        """{j: degree in X_j} over the variables used.  Over many
+        variables (a chain tower has thousands, each polynomial a few)
+        the columns of all positions are not built: each key's nonzero
+        positions are gathered in C (`compress`), and only their columns
+        are read."""
+        ints = self.ints
+        if self.nvars <= 16:
+            return {j: d for j, d in enumerate(map(max, zip(*ints))) if d}
+        used = sorted(set().union(*map(compress, repeat(range(self.nvars)), ints)))
+        return {j: max(map(itemgetter(j), ints)) for j in used}
 
     def min_degree_in(self, var: int) -> int:
         if not self.ints:

@@ -8,7 +8,8 @@ structured elements:
         digit in F_p for each generator whose degree p divides; the
         degree valuations deg_{X_j} of the coefficient fix those digits
         by one linear system over F_p (unique in a star-coloured tower,
-        see `_structured_root`).  The coefficient's root comes from
+        see `_structured_root`), row-reduced once per tower and prime
+        (`_root_plan`).  The coefficient's root comes from
         exponent subtraction and division when the element carries a
         power-product form, and otherwise from a rational function p-th
         root (`fieldtower._monomial_root`).  Any witness is re-verified
@@ -40,6 +41,7 @@ import math
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 
 from ._modgcd import _power_tables
@@ -112,8 +114,8 @@ class CertifiedPlace:
 def certified_places(ctx: TowerContext) -> list[CertifiedPlace]:
     """The tower's places, built at first use and kept on the context.
     X_j = 0 is unramified when every A_i has a term free of X_j (edge
-    polynomials have constant term 1); only A_i whose `gen_var_degrees`
-    column holds j can fail that, and a zero A_i leaves no such place.
+    polynomials have constant term 1), which the context records
+    (`TowerContext.dividing_vars`); a zero A_i leaves no such place.
     A_i = 0 is totally ramified at generator i when N_i > 1 and A_i is
     certified irreducible (`_capelli_irreducible`) and coprime to every
     other A_j (`TowerContext.coprime_to_others`): for irreducible A_i
@@ -123,7 +125,7 @@ def certified_places(ctx: TowerContext) -> list[CertifiedPlace]:
     if cached is not None:
         return cached
     polys, columns = [ctx.gen_poly(gi) for gi in range(len(ctx.gens))], ctx.gen_var_degrees()
-    bad = {j for A, column in zip(polys, columns) for j in column if A.min_degree_in(j)}
+    bad = ctx.dividing_vars()
     out = [] if any(A.is_zero() for A in polys) else [
         CertifiedPlace(ValuationPlace(kind="var", var=i, label=f"X:{v}"), None, 1)
         for v, i in ctx.var_index.items() if i not in bad
@@ -182,18 +184,19 @@ def valuation_vector(a: TowerElement) -> list[PlaceValue]:
     A term's value is v(coefficient) + sum of exponent * v(generator);
     the element's value is the unique minimum when there is one, and an
     inexact lower bound (marked ambiguous) otherwise.  A power-product
-    form c·prod A_i^k_i·Y^e has value k_i + e_i/N_i at the place of A_i
-    (which divides no other A_j) and 0 at X_j = 0 (where every A_i is a
-    unit).  Otherwise v_(A_i) is found by trial division, but only of a
-    side (numerator or denominator) whose degree in each variable of A_i
-    reaches A_i's: a side of lower degree cannot be divisible by A_i.
+    form c·prod A_i^k_i·prod X_j^x_j·Y^e has value k_i + e_i/N_i at the
+    place of A_i (which divides no other A_j and no X_j of the form) and
+    x_j at X_j = 0 (where every A_i is a unit).  Otherwise v_(A_i) is
+    found by trial division, but only of a side (numerator or
+    denominator) whose degree in each variable of A_i reaches A_i's: a
+    side of lower degree cannot be divisible by A_i.
     """
     if a.is_zero():
         raise ZeroInput("valuation of 0 is undefined")
     places = certified_places(a.ctx)
     if a._pp is not None:
-        e, _, k = a._pp
-        return [PlaceValue(cp.place.label, Fraction(0) if cp.ramified is None else
+        e, _, k, x = a._pp
+        return [PlaceValue(cp.place.label, Fraction(x[cp.place.var]) if cp.ramified is None else
                            k[cp.ramified] + Fraction(e[cp.ramified], cp.denominator), True, cp.denominator)
                 for cp in places]
     columns = a.ctx.gen_var_degrees()
@@ -235,6 +238,42 @@ class RootResult:
         return doc
 
 
+@dataclass(frozen=True)
+class _RootPlan:
+    """What `_structured_root` needs of one tower and one prime p, which
+    no element changes: per generator, (N_i, g_i = gcd(p, N_i), N_i/g_i,
+    the inverse of p/g_i mod N_i/g_i) in `steps`; the generators with
+    g_i = p in `unknowns`; the X_j of their `gen_var_degrees` columns in
+    `rows`; and the elimination of the system's left side over those
+    columns (`_eliminate`), whose right-hand sides are linear forms in
+    the rhs_j of those X_j."""
+
+    steps: tuple
+    unknowns: tuple
+    rows: frozenset
+    pivots: dict
+    checks: list
+
+
+def _root_plan(ctx: TowerContext, p: int) -> _RootPlan:
+    """The plan of (ctx, p), built at first use and kept on the context."""
+    plan = ctx.root_plans.get(p)
+    if plan is None:
+        steps, unknowns = [], []
+        for i, n in enumerate(ctx.gen_degrees):
+            g = math.gcd(p, n)
+            steps.append((n, g, n // g, pow(p // g, -1, n // g)))
+            if g == p:
+                unknowns.append(i)
+        columns, rows = ctx.gen_var_degrees(), {}  # X_j -> {column: deg_j}
+        for col, i in enumerate(unknowns):
+            for j, d in columns[i].items():
+                rows.setdefault(j, {})[col] = d
+        pivots, checks = _eliminate([(row, {j: 1}) for j, row in rows.items()], p)
+        plan = ctx.root_plans[p] = _RootPlan(tuple(steps), tuple(unknowns), frozenset(rows), pivots, checks)
+    return plan
+
+
 def _structured_root(a: TowerElement, p: int) -> TowerElement | None:
     """Roots of single-monomial elements c * Y^alpha, found by one linear
     solve over F_p and verified by exponentiation.
@@ -252,17 +291,22 @@ def _structured_root(a: TowerElement, p: int) -> TowerElement | None:
 
         sum_i t_i deg_j(A_i) = deg_j(c) - sum_i shift0_i deg_j(A_i)  (mod p).
 
-    With a power-product form c = c0·prod A_i^k_i, deg_j(c) is
-    sum_i k_i·deg_j(A_i), read off the `gen_var_degrees` columns.
+    With a power-product form c = c0·prod A_i^k_i·prod X_j^x_j, deg_j(c)
+    is x_j + sum_i k_i·deg_j(A_i), read off the `gen_var_degrees` columns.
 
-    This system is row-reduced mod p: when it is inconsistent no exponent
-    vector can work, and otherwise each point of its affine solution set,
-    in lexicographic order of the exponent vectors, goes through the
+    The left side depends only on the tower and p, so it is row-reduced
+    once (`_root_plan`), recording which combination of right-hand sides
+    each pivot and each vanishing row takes; per element only the
+    right-hand side is built and the combinations are applied
+    (`_solutions`).  When the system is inconsistent no exponent vector
+    can work, and otherwise each point of its affine solution set, in
+    lexicographic order of the exponent vectors, goes through the
     coefficient root (`fieldtower._monomial_root`) and the exact check
     `cand**p == a`.  With a power-product form, the target's exponents
-    are k - shift, by subtraction; when p divides them all, the root is
-    c0^(1/p)·prod A_i^((k_i - shift_i)/p), found by division, and
-    otherwise the target is expanded and peeled.  Such a root carries a
+    are k - shift and x, by subtraction; when p divides them all, the
+    root is c0^(1/p)·prod A_i^((k_i - shift_i)/p)·prod X_j^(x_j/p), found
+    by division, and otherwise the target is expanded and peeled (or
+    refused, when p does not divide an x_j).  Such a root carries a
     form, so `cand**p` is exponent arithmetic and `==` compares the two
     forms (see `TowerElement`), expanding nothing.  Without a form the
     target is c divided by each A_i^shift_i, and a shift that needs a
@@ -278,45 +322,36 @@ def _structured_root(a: TowerElement, p: int) -> TowerElement | None:
     if a._pp is None and len(a.coeffs) != 1:
         return None
     ctx = a.ctx
-    columns = ctx.gen_var_degrees()
-    if a._pp is not None:  # deg_j(c·prod A_i^k_i) = sum_i k_i·deg_j(A_i)
-        alpha, _, k = a._pp
-        rhs = {}
-        for i, x in enumerate(k):
-            if x:
-                for j, d in columns[i].items():
-                    rhs[j] = rhs.get(j, 0) + x * d
+    plan = _root_plan(ctx, p)
+    if a._pp is not None:  # deg_j(c) = x_j + sum_i k_i·deg_j(A_i)
+        alpha, _, k, x = a._pp
+        rhs = dict(compress(enumerate(x), x))
     else:
         (alpha, c), = a.coeffs.items()
-        rhs = c.num.degrees()
+        k, rhs = None, c.num.degrees()
         for j, d in c.den.degrees().items():
             rhs[j] = rhs.get(j, 0) - d
-    beta0, shift0, unknowns = [], [], []
-    for i, k in enumerate(alpha):
-        n = ctx.gen_degree(i)
-        g = math.gcd(p, n)
-        if k % g:
+    beta0, shift0 = [], []
+    columns = ctx.gen_var_degrees()
+    for i, (y, (n, g, n_red, inv)) in enumerate(zip(alpha, plan.steps)):
+        if y % g:
             return None
-        n_red = n // g
-        b = (k // g) * pow(p // g, -1, n_red) % n_red
-        s = (p * b - k) // n
+        b = (y // g) * inv % n_red
+        s = (p * b - y) // n
         beta0.append(b)
         shift0.append(s)
-        if s:
+        m = (k[i] if k else 0) - s
+        if m:
             for j, d in columns[i].items():
-                rhs[j] = rhs.get(j, 0) - s * d
-        if g == p:
-            unknowns.append(i)
-    equations = {j: ({}, r) for j, r in rhs.items()}  # X_j -> ({column: deg_j}, rhs_j)
-    for col, i in enumerate(unknowns):
-        for j, d in columns[i].items():
-            equations.setdefault(j, ({}, 0))[0][col] = d
-    solutions = _affine_solutions(equations.values(), len(unknowns), p)
+                rhs[j] = rhs.get(j, 0) + m * d
+    if any(r % p for j, r in rhs.items() if j not in plan.rows):
+        return None
+    solutions = _solutions(plan.pivots, plan.checks, len(plan.unknowns), p, rhs)
     if solutions is None:
         return None
     for t in solutions:
         beta, shift = list(beta0), list(shift0)
-        for i, ti in zip(unknowns, t):
+        for i, ti in zip(plan.unknowns, t):
             beta[i] += ti * (ctx.gen_degree(i) // p)
             shift[i] += ti
         cand = _monomial_root(a, tuple(beta), shift, p)
@@ -325,54 +360,86 @@ def _structured_root(a: TowerElement, p: int) -> TowerElement | None:
     return None
 
 
-def _affine_solutions(equations, n: int, p: int) -> list[tuple] | None:
-    """All t in F_p^n with sum_k row[k]*t_k = r (mod p) for every sparse
-    equation (row, r), in lexicographic order; None when there is none or
-    when there are more than `_MAX_CANDIDATES`.
-
-    Gauss-Jordan elimination on sparse rows: `pivots` maps a pivot column
-    to its row without the pivot (coefficient 1) and its right-hand side,
-    and no pivot row holds another pivot column.
-    """
-    pivots: dict[int, tuple[dict, int]] = {}
+def _eliminate(equations, p: int) -> tuple[dict, list]:
+    """Gauss-Jordan elimination mod p of sparse equations (row, r), the
+    one elimination routine, with each right-hand side r a linear form
+    {label: coefficient} in values read later.  Returns (pivots, checks):
+    `pivots` maps a pivot column to its row without the pivot
+    (coefficient 1) and its right-hand side form, and no pivot row holds
+    another pivot column; `checks` holds the forms of the rows that
+    vanished, each of which must take the value 0 for a solution to
+    exist."""
+    pivots: dict[int, tuple[dict, dict]] = {}
+    checks = []
     for row, r in equations:
         row = {k: v % p for k, v in row.items() if v % p}
-        r %= p
         for k in [k for k in row if k in pivots]:
             f = row.pop(k)
             prow, pr = pivots[k]
             for kk, v in prow.items():
                 row[kk] = (row.get(kk, 0) - f * v) % p
-            r = (r - f * pr) % p
+            r = _combine(r, -f, pr, p)
         row = {k: v for k, v in row.items() if v}
         if not row:
-            if r:
-                return None
+            if any(v % p for v in r.values()):
+                checks.append(r)
             continue
         k0 = min(row)
         inv = pow(row.pop(k0), -1, p)
         row = {k: v * inv % p for k, v in row.items()}
-        r = r * inv % p
+        r = _combine({}, inv, r, p)
         for k, (prow, pr) in pivots.items():
             f = prow.pop(k0, 0)
             if f:
                 for kk, v in row.items():
                     prow[kk] = (prow.get(kk, 0) - f * v) % p
-                pivots[k] = ({kk: v for kk, v in prow.items() if v}, (pr - f * r) % p)
+                pivots[k] = ({kk: v for kk, v in prow.items() if v}, _combine(pr, -f, r, p))
         pivots[k0] = (row, r)
+    return pivots, checks
+
+
+def _combine(u: dict, f: int, v: dict, p: int) -> dict:
+    """The linear form u + f·v mod p, without zero coefficients."""
+    out = dict(u)
+    for j, c in v.items():
+        out[j] = (out.get(j, 0) + f * c) % p
+    return {j: c for j, c in out.items() if c}
+
+
+def _solutions(pivots: dict, checks: list, n: int, p: int, values: dict) -> list[tuple] | None:
+    """The solutions in F_p^n of an eliminated system (`_eliminate`) once
+    its labels take `values` (a missing label is 0), in lexicographic
+    order; None when a check fails or when there are more than
+    `_MAX_CANDIDATES`."""
+    def value(form):
+        return sum(c * values.get(j, 0) for j, c in form.items()) % p
+
+    if any(map(value, checks)):
+        return None
     free = [k for k in range(n) if k not in pivots]
     if p ** len(free) > _MAX_CANDIDATES:
         return None
+    rhs = {k: value(pr) for k, (_, pr) in pivots.items()}
     out = []
-    for values in itertools.product(range(p), repeat=len(free)):
+    for values_free in itertools.product(range(p), repeat=len(free)):
         t = [0] * n
-        for k, v in zip(free, values):
+        for k, v in zip(free, values_free):
             t[k] = v
-        for k, (prow, pr) in pivots.items():
-            t[k] = (pr - sum(v * t[kk] for kk, v in prow.items())) % p
+        for k, (prow, _) in pivots.items():
+            t[k] = (rhs[k] - sum(v * t[kk] for kk, v in prow.items())) % p
         out.append(tuple(t))
     out.sort()
     return out
+
+
+def _affine_solutions(equations, n: int, p: int) -> list[tuple] | None:
+    """All t in F_p^n with sum_k row[k]*t_k = r (mod p) for every sparse
+    equation (row, r), in lexicographic order; None when there is none or
+    when there are more than `_MAX_CANDIDATES`: `_eliminate` with the
+    equations' indices as labels, then `_solutions` with their r."""
+    equations = list(equations)
+    pivots, checks = _eliminate([(row, {x: 1}) for x, (row, _) in enumerate(equations)], p)
+    return _solutions(pivots, checks, n, p, {x: r for x, (_, r) in enumerate(equations)})
 
 
 def pth_root(a: TowerElement, p: int, *, seed: int = 0) -> RootResult:

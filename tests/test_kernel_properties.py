@@ -1,7 +1,9 @@
 """Property tests for the term-dict kernels of `_modgcd`: products,
 powers, p-th roots and exact division, against naive tuple-keyed
-references written here (powers against repeated `_mul_terms`), and
-`int_gcd` against sympy's gcd (skipped without sympy).
+references written here (powers against repeated `_mul_terms`),
+`int_gcd` against sympy's gcd (skipped without sympy), and
+`_constant_coefficient` and `Poly.degrees` against plain loops over
+every position of the keys.
 
 Operands have 1, 2-3 or at least 4 terms in 0-6 variables; exponents are
 scaled so that total degrees pass 255, 65,535, 2^32 and 2^64, which runs
@@ -19,6 +21,7 @@ from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from graphfield._modgcd import (  # noqa: E402
+    _constant_coefficient,
     _divide_terms,
     _mul_terms,
     _packing,
@@ -26,6 +29,8 @@ from graphfield._modgcd import (  # noqa: E402
     _root_terms,
     int_gcd,
 )
+from graphfield.coeffs import CoeffField  # noqa: E402
+from graphfield.polynomials import Poly  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -211,6 +216,39 @@ def test_root_terms_of_non_powers(data):
     assert _root_terms(g, top, rc, p, r) == want
     if want is not None:
         assert naive_pow(want, p, n, r) == g
+
+
+def clearing_loop(d, common) -> bool:
+    """`_constant_coefficient` by clearing the positions in `common` of
+    every key: a class is the keys that agree elsewhere, and it is a
+    constant coefficient when it holds one key and that key was free of
+    `common`."""
+    classes = {}
+    for e in d:
+        rest = e
+        for j in common:
+            if rest[j]:
+                rest = rest[:j] + (0,) + rest[j + 1:]
+        classes[rest] = None if rest in classes else rest is e
+    return any(classes.values())
+
+
+@SETTINGS
+@given(st.integers(1, 24), st.sampled_from(SIZES), st.data())
+def test_constant_coefficient_matches_the_clearing_loop(n, sizes, data):
+    d = data.draw(term_dicts(n, 3, sizes, 1, top=2))
+    common = data.draw(st.sets(st.integers(0, n - 1)))
+    used = {j for e in d for j, x in enumerate(e) if x}
+    more = used | data.draw(st.sets(st.integers(0, n - 1)))  # a superset will do
+    assert _constant_coefficient(d, common, used) == _constant_coefficient(d, common, more) == clearing_loop(d, common)
+
+
+@SETTINGS
+@given(st.integers(0, 40), st.sampled_from(SIZES), st.data())
+def test_degrees_over_few_and_many_variables(n, sizes, data):
+    d = data.draw(term_dicts(n, 3, sizes, 1))
+    want = {j: max(e[j] for e in d) for j in range(n) if any(e[j] for e in d)}
+    assert Poly(CoeffField(3), n, d).degrees() == want
 
 
 @pytest.mark.parametrize("degree", [2, 300])

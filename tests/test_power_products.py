@@ -21,28 +21,42 @@ rebuilt from their expanded coefficients (`plain`).
 rewrites the corpus from the checkout's code.
 """
 import json
+import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from graphfield import fieldtower
+from graphfield import fieldtower, roots
 from graphfield.coeffs import CoeffField
 from graphfield.fieldtower import (
     RadicalGen,
+    RadicalSpec,
     TowerContext,
     TowerElement,
     _from_form,
+    build_tower,
     generator_edge,
     generator_vertex,
+    radical_extend,
+    random_structured_monomial,
 )
+from graphfield.graphs import Graph, greedy_star_coloring
 from graphfield.polynomials import Poly, _poly
 from graphfield.ratfunc import RatFunc
-from graphfield.roots import _structured_root, pth_root, valuation_vector
+from graphfield.roots import (
+    _affine_solutions,
+    _root_plan,
+    _structured_root,
+    certified_places,
+    pth_root,
+    valuation_vector,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from test_fieldtower import assert_same_form, tower  # noqa: E402
+from test_fieldtower import assert_same_form, one_term, tower  # noqa: E402
 
 try:
     from hypothesis import HealthCheck, given, settings
@@ -85,6 +99,16 @@ def context(name, char):
         # defining polynomial is a coprime base
         c = tuple(map(CoeffField(char).of_int, (0, 0, 0, 0, 0, 1)))
         return TowerContext(char, ("z",), 3, {"z": 0}, [RadicalGen("t:v", 5, 1, ("tpoly", "z", c))])
+    if name == "star":
+        # four prime-5 generators of depth 1 at the centre c
+        g = Graph(["a", "b", "c", "d", "e"], [("c", "a"), ("c", "b"), ("c", "d"), ("c", "e")])
+        return build_tower(greedy_star_coloring(g), char=char)
+    if name == "free":
+        # two prime-5 generators over the one variable: two unknowns, one
+        # equation, so every solvable system has 5 solutions
+        spec = RadicalSpec(p=3, branch_primes=(5,), partition={"v": 0, "w": 0},
+                           polys={"v": (1, 1), "w": (1, 1, 1)})
+        return radical_extend(spec, char=char, z_depth=1, depths=1)
     return tower(name, char)
 
 
@@ -222,36 +246,41 @@ def plain(x: TowerElement) -> TowerElement:
 
 
 def form_value(x: TowerElement) -> RatFunc:
-    """c·prod A_i^k_i of x's form (e, c, k), by repeated reduced
-    rational-function products and quotients."""
-    _, c, k = x._pp
-    out = RatFunc.const(x.ctx.field, x.ctx.nvars, c)
-    for i, n in enumerate(k):
-        A = RatFunc.from_poly(x.ctx.gen_poly(i))
-        for _ in range(abs(n)):
-            out = out * A if n > 0 else out / A
+    """c·prod A_i^k_i·prod X_j^x_j of x's form (e, c, k, x), by repeated
+    reduced rational-function products and quotients."""
+    _, c, k, xs = x._pp
+    F, n = x.ctx.field, x.ctx.nvars
+    out = RatFunc.const(F, n, c)
+    for f, m in [(x.ctx.gen_poly(i), y) for i, y in enumerate(k)] + [(Poly.var(F, n, j), y) for j, y in enumerate(xs)]:
+        f = RatFunc.from_poly(f)
+        for _ in range(abs(m)):
+            out = out * f if m > 0 else out / f
     return out
 
 
 # the towers whose one-term elements carry forms: the shared-factor tower
-# is not a coprime base, and Y^5 = z^5 has an A that is not squarefree
+# is not a coprime base
 FORM_TOWERS = [t for t in TOWERS if t[0] != "shared"]
 
 
 def variants(x: TowerElement) -> list:
-    """Elements whose forms share x's k but differ in e or in c."""
+    """Elements whose forms share x's k but differ in e, in c or in one
+    vertex exponent x_j."""
     if x._pp is None:
         return []
-    e, c, k = x._pp
+    e, c, k, xs = x._pp
     ctx, out = x.ctx, []
     for i in range(len(e)):
         if ctx.gen_degree(i) > 1:
             e2 = e[:i] + ((e[i] + 1) % ctx.gen_degree(i),) + e[i + 1:]
-            out.append(_from_form(ctx, e2, c, k))
+            out.append(_from_form(ctx, e2, c, k, xs))
     for d in (-1, 2):
         c2 = ctx.field.mul(c, ctx.field.of_int(d))
         if c2 != c and c2:
-            out.append(_from_form(ctx, e, c2, k))
+            out.append(_from_form(ctx, e, c2, k, xs))
+    for j in range(ctx.nvars):
+        if j not in ctx.dividing_vars():
+            out.append(_from_form(ctx, e, c, k, xs[:j] + (xs[j] + 1,) + xs[j + 1:]))
     return out
 
 
@@ -311,6 +340,155 @@ def test_edge_round_trips_expand_nothing(name, char, monkeypatch):
         assert_same_form(a, plain(b) ** p)
         assert_same_form(w, ref.witness)
     assert calls  # reading the coefficients went through the wrapper
+
+
+@pytest.mark.parametrize("name, char", [(n, c) for n in ("K2", "P3", "K3") for c in (0, 2, 5)])
+def test_chain_round_trips_expand_and_peel_nothing(name, char, monkeypatch):
+    # a chain-prime monomial's round trip and its refusal against the
+    # deepest vertex root read vertex exponents: no coefficient is
+    # expanded and no polynomial p-th root is taken
+    ctx = context(name, char)
+    p0, rng = ctx.chain_prime, random.Random(f"chain:{name}:{char}")
+    certified_places(ctx)  # the places' setup peels once per tower
+    calls = []
+    expand, peel = fieldtower._expand, Poly.pth_root
+    monkeypatch.setattr(fieldtower, "_expand", lambda *args: calls.append("expand") or expand(*args))
+    monkeypatch.setattr(Poly, "pth_root", lambda *args: calls.append("peel") or peel(*args))
+    cases = []
+    for _ in range(6):
+        b = random_structured_monomial(ctx, rng, p0)
+        assert b._pp is not None
+        a = b**p0
+        res, no = pth_root(a, p0), pth_root(a * deepest_root(ctx, p0), p0)
+        assert res.outcome == "root" and res.witness**p0 == a and res.witness._pp is not None
+        assert no.outcome == "no"
+        cases.append((b, a, res.witness))
+    assert calls == []
+    for b, a, w in cases:
+        assert_same_form(a, plain(b) ** p0)
+        assert_same_form(w, pth_root(plain(b) ** p0, p0).witness)
+
+
+@pytest.mark.parametrize("char", [0, 2])
+def test_vertex_exponents_only_on_variables_that_divide_no_defining_polynomial(char):
+    # over Y^5 = z^5, X_z divides A, so z's powers keep their expanded
+    # coefficients and no form anywhere holds an exponent of X_z
+    ctx = context("y5_z5", char)
+    assert ctx.dividing_vars() == {0}
+    assert generator_vertex(ctx, "z", 0)._pp is None
+    results = [res for a in elements(ctx, "y5_z5") for _, res in cases(ctx, a)]
+    forms = [x._pp for x in results if isinstance(x, TowerElement) and x._pp is not None]
+    forms += [r.witness._pp for r in results if isinstance(r, roots.RootResult)
+              and r.witness is not None and r.witness._pp is not None]
+    assert forms and all(x == (0,) for *_, x in forms)
+    # over K2 both chain variables are atoms: x_s^1 = X_s^(p0^(d_s - 1))
+    ctx = context("K2", char)
+    assert ctx.dividing_vars() == frozenset()
+    e, c, k, x = generator_vertex(ctx, "s", 1)._pp
+    assert (c, k, x) == (ctx.field.one, (0,), (ctx.chain_prime ** (ctx.vertex_depths["s"] - 1), 0))
+
+
+# -- root plans ----------------------------------------------------------------
+
+PLAN_TOWERS = [(n, c) for n in ("K2", "P3", "K3") for c in (0, 2, 5)] + [
+    ("y5_z5", 0), ("y5_z5", 2), ("star", 0), ("free", 0), ("free", 2)]
+
+
+def per_element_root(a: TowerElement, p: int):
+    """`_structured_root` with its system built for a alone, from the
+    degrees of a's expanded coefficient, and solved by
+    `_affine_solutions`: (the solutions, the (beta, shift) candidates
+    tried in order, the root or None)."""
+    ctx, columns = a.ctx, a.ctx.gen_var_degrees()
+    (alpha, c), = a.coeffs.items()
+    rhs = c.num.degrees()
+    for j, d in c.den.degrees().items():
+        rhs[j] = rhs.get(j, 0) - d
+    beta0, shift0, unknowns = [], [], []
+    for i, y in enumerate(alpha):
+        n = ctx.gen_degree(i)
+        g = math.gcd(p, n)
+        if y % g:
+            return None, [], None
+        b = (y // g) * pow(p // g, -1, n // g) % (n // g)
+        s = (p * b - y) // n
+        beta0.append(b)
+        shift0.append(s)
+        for j, d in columns[i].items():
+            rhs[j] = rhs.get(j, 0) - s * d
+        if g == p:
+            unknowns.append(i)
+    equations = {j: ({}, r) for j, r in rhs.items()}
+    for col, i in enumerate(unknowns):
+        for j, d in columns[i].items():
+            equations.setdefault(j, ({}, 0))[0][col] = d
+    solutions = _affine_solutions(equations.values(), len(unknowns), p)
+    tried = []
+    for t in solutions or ():
+        beta, shift = list(beta0), list(shift0)
+        for i, ti in zip(unknowns, t):
+            beta[i] += ti * (ctx.gen_degree(i) // p)
+            shift[i] += ti
+        tried.append((tuple(beta), shift))
+        cand = fieldtower._monomial_root(a, tuple(beta), shift, p)
+        if cand is not None and cand**p == a:
+            return solutions, tried, cand
+    return solutions, tried, None
+
+
+@pytest.mark.parametrize("name, char", PLAN_TOWERS)
+def test_root_plans_match_the_per_element_system(name, char, monkeypatch):
+    # the plan's solutions, the candidates tried and the root agree with
+    # the system built and solved for each element alone, for elements
+    # with and without forms, their p-th powers and those times a root
+    ctx = context(name, char)
+    rng = random.Random(f"plan:{name}:{char}")
+    solved, tried = [], []
+    solutions, monomial_root = roots._solutions, roots._monomial_root
+    monkeypatch.setattr(roots, "_solutions", lambda *args: solved.append(solutions(*args)) or solved[-1])
+    monkeypatch.setattr(roots, "_monomial_root",
+                        lambda a, beta, shift, p: tried.append((beta, list(shift))) or monomial_root(a, beta, shift, p))
+    found = set()
+    for p in primes(ctx):
+        bs = [random_structured_monomial(ctx, rng, q) for q in (None, None, p, p)] + [one_term(ctx, rng)]
+        for b in bs:
+            for a in (b, b**p, b**p * deepest_root(ctx, p)):
+                want_solutions, want_tried, want = per_element_root(plain(a), p)
+                for y in (a, plain(a)):
+                    solved.clear()
+                    tried.clear()
+                    got = _structured_root(y, p)
+                    assert (solved[-1] if solved else None) == want_solutions
+                    assert tried == want_tried
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert_same_form(got, want)
+                found.add(len(want_solutions or ()))
+    assert 1 in found
+    if name == "free":
+        assert 5 in found
+
+
+def test_root_plans_are_kept_per_context_and_per_prime():
+    ctx = context("K3", 0)
+    assert ctx.root_plans == {}
+    b = random_structured_monomial(ctx, random.Random(3))
+    for p in primes(ctx):
+        assert _structured_root(b**p, p) is not None
+        assert _root_plan(ctx, p) is ctx.root_plans[p]
+    assert sorted(ctx.root_plans) == primes(ctx)
+    assert len({id(plan) for plan in ctx.root_plans.values()}) == len(primes(ctx))
+    sub = ctx.sub_context(2)
+    deeper = ctx.deepen(vertex_delta=1)
+    for other in (sub, deeper):
+        assert other.root_plans == {}
+        c = random_structured_monomial(other, random.Random(4))
+        for p in primes(other):
+            assert _structured_root(c**p, p) is not None
+            plan = other.root_plans[p]
+            assert plan is not ctx.root_plans[p]
+            assert [n for n, *_ in plan.steps] == list(other.gen_degrees)
+    assert ctx.sub_context(2) is sub and sub.root_plans is not ctx.root_plans
 
 
 if given is not None:
