@@ -14,7 +14,9 @@ constants and generators hold only their power-product form until their
 coefficients are read, so writing the corpus also checks the lazy
 expansion.  Further tests check the readers of forms (==, hash,
 valuation_vector, the structured roots) against the same elements
-rebuilt from their expanded coefficients (`plain`).
+rebuilt from their expanded coefficients (`plain`), and the structured
+root's per-tower plan against the system built for each element alone
+(`per_element_root`).
 
     PYTHONPATH=src python3 tests/test_power_products.py > tests/power_product_corpus.json
 
