@@ -182,7 +182,7 @@ def _suite_field(r: Runner, args):
     for name, ctx in _field_contexts(args.char):
         expected_dim = 1
         for i in range(len(ctx.gens)):
-            expected_dim *= ctx.gen_degree(i)
+            expected_dim *= ctx.gen_degrees[i]
 
         def dims(ctx=ctx, expected=expected_dim):
             return ctx.dimension == expected, {"dimension": ctx.dimension}

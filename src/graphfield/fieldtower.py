@@ -147,6 +147,7 @@ class TowerContext:
     # -- structure -----------------------------------------------------------
 
     def gen_degree(self, i: int) -> int:
+        """N_i, i.e. `gen_degrees[i]`; the package reads the tuple."""
         return self.gen_degrees[i]
 
     def gen_poly(self, i: int) -> Poly:
@@ -695,7 +696,7 @@ def _monomial_power(a: TowerElement, n: int) -> TowerElement:
     m = abs(n)
     exps, folds, index = [], [], {}
     for i, k in enumerate(e):
-        q, r = divmod(n * k, ctx.gen_degree(i))
+        q, r = divmod(n * k, ctx.gen_degrees[i])
         exps.append(r)
         if q:
             A = ctx.gen_poly(i)
@@ -839,7 +840,7 @@ def _reduce(ctx: TowerContext, raw: dict) -> TowerElement:
         exps = list(e)
         extra: Poly | None = None
         for i in range(len(ctx.gens)):
-            n = ctx.gen_degree(i)
+            n = ctx.gen_degrees[i]
             if exps[i] >= n:
                 q, r = divmod(exps[i], n)
                 exps[i] = r
@@ -957,7 +958,7 @@ def _euclid_inverse(a: TowerElement) -> TowerElement:
     j = len(ctx.gens) - 1
     sub = ctx.sub_context(j)
     # r0 = T^n - A, built by subtraction because A may be zero
-    r0, s0 = {ctx.gen_degree(j): sub.one()}, {}
+    r0, s0 = {ctx.gen_degrees[j]: sub.one()}, {}
     _sub_shifted(r0, sub.one(), 0, {0: sub.from_poly(ctx.gen_poly(j))})
     r1, s1 = _split_top(a), {0: sub.one()}
     while max(r1) > 0:
@@ -989,7 +990,7 @@ def _binomial_inverse(a: TowerElement) -> TowerElement | None:
         return None
     L = 1
     for i in gens:
-        n = ctx.gen_degree(i)
+        n = ctx.gen_degrees[i]
         L = math.lcm(L, n // math.gcd(n, e1[i] - e0[i]))
     c0, c1 = a.coeffs[e0], a.coeffs[e1]
     p0, q0, p1, q1 = c0.num, c0.den, c1.num, c1.den
@@ -1014,8 +1015,8 @@ def _binomial_inverse(a: TowerElement) -> TowerElement | None:
             c = c * wc
             for i in gens:
                 exps[i] += delta[i]
-                if exps[i] >= ctx.gen_degree(i):
-                    exps[i] -= ctx.gen_degree(i)
+                if exps[i] >= ctx.gen_degrees[i]:
+                    exps[i] -= ctx.gen_degrees[i]
                     c = c.scale_poly(ctx.gen_poly(i))
         out[tuple(exps)] = c
     return TowerElement(ctx, out)
@@ -1038,7 +1039,7 @@ def _binomial_by_bases(ctx, e0, e1, gens, L, p0, q0, p1, q1) -> TowerElement | N
     does not (s_i = 0) has x_ij = -1 for every j, below the bar with
     d - n.  So every term is in lowest terms as it stands, and none
     takes a gcd."""
-    N = {i: ctx.gen_degree(i) for i in gens}
+    N = {i: ctx.gen_degrees[i] for i in gens}
     Q = {i: L * (e1[i] - e0[i]) // N[i] for i in gens}
     n = (-(p1 * q0)) ** L
     d = (q1 * p0) ** L
@@ -1203,7 +1204,7 @@ def random_nonzero_element(
     for _ in range(50):
         x = ctx.zero()
         for _ in range(rng.randint(1, max_terms)):
-            exps = tuple(rng.randrange(min(ctx.gen_degree(i), 4)) for i in range(len(ctx.gens)))
+            exps = tuple(rng.randrange(min(ctx.gen_degrees[i], 4)) for i in range(len(ctx.gens)))
             x = x + TowerElement(ctx, {exps: _random_ratfunc(ctx, rng, allow_denominator)})
         if not x.is_zero():
             return x
@@ -1244,13 +1245,13 @@ def random_single_level_element(ctx: TowerContext, rng: random.Random) -> TowerE
     defining relation.  The level is drawn among generators of degree
     above 1; with none, the sample lies in the base field.
     """
-    levels = [i for i in range(len(ctx.gens)) if ctx.gen_degree(i) > 1]
+    levels = [i for i in range(len(ctx.gens)) if ctx.gen_degrees[i] > 1]
     gi = levels[rng.randrange(len(levels))] if levels else None
     coeffs = {}
     for _ in range(rng.randint(1, 2)):
         exps = [0] * len(ctx.gens)
         if gi is not None:
-            exps[gi] = rng.randrange(1, min(ctx.gen_degree(gi), 6))
+            exps[gi] = rng.randrange(1, min(ctx.gen_degrees[gi], 6))
         part = _random_ratfunc(ctx, rng, allow_denominator=False)
         key = tuple(exps)
         prev = coeffs.get(key)
@@ -1290,7 +1291,7 @@ def primality_smoke(ctx: TowerContext, trials: int = 200, seed: int = 0,
     rng = random.Random(seed)
     failures = []
     products = inversions = 0
-    single_level = sum(ctx.gen_degree(i) > 1 for i in range(len(ctx.gens))) > 1
+    single_level = sum(ctx.gen_degrees[i] > 1 for i in range(len(ctx.gens))) > 1
     for t in range(trials):
         a = random_nonzero_element(ctx, rng)
         b = random_nonzero_element(ctx, rng)

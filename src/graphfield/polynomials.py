@@ -109,14 +109,12 @@ class Poly:
         return max((e[var] for e in self.ints), default=-1)
 
     def degrees(self) -> dict[int, int]:
-        """{j: degree in X_j} over the variables used.  Over many
-        variables (a chain tower has thousands, each polynomial a few)
-        the columns of all positions are not built: each key's nonzero
-        positions are gathered in C (`compress`), and only their columns
-        are read."""
+        """{j: degree in X_j} over the variables used.  The columns of
+        all positions are not built (a chain tower has thousands of
+        variables, each polynomial a few): each key's nonzero positions
+        are gathered in C (`compress`), and only their columns are
+        read."""
         ints = self.ints
-        if self.nvars <= 16:
-            return {j: d for j, d in enumerate(map(max, zip(*ints))) if d}
         used = sorted(set().union(*map(compress, repeat(range(self.nvars)), ints)))
         return {j: max(map(itemgetter(j), ints)) for j in used}
 

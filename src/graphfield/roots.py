@@ -132,7 +132,7 @@ def certified_places(ctx: TowerContext) -> list[CertifiedPlace]:
     ]
     rows = ctx.coprime_to_others()
     for gi, (g, A) in enumerate(zip(ctx.gens, polys)):
-        N = ctx.gen_degree(gi)
+        N = ctx.gen_degrees[gi]
         if N > 1 and rows[gi] and _capelli_irreducible(A, columns[gi]):
             out.append(CertifiedPlace(ValuationPlace(kind="irr", poly=A, label=f"A:{g.label}"), gi, N))
     ctx._certified_places = out
@@ -241,12 +241,12 @@ class RootResult:
 @dataclass(frozen=True)
 class _RootPlan:
     """What `_structured_root` needs of one tower and one prime p, which
-    no element changes: per generator, (N_i, g_i = gcd(p, N_i), N_i/g_i,
-    the inverse of p/g_i mod N_i/g_i) in `steps`; the generators with
-    g_i = p in `unknowns`; the X_j of their `gen_var_degrees` columns in
-    `rows`; and the elimination of the system's left side over those
-    columns (`_eliminate`), whose right-hand sides are linear forms in
-    the rhs_j of those X_j."""
+    no element changes: per generator, with N_i = `ctx.gen_degrees[i]`,
+    (g_i = gcd(p, N_i), N_i/g_i, the inverse of p/g_i mod N_i/g_i) in
+    `steps`; the generators with g_i = p in `unknowns`; the X_j of their
+    `gen_var_degrees` columns in `rows`; and the elimination of the
+    system's left side over those columns (`_eliminate`), whose
+    right-hand sides are linear forms in the rhs_j of those X_j."""
 
     steps: tuple
     unknowns: tuple
@@ -262,7 +262,7 @@ def _root_plan(ctx: TowerContext, p: int) -> _RootPlan:
         steps, unknowns = [], []
         for i, n in enumerate(ctx.gen_degrees):
             g = math.gcd(p, n)
-            steps.append((n, g, n // g, pow(p // g, -1, n // g)))
+            steps.append((g, n // g, pow(p // g, -1, n // g)))
             if g == p:
                 unknowns.append(i)
         columns, rows = ctx.gen_var_degrees(), {}  # X_j -> {column: deg_j}
@@ -333,7 +333,7 @@ def _structured_root(a: TowerElement, p: int) -> TowerElement | None:
             rhs[j] = rhs.get(j, 0) - d
     beta0, shift0 = [], []
     columns = ctx.gen_var_degrees()
-    for i, (y, (n, g, n_red, inv)) in enumerate(zip(alpha, plan.steps)):
+    for i, (y, n, (g, n_red, inv)) in enumerate(zip(alpha, ctx.gen_degrees, plan.steps)):
         if y % g:
             return None
         b = (y // g) * inv % n_red
@@ -352,7 +352,7 @@ def _structured_root(a: TowerElement, p: int) -> TowerElement | None:
     for t in solutions:
         beta, shift = list(beta0), list(shift0)
         for i, ti in zip(plan.unknowns, t):
-            beta[i] += ti * (ctx.gen_degree(i) // p)
+            beta[i] += ti * (ctx.gen_degrees[i] // p)
             shift[i] += ti
         cand = _monomial_root(a, tuple(beta), shift, p)
         if cand is not None and cand**p == a:
@@ -432,16 +432,6 @@ def _solutions(pivots: dict, checks: list, n: int, p: int, values: dict) -> list
     return out
 
 
-def _affine_solutions(equations, n: int, p: int) -> list[tuple] | None:
-    """All t in F_p^n with sum_k row[k]*t_k = r (mod p) for every sparse
-    equation (row, r), in lexicographic order; None when there is none or
-    when there are more than `_MAX_CANDIDATES`: `_eliminate` with the
-    equations' indices as labels, then `_solutions` with their r."""
-    equations = list(equations)
-    pivots, checks = _eliminate([(row, {x: 1}) for x, (row, _) in enumerate(equations)], p)
-    return _solutions(pivots, checks, n, p, {x: r for x, (_, r) in enumerate(equations)})
-
-
 def pth_root(a: TowerElement, p: int, *, seed: int = 0) -> RootResult:
     """Three-stage p-th root decision in `a`'s own tower; see the module
     docstring.  `_structured_root` returns only a verified witness."""
@@ -497,9 +487,7 @@ def _specialization_primes(ctx: TowerContext, p: int, count: int) -> list[int]:
     L >= 5, and four primes come within 10 steps if L = 2, 3, 4
     (3 5 7 11, 7 13 19 31, 5 13 17 29).
     """
-    L = p
-    for i in range(len(ctx.gens)):
-        L = math.lcm(L, ctx.gen_degree(i))
+    L = math.lcm(p, *ctx.gen_degrees)
     out = []
     q = L + 1
     while len(out) < count and q <= _DLOG_TABLE_CAP:
@@ -529,9 +517,9 @@ def _image(a: TowerElement, logs: list, q: int, exp: list, log: list) -> tuple[i
     roots = []
     for i in range(len(ctx.gens)):
         val = _value_at(ctx.gen_poly(i), logs, q, exp)
-        if not val or log[val] % ctx.gen_degree(i):
+        if not val or log[val] % ctx.gen_degrees[i]:
             return None
-        roots.append(log[val] // ctx.gen_degree(i))
+        roots.append(log[val] // ctx.gen_degrees[i])
     image = 0
     for exps, c in a.coeffs.items():
         num = _value_at(c.num, logs, q, exp)
@@ -698,7 +686,7 @@ def classify_p_high(a: TowerElement, p: int) -> tuple[PHighForm | None, str]:
     (ed, cd), = den_terms.items()
     unit = ctx.field.div(cn, cd)
     vertex_exps = [x - y for x, y in zip(en, ed)]
-    gen_exps = [alpha[i] + ctx.gen_degree(i) * a_pows[i] for i in range(len(ctx.gens))]
+    gen_exps = [alpha[i] + ctx.gen_degrees[i] * a_pows[i] for i in range(len(ctx.gens))]
 
     vertex_part = {}
     for v, i in ctx.var_index.items():

@@ -248,7 +248,7 @@ def assert_same_form(x, y):
 def test_one_term_power_matches_repeated_products(name, char):
     ctx = tower(name, char)
     rng = random.Random(f"{name}:{char}")
-    top = max(ctx.gen_degree(i) for i in range(len(ctx.gens)))
+    top = max(ctx.gen_degrees[i] for i in range(len(ctx.gens)))
     for _ in range(6 if name == "shared" else 2):
         a = one_term(ctx, rng)
         inv = a.inv()
@@ -271,7 +271,7 @@ def test_one_term_inverse_matches_the_euclid_path(name, char, monkeypatch):
     ctx = tower(name, char)
     rng = random.Random(f"{name}:{char}")
     top = len(ctx.gens) - 1
-    n_max = 2 * max(ctx.gen_degree(i) for i in range(len(ctx.gens))) + 1
+    n_max = 2 * max(ctx.gen_degrees[i] for i in range(len(ctx.gens))) + 1
     for _ in range(4):
         a = one_term(ctx, rng)
         while not next(iter(a.coeffs))[top]:
@@ -292,7 +292,7 @@ def two_term(ctx, rng, plain, top=4):
     plain coefficients are small constants."""
     F = ctx.field
     while True:
-        e0, e1 = (tuple(rng.randrange(min(ctx.gen_degree(i), top)) for i in range(len(ctx.gens)))
+        e0, e1 = (tuple(rng.randrange(min(ctx.gen_degrees[i], top)) for i in range(len(ctx.gens)))
                   for _ in range(2))
         if e0 != e1:
             break

@@ -35,8 +35,9 @@ from graphfield.ratfunc import RatFunc
 from graphfield.roots import (
     _MAX_CANDIDATES,
     ValuationPlace,
-    _affine_solutions,
     _capelli_irreducible,
+    _eliminate,
+    _solutions,
     _structured_root,
     certified_places,
     classify_p_high,
@@ -188,6 +189,16 @@ def test_pth_root_never_rejects_true_powers():
                     assert r.witness**p == a
 
 
+def affine_solutions(equations, n: int, p: int) -> list[tuple] | None:
+    """All t in F_p^n with sum_k row[k]*t_k = r (mod p) for every sparse
+    equation (row, r), in lexicographic order; None when there is none or
+    when there are more than `_MAX_CANDIDATES`: `_eliminate` with the
+    equations' indices as labels, then `_solutions` with their r."""
+    equations = list(equations)
+    pivots, checks = _eliminate([(row, {x: 1}) for x, (row, _) in enumerate(equations)], p)
+    return _solutions(pivots, checks, n, p, {x: r for x, (_, r) in enumerate(equations)})
+
+
 def test_affine_solutions_match_brute_force():
     rng = random.Random(4)
     for _ in range(300):
@@ -203,7 +214,7 @@ def test_affine_solutions_match_brute_force():
             if all((sum(v * t[k] for k, v in row.items()) - r) % p == 0 for row, r in equations)
         ]
         capped = expected if 0 < len(expected) <= _MAX_CANDIDATES else None
-        assert _affine_solutions(equations, n, p) == capped
+        assert affine_solutions(equations, n, p) == capped
 
 
 def test_pth_root_past_the_old_candidate_cap():
@@ -271,7 +282,7 @@ def _check_specialization_certificate(a, p: int, cert: dict) -> None:
     assert len(xs) == ctx.nvars and all(0 < x < q for x in xs)
     assert len(etas) == len(ctx.gens)
     for i, eta in enumerate(etas):
-        assert pow(eta, ctx.gen_degree(i), q) == _mod_q(_rational_value(ctx.gen_poly(i), xs), q)
+        assert pow(eta, ctx.gen_degrees[i], q) == _mod_q(_rational_value(ctx.gen_poly(i), xs), q)
     image = 0
     for exps, c in a.coeffs.items():
         value = _mod_q(_rational_value(c.num, xs) / _rational_value(c.den, xs), q)
@@ -499,9 +510,9 @@ def reference_places(ctx):
            if all(not f.is_zero() and f.min_degree_in(j) == 0 for f in A)]
     for i, f in enumerate(A):
         others = [g for j, g in enumerate(A) if j != i]
-        if (ctx.gen_degree(i) > 1 and _capelli_irreducible(f, f.degrees())
+        if (ctx.gen_degrees[i] > 1 and _capelli_irreducible(f, f.degrees())
                 and all(not g.is_zero() and g.multiplicity_of(f) == 0 for g in others)):
-            out.append((f"A:{ctx.gens[i].label}", i, ctx.gen_degree(i)))
+            out.append((f"A:{ctx.gens[i].label}", i, ctx.gen_degrees[i]))
     return out
 
 
