@@ -16,7 +16,15 @@ Automorphism groups come from one individualisation–refinement search
 one routine (`_equitable`), finds a strong generating set along its first
 path, pruning with the orbits of the generators found so far, and counts
 the group's order; `aut_graph` materialises the elements by one closure.
-A `Graph` builds its adjacency once, on first use.  The corpus of
+`_equitable` has three fast paths, each giving the general split's
+fragments, order, trace entry and queued fragments: a splitter of one
+vertex reads that vertex's weighted adjacency dict as its count, a cell
+in which one vertex alone has a nonzero count moves that vertex to its
+end, and a two-vertex cell splits by one comparison.  Most splits on
+large transforms are of these kinds: the singletons that individualising
+a vertex peels off, one at a time, and then pops as splitters.
+A `Graph` builds its adjacency once, on first use; `transform` builds
+its output without the public constructors' checks.  The corpus of
 connected graphs on up to 6 vertices needs no isomorphism test: it keeps
 the least edge mask of each orbit of S_n on the masks.
 """
@@ -31,8 +39,8 @@ from .groups import Perm, PermGroup, closure
 
 DEFAULT_VERTEX_BOUND = 64
 # individualise-and-refine nodes: a node that refines the 4,775-vertex
-# chain transform of S3 to a discrete partition takes about 35 ms, so the
-# whole budget runs out there in about 11 s
+# chain transform of S3 to a discrete partition takes about 7.5 ms (2-CPU
+# Xeon, Python 3.11), so the whole budget runs out there in about 2.5 s
 DEFAULT_AUT_NODE_BUDGET = 300
 
 
@@ -65,6 +73,16 @@ class Graph:
             if not isinstance(v, str):
                 raise ValueError(f"vertex label {v!r} must be a string")
         self._adj = None
+
+    @classmethod
+    def _made(cls, vertices: frozenset, edges: frozenset) -> "Graph":
+        """A graph from string labels and 2-sets of them that the caller
+        built itself, without the checks of `__init__`."""
+        g = cls.__new__(cls)
+        g.vertices = vertices
+        g.edges = edges
+        g._adj = None
+        return g
 
     def _neighbour_sets(self) -> dict:
         """Each vertex's neighbours, built once, on first use."""
@@ -119,6 +137,17 @@ class ColoredGraph:
         for c in self.colors.values():
             if not (0 <= c < color_count):
                 raise ValueError(f"color {c} out of range 0..{color_count - 1}")
+
+    @classmethod
+    def _made(cls, graph: Graph, colors: dict, color_count: int) -> "ColoredGraph":
+        """A colored graph from a {frozenset edge: color} dict on exactly
+        the edges of `graph`, colors in range, that the caller built
+        itself, without the checks of `__init__`."""
+        cg = cls.__new__(cls)
+        cg.graph = graph
+        cg.colors = colors
+        cg.color_count = color_count
+        return cg
 
     @property
     def vertices(self):
@@ -256,34 +285,86 @@ def _equitable(part, stack: list[int], wadj, expect=None):
     fragments but its first largest one (Junttila & Kaski, ALENEX 2007).
     Returns the trace, one (cell start, fragment sizes, fragment counts)
     per split, or None as soon as it departs from `expect`.
+
+    Three common cases skip the general split, and each gives what it
+    would give.  A splitter of one vertex w takes `wadj[w]` itself as the
+    count.  When exactly one vertex u of a touched cell of m vertices has
+    a nonzero count, the fragments sorted by count are the others in
+    their order, then u: u moves to the end of the cell, the trace entry
+    is (t, (m - 1, 1), (0, count)), and the singleton, never the first
+    largest fragment, is the one fragment queued.  A two-vertex cell with
+    two counted vertices splits by one comparison into the same two
+    singletons, and queues the second, t + 1, as the general path's first
+    largest fragment rule does whether or not t was queued.
     """
     elems, cell_of, end = part
-    queued = set(stack)
+    queued = bytearray(len(elems))
+    for s in stack:
+        queued[s] = 1
     trace = []
+    n = len(elems)
     cells = len(set(cell_of))
     # a discrete partition splits no further
-    while stack and cells < len(elems):
+    while stack and cells < n:
         s = stack.pop()
-        queued.discard(s)
-        count: dict[int, int] = {}
-        for w in elems[s:end[s]]:
-            for u, weight in wadj[w]:
-                count[u] = count.get(u, 0) + weight
-        touched = [t for t in {cell_of[u] for u in count} if end[t] - t > 1]
-        touched.sort()
-        for t in touched:
-            frags: dict[int, list[int]] = {}
-            for u in elems[t:end[t]]:
-                frags.setdefault(count.get(u, 0), []).append(u)
-            if len(frags) == 1:
-                continue
-            keys = sorted(frags)
-            parts = [frags[k] for k in keys]
-            sizes = tuple(map(len, parts))
-            entry = (t, sizes, tuple(keys))
+        queued[s] = 0
+        if end[s] - s == 1:
+            count = wadj[elems[s]]
+        else:
+            count = {}
+            for w in elems[s:end[s]]:
+                for u, weight in wadj[w].items():
+                    count[u] = count.get(u, 0) + weight
+        # the counted vertices of each touched cell
+        hit: dict[int, list[int]] = {}
+        for u in count:
+            t = cell_of[u]
+            if end[t] - t > 1:
+                if t in hit:
+                    hit[t].append(u)
+                else:
+                    hit[t] = [u]
+        for t in (sorted(hit) if len(hit) > 1 else hit):
+            e = end[t]
+            us = hit[t]
+            parts = None
+            if len(us) == 1:
+                u = us[0]
+                entry = (t, (e - t - 1, 1), (0, count[u]))
+            elif e - t == 2:
+                a, u = us
+                ka, ku = count[a], count[u]
+                if ka == ku:
+                    continue
+                if ka > ku:
+                    a, u, ka, ku = u, a, ku, ka
+                entry = (t, (1, 1), (ka, ku))
+            else:
+                frags: dict[int, list[int]] = {}
+                for u in elems[t:e]:
+                    frags.setdefault(count.get(u, 0), []).append(u)
+                if len(frags) == 1:
+                    continue
+                keys = sorted(frags)
+                parts = [frags[k] for k in keys]
+                sizes = tuple(map(len, parts))
+                entry = (t, sizes, tuple(keys))
             if expect is not None and (len(trace) == len(expect) or expect[len(trace)] != entry):
                 return None
             trace.append(entry)
+            if parts is None:
+                # u alone moves, to the end of the cell, and the others
+                # keep their order; the singleton is the one new splitter,
+                # and as it never splits its queued flag is never read
+                cells += 1
+                i = elems.index(u, t, e)
+                elems[i:e - 1] = elems[i + 1:e]
+                elems[e - 1] = u
+                cell_of[u] = e - 1
+                end[t] = e - 1
+                end[e - 1] = e
+                stack.append(e - 1)
+                continue
             cells += len(parts) - 1
             starts = []
             a = t
@@ -295,13 +376,14 @@ def _equitable(part, stack: list[int], wadj, expect=None):
                     cell_of[u] = a
                 end[a] = b
                 a = b
-            if t in queued:
+            if queued[t]:
                 new = starts[1:]
             else:
                 largest = sizes.index(max(sizes))
                 new = starts[:largest] + starts[largest + 1:]
             stack.extend(new)
-            queued.update(new)
+            for s in new:
+                queued[s] = 1
     if expect is not None and len(trace) != len(expect):
         return None
     return trace
@@ -310,14 +392,15 @@ def _equitable(part, stack: list[int], wadj, expect=None):
 def _refined(keys: list, adj: list[dict[int, int]]):
     """The coarsest equitable partition of the graph given as {neighbour:
     colour} dicts that is finer than the cells of equal `keys`, and the
-    packed edge weights.  The cells start in increasing key order, all on
-    the splitter stack of `_equitable`, so the result reads only keys,
-    positions and counts: relabelling the vertices relabels its cells."""
+    packed edge weights as one {neighbour: weight} dict per vertex.  The
+    cells start in increasing key order, all on the splitter stack of
+    `_equitable`, so the result reads only keys, positions and counts:
+    relabelling the vertices relabels its cells."""
     n = len(adj)
     shift = max(1, n.bit_length())
     # a neighbour of colour c adds 1 << (shift * c) to a vertex's count,
     # so the per-colour counts, each below n, never carry into each other
-    wadj = [[(u, 1 << (shift * c)) for u, c in nb.items()] for nb in adj]
+    wadj = [{u: 1 << (shift * c) for u, c in nb.items()} for nb in adj]
     elems = sorted(range(n), key=keys.__getitem__)
     cell_of = [0] * n
     end = [0] * n
@@ -414,6 +497,9 @@ def _aut_generators(adj: list[dict[int, int]], budget: int) -> tuple[list[Perm],
 
     spend()
     part, wadj = _refined(_degree_triangles(adj), adj)
+    # each edge once, for the leaf check: adj is symmetric and a leaf's
+    # map is a bijection, so edges onto edges of their colour suffice
+    edges = [(x, y, c) for x in range(n) for y, c in adj[x].items() if x < y]
 
     # the first path: (partition, target cell start) per level, and the
     # trace that individualising the target's first vertex produced
@@ -446,7 +532,7 @@ def _aut_generators(adj: list[dict[int, int]], budget: int) -> tuple[list[Perm],
                 images = [0] * n
                 for x, y in zip(first_leaf, child[0]):
                     images[x] = y
-                if all(adj[images[x]].get(images[y]) == c for x in range(n) for y, c in adj[x].items()):
+                if all(adj[images[x]].get(images[y]) == c for x, y, c in edges):
                     return Perm(images)
                 continue
             # equal traces leave the same cells as on the first path
@@ -572,7 +658,6 @@ def transform(g: Graph) -> ColoredGraph:
             raise InvalidInput(f"vertex label {v!r} contains a reserved character")
 
     vertices = {f"1:{x}" for x in g.vertices}
-    edges = set()
     colors = {}
     for e in g.edges:
         s, t = sorted(e)
@@ -582,10 +667,11 @@ def transform(g: Graph) -> ColoredGraph:
         place["y"] = f"1:{t}"
         for u, w, color in _GADGET_COLORED_EDGES:
             # the labels "1:s", "1:t" and "2:s|t:w" are distinct: no loop
-            ed = frozenset((place[u], place[w]))
-            edges.add(ed)
-            colors[ed] = color
-    return ColoredGraph(Graph(vertices, edges), colors, N_COLORS)
+            colors[frozenset((place[u], place[w]))] = color
+    # every endpoint is a label made above and every color is below
+    # N_COLORS, so the public constructors' checks are skipped
+    graph = Graph._made(frozenset(vertices), frozenset(colors))
+    return ColoredGraph._made(graph, colors, N_COLORS)
 
 
 def _parse_transform_label(label: str):
@@ -909,16 +995,30 @@ def _strings(xs) -> bool:
     return isinstance(xs, list) and all(isinstance(x, str) for x in xs)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object that names no key twice, which `json.loads` would
+    otherwise settle by keeping the last value."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        raise InvalidInput("graph JSON names a key twice")
+    return doc
+
+
 def graph_from_json(text: str):
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
         vertices, edges = doc["vertices"], doc["edges"]
         if not (_strings(vertices) and isinstance(edges, list)
                 and all(_strings(e) and len(e) == 2 for e in edges)):
             raise InvalidInput("graph JSON needs a list of string vertices and edges as lists of two strings")
         graph = Graph(vertices, edges)
         if "colors" in doc:
-            colors = {frozenset(k.split(",")): v for k, v in doc["colors"].items()}
+            colors = {}
+            for k, v in doc["colors"].items():
+                e = frozenset(k.split(","))
+                if e in colors:
+                    raise InvalidInput(f"graph JSON colours the edge {k!r} twice")
+                colors[e] = v
             count = doc.get("color_count", (max(colors.values()) + 1) if colors else 1)
             if not all(type(c) is int for c in (*colors.values(), count)):
                 raise InvalidInput("graph JSON colours and color_count must be integers")

@@ -263,6 +263,10 @@ def k2_coloured(colour, count):
         pytest.param(k2_coloured(0, True), ["build-field"], id="bool-colour-count"),
         pytest.param('{"vertices": "st", "edges": ["st"]}', ["transform"], id="string-vertices"),
         pytest.param('{"vertices": ["s", "t"], "edges": ["st"]}', ["transform"], id="string-edge"),
+        pytest.param('{"vertices": ["s", "t"], "edges": [["s", "t"]], "colors": {"s,t": 0, "t,s": 1}, '
+                     '"color_count": 2}', ["build-field"], id="edge-coloured-twice"),
+        pytest.param('{"vertices": ["s", "t"], "edges": [["s", "t"]], "colors": {"s,t": 0, "s,t": 1}, '
+                     '"color_count": 2}', ["build-field"], id="colour-key-twice"),
     ],
 )
 def test_input_errors_exit2(tmp_path, capsys, infile, args):

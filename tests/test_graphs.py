@@ -7,12 +7,17 @@ it is networkx, where installed.
 import hashlib
 import json
 import random
-from itertools import permutations, product
+import sys
+from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
+from graphfield import autfield, graphs
 from graphfield.errors import Disconnected, InvalidInput, NotFromTransform
+from graphfield.fieldtower import random_nonzero_element
 from graphfield.graphs import (
+    DEFAULT_AUT_NODE_BUDGET,
     ColoredGraph,
     FiniteStructure,
     Graph,
@@ -32,8 +37,17 @@ from graphfield.graphs import (
     original_graph,
     restrict_aut,
     transform,
+    _aut_generators,
+    _degree_triangles,
+    _equitable,
+    _individualise,
+    _refined,
+    _target_cell,
 )
 from graphfield.groups import Perm, closure
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from test_autfield import k2_plus_ctx, k3_plus_ctx  # noqa: E402
 
 
 def brute_aut_count(g) -> int:
@@ -558,3 +572,318 @@ def test_structure_from_json_input_errors(text):
 
     with pytest.raises(InvalidInput):
         structure_from_json(text)
+
+
+# -- refinement against the former routine ----------------------------------------
+#
+# `equitable_reference` is `graphs._equitable` as it was before its fast
+# paths for singleton splitters, one-vertex splits and two-vertex cells,
+# kept verbatim: it reads `wadj` as (neighbour, weight) pair lists, which
+# `_pairs` makes from the dicts `_refined` now builds.  The fast paths
+# must give its traces, partitions and so the search's generators exactly.
+
+
+def equitable_reference(part, stack: list[int], wadj, expect=None):
+    """Refine `part` in place to the coarsest equitable partition finer
+    than it, splitting the cells against the splitter cells on `stack`.
+
+    For each vertex the neighbours in the splitter are counted per edge
+    colour, packed into one int by the weights of `wadj`; each touched
+    cell splits, in order of position, into fragments sorted by that
+    count.  A split cell that was not waiting as a splitter queues all its
+    fragments but its first largest one (Junttila & Kaski, ALENEX 2007).
+    Returns the trace, one (cell start, fragment sizes, fragment counts)
+    per split, or None as soon as it departs from `expect`.
+    """
+    elems, cell_of, end = part
+    queued = set(stack)
+    trace = []
+    cells = len(set(cell_of))
+    # a discrete partition splits no further
+    while stack and cells < len(elems):
+        s = stack.pop()
+        queued.discard(s)
+        count: dict[int, int] = {}
+        for w in elems[s:end[s]]:
+            for u, weight in wadj[w]:
+                count[u] = count.get(u, 0) + weight
+        touched = [t for t in {cell_of[u] for u in count} if end[t] - t > 1]
+        touched.sort()
+        for t in touched:
+            frags: dict[int, list[int]] = {}
+            for u in elems[t:end[t]]:
+                frags.setdefault(count.get(u, 0), []).append(u)
+            if len(frags) == 1:
+                continue
+            keys = sorted(frags)
+            parts = [frags[k] for k in keys]
+            sizes = tuple(map(len, parts))
+            entry = (t, sizes, tuple(keys))
+            if expect is not None and (len(trace) == len(expect) or expect[len(trace)] != entry):
+                return None
+            trace.append(entry)
+            cells += len(parts) - 1
+            starts = []
+            a = t
+            for f in parts:
+                starts.append(a)
+                b = a + len(f)
+                elems[a:b] = f
+                for u in f:
+                    cell_of[u] = a
+                end[a] = b
+                a = b
+            if t in queued:
+                new = starts[1:]
+            else:
+                largest = sizes.index(max(sizes))
+                new = starts[:largest] + starts[largest + 1:]
+            stack.extend(new)
+            queued.update(new)
+    if expect is not None and len(trace) != len(expect):
+        return None
+    return trace
+
+
+
+def _pairs(wadj: list[dict]) -> list[list[tuple[int, int]]]:
+    return [list(nb.items()) for nb in wadj]
+
+
+def _adjacency(g) -> list[dict[int, int]]:
+    """The {neighbour: colour} dicts that `aut_graph` searches, on the
+    sorted vertex list."""
+    graph, colors = (g.graph, g.colors) if isinstance(g, ColoredGraph) else (g, None)
+    index = {v: i for i, v in enumerate(sorted(graph.vertices))}
+    adj = [{} for _ in index]
+    for e in graph.edges:
+        a, b = (index[v] for v in e)
+        adj[a][b] = adj[b][a] = colors[e] if colors is not None else 0
+    return adj
+
+
+def _relabelled(adj: list[dict], rng: random.Random) -> list[dict]:
+    new = list(range(len(adj)))
+    rng.shuffle(new)
+    out = [{} for _ in adj]
+    for x, nb in enumerate(adj):
+        out[new[x]] = {new[y]: c for y, c in nb.items()}
+    return out
+
+
+def _start(keys: list, adj: list[dict]):
+    """The cells of equal keys and the packed weights, as `_refined`
+    builds them before it refines, and the cell starts it stacks."""
+    n = len(adj)
+    shift = max(1, n.bit_length())
+    wadj = [{u: 1 << (shift * c) for u, c in nb.items()} for nb in adj]
+    elems = sorted(range(n), key=keys.__getitem__)
+    cell_of = [0] * n
+    end = [0] * n
+    starts = []
+    for i, v in enumerate(elems):
+        if i == 0 or keys[v] != keys[elems[i - 1]]:
+            starts.append(i)
+        cell_of[v] = starts[-1]
+        end[starts[-1]] = i + 1
+    return (elems, cell_of, end), starts, wadj
+
+
+def _refine_both(part, stack: list[int], wadj: list[dict], pairs, expect=None):
+    """`_equitable` and the reference on copies of `part`: the same trace
+    and the same elems, cell_of and end.  Returns the refined copy and
+    the trace."""
+    mine = tuple(list(x) for x in part)
+    theirs = tuple(list(x) for x in part)
+    got = _equitable(mine, list(stack), wadj, expect)
+    want = equitable_reference(theirs, list(stack), pairs, expect)
+    assert got == want
+    if got is not None:
+        assert mine == theirs
+    return mine, got
+
+
+def _first_path_nodes(adj: list[dict]) -> tuple:
+    """The root refinement and every child of each first-path node, each
+    refined by both routines.  Returns the children as (node before
+    refinement, target cell, trace), and the weights in both forms."""
+    keys = _degree_triangles(adj)
+    part, starts, wadj = _start(keys, adj)
+    pairs = _pairs(wadj)
+    part, _ = _refine_both(part, starts, wadj, pairs)
+    assert _refined(keys, adj) == (part, wadj)
+    children = []
+    t = _target_cell(part)
+    while t is not None:
+        level = []
+        for v in part[0][t:part[2][t]]:
+            node = _individualise(part, t, v)
+            refined, trace = _refine_both(node, [t], wadj, pairs)
+            children.append((node, t, trace))
+            level.append(refined)
+        part = level[0]
+        t = _target_cell(part)
+    return children, wadj, pairs
+
+
+_CHAIN_GROUPS = {
+    "sym:2": [Perm.from_cycles(2, [(0, 1)])],
+    "alt:3": [Perm.from_cycles(3, [(0, 1, 2)])],
+}
+
+
+def _code_graph(name: str) -> Graph:
+    """The code graph of the Cayley structure of a small group."""
+    return code_structure(cayley_structure(closure(_CHAIN_GROUPS[name])))
+
+
+def _search(adj: list[dict]) -> tuple:
+    # a random graph with few edges permutes its isolated vertices in every
+    # way, and its search takes more nodes than the default budget
+    gens, order = _aut_generators(adj, 10 * DEFAULT_AUT_NODE_BUDGET)
+    return [p.images for p in gens], order
+
+
+def _search_with_reference(adj: list[dict], monkeypatch) -> tuple:
+    """`_aut_generators` with the reference in place of `_equitable`."""
+    converted = {}
+
+    def reference(part, stack, wadj, expect=None):
+        if id(wadj) not in converted:
+            converted[id(wadj)] = (wadj, _pairs(wadj))
+        return equitable_reference(part, stack, converted[id(wadj)][1], expect)
+
+    with monkeypatch.context() as m:
+        m.setattr(graphs, "_equitable", reference)
+        return _search(adj)
+
+
+def _random_coloured(rng: random.Random) -> list[dict]:
+    """A random graph on 6 to 40 vertices with up to three edge colours."""
+    n = rng.randint(6, 40)
+    p = rng.random() * 0.5
+    colours = rng.randint(1, 3)
+    adj = [{} for _ in range(n)]
+    for x, y in combinations(range(n), 2):
+        if rng.random() < p:
+            adj[x][y] = adj[y][x] = rng.randrange(colours)
+    return adj
+
+
+def _split_kind(sizes: tuple, keys: tuple) -> str:
+    if len(sizes) == 2 and sizes[1] == 1 and keys[0] == 0:
+        return "one-vertex"
+    return "two-vertex" if sizes == (1, 1) else "general"
+
+
+def test_equitable_matches_the_reference_on_the_search_nodes(monkeypatch):
+    # the root and every first-path child of the corpus transforms, of two
+    # relabellings of each, of the sym:2 chain transform and of random
+    # coloured graphs; then the search's generators with either routine,
+    # not only its order.  The random graphs split a queued fragment of a
+    # general split before it is popped, which the others rarely do
+    rng = random.Random(36)
+    corpus = [_adjacency(cg) for cg in _corpus_transforms()]
+    relabelled = [_relabelled(adj, rng) for adj in corpus for _ in range(2)]
+    chain = [_adjacency(transform(_code_graph("sym:2")))]
+    rng = random.Random(1)
+    randoms = [_random_coloured(rng) for _ in range(300)]
+    kinds = set()
+    for adj in corpus + relabelled + chain + randoms:
+        children, _, _ = _first_path_nodes(adj)
+        kinds |= {_split_kind(sizes, keys) for _, _, trace in children for _, sizes, keys in trace}
+        assert _search(adj) == _search_with_reference(adj, monkeypatch)
+    assert kinds == {"one-vertex", "two-vertex", "general"}
+
+
+def test_equitable_matches_the_reference_on_the_codec_atoms(monkeypatch):
+    # the atom graphs that encode_element refines on the criterion-6
+    # towers, for random elements and their images
+    atoms = []
+    refined = autfield._refined
+
+    def record(keys, adj):
+        atoms.append((list(keys), [dict(nb) for nb in adj]))
+        return refined(keys, adj)
+
+    monkeypatch.setattr(autfield, "_refined", record)
+    for maker in (k2_plus_ctx, k3_plus_ctx):
+        cg, ctx = maker()
+        rng = random.Random(6)
+        auts = [autfield.sigma(phi, ctx) for phi in graph_auts(cg)]
+        for _ in range(6):
+            a = random_nonzero_element(ctx, rng, max_terms=2, allow_denominator=False)
+            for al in auts:
+                autfield.encode_element(autfield.apply(al, a))
+    assert len(atoms) > 50
+    for keys, adj in atoms:
+        part, starts, wadj = _start(keys, adj)
+        _refine_both(part, starts, wadj, _pairs(wadj))
+
+
+def test_equitable_leaves_a_perturbed_trace_like_the_reference():
+    # one entry of a child's expected trace changed, or the trace cut
+    # short or extended: both routines give None
+    for adj in [_adjacency(cg) for cg in _corpus_transforms()[::7]] + [_adjacency(transform(_code_graph("sym:2")))]:
+        children, wadj, pairs = _first_path_nodes(adj)
+        for node, t, trace in children[:12]:
+            assert _refine_both(node, [t], wadj, pairs, trace)[1] == trace
+            for i, (s, sizes, keys) in enumerate(trace):
+                for entry in (
+                    (s + 1, sizes, keys),
+                    (s, sizes + (0,), keys),
+                    (s, sizes, keys[:1]),
+                    (s, sizes, tuple(k + 1 for k in keys)),
+                ):
+                    expect = trace[:i] + [entry] + trace[i + 1:]
+                    assert _refine_both(node, [t], wadj, pairs, expect)[1] is None
+            for expect in (trace[:-1], trace + [(0, (1, 1), (0, 1))]):
+                assert _refine_both(node, [t], wadj, pairs, expect)[1] is None
+
+
+def test_the_leaf_check_alone_decides_without_refinement(monkeypatch):
+    # with a refinement that splits nothing, every leaf has the first
+    # path's empty traces, and only the leaf check tells the automorphisms
+    # from the other vertex maps
+    monkeypatch.setattr(graphs, "_equitable", lambda part, stack, wadj, expect=None: [])
+    small = [g for n in range(2, 6) for g in connected_graphs_up_to_iso(n)]
+    for g in small + [greedy_star_coloring(g) for g in small]:
+        assert _aut_generators(_adjacency(g), 10 * DEFAULT_AUT_NODE_BUDGET)[1] == brute_aut_count(g)
+
+
+def test_transform_output_equals_the_checked_constructors():
+    # transform builds its output without the public constructors' checks
+    bases = [g for n in range(1, 7) for g in connected_graphs_up_to_iso(n)]
+    for base in bases + [_code_graph("sym:2"), _code_graph("alt:3")]:
+        cg = transform(base)
+        checked = ColoredGraph(Graph(cg.vertices, cg.edges), cg.colors, cg.color_count)
+        assert cg.graph == checked.graph
+        assert (cg.colors, cg.color_count) == (checked.colors, checked.color_count)
+        assert type(cg.vertices) is type(cg.edges) is frozenset
+        assert all(type(e) is frozenset and len(e) == 2 for e in cg.colors)
+
+
+def refinement_document() -> list[dict]:
+    """The root and first-path traces, the generator images and the order
+    of the search on each corpus transform and on the sym:2 chain
+    transform."""
+    doc = []
+    for cg in _corpus_transforms() + [transform(_code_graph("sym:2"))]:
+        adj = _adjacency(cg)
+        part, starts, wadj = _start(_degree_triangles(adj), adj)
+        traces = [_equitable(part, starts, wadj)]
+        t = _target_cell(part)
+        while t is not None:
+            part = _individualise(part, t, part[0][t])
+            traces.append(_equitable(part, [t], wadj))
+            t = _target_cell(part)
+        gens, order = _aut_generators(adj, DEFAULT_AUT_NODE_BUDGET)
+        doc.append({"traces": traces, "generators": [p.images for p in gens], "order": order})
+    return doc
+
+
+if __name__ == "__main__":
+    # the refinement must not depend on str hashing, which orders the
+    # adjacency dicts: compare the output under two PYTHONHASHSEED values
+    json.dump(refinement_document(), sys.stdout, separators=(",", ":"))
+    sys.stdout.write("\n")
