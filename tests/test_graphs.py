@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from graphfield import autfield, graphs
-from graphfield.errors import Disconnected, InvalidInput, NotFromTransform
+from graphfield.errors import BudgetExceeded, Disconnected, InvalidInput, NotFromTransform
 from graphfield.fieldtower import random_nonzero_element
 from graphfield.graphs import (
     DEFAULT_AUT_NODE_BUDGET,
@@ -217,6 +217,23 @@ def test_aut_graph_chain_transforms_within_the_default_budget():
         cg = transform(code_structure(cayley_structure(group)))
         assert len(cg.vertices) == size
         assert aut_graph(cg, max_vertices=size).order == group.order
+
+
+@pytest.mark.parametrize("name, nodes", [("petersen", 15), ("transform(K6)", 21)])
+def test_aut_graph_node_budget_refusal_points(name, nodes):
+    g = _known_graphs()["petersen"][0] if name == "petersen" else transform(K(6))
+    size = len(g.vertices)
+    assert aut_graph(g, node_budget=nodes, max_vertices=size).order == (120 if name == "petersen" else 720)
+    with pytest.raises(BudgetExceeded) as exc:
+        aut_graph(g, node_budget=nodes - 1, max_vertices=size)
+    assert (exc.value.what, exc.value.budget) == ("aut_graph search nodes", nodes - 1)
+
+
+def test_aut_graph_vertex_bound_refusal_point():
+    g = _known_graphs()["petersen"][0]
+    with pytest.raises(BudgetExceeded) as exc:
+        aut_graph(g, max_vertices=len(g.vertices) - 1)
+    assert (exc.value.what, exc.value.budget) == ("aut_graph vertex bound", 9)
 
 
 def test_graph_auts_is_bounded_by_the_node_budget_alone():

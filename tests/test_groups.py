@@ -416,6 +416,56 @@ def test_aut_group_closure_is_bounded_by_the_node_budget():
     assert exc.value.__cause__.what == "group closure"
 
 
+# -- refusal points ------------------------------------------------------------------
+# Each bound is pinned where the search answers and just below, with the
+# refusal's label and limit.  A search step is named by the deepest of
+# these functions on the refusal's traceback.
+
+_SEARCH_STEPS = ("_charged_invariants", "_choose_generators", "_isomorphisms", "_hom_from_generator_images")
+
+
+def _refusal(search):
+    with pytest.raises(BudgetExceeded) as exc:
+        search()
+    frames = {entry.name for entry in exc.traceback}
+    steps = [step for step in _SEARCH_STEPS if step in frames]
+    return exc.value.what, exc.value.budget, steps[-1] if steps else None
+
+
+@pytest.mark.parametrize("n, step", [
+    (1343, "_charged_invariants"), (1344, "_choose_generators"), (1897, "_choose_generators"),
+    (1898, "_isomorphisms"), (1901, "_isomorphisms"),
+    (1902, "_hom_from_generator_images"), (2237, "_hom_from_generator_images"),
+])
+def test_find_isomorphism_psl27_refusal_points(n, step):
+    # two class walks of 2 * 168 * 2 products, then the generator choice,
+    # the image search and the extension of its tuples
+    G, H = psl2(7), psl2(7)
+    assert _refusal(lambda: find_isomorphism(G, H, node_budget=n)) == ("isomorphism search", n, step)
+
+
+def test_find_isomorphism_psl27_answers_at_its_threshold():
+    G, H = psl2(7), psl2(7)
+    phi = find_isomorphism(G, H, node_budget=2238)
+    assert phi is not None and all(phi[x * y] == phi[x] * phi[y] for x in G.elements for y in G.generators)
+
+
+def test_aut_group_z2_cubed_refusal_point():
+    G = z2_power(3)
+    assert aut_group(G, node_budget=1344).group.order == 168
+    assert _refusal(lambda: aut_group(G, node_budget=1343)) == (
+        "automorphism search: automorphisms held", 167, "_isomorphisms")
+
+
+def test_tower_step_refusal_points():
+    S4, A5 = sym(4), alt(5)
+    H = closure([Perm.from_cycles(4, [(0, 1)])])
+    assert normalizer_tower(S4, H, max_steps=3).stabilized
+    assert _refusal(lambda: normalizer_tower(S4, H, max_steps=2)) == ("normalizer tower steps", 2, None)
+    assert automorphism_tower(A5, max_steps=2).stabilized
+    assert _refusal(lambda: automorphism_tower(A5, max_steps=1)) == ("automorphism tower steps", 1, None)
+
+
 # -- finite fields and projective groups -----------------------------------------------
 
 
