@@ -98,8 +98,8 @@ def _suite_graphs(r: Runner, args):
             if len(cg.vertices) != len(g.vertices) + 4 * len(g.edges):
                 bad.append({"n": len(g.vertices), "reason": "size"})
                 continue
-            down = graphs.aut_graph(g, max_vertices=128)
-            up = graphs.aut_graph(cg, max_vertices=128)
+            down = graphs.aut_graph(g)
+            up = graphs.aut_graph(cg)
             if down.order != up.order:
                 bad.append({"n": len(g.vertices), "reason": "aut-order"})
                 continue
@@ -273,7 +273,7 @@ def _suite_sigma(r: Runner, args):
     cg = graphs.transform(k2)
     att = {e for e in cg.edges if any(v.startswith("1:") for v in e)}
     depths = {fieldtower.edge_label(e): (1 if e in att else 0) for e in cg.edges}
-    ctx = fieldtower.build_tower(cg, char=0, vertex_depths=1, edge_depths=depths, cap=3000)
+    ctx = fieldtower.build_tower(cg, char=0, vertex_depths=1, edge_depths=depths)
 
     def injective():
         rep = autfield.verify_injectivity_sigma(ctx)

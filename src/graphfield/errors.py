@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types, and the one meter of work (`Budget`).
 
 Every budget-style failure carries enough context to be reported as an
 `unknown` verification status instead of crashing a whole suite.
@@ -21,6 +21,21 @@ class BudgetExceeded(GraphFieldError):
         super().__init__(f"{what} exceeded budget {budget}")
         self.what = what
         self.budget = budget
+
+
+class Budget:
+    """A limit on work: `charge(units)` raises BudgetExceeded(what, limit)
+    once more than `limit` units have been drawn.  Every search charges one."""
+
+    __slots__ = ("what", "limit", "left")
+
+    def __init__(self, what: str, limit: int):
+        self.what, self.limit, self.left = what, limit, limit
+
+    def charge(self, units: int = 1) -> None:
+        self.left -= units
+        if self.left < 0:
+            raise BudgetExceeded(self.what, self.limit)
 
 
 class Disconnected(GraphFieldError):
@@ -61,8 +76,8 @@ class SingularMultiplication(GraphFieldError):
 
 class TooLarge(GraphFieldError):
     """An input exceeds what is handled exactly: a tower basis dimension
-    over the configured cap, or a number too large for the primality
-    test."""
+    over the cap a caller passed, or a number too large for the
+    primality test."""
 
 
 class DepthExceeded(GraphFieldError):

@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add, sub
 
 from .coeffs import CoeffField, is_prime
@@ -59,8 +60,6 @@ from ._modgcd import _constant_coefficient
 from .graphs import ColoredGraph, check_star_coloring
 from .polynomials import Poly, _poly
 from .ratfunc import RatFunc
-
-DEFAULT_DIMENSION_CAP = 2000
 
 
 def choose_primes(r: int, n_colors: int) -> tuple[int, ...]:
@@ -110,7 +109,6 @@ class TowerContext:
         chain_prime: int,
         vertex_depths: dict,
         gens,
-        cap: int = DEFAULT_DIMENSION_CAP,
         colored_graph: ColoredGraph | None = None,
     ):
         self.field = CoeffField(char)
@@ -126,15 +124,8 @@ class TowerContext:
         for name, d in depths:
             if not isinstance(d, int) or isinstance(d, bool) or d < 0:
                 raise InvalidInput(f"depth of {name} must be an integer >= 0, got {d!r}")
-        self.cap = cap
         self.colored_graph = colored_graph
-        self.dimension, degrees = 1, []
-        for g in self.gens:
-            degrees.append(g.prime**g.depth)
-            self.dimension *= degrees[-1]
-            if self.dimension > cap:
-                raise TooLarge(f"basis dimension exceeds cap {cap}")
-        self.gen_degrees = tuple(degrees)  # N_i
+        self.gen_degrees = tuple(g.prime**g.depth for g in self.gens)  # N_i
         self._gen_polys = [self._build_gen_poly(g) for g in self.gens]
         self._gen_pow_cache: dict = {}
         self._gen_var_degrees: list | None = None
@@ -145,6 +136,11 @@ class TowerContext:
         self.root_plans: dict = {}  # p -> roots._RootPlan, filled by roots
 
     # -- structure -----------------------------------------------------------
+
+    @cached_property
+    def dimension(self) -> int:
+        """The basis dimension prod N_i, at first read."""
+        return math.prod(self.gen_degrees)
 
     def gen_degree(self, i: int) -> int:
         """N_i, i.e. `gen_degrees[i]`; the package reads the tuple."""
@@ -248,9 +244,7 @@ class TowerContext:
         )
         vd = dict(self.vertex_depths)
         vd.update(vertex_depths)
-        return TowerContext(
-            self.char, self.var_names, self.chain_prime, vd, gens, self.cap, self.colored_graph
-        )
+        return TowerContext(self.char, self.var_names, self.chain_prime, vd, gens, self.colored_graph)
 
     def deepen(self, vertex_delta: int = 0, edge_delta: int = 0, only_prime: int | None = None) -> "TowerContext":
         vd = {v: d + vertex_delta for v, d in self.vertex_depths.items()}
@@ -270,7 +264,6 @@ class TowerContext:
                 self.chain_prime,
                 self.vertex_depths,
                 self.gens[:j],
-                self.cap,
                 self.colored_graph,
             )
             if self._coprime:  # a subset of a coprime base is one
@@ -327,7 +320,7 @@ def build_tower(
     char: int = 0,
     vertex_depths=1,
     edge_depths=1,
-    cap: int = DEFAULT_DIMENSION_CAP,
+    cap: int | None = None,
     primes: tuple | None = None,
 ) -> TowerContext:
     """Tower context over a star-colored graph.
@@ -338,7 +331,8 @@ def build_tower(
     The coloring must be a star coloring: that backs the classification
     arguments, not the arithmetic.  So does the distinctness of the chain
     prime p_0 and the color primes p_1 ... p_n (`primes`, which defaults
-    to `choose_primes`).
+    to `choose_primes`).  A caller that passes `cap` has a tower of
+    larger basis dimension refused with TooLarge.
     """
     bad = [c for c, rep in check_star_coloring(cg).items() if not rep["ok"]]
     if bad:
@@ -369,7 +363,10 @@ def build_tower(
                 color=color,
             )
         )
-    return TowerContext(char, verts, primes[0], vd, gens, cap, colored_graph=cg)
+    ctx = TowerContext(char, verts, primes[0], vd, gens, colored_graph=cg)
+    if cap is not None and ctx.dimension > cap:
+        raise TooLarge(f"basis dimension exceeds cap {cap}")
+    return ctx
 
 
 def radical_extend(
@@ -379,8 +376,7 @@ def radical_extend(
     depths=1,
 ) -> TowerContext:
     """The generic tower: one transcendental z_0 with p-power roots and,
-    for each v, p_k-power roots of T_v(z_0), under the default dimension
-    cap.
+    for each v, p_k-power roots of T_v(z_0).
 
     The hypotheses are validated exactly: every T_v nonconstant,
     not divisible by X, separable, and pairwise coprime.

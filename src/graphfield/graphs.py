@@ -15,7 +15,8 @@ Automorphism groups come from one individualisation–refinement search
 (`_aut_generators`): it refines ordered partitions to equitable ones with
 one routine (`_equitable`), finds a strong generating set along its first
 path, pruning with the orbits of the generators found so far, and counts
-the group's order; `aut_graph` materialises the elements by one closure.
+the group's order; `aut_graph` materialises the elements by one closure,
+unless the order is past `groups.DEFAULT_CLOSURE_CAP`.
 `_equitable` has three fast paths, each giving the general split's
 fragments, order, trace entry and queued fragments: a splitter of one
 vertex reads that vertex's weighted adjacency dict as its count, a cell
@@ -34,10 +35,9 @@ import json
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .errors import BudgetExceeded, Disconnected, InvalidInput, NotFromTransform
-from .groups import Perm, PermGroup, closure
+from .errors import Budget, BudgetExceeded, Disconnected, InvalidInput, NotFromTransform
+from .groups import DEFAULT_CLOSURE_CAP, Perm, PermGroup, closure
 
-DEFAULT_VERTEX_BOUND = 64
 # individualise-and-refine nodes: a node that refines the 4,775-vertex
 # chain transform of S3 to a discrete partition takes about 7.5 ms (2-CPU
 # Xeon, Python 3.11), so the whole budget runs out there in about 2.5 s
@@ -223,7 +223,7 @@ def _unwrap(g):
 def aut_graph(
     g,
     node_budget: int = DEFAULT_AUT_NODE_BUDGET,
-    max_vertices: int = DEFAULT_VERTEX_BOUND,
+    max_vertices: int | None = None,
 ) -> PermGroup:
     """All automorphisms of a graph or colored graph, as a PermGroup on
     the sorted vertex list (color-preserving when colored).
@@ -232,12 +232,14 @@ def aut_graph(
     order by individualisation and refinement; one closure of those
     generators gives the elements, and it must reach exactly that order.
     Each individualise-and-refine node, the root included, costs one of
-    `node_budget` units; running out raises BudgetExceeded.
+    `node_budget` units; running out raises BudgetExceeded, and so does
+    an order past `DEFAULT_CLOSURE_CAP`, as a "group closure".  A caller
+    may pass `max_vertices` to refuse a larger graph before the search.
     """
     graph, colors = _unwrap(g)
     verts = sorted(graph.vertices)
     n = len(verts)
-    if n > max_vertices:
+    if max_vertices is not None and n > max_vertices:
         raise BudgetExceeded("aut_graph vertex bound", max_vertices)
     index = {v: i for i, v in enumerate(verts)}
     adj: list[dict[int, int]] = [{} for _ in range(n)]
@@ -248,6 +250,8 @@ def aut_graph(
         adj[index[b]][index[a]] = c
 
     gens, order = _aut_generators(adj, node_budget)
+    if order > DEFAULT_CLOSURE_CAP:
+        raise BudgetExceeded("group closure", DEFAULT_CLOSURE_CAP)
     try:
         elements = closure(gens, cap=order, degree=n).elements
     except BudgetExceeded:
@@ -487,15 +491,8 @@ def _aut_generators(adj: list[dict[int, int]], budget: int) -> tuple[list[Perm],
     order is the product of the orbit lengths.
     """
     n = len(adj)
-    left = budget
-
-    def spend():
-        nonlocal left
-        left -= 1
-        if left < 0:
-            raise BudgetExceeded("aut_graph search nodes", budget)
-
-    spend()
+    nodes = Budget("aut_graph search nodes", budget)
+    nodes.charge()
     part, wadj = _refined(_degree_triangles(adj), adj)
     # each edge once, for the leaf check: adj is symmetric and a leaf's
     # map is a bijection, so edges onto edges of their colour suffice
@@ -509,7 +506,7 @@ def _aut_generators(adj: list[dict[int, int]], budget: int) -> tuple[list[Perm],
     while t is not None:
         path.append((part, t))
         part = _individualise(part, t, part[0][t])
-        spend()
+        nodes.charge()
         traces.append(_equitable(part, [t], wadj))
         t = _target_cell(part)
     first_leaf = part[0]
@@ -525,7 +522,7 @@ def _aut_generators(adj: list[dict[int, int]], budget: int) -> tuple[list[Perm],
                 stack.pop()
                 continue
             child = _individualise(node, t, u)
-            spend()
+            nodes.charge()
             if _equitable(child, [t], wadj, traces[d]) is None:
                 continue
             if d + 1 == len(path):
@@ -561,9 +558,9 @@ def _aut_generators(adj: list[dict[int, int]], budget: int) -> tuple[list[Perm],
 
 
 def graph_auts(g) -> list[GraphAut]:
-    """aut_graph, converted to explicit vertex mappings; only the search
-    node budget bounds it."""
-    group = aut_graph(g, max_vertices=len(g.vertices))
+    """aut_graph, converted to explicit vertex mappings; the search node
+    budget and the closure bound bound it."""
+    group = aut_graph(g)
     verts = group.points
     out = []
     for p in group.sorted_elements():
@@ -834,7 +831,10 @@ def greedy_star_coloring(g: Graph) -> ColoredGraph:
 
 @dataclass(frozen=True)
 class FiniteStructure:
-    """A finite universe with named relations and unary functions."""
+    """A finite universe with named relations and unary functions.
+
+    The universe's elements must be distinct both as values and as
+    strings: `code_structure` names each element's vertex by its string."""
 
     universe: tuple
     relations: dict
@@ -842,6 +842,8 @@ class FiniteStructure:
 
     def __post_init__(self):
         uni = set(self.universe)
+        if len(uni) != len(self.universe) or len(set(map(str, uni))) != len(uni):
+            raise ValueError("universe elements must be distinct, and distinct as strings")
         for name, tuples in self.relations.items():
             arities = {len(t) for t in tuples}
             if len(arities) > 1:
@@ -1000,7 +1002,7 @@ def _unique_keys(pairs: list) -> dict:
     otherwise settle by keeping the last value."""
     doc = dict(pairs)
     if len(doc) != len(pairs):
-        raise InvalidInput("graph JSON names a key twice")
+        raise InvalidInput("JSON object names a key twice")
     return doc
 
 
@@ -1039,7 +1041,7 @@ def structure_to_json(s: FiniteStructure) -> str:
 
 def structure_from_json(text: str) -> FiniteStructure:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
         if not isinstance(doc["universe"], list):
             raise InvalidInput("structure JSON needs the universe as a list")
         return FiniteStructure(

@@ -15,7 +15,7 @@ of permutations is one C-level gather over the image tuple.
 
 Automorphisms and isomorphisms of abstract groups come from one
 depth-first search over generator images (`_isomorphisms`), which
-charges each prefix to a node budget.  The preamble before it, the
+charges each prefix to its `Budget`.  The preamble before it, the
 conjugacy classes and the choice of generators, charges fixed counts to
 the same budget, so the node budget is the only limit on either search:
 2·|G|·|gens| for the classes, even when the group holds them already,
@@ -42,6 +42,7 @@ from operator import itemgetter
 
 from ._modgcd import _image_field
 from .errors import (
+    Budget,
     BudgetExceeded,
     NotAnAction,
     NotCenterless,
@@ -373,22 +374,15 @@ def _element_invariants(G: PermGroup):
     return inv
 
 
-def _charge(budget, units: int, what: str) -> None:
-    """Draw `units` from budget = [units left, budget], or raise."""
-    budget[0] -= units
-    if budget[0] < 0:
-        raise BudgetExceeded(what, budget[1])
-
-
-def _charged_invariants(G: PermGroup, budget, what: str):
+def _charged_invariants(G: PermGroup, budget: Budget):
     """_element_invariants(G), after charging 2·|G|·|generators| units to
     `budget`: the products of one walk over the conjugacy classes, charged
     even when G holds its classes already, so refusals do not move."""
-    _charge(budget, 2 * G.order * len(G.generators), what)
+    budget.charge(2 * G.order * len(G.generators))
     return _element_invariants(G)
 
 
-def _choose_generators(G: PermGroup, invariants, budget, what: str) -> list[Perm]:
+def _choose_generators(G: PermGroup, invariants, budget: Budget) -> list[Perm]:
     """A small generating set biased toward elements with rare invariants,
     preferring a 2-element set when one exists.  A partner x of g1 that
     lies in a proper <g1, x'> found before is skipped: <g1, x> is proper.
@@ -400,7 +394,7 @@ def _choose_generators(G: PermGroup, invariants, budget, what: str) -> list[Perm
 
     def close(gens) -> PermGroup:
         group = closure(gens, cap=G.order + 1, degree=G.degree)
-        _charge(budget, len(gens) * group.order, what)
+        budget.charge(len(gens) * group.order)
         return group
 
     domain = G.sorted_elements()
@@ -432,14 +426,15 @@ def _choose_generators(G: PermGroup, invariants, budget, what: str) -> list[Perm
     return gens
 
 
-def _hom_from_generator_images(G: PermGroup, H: PermGroup, gens, images, budget, what: str) -> dict | None:
+def _hom_from_generator_images(G: PermGroup, H: PermGroup, gens, images, budget: Budget) -> dict | None:
     """Extend gens -> images to an isomorphism G -> H, or None.
 
     Elements are reached breadth-first by right-multiplying with
     generators; any inconsistency between two derivations kills the
-    candidate immediately.  `budget` is [nodes left, node budget], shared
-    by every candidate of one search.
+    candidate immediately.  Each product pair costs one node of `budget`,
+    which every candidate of one search shares.
     """
+    charge = budget.charge
     phi = {G.identity(): H.identity()}
     queue = [G.identity()]
     pairs = list(zip(gens, images))
@@ -448,9 +443,7 @@ def _hom_from_generator_images(G: PermGroup, H: PermGroup, gens, images, budget,
         for x in queue:
             fx = phi[x]
             for g, h in pairs:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise BudgetExceeded(what, budget[1])
+                charge()
                 y = x * g
                 fy = fx * h
                 known = phi.get(y)
@@ -467,7 +460,7 @@ def _hom_from_generator_images(G: PermGroup, H: PermGroup, gens, images, budget,
     return phi
 
 
-def _isomorphisms(G: PermGroup, H: PermGroup, gens, inv_G, inv_H, budget, what: str, visit) -> None:
+def _isomorphisms(G: PermGroup, H: PermGroup, gens, inv_G, inv_H, budget: Budget, visit) -> None:
     """Call visit(images, extend) on each tuple of images in H for `gens`
     that passes the pair-product check, until visit returns True.
 
@@ -476,9 +469,9 @@ def _isomorphisms(G: PermGroup, H: PermGroup, gens, inv_G, inv_H, budget, what: 
     invariant.  A prefix is cut as soon as the product of two chosen
     images, in either order, has another invariant than the product of
     their generators.  Each prefix costs one node of the caller's
-    `budget`, [nodes left, node budget]; extend(images) runs
-    _hom_from_generator_images on a tuple and draws on the same budget,
-    so visit decides which tuples get that check.
+    `budget`; extend(images) runs _hom_from_generator_images on a tuple
+    and draws on the same budget, so visit decides which tuples get that
+    check.
     """
     domain_H = H.sorted_elements()
     pools = [[y for y in domain_H if inv_H[y] == inv_G[g]] for g in gens]
@@ -486,15 +479,13 @@ def _isomorphisms(G: PermGroup, H: PermGroup, gens, inv_G, inv_H, budget, what: 
     chosen: list[Perm] = []
 
     def extend(images) -> dict | None:
-        return _hom_from_generator_images(G, H, gens, images, budget, what)
+        return _hom_from_generator_images(G, H, gens, images, budget)
 
     def descend(i: int) -> bool:
         if i == len(gens):
             return visit(tuple(chosen), extend)
         for y in pools[i]:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise BudgetExceeded(what, budget[1])
+            budget.charge()
             if all(inv_H[x * y] == pair_inv[j][i] and inv_H[y * x] == pair_inv[i][j]
                    for j, x in enumerate(chosen)):
                 chosen.append(y)
@@ -531,13 +522,12 @@ def aut_group(G: PermGroup, node_budget: int = DEFAULT_AUT_NODE_BUDGET) -> AutGr
     `inner` is built by a walk over the generators of G, since
     conjugation by x·g is conjugation by x after conjugation by g.
     """
-    what = "automorphism search"
-    budget = [node_budget, node_budget]
+    budget = Budget("automorphism search", node_budget)
     domain = tuple(G.sorted_elements())
     index = {x: i for i, x in enumerate(domain)}
     ident = Perm.identity(len(domain))
-    invariants = _charged_invariants(G, budget, what)
-    gens = _choose_generators(G, invariants, budget, what)
+    invariants = _charged_invariants(G, budget)
+    gens = _choose_generators(G, invariants, budget)
     base = tuple(index[g] for g in gens)
     found: list[Perm] = []
     autos = frozenset([ident])
@@ -562,12 +552,12 @@ def aut_group(G: PermGroup, node_budget: int = DEFAULT_AUT_NODE_BUDGET) -> AutGr
         try:
             autos = closure(found, cap=node_budget // G.order, degree=len(domain)).elements
         except BudgetExceeded as exc:
-            raise BudgetExceeded(f"{what}: automorphisms held", node_budget // G.order) from exc
+            raise BudgetExceeded(f"{budget.what}: automorphisms held", node_budget // G.order) from exc
         known = orbit(base)
         rejected = set().union(*map(orbit, rejected_reps))
         return False
 
-    _isomorphisms(G, G, gens, invariants, invariants, budget, what, visit)
+    _isomorphisms(G, G, gens, invariants, invariants, budget, visit)
     group = PermGroup(len(domain), found, autos)
 
     conj = {G.identity(): ident}
@@ -593,8 +583,7 @@ def find_isomorphism(G: PermGroup, H: PermGroup, node_budget: int = DEFAULT_AUT_
     to `node_budget` as in aut_group."""
     if G.order != H.order:
         return None
-    what = "isomorphism search"
-    budget = [node_budget, node_budget]
+    budget = Budget("isomorphism search", node_budget)
     found: list[dict] = []
 
     def stop(images, extend) -> bool:
@@ -604,10 +593,10 @@ def find_isomorphism(G: PermGroup, H: PermGroup, node_budget: int = DEFAULT_AUT_
         found.append(phi)
         return True
 
-    inv_G = _charged_invariants(G, budget, what)
-    inv_H = _charged_invariants(H, budget, what)
-    gens = _choose_generators(G, inv_G, budget, what)
-    _isomorphisms(G, H, gens, inv_G, inv_H, budget, what, stop)
+    inv_G = _charged_invariants(G, budget)
+    inv_H = _charged_invariants(H, budget)
+    gens = _choose_generators(G, inv_G, budget)
+    _isomorphisms(G, H, gens, inv_G, inv_H, budget, stop)
     return found[0] if found else None
 
 

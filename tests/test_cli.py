@@ -31,6 +31,21 @@ def test_transform_k2_pass(tmp_path, capsys):
     assert len(doc["vertices"]) == 6 and doc["color_count"] == 7
 
 
+def test_transform_star_past_the_closure_cap_is_unknown(tmp_path, capsys):
+    # Aut K_{1,9} has 9! elements; the search counts them in a few dozen
+    # nodes, and listing them took 110 s before the closure bound
+    leaves = [f"l{i}" for i in range(9)]
+    infile = write_graph(tmp_path, "star.json", ["c", *leaves], [("c", x) for x in leaves])
+    t0 = time.perf_counter()
+    rc = main(["transform", "--in", infile])
+    assert time.perf_counter() - t0 < 5
+    captured = capsys.readouterr()
+    assert rc == 0
+    rep = json.loads(captured.out.strip().splitlines()[-1])
+    assert rep["status"] == "unknown"
+    assert rep["details"] == {"budget": {"what": "group closure", "limit": 20000}}
+
+
 def test_transform_disconnected_exit2(tmp_path, capsys):
     infile = write_graph(tmp_path, "d.json", ["a", "b", "c"], [("a", "b")])
     rc = main(["transform", "--in", infile])

@@ -35,7 +35,7 @@ from graphfield.fieldtower import (
 )
 from graphfield import fieldtower
 from graphfield.fieldtower import _binomial_inverse, _euclid_inverse
-from graphfield.graphs import ColoredGraph, Graph, greedy_star_coloring
+from graphfield.graphs import ColoredGraph, Graph, greedy_star_coloring, transform
 from graphfield.polynomials import Poly
 from graphfield.ratfunc import RatFunc
 
@@ -110,6 +110,17 @@ def test_build_tower_cap():
     g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
     with pytest.raises(TooLarge):
         build_tower(greedy_star_coloring(g), char=0, edge_depths=3, cap=2000)
+
+
+def test_build_tower_checks_a_cap_only_when_passed():
+    # the tower of T(K2), the chain's own object, is far past the CLI's
+    # default cap of 2,000; the library builds it unless a caller passes one
+    cg = transform(Graph(["s", "t"], [("s", "t")]))
+    ctx = build_tower(cg)
+    assert ctx.dimension == 658_132_475
+    with pytest.raises(TooLarge, match="basis dimension exceeds cap 2000"):
+        build_tower(cg, cap=2000)
+    assert build_tower(cg, cap=658_132_475).dimension == 658_132_475
 
 
 def test_generator_relations():
@@ -193,6 +204,19 @@ def zero_poly_ctx():
     # a hand-built tower whose defining polynomial is zero: Y^5 = 0
     return TowerContext(0, ("z",), 3, {"z": 0},
                         [RadicalGen("t:v", 5, 1, ("tpoly", "z", (Fraction(0), Fraction(0))))])
+
+
+@pytest.mark.parametrize("char", [0, 2])
+def test_negative_powers_of_multi_term_elements(char):
+    # an element of more than one term is inverted, then raised
+    ctx = k2_ctx(char)
+    xs, xt = generator_vertex(ctx, "s", 1), generator_vertex(ctx, "t", 1)
+    y = generator_edge(ctx, "e:s,t", 1)
+    one = ctx.one()
+    for terms, a in ((2, xs + y), (3, one + xs * y + (xt + one) * y**3)):
+        assert len(a.coeffs) == terms
+        assert a ** -2 == a.inv() ** 2
+        assert a ** -3 * a ** 3 == one
 
 
 def test_zero_defining_polynomial_is_refused_by_the_one_term_inverse():
@@ -550,7 +574,7 @@ def test_algebraic_independence_bounded_search():
 
 def test_norm_companion_example():
     # Q(z0)(z1) with z1^3 = z0: the norm of z1 down to Q(z0) is z0
-    single = TowerContext(0, ("z",), 3, {"z": 1}, [], cap=10)
+    single = TowerContext(0, ("z",), 3, {"z": 1}, [])
     sub = single.with_depths({"z": 0}, {})
     z1 = generator_vertex(single, "z", 1)
     assert field_norm(z1, sub) == generator_vertex(sub, "z", 0)

@@ -8,6 +8,7 @@ import hashlib
 import json
 import random
 import sys
+import time
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -44,7 +45,7 @@ from graphfield.graphs import (
     _refined,
     _target_cell,
 )
-from graphfield.groups import Perm, closure
+from graphfield.groups import DEFAULT_CLOSURE_CAP, Perm, closure
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from test_autfield import k2_plus_ctx, k3_plus_ctx  # noqa: E402
@@ -208,15 +209,15 @@ def test_aut_graph_known_orders(name):
 
 
 def test_aut_graph_chain_transforms_within_the_default_budget():
-    # group -> Cayley structure -> code graph -> coloured transform; the
-    # former search ran out of its node budget on all three
+    # group -> Cayley structure -> code graph -> coloured transform, with
+    # no vertex bound; the former search ran out of its node budget on all three
     s2 = closure([Perm.from_cycles(2, [(0, 1)])])
     a3 = closure([Perm.from_cycles(3, [(0, 1, 2)])])
     s3 = closure([Perm.from_cycles(3, [(0, 1)]), Perm.from_cycles(3, [(0, 1, 2)])])
     for group, size in ((s2, 487), (a3, 1097), (s3, 4775)):
         cg = transform(code_structure(cayley_structure(group)))
         assert len(cg.vertices) == size
-        assert aut_graph(cg, max_vertices=size).order == group.order
+        assert aut_graph(cg).order == group.order
 
 
 @pytest.mark.parametrize("name, nodes", [("petersen", 15), ("transform(K6)", 21)])
@@ -236,9 +237,23 @@ def test_aut_graph_vertex_bound_refusal_point():
     assert (exc.value.what, exc.value.budget) == ("aut_graph vertex bound", 9)
 
 
+def _star(leaves):
+    return Graph(["c"] + [f"l{i}" for i in range(leaves)], [("c", f"l{i}") for i in range(leaves)])
+
+
+def test_aut_graph_refuses_to_list_a_group_past_the_closure_cap():
+    # the search counts |Aut K_{1,9}| = 9! in a few dozen nodes; listing
+    # the elements took 1.7 s and 127 MiB, and K_{1,10} ten times that
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as exc:
+        aut_graph(_star(9))
+    assert time.perf_counter() - t0 < 1
+    assert (exc.value.what, exc.value.budget) == ("group closure", DEFAULT_CLOSURE_CAP)
+    assert aut_graph(_star(7)).order == 5040
+
+
 def test_graph_auts_is_bounded_by_the_node_budget_alone():
-    # the 487-vertex chain transform of S2 is past aut_graph's default
-    # vertex bound
+    # the 487-vertex chain transform of S2, with no vertex bound
     s2 = closure([Perm.from_cycles(2, [(0, 1)])])
     cg = transform(code_structure(cayley_structure(s2)))
     auts = graph_auts(cg)
@@ -445,6 +460,16 @@ def test_code_structure_tags_do_not_collide_with_universe_names():
         assert aut_graph(g).order == 2
 
 
+def test_structure_refuses_elements_equal_or_equal_as_strings():
+    # "e_1" once named the vertex of both 1 and "1", so the code graph had
+    # the swap as an automorphism while the structure is rigid
+    for universe in ((1, "1"), ("a", "a"), (1, 1.0), (1, True)):
+        with pytest.raises(ValueError, match="distinct"):
+            FiniteStructure(universe=universe, relations={"R": {(1,)}}, unary_functions={})
+    s = FiniteStructure(universe=(1, "2"), relations={"R": {(1,)}}, unary_functions={})
+    assert aut_graph(code_structure(s)).order == 1 == len(structure_auts(s))
+
+
 def test_cayley_structure_z3():
     z3 = closure([Perm.from_cycles(3, [(0, 1, 2)])])
     s = cayley_structure(z3)
@@ -582,6 +607,11 @@ def test_structure_json_roundtrip():
         pytest.param('{"universe": ["a", "b"], "functions": {"f": {"a": "b"}}}', id="partial-function"),
         pytest.param('{"universe": ["a"], "relations": {"r": 5}}', id="relation-not-a-list"),
         pytest.param('{"universe": "ab"}', id="universe-not-a-list"),
+        pytest.param('{"universe": [1, "1"]}', id="universe-equal-as-strings"),
+        pytest.param('{"universe": ["a", "a"]}', id="universe-repeated"),
+        pytest.param('{"universe": ["a", "b"], "functions": {"f": {"a": "b", "b": "a", "a": "a"}}}',
+                     id="function-key-twice"),
+        pytest.param('{"universe": ["a"], "universe": ["a", "b"]}', id="top-level-key-twice"),
     ],
 )
 def test_structure_from_json_input_errors(text):

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from graphfield import groups
-from graphfield.errors import BudgetExceeded, NotCenterless, NotPrimePower, NotSubgroup
+from graphfield.errors import Budget, BudgetExceeded, NotCenterless, NotPrimePower, NotSubgroup
 from graphfield.graphs import Graph, aut_graph
 from graphfield._modgcd import _image_field
 from graphfield.groups import (
@@ -312,14 +312,14 @@ def test_searches_charge_the_preamble_to_their_budget(monkeypatch):
 def _exhaustive_aut(G):
     """Reference Aut(G) and inner map: every tuple of same-order images of
     the chosen generators gets the full homomorphism check."""
-    gens = groups._choose_generators(G, groups._element_invariants(G), [10**9, 10**9], "reference")
+    gens = groups._choose_generators(G, groups._element_invariants(G), Budget("reference", 10**9))
     domain = G.sorted_elements()
     index = {x: i for i, x in enumerate(domain)}
     pools = [[y for y in domain if y.order() == g.order()] for g in gens]
-    budget = [10**9, 10**9]
+    budget = Budget("reference", 10**9)
     autos = set()
     for images in product(*pools):
-        phi = groups._hom_from_generator_images(G, G, gens, images, budget, "reference")
+        phi = groups._hom_from_generator_images(G, G, gens, images, budget)
         if phi is not None:
             autos.add(Perm([index[phi[x]] for x in domain]))
     inner = {g: Perm([index[g * x * g.inv()] for x in domain]) for g in domain}
@@ -349,8 +349,8 @@ def test_aut_group_matches_exhaustive_reference(monkeypatch):
         accepted = []
         hom = groups._hom_from_generator_images
 
-        def recording(G_, H, gens, images, budget, what):
-            phi = hom(G_, H, gens, images, budget, what)
+        def recording(G_, H, gens, images, budget):
+            phi = hom(G_, H, gens, images, budget)
             checked[tuple(images)] = phi is not None
             if phi is not None:
                 accepted.append(phi)
@@ -796,7 +796,7 @@ _CHOSEN_DIGESTS = {
 def test_choose_generators_golden(name):
     build, digest = _CHOSEN_DIGESTS[name]
     G = build()
-    gens = groups._choose_generators(G, groups._element_invariants(G), [10**9, 10**9], "golden")
+    gens = groups._choose_generators(G, groups._element_invariants(G), Budget("golden", 10**9))
     assert _digest([g.images for g in gens]) == digest
 
 

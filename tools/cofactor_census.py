@@ -8,9 +8,8 @@ Builds the operation list as `perfbench/run.py` does for one block (seed
 the warm-up list, then runs the block once with `Poly.cofactors` and the
 functions it calls wrapped.  Each call counts under one path:
 
-* `backend`: the gcd backend ran (`int_gcd`, or `_gcd` in a checkout
-  whose characteristic-p gcd is still the remainder sequence), split by
-  a coprime or a nontrivial answer, with the backend's seconds;
+* `backend`: the gcd backend `int_gcd` ran, split by a coprime or a
+  nontrivial answer, with the backend's seconds;
 * `trial_division`: a division ran and the backend did not;
 * `zero_or_constant`: neither ran.
 
@@ -66,9 +65,7 @@ def main() -> int:
         return wrapper
 
     polynomials._divide_terms = wrap(polynomials._divide_terms, "division")
-    backends = [name for name in ("_gcd", "int_gcd") if hasattr(polynomials, name)]
-    for name in backends:
-        setattr(polynomials, name, wrap(getattr(polynomials, name), "backend", timed=True))
+    polynomials.int_gcd = wrap(polynomials.int_gcd, "backend", timed=True)
     cofactors = polynomials.Poly.cofactors
 
     def counted(self, other):
@@ -90,7 +87,7 @@ def main() -> int:
         op.run()
     block_s = time.perf_counter() - start
     print(json.dumps({"checkout": str(root), "workload": args.workload, "seed": args.seed,
-                      "operations": len(ops), "backends": backends, **counts,
+                      "operations": len(ops), **counts,
                       **{k: round(v, 4) for k, v in seconds.items()},
                       "block_s": round(block_s, 4)}))
     return 0
