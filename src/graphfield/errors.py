@@ -76,8 +76,9 @@ class SingularMultiplication(GraphFieldError):
 
 class TooLarge(GraphFieldError):
     """An input exceeds what is handled exactly: a tower basis dimension
-    over the cap a caller passed, or a number too large for the
-    primality test."""
+    over the cap a caller passed, a number too large for the primality
+    test, or a connected-graph corpus on more than 7 vertices, whose
+    2^(n(n-1)/2) edge masks would not fit in memory."""
 
 
 class DepthExceeded(GraphFieldError):

@@ -975,7 +975,9 @@ def _binomial_inverse(a: TowerElement) -> TowerElement | None:
     the closed form does not apply: a zero A_i under a's generators, or
     1 - w^L = 0.  When the coefficients' numerators and denominators and
     the A_i under a are pairwise coprime, `_binomial_by_bases` forms the
-    terms without a gcd; otherwise term j + 1 is term j times w.  (The
+    terms without a gcd; otherwise term j + 1 is term j times w.  Two A_i
+    are coprime without a test when either is coprime to every other
+    (`TowerContext.coprime_to_others`, one pass per context).  (The
     by-bases products also hold unreduced, but where the pieces share a
     factor they grow with L before their one gcd per term, and that is
     slower than reducing as the terms go.)"""
@@ -991,8 +993,11 @@ def _binomial_inverse(a: TowerElement) -> TowerElement | None:
     c0, c1 = a.coeffs[e0], a.coeffs[e1]
     p0, q0, p1, q1 = c0.num, c0.den, c1.num, c1.den
     A = [ctx.gen_poly(i) for i in gens]
+    rows = ctx.coprime_to_others()
     pairs = [(p0, p1), (p0, q1), (q0, p1), (q0, q1)]
-    pairs += [(f, A[x]) for x in range(len(A)) for f in [p0, q0, p1, q1] + A[:x]]
+    pairs += [(f, A[x]) for x in range(len(A)) for f in (p0, q0, p1, q1)]
+    pairs += [(A[y], A[x]) for x in range(len(A)) for y in range(x)
+              if not (rows[gens[x]] or rows[gens[y]])]
     if all(_coprime(f, g) for f, g in pairs):
         return _binomial_by_bases(ctx, e0, e1, gens, L, p0, q0, p1, q1)
     m0_inv = _monomial_power(TowerElement(ctx, {e0: c0}), -1)

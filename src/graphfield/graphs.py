@@ -26,16 +26,17 @@ large transforms are of these kinds: the singletons that individualising
 a vertex peels off, one at a time, and then pops as splitters.
 A `Graph` builds its adjacency once, on first use; `transform` builds
 its output without the public constructors' checks.  The corpus of
-connected graphs on up to 6 vertices needs no isomorphism test: it keeps
-the least edge mask of each orbit of S_n on the masks.
+connected graphs on up to 7 vertices needs no isomorphism test: it keeps
+the least edge mask of each orbit of S_n on the masks, and walks each
+orbit under the two generators (0 1) and (0 1 ... n-1) of S_n.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
-from .errors import Budget, BudgetExceeded, Disconnected, InvalidInput, NotFromTransform
+from .errors import Budget, BudgetExceeded, Disconnected, InvalidInput, NotFromTransform, TooLarge
 from .groups import DEFAULT_CLOSURE_CAP, Perm, PermGroup, closure
 
 # individualise-and-refine nodes: a node that refines the 4,775-vertex
@@ -941,32 +942,75 @@ def cayley_structure(group: PermGroup) -> FiniteStructure:
 
 def connected_graphs_up_to_iso(n: int) -> list[Graph]:
     """All isomorphism types of connected graphs on exactly n vertices,
-    labelled v0..v{n-1}; meant for n <= 6.
+    labelled v0..v{n-1}, for n <= 7; a larger n raises TooLarge before
+    anything is allocated (at n = 8 the seen-array alone would take
+    256 MiB).
 
-    The edge masks are scanned in increasing order.  A mask not seen yet
-    is the least of its orbit under S_n, and its whole orbit is marked
-    seen through one edge-bit table per vertex permutation (n! tables);
-    the mask's graph is kept when it is connected (orderly generation:
-    Read, "Every one a winner", 1978; McKay, "Isomorph-free exhaustive
-    generation", 1998).
+    The edge masks (bit k for the k-th pair of combinations(range(n), 2))
+    are scanned in increasing order.  A mask not seen yet starts a
+    breadth-first walk under the transposition (0 1) and the n-cycle
+    (0 1 ... n-1), which marks every mask it reaches as seen.  These two
+    permutations generate S_n, and in a finite group the monoid that
+    elements generate is the group they generate (each g has
+    g^-1 = g^(ord g - 1)), so the walk reaches exactly the S_n-orbit of
+    the mask.  Every orbit is marked whole when its first mask is met, so
+    that mask is the least of its orbit: the representatives are the
+    least mask of each orbit, in increasing order, which depends on the
+    orbits alone and not on how they are walked.  The mask's graph is
+    kept when it is connected (orderly generation: Read, "Every one a
+    winner", 1978; McKay, "Isomorph-free exhaustive generation", 1998;
+    the orbit walk: Seress, "Permutation Group Algorithms", 2003, ch. 2).
+
+    A generator's image of a mask x is two table lookups, over the low h
+    and the high m - h of the m = n(n-1)/2 edge bits:
+    lo[x & (2^h - 1)] | hi[x >> h].  So the walks cost 2 * 2^m images in
+    all, whatever the number of orbits, and `bytearray.find` skips to the
+    next unseen mask.
     """
+    if n > 7:
+        raise TooLarge(f"connected graphs are enumerated on at most 7 vertices, not {n}")
     labels = [f"v{i}" for i in range(n)]
     pairs = list(combinations(range(n), 2))
-    bit = {pair: 1 << k for k, pair in enumerate(pairs)}
-    # tables[s][k]: the bit of the image of edge k under permutation s
-    tables = [[bit[min(p[i], p[j]), max(p[i], p[j])] for i, j in pairs] for p in permutations(range(n))]
-    seen = bytearray(1 << len(pairs))
+    m, h = len(pairs), len(pairs) // 2
+    index = {pair: k for k, pair in enumerate(pairs)}
+    low = (1 << h) - 1
+    tables = []  # below n = 2 there are no pairs, so p is never read
+    for p in ([1, 0, *range(2, n)], [(i + 1) % n for i in range(n)]):
+        img = [1 << index[min(p[i], p[j]), max(p[i], p[j])] for i, j in pairs]
+        tables += [_bit_images(img[:h]), _bit_images(img[h:])]
+    t_lo, t_hi, c_lo, c_hi = tables
+    seen = bytearray(1 << m)
     out: list[Graph] = []
-    for mask in range(1 << len(pairs)):
-        if seen[mask]:
-            continue
-        ks = [k for k in range(len(pairs)) if mask >> k & 1]
-        for table in tables:
-            seen[sum(table[k] for k in ks)] = 1
-        g = Graph(labels, [_edge(labels[pairs[k][0]], labels[pairs[k][1]]) for k in ks])
+    mask = seen.find(0)
+    while mask >= 0:
+        seen[mask] = 1
+        orbit = [mask]
+        for x in orbit:
+            a, b = x & low, x >> h
+            y = t_lo[a] | t_hi[b]
+            if not seen[y]:
+                seen[y] = 1
+                orbit.append(y)
+            y = c_lo[a] | c_hi[b]
+            if not seen[y]:
+                seen[y] = 1
+                orbit.append(y)
+        g = Graph(labels, [_edge(labels[i], labels[j]) for k, (i, j) in enumerate(pairs) if mask >> k & 1])
         if g.is_connected():
             out.append(g)
+        mask = seen.find(0, mask)
     return out
+
+
+def _bit_images(img: list[int]) -> list[int]:
+    """table[x] = the OR of img[k] over the set bits k of x, for every x
+    below 2^len(img): each entry is the entry without x's lowest set bit
+    plus that bit's image."""
+    table = [0] * (1 << len(img))
+    for x in range(1, len(table)):
+        low = x & -x
+        table[x] = table[x ^ low] | img[low.bit_length() - 1]
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from graphfield import autfield, graphs
-from graphfield.errors import BudgetExceeded, Disconnected, InvalidInput, NotFromTransform
+from graphfield.errors import BudgetExceeded, Disconnected, InvalidInput, NotFromTransform, TooLarge
 from graphfield.fieldtower import random_nonzero_element
 from graphfield.graphs import (
     DEFAULT_AUT_NODE_BUDGET,
@@ -542,7 +542,14 @@ def test_code_structure_matches_structure_aut_on_corpus():
 
 def test_connected_graph_counts():
     # numbers of isomorphism types of connected graphs on n vertices
-    assert [len(connected_graphs_up_to_iso(n)) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+    # (OEIS A001349); n = 7 is the one corpus whose masks take three bytes
+    assert [len(connected_graphs_up_to_iso(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+
+
+def test_connected_graphs_refuse_more_than_seven_vertices():
+    # 2^28 edge masks at n = 8: refused before the seen-array is allocated
+    with pytest.raises(TooLarge, match="at most 7 vertices"):
+        connected_graphs_up_to_iso(8)
 
 
 # sha256 of the representatives' sorted edge lists, in output order, as

@@ -2,7 +2,8 @@
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workloads tower-char0 tower-char2 symmetry --seeds 801-810 \\
-        --durations test_criterion_03_field_construction --out BENCH_8.json
+        --held-out 899 --durations test_criterion_03_field_construction \\
+        --out BENCH_8.json
 
 Runs `perfbench/run.py` in each checkout, one process at a time, for the
 `run_seconds` that BENCHMARK.json fixes; the metrics and bounds come from
@@ -11,7 +12,10 @@ change's copy differs.  Pair i (one per seed) runs the parent first when
 i is even and the change first when i is odd; the workloads take turns
 within each pair.  For every end-to-end metric it writes the medians and
 quartiles of both sides, the pairs the change won and a verdict (see
-VERDICT_RULE).  TRACE_RUNS traced runs per side and workload at
+VERDICT_RULE).  With --held-out SEED, one more pair runs at that seed
+after the alternating pairs, the parent first, on every workload; its
+runs are recorded one by one under `held_out_seed` and take no part in
+the verdicts.  TRACE_RUNS traced runs per side and workload at
 TRACE_SEED, the sides alternating, add the calls and the median self
 time of every layer that the parent's BENCHMARK.json lists with a
 `<layer>.calls` or `<layer>.self_s` metric; the script stops when a
@@ -140,12 +144,19 @@ def run_tier1(checkout: Path, names: list[str]) -> dict:
             "durations": durations}
 
 
+def report(label: str, r: dict) -> None:
+    print(f"{label}: " + json.dumps({k: round(v["value"], 3) for k, v in r["metrics"].items()}),
+          file=sys.stderr, flush=True)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, type=Path)
     ap.add_argument("--change", required=True, type=Path)
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seeds", required=True, help="first-last, e.g. 801-810")
+    ap.add_argument("--held-out", type=int, metavar="SEED",
+                    help="one more pair at this seed, outside the --seeds range, parent first")
     ap.add_argument("--durations", nargs="*", default=[],
                     help="tests whose tier-1 durations are recorded")
     ap.add_argument("--out", required=True, type=Path)
@@ -158,6 +169,8 @@ def main() -> int:
     metrics, seconds = spec["parent"]["end_to_end"], spec["parent"]["run_seconds"]
     layers = traced_layers(spec["parent"])
     seeds = parse_seeds(args.seeds)
+    if args.held_out in seeds:
+        sys.exit(f"held-out seed {args.held_out} is one of the paired seeds")
     runs = {w: {s: [] for s in sides} for w in args.workloads}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -165,9 +178,17 @@ def main() -> int:
             for side in order:
                 r = run_bench(sides[side], w, seed, seconds, 0)
                 runs[w][side].append(r)
-                print(f"pair {i} seed {seed} {w} {side}: "
-                      + json.dumps({k: round(v["value"], 3) for k, v in r["metrics"].items()}),
-                      file=sys.stderr, flush=True)
+                report(f"pair {i} seed {seed} {w} {side}", r)
+    held_out = []
+    if args.held_out is not None:
+        for w in args.workloads:
+            for side in sides:
+                r = run_bench(sides[side], w, args.held_out, seconds, 0)
+                report(f"held-out seed {args.held_out} {w} {side}", r)
+                held_out.append({"workload": w, "side": side,
+                                 **{k: r[k] for k in ("correct", "failed", "attempted")},
+                                 **{m["name"]: round(r["metrics"][m["name"]]["value"], 4)
+                                    for m in metrics}})
 
     out = {
         "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs, "
@@ -214,6 +235,12 @@ def main() -> int:
     }
     for name in args.durations:
         out["wall_times_s"][name] = {s: walls[s]["durations"].get(name) for s in sides}
+    if args.held_out is not None:
+        out["held_out_seed"] = {
+            "note": "one more pair at a seed not used while developing or in the pairs above, "
+                    f"parent first, python3 perfbench/run.py --workload <workload> --seed "
+                    f"{args.held_out} --seconds {seconds} --trace 0",
+            "seed": args.held_out, "runs": held_out}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
